@@ -58,7 +58,6 @@ from .transport import (
     Discrete,
     DiscreteQuotient,
     Matching,
-    hausdorff,
     hausdorff_witness,
     kantorovich_01,
     kantorovich_oracle,

@@ -25,9 +25,7 @@ from .logic import mimicking_formula, satisfies, weak_mimicking_formula
 from .metrics import (
     MetricResult,
     find_distinguishing_resolution,
-    strong_trace_equivalent,
     strong_trace_metric,
-    weak_trace_equivalent,
     weak_trace_metric,
 )
 from .parser import (
@@ -307,25 +305,22 @@ def _cmd_equiv(args) -> int:
     pts = _load_pts(args.file)
     s = _require_process(pts, args.process)
     t = _require_process(pts, args.other)
-    check = weak_trace_equivalent if args.weak else strong_trace_equivalent
-    equivalent = check(pts, s, t, _max_resolutions(args))
-    payload = {"equivalent": equivalent, "distinguishing": None}
-    lines = ["true" if equivalent else "false"]
-    if not equivalent:
-        found = find_distinguishing_resolution(
-            pts, s, t, weak=args.weak, max_resolutions=_max_resolutions(args)
-        )
-        if found is not None:
-            side, resolution = found
-            td_of = weak_trace_distribution if args.weak else trace_distribution
-            payload["distinguishing"] = {
-                "process": side,
-                **_resolution_json(resolution),
-                "trace_distribution": _dist_json(td_of(resolution)),
-            }
-            lines.append(f"distinguishing resolution of {side} (unmatched by the other side):")
-            lines.extend(_resolution_lines(resolution))
-            lines.append(f"  TD: {print_trace_distribution(td_of(resolution))}")
+    found = find_distinguishing_resolution(
+        pts, s, t, weak=args.weak, max_resolutions=_max_resolutions(args)
+    )
+    payload = {"equivalent": found is None, "distinguishing": None}
+    lines = ["true" if found is None else "false"]
+    if found is not None:
+        side, resolution = found
+        td_of = weak_trace_distribution if args.weak else trace_distribution
+        payload["distinguishing"] = {
+            "process": side,
+            **_resolution_json(resolution),
+            "trace_distribution": _dist_json(td_of(resolution)),
+        }
+        lines.append(f"distinguishing resolution of {side} (unmatched by the other side):")
+        lines.extend(_resolution_lines(resolution))
+        lines.append(f"  TD: {print_trace_distribution(td_of(resolution))}")
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -418,12 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"abort when a process has more resolutions (default {DEFAULT_MAX_RESOLUTIONS}; "
         f"env {MAX_RESOLUTIONS_ENV})",
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for randomized subcommands (accepted everywhere for uniformity)",
     )
 
     parser = _Parser(

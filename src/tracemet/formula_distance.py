@@ -20,20 +20,29 @@ from .core import PTS, ProcessId, TraceDistFormula
 from .logic import TraceFormula, erase_formula, satisfied_set
 from .metrics import strong_trace_metric, weak_trace_metric
 from .resolutions import DEFAULT_MAX_RESOLUTIONS
-from .transport import DISCRETE, DiscreteQuotient, hausdorff_witness, kantorovich_01
+from .transport import (
+    DISCRETE,
+    DiscreteQuotient,
+    distances_to_set,
+    hausdorff_witness,
+    kantorovich_01,
+)
 
 FORMULA_QUOTIENT = DiscreteQuotient(erase_formula)
 
 
+def _ground(weak: bool):
+    return FORMULA_QUOTIENT if weak else DISCRETE
+
+
 def trace_formula_distance(x: TraceFormula, y: TraceFormula, weak: bool = False) -> Fraction:
     """0/1 distance on trace formulae; weakly, 0 on erasure-equivalent ones."""
-    metric = FORMULA_QUOTIENT if weak else DISCRETE
-    return metric.distance(x, y)
+    return _ground(weak).distance(x, y)
 
 
 def dist_formula_distance(p: TraceDistFormula, q: TraceDistFormula, weak: bool = False) -> Fraction:
     """Transport distance between two distribution formulae."""
-    return kantorovich_01(p, q, FORMULA_QUOTIENT if weak else DISCRETE)
+    return kantorovich_01(p, q, _ground(weak))
 
 
 def _set_distance(
@@ -41,7 +50,7 @@ def _set_distance(
     set_t: list[TraceDistFormula],
     weak: bool,
 ) -> Fraction:
-    return hausdorff_witness(set_s, set_t, lambda a, b: dist_formula_distance(a, b, weak))[0]
+    return hausdorff_witness(set_s, set_t, _ground(weak))[0]
 
 
 def logical_distance(
@@ -65,9 +74,7 @@ def distance_to_set(
     weak: bool = False,
 ) -> Fraction:
     """Distance from a formula to a finite nonempty set (the minimum)."""
-    if not formulas:
-        raise ValueError("distance to an empty formula set is undefined")
-    return min(dist_formula_distance(psi, other, weak) for other in formulas)
+    return distances_to_set([psi], formulas, _ground(weak))[0]
 
 
 def real_value(
@@ -90,16 +97,12 @@ def _sup_val_over(
     # The sup over all formulae of the value gap is attained on the two
     # satisfied sets themselves: for a member of one set the gap IS its
     # distance to the other set, which produces both directed Hausdorff
-    # terms, and no formula can exceed them.
-    candidates: dict = {}
-    for psi in set_s + set_t:
-        candidates.setdefault(psi, None)
-    best = Fraction(0)
-    for psi in candidates:
-        val_s = 1 - distance_to_set(psi, set_s, weak)
-        val_t = 1 - distance_to_set(psi, set_t, weak)
-        best = max(best, abs(val_s - val_t))
-    return best
+    # terms, and no formula can exceed them.  Both distances are computed
+    # for every candidate, so this route shares no max-min with the others.
+    candidates = list(dict.fromkeys(set_s + set_t))
+    to_s = distances_to_set(candidates, set_s, _ground(weak))
+    to_t = distances_to_set(candidates, set_t, _ground(weak))
+    return max((abs(d_s - d_t) for d_s, d_t in zip(to_s, to_t)), default=Fraction(0))
 
 
 def sup_val_distance(

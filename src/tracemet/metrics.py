@@ -95,9 +95,7 @@ def _trace_metric(
     else:
         kept_s, tds_s = res_s, [td_of(r) for r in res_s]
         kept_t, tds_t = res_t, [td_of(r) for r in res_t]
-    value, pair = hausdorff_witness(
-        tds_s, tds_t, lambda a, b: kantorovich_01(a, b, DISCRETE)
-    )
+    value, pair = hausdorff_witness(tds_s, tds_t)
     witness = (kept_s[pair[0]], kept_t[pair[1]]) if pair is not None else None
     stats = DedupStats(len(res_s), len(kept_s), len(res_t), len(kept_t))
     return MetricResult(value, witness, stats)
@@ -128,18 +126,6 @@ def weak_trace_metric(
     return _trace_metric(pts, s, t, weak_trace_distribution, max_resolutions, dedup)
 
 
-def _profile_set(
-    pts: PTS,
-    process: ProcessId,
-    profile_of,
-    max_resolutions: int,
-) -> set[frozenset]:
-    return {
-        frozenset(profile_of(r).items())
-        for r in enumerate_resolutions(pts, process, max_resolutions)
-    }
-
-
 def strong_trace_equivalent(
     pts: PTS,
     s: ProcessId,
@@ -154,9 +140,7 @@ def strong_trace_equivalent(
     sides).  The two-sided exists-matching then collapses to equality of the
     two profile sets.
     """
-    return _profile_set(pts, s, compatible_probabilities, max_resolutions) == _profile_set(
-        pts, t, compatible_probabilities, max_resolutions
-    )
+    return find_distinguishing_resolution(pts, s, t, False, max_resolutions) is None
 
 
 def weak_trace_equivalent(
@@ -166,9 +150,7 @@ def weak_trace_equivalent(
     max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
 ) -> bool:
     """Same matching on tau-erased traces, with prefix-maximal run mass."""
-    return _profile_set(
-        pts, s, weak_compatible_probabilities, max_resolutions
-    ) == _profile_set(pts, t, weak_compatible_probabilities, max_resolutions)
+    return find_distinguishing_resolution(pts, s, t, True, max_resolutions) is None
 
 
 def find_distinguishing_resolution(
@@ -179,14 +161,30 @@ def find_distinguishing_resolution(
     max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
 ) -> "tuple[ProcessId, Resolution] | None":
     """A resolution of one process that no resolution of the other matches,
-    or None when the processes are equivalent."""
+    or None when the processes are equivalent.
+
+    The first unmatched resolution of ``s`` comes first, then that of ``t``.
+    Each side's profiles are computed once, and the scan of ``s`` stops at
+    its first unmatched resolution.
+    """
     profile_of = weak_compatible_probabilities if weak else compatible_probabilities
 
-    def scan(p: ProcessId, other: ProcessId):
-        other_profiles = _profile_set(pts, other, profile_of, max_resolutions)
-        for resolution in enumerate_resolutions(pts, p, max_resolutions):
-            if frozenset(profile_of(resolution).items()) not in other_profiles:
-                return p, resolution
-        return None
+    def profile(resolution: Resolution) -> frozenset:
+        return frozenset(profile_of(resolution).items())
 
-    return scan(s, t) or scan(t, s)
+    # Listing s first makes the size guard name s when both sides exceed it.
+    resolutions_s = enumerate_resolutions(pts, s, max_resolutions)
+    # The first index of each profile of t, in enumeration order.
+    first_t: dict = {}
+    for index, resolution in enumerate(enumerate_resolutions(pts, t, max_resolutions)):
+        first_t.setdefault(profile(resolution), index)
+    profiles_s = set()
+    for resolution in resolutions_s:
+        found = profile(resolution)
+        if found not in first_t:
+            return s, resolution
+        profiles_s.add(found)
+    for found, index in first_t.items():
+        if found not in profiles_s:
+            return t, enumerate_resolutions(pts, t, max_resolutions)[index]
+    return None

@@ -1,15 +1,31 @@
-"""Exact optimal-transport and set liftings used by every metric here.
+"""Exact optimal transport under 0/1 ground costs, and its Hausdorff lifting.
 
 Two ground costs occur: the discrete 0/1 cost, and its quotient by an
 idempotent canonicalization (items are free to move within a class, cost 1
 across classes).  For both, the optimal transport cost between two
-distributions collapses to total variation on the (canonicalized) supports,
-which is the production path.  A generic min-cost-flow solver over exact
-rationals is kept alongside as an independent oracle and witness producer.
+distributions is the total variation (TV) distance between the
+canonicalized distributions, and one exact integer TV kernel computes it for
+every caller: the trace metrics, the logical distance, the real-valued
+semantics and ``kantorovich_01`` itself.
+
+A pass of the kernel canonicalizes each distribution once and scales its
+weights to integers over the pass's common denominator, so the inner loops
+run on Python ints and each result becomes one ``Fraction`` at the end.
+Each side is indexed twice: by whole row, so a row that also occurs on the
+other side is at distance 0 without a scan, and by key, so rows with
+disjoint supports (distance 1) are never compared.  The Hausdorff max-min
+stops scanning a row as soon as the row can no longer change the value or
+the witness.
+
+A generic min-cost-flow solver over exact rationals is kept alongside as an
+independent oracle and plan producer.  The per-pair Hausdorff lifting over
+an arbitrary distance callable lives in the test suite (``tests/oracles.py``)
+as the reference for the kernel's values and witnesses.
 """
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -52,16 +68,7 @@ def kantorovich_01(p: Dist, q: Dist, metric: GroundMetric = DISCRETE) -> Fractio
     costs 1, the optimum is the total variation distance between the
     canonicalized distributions: the surplus mass that must cross classes.
     """
-    if not p.is_probability or not q.is_probability:
-        raise ValueError("kantorovich_01 requires probability distributions")
-    ph = p.pushforward(metric.canonical)
-    qh = q.pushforward(metric.canonical)
-    surplus = Fraction(0)
-    for key, weight in ph.items_sorted:
-        gap = weight - qh.get(key, Fraction(0))
-        if gap > 0:
-            surplus += gap
-    return surplus
+    return distances_to_set([p], [q], metric)[0]
 
 
 @dataclass(frozen=True)
@@ -197,12 +204,114 @@ def kantorovich_oracle(
     return value, Matching(joint)
 
 
+def _integer_rows(metric: GroundMetric, *groups: Sequence[Dist]) -> tuple[int, list]:
+    """Canonicalize every distribution once into a plain dict with its
+    weights scaled to integers over one common denominator, which is
+    returned.
+
+    Canonical keys are numbered in order of first appearance, so the
+    kernel's lookups hash small ints rather than traces or formulae.
+    """
+    total = math.lcm(
+        *{w.denominator for group in groups for item in group for _, w in item.items_sorted}
+    )
+    canonical = metric.canonical
+    numbers: dict = {}
+    scaled = []
+    for group in groups:
+        rows = []
+        for item in group:
+            if not item.is_probability:
+                raise ValueError("total variation requires probability distributions")
+            row: dict = {}
+            for key, w in item.items_sorted:
+                key = numbers.setdefault(canonical(key), len(numbers))
+                row[key] = row.get(key, 0) + w.numerator * (total // w.denominator)
+            rows.append(row)
+        scaled.append(rows)
+    return total, scaled
+
+
+class _Index:
+    """One side of a pass: its integer rows, the first index of each
+    distinct row, and for each key the indices of the rows that carry it."""
+
+    __slots__ = ("rows", "first", "postings")
+
+    def __init__(self, rows: list[dict]):
+        self.rows = rows
+        self.first: dict = {}
+        self.postings: dict = {}
+        for j, row in enumerate(rows):
+            self.first.setdefault(frozenset(row.items()), j)
+            for key in row:
+                self.postings.setdefault(key, []).append(j)
+
+    def nearest(self, row: dict, total: int, stop: int) -> tuple[int, int]:
+        """TV distance from ``row`` to its nearest row here, in units of
+        ``1/total``, and the first index attaining it.
+
+        The scan ends once the nearest distance found is at most ``stop``;
+        the pair returned then only bounds the minimum from above.  A row
+        sharing no key with ``row`` is at distance ``total``, so when no row
+        shares one the answer is ``(total, 0)``.
+        """
+        j = self.first.get(frozenset(row.items()))
+        if j is not None:
+            return 0, j
+        candidates: set = set()
+        for key in row:
+            candidates.update(self.postings.get(key, ()))
+        best, at = total, 0
+        rows = self.rows
+        weights = row.items()
+        for j in sorted(candidates):
+            if best <= stop:
+                break
+            other = rows[j]
+            shared = 0
+            for key, w in weights:
+                v = other.get(key)
+                if v is not None:
+                    shared += w if w < v else v
+            if total - shared < best:
+                best, at = total - shared, j
+        return best, at
+
+
+def _directed(rows: list[dict], index: _Index, total: int, floor: int) -> tuple[int, int, int]:
+    """Directed max-min from ``rows`` to ``index``: (distance, row, column),
+    first row then first column attaining it.  Exact when the distance
+    exceeds ``floor``; otherwise only known to be at most ``floor``."""
+    best, i_at, j_at = -1, 0, 0
+    for i, row in enumerate(rows):
+        d, j = index.nearest(row, total, max(best, floor))
+        if d > best:
+            best, i_at, j_at = d, i, j
+    return best, i_at, j_at
+
+
+def distances_to_set(
+    queries: Sequence[Dist],
+    items: Sequence[Dist],
+    metric: GroundMetric = DISCRETE,
+) -> list[Fraction]:
+    """TV distance from each query to its nearest item, indexing ``items``
+    once for all queries."""
+    if queries and not items:
+        raise ValueError("distance to an empty set is undefined")
+    total, (query_rows, rows) = _integer_rows(metric, queries, items)
+    index = _Index(rows)
+    return [Fraction(index.nearest(row, total, -1)[0], total) for row in query_rows]
+
+
 def hausdorff_witness(
-    items_a: Sequence,
-    items_b: Sequence,
-    distance: Callable,
+    items_a: Sequence[Dist],
+    items_b: Sequence[Dist],
+    metric: GroundMetric = DISCRETE,
 ) -> tuple[Fraction, "tuple[int, int] | None"]:
-    """Hausdorff lifting with an attaining index pair.
+    """Hausdorff max-min of TV distances between two sets, with an
+    attaining index pair.
 
     Conventions for empty sets: the inner infimum over an empty set is 1 and
     the outer supremum over an empty set is 0.  The witness is the first
@@ -213,28 +322,10 @@ def hausdorff_witness(
         return Fraction(0), None
     if not items_a or not items_b:
         return Fraction(1), None
-
-    def directed(xs: Sequence, ys: Sequence) -> tuple[Fraction, int, int]:
-        best = None
-        for i, x in enumerate(xs):
-            row_min = None
-            row_arg = 0
-            for j, y in enumerate(ys):
-                d = distance(x, y)
-                if row_min is None or d < row_min:
-                    row_min, row_arg = d, j
-            if best is None or row_min > best[0]:
-                best = (row_min, i, row_arg)
-        return best
-
-    d_ab, i_ab, j_ab = directed(items_a, items_b)
-    d_ba, j_ba, i_ba = directed(items_b, items_a)
+    total, (rows_a, rows_b) = _integer_rows(metric, items_a, items_b)
+    d_ab, i_ab, j_ab = _directed(rows_a, _Index(rows_b), total, -1)
+    # The B->A direction only matters where it beats A->B outright.
+    d_ba, j_ba, i_ba = _directed(rows_b, _Index(rows_a), total, d_ab)
     if d_ab >= d_ba:
-        return d_ab, (i_ab, j_ab)
-    return d_ba, (i_ba, j_ba)
-
-
-def hausdorff(items_a: Sequence, items_b: Sequence, distance: Callable) -> Fraction:
-    """max of the two directed sup-inf distances between finite sets;
-    ``distance`` must be symmetric on the union."""
-    return hausdorff_witness(list(items_a), list(items_b), distance)[0]
+        return Fraction(d_ab, total), (i_ab, j_ab)
+    return Fraction(d_ba, total), (i_ba, j_ba)

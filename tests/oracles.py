@@ -1,0 +1,117 @@
+"""Slow reference routes kept for the tests to compare the package against.
+
+These are the per-pair definitions the package's integer total-variation
+kernel (``tracemet.transport``) replaced: a Hausdorff max-min that calls a
+distance function on every pair, the 0/1 transport cost computed by pushing
+both distributions through the canonicalization, and the formula-set
+distances built on them.  The kernel must give the same values and the same
+witness pairs.  ``distinguishing_resolution`` is the two-scan search that
+``find_distinguishing_resolution`` must agree with.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Callable, Sequence
+
+import tracemet as tm
+
+
+def tv_distance(p: tm.Dist, q: tm.Dist, metric=tm.DISCRETE) -> Fraction:
+    """0/1 transport cost as the surplus mass of the canonicalized ``p``
+    over the canonicalized ``q``."""
+    if not p.is_probability or not q.is_probability:
+        raise ValueError("tv_distance requires probability distributions")
+    ph = p.pushforward(metric.canonical)
+    qh = q.pushforward(metric.canonical)
+    surplus = Fraction(0)
+    for key, weight in ph.items_sorted:
+        gap = weight - qh.get(key, Fraction(0))
+        if gap > 0:
+            surplus += gap
+    return surplus
+
+
+def hausdorff_witness(
+    items_a: Sequence,
+    items_b: Sequence,
+    distance: Callable,
+) -> tuple[Fraction, "tuple[int, int] | None"]:
+    """Hausdorff lifting with an attaining index pair.
+
+    Conventions for empty sets: the inner infimum over an empty set is 1 and
+    the outer supremum over an empty set is 0.  The witness is the first
+    (max-side, then min-side) pair in input order realizing the value; the
+    first set wins ties between the two directions.
+    """
+    if not items_a and not items_b:
+        return Fraction(0), None
+    if not items_a or not items_b:
+        return Fraction(1), None
+
+    def directed(xs: Sequence, ys: Sequence) -> tuple[Fraction, int, int]:
+        best = None
+        for i, x in enumerate(xs):
+            row_min = None
+            row_arg = 0
+            for j, y in enumerate(ys):
+                d = distance(x, y)
+                if row_min is None or d < row_min:
+                    row_min, row_arg = d, j
+            if best is None or row_min > best[0]:
+                best = (row_min, i, row_arg)
+        return best
+
+    d_ab, i_ab, j_ab = directed(items_a, items_b)
+    d_ba, j_ba, i_ba = directed(items_b, items_a)
+    if d_ab >= d_ba:
+        return d_ab, (i_ab, j_ab)
+    return d_ba, (i_ba, j_ba)
+
+
+def hausdorff(items_a: Sequence, items_b: Sequence, distance: Callable) -> Fraction:
+    """max of the two directed sup-inf distances between finite sets;
+    ``distance`` must be symmetric on the union."""
+    return hausdorff_witness(list(items_a), list(items_b), distance)[0]
+
+
+def formula_metric(weak: bool):
+    return tm.formula_distance.FORMULA_QUOTIENT if weak else tm.DISCRETE
+
+
+def distance_to_set(psi: tm.Dist, formulas: list, weak: bool = False) -> Fraction:
+    """Distance from a formula to a finite nonempty set (the minimum)."""
+    if not formulas:
+        raise ValueError("distance to an empty formula set is undefined")
+    return min(tv_distance(psi, other, formula_metric(weak)) for other in formulas)
+
+
+def sup_val_over(set_s: list, set_t: list, weak: bool) -> Fraction:
+    """Largest gap between the real values of a member of either set at the
+    two sets."""
+    candidates: dict = {}
+    for psi in set_s + set_t:
+        candidates.setdefault(psi, None)
+    best = Fraction(0)
+    for psi in candidates:
+        val_s = 1 - distance_to_set(psi, set_s, weak)
+        val_t = 1 - distance_to_set(psi, set_t, weak)
+        best = max(best, abs(val_s - val_t))
+    return best
+
+
+def distinguishing_resolution(pts: tm.PTS, s: str, t: str, weak: bool = False):
+    """The first resolution of ``s`` whose run-probability profile no
+    resolution of ``t`` shows, else the first such of ``t``, else None;
+    each scan builds the other side's profile set afresh."""
+    profile_of = tm.weak_compatible_probabilities if weak else tm.compatible_probabilities
+
+    def scan(p: str, other: str):
+        other_profiles = {
+            frozenset(profile_of(r).items()) for r in tm.enumerate_resolutions(pts, other)
+        }
+        for resolution in tm.enumerate_resolutions(pts, p):
+            if frozenset(profile_of(resolution).items()) not in other_profiles:
+                return p, resolution
+        return None
+
+    return scan(s, t) or scan(t, s)

@@ -1,0 +1,197 @@
+"""The integer total-variation kernel against the per-pair oracles.
+
+Every comparison asserts the same value and the same witness pair (first
+row, then first column attaining the minimum; the left direction wins
+ties), so early exits and index shortcuts can change neither.
+"""
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+import tracemet as tm
+from conftest import dist
+from genpts import random_case, random_formula
+
+FORMULA_QUOTIENT = tm.formula_distance.FORMULA_QUOTIENT
+FIRST_LETTER = tm.DiscreteQuotient(lambda s: s[0])
+
+
+def oracle_witness(items_a, items_b, metric=tm.DISCRETE):
+    return oracles.hausdorff_witness(
+        items_a, items_b, lambda x, y: oracles.tv_distance(x, y, metric)
+    )
+
+
+def assert_matches_oracle(items_a, items_b, metric=tm.DISCRETE):
+    got = tm.hausdorff_witness(items_a, items_b, metric)
+    assert got == oracle_witness(items_a, items_b, metric)
+    return got
+
+
+def first_of_each(resolutions, td_of):
+    kept, dists, seen = [], [], set()
+    for r in resolutions:
+        td = td_of(r)
+        if td not in seen:
+            seen.add(td)
+            kept.append(r)
+            dists.append(td)
+    return kept, dists
+
+
+@pytest.fixture(scope="module")
+def cases():
+    rng = random.Random(61)
+    return [random_case(rng, max_count=40, tau_bias=0.3 if i % 2 else 0.0) for i in range(16)]
+
+
+class TestResolutionSets:
+    @pytest.mark.parametrize("weak", [False, True])
+    @pytest.mark.parametrize("dedup", [False, True])
+    def test_value_and_witness(self, cases, weak, dedup):
+        td_of = tm.weak_trace_distribution if weak else tm.trace_distribution
+        metric = tm.weak_trace_metric if weak else tm.strong_trace_metric
+        duplicates = 0
+        for pts, s, t in cases:
+            sides = []
+            for p in (s, t):
+                res = tm.enumerate_resolutions(pts, p)
+                if dedup:
+                    sides.append(first_of_each(res, td_of))
+                else:
+                    sides.append((res, [td_of(r) for r in res]))
+                    duplicates += len(res) - len(set(sides[-1][1]))
+            (kept_s, tds_s), (kept_t, tds_t) = sides
+            value, pair = oracle_witness(tds_s, tds_t)
+            assert tm.hausdorff_witness(tds_s, tds_t) == (value, pair)
+            result = metric(pts, s, t, dedup=dedup)
+            assert result.value == value
+            assert result.witness == (kept_s[pair[0]], kept_t[pair[1]])
+        if not dedup:
+            # Repeated rows exercise the first-index rule of the row index.
+            assert duplicates > 0
+
+
+class TestFormulaSets:
+    def test_satisfied_sets(self, cases):
+        merged = 0
+        for pts, s, t in cases:
+            set_s, set_t = tm.satisfied_set(pts, s), tm.satisfied_set(pts, t)
+            for metric in (tm.DISCRETE, FORMULA_QUOTIENT):
+                assert_matches_oracle(set_s, set_t, metric)
+            weak_classes = {psi.pushforward(tm.erase_formula) for psi in set_s}
+            merged += len(set_s) - len(weak_classes)
+        # Distinct formulae falling into one weak class do occur.
+        assert merged > 0
+
+    def test_distance_to_set(self, cases):
+        rng = random.Random(62)
+        for pts, s, _ in cases:
+            formulas = tm.satisfied_set(pts, s)
+            probes = [random_formula(rng, tau_bias=0.3) for _ in range(4)] + formulas[:3]
+            for psi in probes:
+                for weak in (False, True):
+                    assert tm.distance_to_set(psi, formulas, weak) == oracles.distance_to_set(
+                        psi, formulas, weak
+                    )
+
+    def test_sup_val(self, cases):
+        for pts, s, t in cases:
+            set_s, set_t = tm.satisfied_set(pts, s), tm.satisfied_set(pts, t)
+            for weak in (False, True):
+                assert tm.sup_val_distance(pts, s, t, weak) == oracles.sup_val_over(
+                    set_s, set_t, weak
+                )
+
+    def test_sup_val_rejects_one_empty_set(self):
+        with pytest.raises(ValueError):
+            tm.formula_distance._sup_val_over([tm.TOP_DIST], [], weak=False)
+        assert tm.formula_distance._sup_val_over([], [], weak=False) == 0
+
+
+class TestHandBuilt:
+    def test_empty_sides(self):
+        one = [dist({"x": 1})]
+        assert tm.hausdorff_witness([], []) == (0, None)
+        assert tm.hausdorff_witness(one, []) == (1, None)
+        assert tm.hausdorff_witness([], one) == (1, None)
+
+    def test_identical_sets(self):
+        items = [dist({"x": "1/3", "y": "2/3"}), dist({"x": 1}), dist({"x": "1/3", "y": "2/3"})]
+        assert assert_matches_oracle(items, items) == (0, (0, 0))
+
+    def test_disjoint_supports(self):
+        a = [dist({"x": 1}), dist({"y": "1/2", "z": "1/2"})]
+        b = [dist({"u": "1/4", "v": "3/4"}), dist({"w": 1})]
+        assert assert_matches_oracle(a, b) == (1, (0, 0))
+
+    def test_left_direction_wins_a_tie(self):
+        # Both directions reach 1: A->B at (1, 0), B->A at (0, 1).
+        a = [dist({"x": 1}), dist({"z": 1})]
+        b = [dist({"x": 1}), dist({"y": 1})]
+        assert assert_matches_oracle(a, b) == (1, (1, 0))
+        assert assert_matches_oracle(b, a) == (1, (1, 0))
+
+    def test_first_of_several_argmin_columns(self):
+        # The row of x is 1/2 from columns 1 and 2; B->A also reaches 1/2.
+        a = [dist({"y": 1}), dist({"x": 1})]
+        b = [dist({"y": 1}), dist({"x": "1/2", "y": "1/2"}), dist({"x": "1/2", "w": "1/2"})]
+        assert assert_matches_oracle(a, b) == (Fraction(1, 2), (1, 1))
+        # The right side wins outright, at its first row farthest from [x].
+        c = [dist({"x": "1/2", "y": "1/2"}), dist({"y": 1}), dist({"z": 1})]
+        assert assert_matches_oracle([dist({"x": 1})], c) == (1, (0, 1))
+
+    def test_quotient_classes(self):
+        a = [dist({"a0": "1/2", "b0": "1/2"})]
+        b = [dist({"a1": "1/2", "b1": "1/2"}), dist({"a0": 1})]
+        assert assert_matches_oracle(a, b, FIRST_LETTER) == (Fraction(1, 2), (0, 1))
+
+    def test_rejects_non_distributions(self):
+        with pytest.raises(ValueError, match="probability"):
+            tm.hausdorff_witness([tm.Dist({"x": Fraction(1, 2)})], [dist({"x": 1})])
+
+
+@st.composite
+def distributions(draw):
+    support = draw(st.lists(st.sampled_from(["a0", "a1", "b0", "b1"]), min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.integers(1, 6), min_size=len(support), max_size=len(support)))
+    total = sum(weights)
+    return tm.Dist({key: Fraction(w, total) for key, w in zip(support, weights)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(distributions(), max_size=6),
+    st.lists(distributions(), max_size=6),
+    st.sampled_from([tm.DISCRETE, FIRST_LETTER]),
+)
+def test_property_matches_oracle(items_a, items_b, metric):
+    assert_matches_oracle(items_a, items_b, metric)
+    queries = items_a + items_b
+    if items_b:
+        assert tm.transport.distances_to_set(queries, items_b, metric) == [
+            min(oracles.tv_distance(q, y, metric) for y in items_b) for q in queries
+        ]
+
+
+def test_distinguishing_resolution_matches_two_scans(cases):
+    for pts, s, t in cases:
+        for weak in (False, True):
+            found = tm.find_distinguishing_resolution(pts, s, t, weak)
+            assert found == oracles.distinguishing_resolution(pts, s, t, weak)
+            check = tm.weak_trace_equivalent if weak else tm.strong_trace_equivalent
+            assert check(pts, s, t) == (found is None)
+
+
+def test_distinguishing_resolution_is_first_of_a_repeated_profile():
+    # Every resolution of s is matched; t's c-steps through u and w show one
+    # unmatched profile, and the one through u comes first.
+    pts = tm.parse_pts("s -b-> 1 nil\nt -b-> 1 nil\nt -c-> 1 u\nt -c-> 1 w\n")
+    side, resolution = tm.find_distinguishing_resolution(pts, "s", "t")
+    assert side == "t"
+    assert resolution == tm.make_resolution(pts, "t", (1, {}))
+    assert (side, resolution) == oracles.distinguishing_resolution(pts, "s", "t")
