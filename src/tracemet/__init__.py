@@ -38,19 +38,17 @@ from .resolutions import (
     count_resolutions,
     enumerate_resolutions,
     make_resolution,
+    resolution_at,
     validate_resolution,
 )
 from .traces import (
     Computation,
     EPSILON,
     Trace,
-    compatible_probabilities,
     max_computations,
-    pr_compatible,
-    pr_weak_compatible,
     tau_erase,
     trace_distribution,
-    weak_compatible_probabilities,
+    trace_distributions,
     weak_trace_distribution,
 )
 from .transport import (
@@ -71,6 +69,7 @@ from .logic import (
     erase_formula,
     formulas_weak_equivalent,
     mimicking_formula,
+    mimicking_formulas,
     satisfied_set,
     satisfies,
     satisfies_trace,

@@ -21,7 +21,7 @@ from .formula_distance import (
     dist_formula_distance,
     real_value,
 )
-from .logic import mimicking_formula, satisfies, weak_mimicking_formula
+from .logic import mimicking_formulas, satisfies
 from .metrics import (
     MetricResult,
     find_distinguishing_resolution,
@@ -245,14 +245,7 @@ def _cmd_resolutions(args) -> int:
 def _cmd_mimic(args) -> int:
     pts = _load_pts(args.file)
     process = _require_process(pts, args.process)
-    formula_of = weak_mimicking_formula if args.weak else mimicking_formula
-    formulas = []
-    seen = set()
-    for r in enumerate_resolutions(pts, process, _max_resolutions(args)):
-        psi = formula_of(r)
-        if psi not in seen:
-            seen.add(psi)
-            formulas.append(psi)
+    formulas = mimicking_formulas(pts, process, args.weak, _max_resolutions(args))
     payload = {
         "process": process,
         "weak": args.weak,
@@ -329,18 +322,7 @@ def _cmd_sat(args) -> int:
     pts = _load_pts(args.file)
     process = _require_process(pts, args.process)
     psi = _parse_formula_arg(args.formula)
-    if args.weak:
-        # Weak satisfaction: some resolution's mimicking formula is
-        # equivalent to the query up to erasure of silent diamonds.
-        from .logic import dist_formulas_weak_equivalent
-
-        holds, witness = False, None
-        for r in enumerate_resolutions(pts, process, _max_resolutions(args)):
-            if dist_formulas_weak_equivalent(mimicking_formula(r), psi):
-                holds, witness = True, r
-                break
-    else:
-        holds, witness = satisfies(pts, process, psi, _max_resolutions(args))
+    holds, witness = satisfies(pts, process, psi, _max_resolutions(args), weak=args.weak)
     payload = {
         "satisfied": holds,
         "witness": _resolution_json(witness) if witness is not None else None,

@@ -17,6 +17,7 @@ import re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 Rational = Fraction
@@ -59,30 +60,43 @@ class Dist(Mapping):
     them.
     """
 
-    __slots__ = ("_map", "_items", "_total")
+    __slots__ = ("_map", "_items", "_total", "_hash")
 
     def __init__(self, weights: Mapping | Iterable[tuple]):
-        pairs = weights.items() if isinstance(weights, Mapping) else weights
-        acc: dict = {}
-        for key, raw in pairs:
-            weight = Fraction(raw)
-            if weight <= 0:
-                raise ValueError(f"nonpositive weight {weight} for {key!r}")
-            if key in acc:
-                raise ValueError(f"duplicate key {key!r}; use Dist.merged")
-            acc[key] = weight
+        if isinstance(weights, Mapping):
+            # A mapping's keys are distinct, and copying a dict reuses the
+            # hashes it stores, so no key is hashed again here.
+            acc = dict(weights)
+            for key, weight in acc.items():
+                if not isinstance(weight, Fraction):
+                    acc[key] = weight = Fraction(weight)
+                if weight.numerator <= 0:
+                    raise ValueError(f"nonpositive weight {weight} for {key!r}")
+        else:
+            acc = {}
+            for key, raw in weights:
+                weight = raw if isinstance(raw, Fraction) else Fraction(raw)
+                if weight.numerator <= 0:
+                    raise ValueError(f"nonpositive weight {weight} for {key!r}")
+                if key in acc:
+                    raise ValueError(f"duplicate key {key!r}; use Dist.merged")
+                acc[key] = weight
         if not acc:
             raise ValueError("empty support")
         self._map = acc
-        self._items = tuple(sorted(acc.items(), key=lambda kv: kv[0]))
-        self._total = sum(acc.values(), Fraction(0))
+        self._items = tuple(sorted(acc.items(), key=itemgetter(0)))
+        self._total = None
+        self._hash = None
 
     @classmethod
     def merged(cls, pairs: Iterable[tuple]) -> "Dist":
         """Build a Dist from pairs, summing weights of duplicate keys."""
         acc: dict = {}
         for key, weight in pairs:
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(weight)
+            if not isinstance(weight, Fraction):
+                weight = Fraction(weight)
+            known = acc.get(key)
+            acc[key] = weight if known is None else known + weight
         return cls(acc)
 
     @classmethod
@@ -103,11 +117,13 @@ class Dist(Mapping):
 
     @property
     def total(self) -> Fraction:
+        if self._total is None:
+            self._total = sum(self._map.values(), Fraction(0))
         return self._total
 
     @property
     def is_probability(self) -> bool:
-        return self._total == 1
+        return self.total == 1
 
     def __getitem__(self, key) -> Fraction:
         return self._map[key]
@@ -124,7 +140,11 @@ class Dist(Mapping):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        # Hashing the items hashes every key; a trace key hashes each of
+        # its actions, so the value is computed once and kept.
+        if self._hash is None:
+            self._hash = hash(self._items)
+        return self._hash
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{key!r}: {weight}" for key, weight in self._items)
@@ -273,28 +293,49 @@ def enabled_actions(pts: PTS, process: ProcessId) -> frozenset[Action]:
     return frozenset(row.action for row in pts.transitions_of(process))
 
 
+def post_order(pts: PTS, process: ProcessId) -> list[ProcessId]:
+    """The processes reachable from ``process``, each listed after every
+    process its transitions can reach, so ``process`` comes last.
+
+    Walks an explicit stack, so deep systems do not hit the recursion limit.
+    Requires an acyclic system; a reachable cycle raises ValueError.
+    """
+    def successors(p: ProcessId) -> Iterator[ProcessId]:
+        return (q for row in pts.transitions_of(p) for q in row.target.support)
+
+    order: list[ProcessId] = []
+    on_path: set[ProcessId] = {process}
+    done: set[ProcessId] = set()
+    stack = [(process, successors(process))]
+    while stack:
+        p, it = stack[-1]
+        for q in it:
+            if q in on_path:
+                raise ValueError(f"cycle through {q!r}")
+            if q not in done:
+                on_path.add(q)
+                stack.append((q, successors(q)))
+                break
+        else:
+            stack.pop()
+            on_path.discard(p)
+            done.add(p)
+            order.append(p)
+    return order
+
+
 def depth(pts: PTS, process: ProcessId) -> int:
     """Length of the longest run from the process; 0 when terminal.
 
     Requires an acyclic system; a cycle through `process` raises ValueError.
     """
     memo: dict[ProcessId, int] = {}
-    on_stack: set[ProcessId] = set()
-
-    def go(p: ProcessId) -> int:
-        if p in memo:
-            return memo[p]
-        if p in on_stack:
-            raise ValueError(f"cycle through {p!r}; depth is undefined")
-        on_stack.add(p)
-        best = 0
-        for row in pts.transitions_of(p):
-            best = max(best, 1 + max(go(q) for q in row.target.support))
-        on_stack.discard(p)
-        memo[p] = best
-        return best
-
-    return go(process)
+    for p in post_order(pts, process):
+        memo[p] = max(
+            (1 + max(memo[q] for q in row.target.support) for row in pts.transitions_of(p)),
+            default=0,
+        )
+    return memo[process]
 
 
 def reachable(pts: PTS, process: ProcessId) -> frozenset[ProcessId]:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import PTS, ProcessId, TraceDistFormula
-from .logic import TraceFormula, erase_formula, satisfied_set
-from .metrics import strong_trace_metric, weak_trace_metric
+from .logic import TraceFormula, erase_formula, formula_set, satisfied_set, tracing_formula
 from .resolutions import DEFAULT_MAX_RESOLUTIONS
+from .traces import tau_erase, trace_distributions
 from .transport import (
     DISCRETE,
     DiscreteQuotient,
@@ -150,11 +150,18 @@ def crosscheck(
     t: ProcessId,
     max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
 ) -> CrossCheckReport:
-    set_s = satisfied_set(pts, s, max_resolutions)
-    set_t = satisfied_set(pts, t, max_resolutions)
+    # Each side's trace distributions are built once; the weak ones, the
+    # metrics and the formula sets are all read off them.
+    memo: dict = {}
+    strong_s = list(dict.fromkeys(trace_distributions(pts, s, False, max_resolutions, memo)))
+    strong_t = list(dict.fromkeys(trace_distributions(pts, t, False, max_resolutions, memo)))
+    weak_s = list(dict.fromkeys(dist.pushforward(tau_erase) for dist in strong_s))
+    weak_t = list(dict.fromkeys(dist.pushforward(tau_erase) for dist in strong_t))
+    set_s = formula_set(dist.pushforward(tracing_formula) for dist in strong_s)
+    set_t = formula_set(dist.pushforward(tracing_formula) for dist in strong_t)
 
-    strong = strong_trace_metric(pts, s, t, max_resolutions).value
-    weak = weak_trace_metric(pts, s, t, max_resolutions).value
+    strong = hausdorff_witness(strong_s, strong_t)[0]
+    weak = hausdorff_witness(weak_s, weak_t)[0]
     logical_strong = _set_distance(set_s, set_t, weak=False)
     logical_weak = _set_distance(set_s, set_t, weak=True)
     supval_strong = _sup_val_over(set_s, set_t, weak=False)

@@ -14,20 +14,17 @@ is what makes the satisfied set finitely computable.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import Action, Dist, PTS, ProcessId, TraceDistFormula
-from .resolutions import (
-    DEFAULT_MAX_RESOLUTIONS,
-    Resolution,
-    enumerate_resolutions,
-)
+from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution, resolution_at
 from .traces import (
     Computation,
     Trace,
-    max_computations,
+    tau_erase,
     trace_distribution,
+    trace_distributions,
     weak_trace_distribution,
 )
 
@@ -105,6 +102,25 @@ def formula_sort_key(psi: TraceDistFormula):
     )
 
 
+def mimicking_formulas(
+    pts: PTS,
+    process: ProcessId,
+    weak: bool = False,
+    max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
+) -> list[TraceDistFormula]:
+    """The distinct (weak) mimicking formulae of the process's resolutions,
+    in order of first occurrence.  ``tracing_formula`` is injective, so they
+    are the distinct trace distributions pushed forward through it."""
+    dists = trace_distributions(pts, process, weak, max_resolutions)
+    return [dist.pushforward(tracing_formula) for dist in dict.fromkeys(dists)]
+
+
+def formula_set(mimicking: Iterable[TraceDistFormula]) -> list[TraceDistFormula]:
+    """Mimicking formulae together with the top formula, deduplicated and
+    in the canonical order of a satisfied set."""
+    return sorted({TOP_DIST, *mimicking}, key=formula_sort_key)
+
+
 def satisfied_set(
     pts: PTS,
     process: ProcessId,
@@ -114,10 +130,7 @@ def satisfied_set(
     a canonical order.  Materialized as the mimicking formulae of its
     resolutions together with the top formula (which the halting scheduler
     already contributes)."""
-    formulas = {TOP_DIST}
-    for resolution in enumerate_resolutions(pts, process, max_resolutions):
-        formulas.add(mimicking_formula(resolution))
-    return sorted(formulas, key=formula_sort_key)
+    return formula_set(mimicking_formulas(pts, process, False, max_resolutions))
 
 
 def satisfies(
@@ -125,26 +138,25 @@ def satisfies(
     process: ProcessId,
     psi: TraceDistFormula,
     max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
+    weak: bool = False,
 ) -> tuple[bool, Resolution | None]:
-    """Direct semantic check with witness.
+    """Whether some resolution satisfies ``psi``, with the first such one.
 
-    Scans resolutions in canonical order for one where, for every listed
-    formula, the probability of the maximal runs compatible with it equals
-    the listed weight; only the listed formulae are constrained (the weights
-    summing to 1 leaves no room for unlisted maximal mass).  Deliberately
-    avoids the mimicking-formula shortcut so the two routes can be compared.
+    A resolution satisfies ``psi`` when, for every listed formula, its
+    maximal runs spelling that formula's trace carry exactly the listed
+    weight; the weights sum to 1, so this says that its trace distribution
+    is ``psi`` read as a distribution over traces.  Weakly, both sides are
+    compared up to erasure of silent steps: the resolution's mimicking
+    formula is equivalent to ``psi`` up to erasure of silent diamonds.
     """
     if not psi.is_probability:
         raise ValueError("formula weights must sum to 1")
-    for resolution in enumerate_resolutions(pts, process, max_resolutions):
-        runs = max_computations(resolution)
-        for phi, weight in psi.items_sorted:
-            mass = sum(
-                (c.probability for c in runs if compatible_with_formula(c, phi)),
-                Fraction(0),
-            )
-            if mass != weight:
-                break
-        else:
-            return True, resolution
+    if weak:
+        wanted = psi.pushforward(lambda phi: tau_erase(phi.diamonds))
+    else:
+        wanted = psi.pushforward(lambda phi: phi.diamonds)
+    dists = trace_distributions(pts, process, weak, max_resolutions)
+    for index, dist in enumerate(dists):
+        if dist == wanted:
+            return True, resolution_at(pts, process, index)
     return False, None

@@ -4,8 +4,9 @@ The distance between two resolutions is the optimal transport cost between
 their trace distributions under the 0/1 cost on traces (weakly: on
 tau-erased traces).  Lifting that distance over the full resolution sets
 with the Hausdorff max-min gives the metric over processes; its kernel is
-the corresponding trace equivalence, which is also implemented directly
-from the run-probability matching definitions as an independent route.
+the corresponding trace equivalence.  Both read the per-process lists of
+``traces.trace_distributions``; a witness resolution is built only for the
+pair or the resolution that is returned.
 """
 from __future__ import annotations
 
@@ -13,18 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import PTS, ProcessId, TraceDistribution
-from .resolutions import (
-    DEFAULT_MAX_RESOLUTIONS,
-    Resolution,
-    enumerate_resolutions,
-)
-from .traces import (
-    compatible_probabilities,
-    tau_erase,
-    trace_distribution,
-    weak_compatible_probabilities,
-    weak_trace_distribution,
-)
+from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution, resolution_at
+from .traces import tau_erase, trace_distribution, trace_distributions
 from .transport import DISCRETE, DiscreteQuotient, hausdorff_witness, kantorovich_01
 
 WEAK_QUOTIENT = DiscreteQuotient(tau_erase)
@@ -62,42 +53,33 @@ class MetricResult:
     dedup_stats: DedupStats
 
 
-def _dedup_by_distribution(
-    resolutions: list[Resolution],
-    td_of,
-) -> tuple[list[Resolution], list[TraceDistribution]]:
-    kept: list[Resolution] = []
-    dists: list[TraceDistribution] = []
-    seen: set[TraceDistribution] = set()
-    for resolution in resolutions:
-        td = td_of(resolution)
-        if td in seen:
-            continue
-        seen.add(td)
-        kept.append(resolution)
-        dists.append(td)
-    return kept, dists
+def _first_indices(dists: list[TraceDistribution]) -> list[int]:
+    """The index of the first occurrence of each distinct distribution, in
+    list order."""
+    first: dict = {}
+    for index, dist in enumerate(dists):
+        first.setdefault(dist, index)
+    return list(first.values())
 
 
 def _trace_metric(
     pts: PTS,
     s: ProcessId,
     t: ProcessId,
-    td_of,
+    weak: bool,
     max_resolutions: int,
     dedup: bool,
 ) -> MetricResult:
-    res_s = enumerate_resolutions(pts, s, max_resolutions)
-    res_t = enumerate_resolutions(pts, t, max_resolutions)
-    if dedup:
-        kept_s, tds_s = _dedup_by_distribution(res_s, td_of)
-        kept_t, tds_t = _dedup_by_distribution(res_t, td_of)
-    else:
-        kept_s, tds_s = res_s, [td_of(r) for r in res_s]
-        kept_t, tds_t = res_t, [td_of(r) for r in res_t]
-    value, pair = hausdorff_witness(tds_s, tds_t)
-    witness = (kept_s[pair[0]], kept_t[pair[1]]) if pair is not None else None
-    stats = DedupStats(len(res_s), len(kept_s), len(res_t), len(kept_t))
+    memo: dict = {}
+    dists_s = trace_distributions(pts, s, weak, max_resolutions, memo)
+    dists_t = trace_distributions(pts, t, weak, max_resolutions, memo)
+    kept_s = _first_indices(dists_s) if dedup else range(len(dists_s))
+    kept_t = _first_indices(dists_t) if dedup else range(len(dists_t))
+    # Neither list is empty (the halting resolution is always first), so
+    # there is always a witness pair.
+    value, (i, j) = hausdorff_witness([dists_s[i] for i in kept_s], [dists_t[j] for j in kept_t])
+    witness = (resolution_at(pts, s, kept_s[i]), resolution_at(pts, t, kept_t[j]))
+    stats = DedupStats(len(dists_s), len(kept_s), len(dists_t), len(kept_t))
     return MetricResult(value, witness, stats)
 
 
@@ -111,7 +93,7 @@ def strong_trace_metric(
     """Hausdorff lifting of the resolution distance over the two resolution
     sets.  Deduplicating resolutions by trace distribution first is
     value-preserving because the distance only reads the distributions."""
-    return _trace_metric(pts, s, t, trace_distribution, max_resolutions, dedup)
+    return _trace_metric(pts, s, t, False, max_resolutions, dedup)
 
 
 def weak_trace_metric(
@@ -123,7 +105,7 @@ def weak_trace_metric(
 ) -> MetricResult:
     """Weak variant: distances and dedup both act on tau-erased trace
     distributions."""
-    return _trace_metric(pts, s, t, weak_trace_distribution, max_resolutions, dedup)
+    return _trace_metric(pts, s, t, True, max_resolutions, dedup)
 
 
 def strong_trace_equivalent(
@@ -138,7 +120,7 @@ def strong_trace_equivalent(
     probability of its compatible runs; two resolutions match exactly when
     their profiles agree (traces outside both profiles carry 0 on both
     sides).  The two-sided exists-matching then collapses to equality of the
-    two profile sets.
+    two profile sets, that is, of the two trace-distribution sets.
     """
     return find_distinguishing_resolution(pts, s, t, False, max_resolutions) is None
 
@@ -163,28 +145,16 @@ def find_distinguishing_resolution(
     """A resolution of one process that no resolution of the other matches,
     or None when the processes are equivalent.
 
-    The first unmatched resolution of ``s`` comes first, then that of ``t``.
-    Each side's profiles are computed once, and the scan of ``s`` stops at
-    its first unmatched resolution.
+    Two resolutions match when their (weak) trace distributions are equal:
+    a resolution's run-probability profile is a prefix sum of its (weak)
+    trace distribution, and the sum can be inverted.  The first unmatched
+    resolution of ``s`` comes first, then that of ``t``; only it is built.
     """
-    profile_of = weak_compatible_probabilities if weak else compatible_probabilities
-
-    def profile(resolution: Resolution) -> frozenset:
-        return frozenset(profile_of(resolution).items())
-
-    # Listing s first makes the size guard name s when both sides exceed it.
-    resolutions_s = enumerate_resolutions(pts, s, max_resolutions)
-    # The first index of each profile of t, in enumeration order.
-    first_t: dict = {}
-    for index, resolution in enumerate(enumerate_resolutions(pts, t, max_resolutions)):
-        first_t.setdefault(profile(resolution), index)
-    profiles_s = set()
-    for resolution in resolutions_s:
-        found = profile(resolution)
-        if found not in first_t:
-            return s, resolution
-        profiles_s.add(found)
-    for found, index in first_t.items():
-        if found not in profiles_s:
-            return t, enumerate_resolutions(pts, t, max_resolutions)[index]
+    memo: dict = {}
+    dists_s = trace_distributions(pts, s, weak, max_resolutions, memo)
+    dists_t = trace_distributions(pts, t, weak, max_resolutions, memo)
+    for p, dists, others in ((s, dists_s, set(dists_t)), (t, dists_t, set(dists_s))):
+        for index, dist in enumerate(dists):
+            if dist not in others:
+                return p, resolution_at(pts, p, index)
     return None

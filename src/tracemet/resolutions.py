@@ -10,11 +10,12 @@ process it unfolds.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping
 
-from .core import PTS, ProcessId, Transition
+from .core import PTS, ProcessId, Transition, post_order
 
 DEFAULT_MAX_RESOLUTIONS = 10**6
 
@@ -88,27 +89,31 @@ class Resolution:
             stack.extend(reversed(self.children(node)))
 
 
-def count_resolutions(pts: PTS, process: ProcessId) -> int:
-    """Number of resolutions of ``process`` without materializing them.
+def _resolution_counts(pts: PTS, process: ProcessId) -> dict[ProcessId, int]:
+    """Resolution count of every process reachable from ``process``.
 
     Recurrence: a process offers the halting scheduler plus, per transition,
     one scheduler for every combination of sub-schedulers of the targets.
     """
-    memo: dict[ProcessId, int] = {}
+    counts: dict[ProcessId, int] = {}
+    for p in post_order(pts, process):
+        counts[p] = 1 + sum(
+            math.prod(counts[q] for q in row.target.support) for row in pts.transitions_of(p)
+        )
+    return counts
 
-    def go(p: ProcessId) -> int:
-        if p in memo:
-            return memo[p]
-        total = 1
-        for row in pts.transitions_of(p):
-            combos = 1
-            for q in row.target.support:
-                combos *= go(q)
-            total += combos
-        memo[p] = total
-        return total
 
-    return go(process)
+def count_resolutions(pts: PTS, process: ProcessId) -> int:
+    """Number of resolutions of ``process`` without materializing them."""
+    return _resolution_counts(pts, process)[process]
+
+
+def check_size_guard(pts: PTS, process: ProcessId, max_resolutions: int) -> None:
+    """Raise SizeGuardExceeded when ``process`` has more than
+    ``max_resolutions`` resolutions."""
+    count = count_resolutions(pts, process)
+    if count > max_resolutions:
+        raise SizeGuardExceeded(count, max_resolutions, process)
 
 
 # A choice tree is None (halt) or (index, ((target, subtree), ...)) with
@@ -153,11 +158,44 @@ def enumerate_resolutions(
     list order, sub-schedulers of later targets varying fastest.  The
     count is checked against ``max_resolutions`` before materializing.
     """
-    count = count_resolutions(pts, process)
-    if count > max_resolutions:
-        raise SizeGuardExceeded(count, max_resolutions, process)
+    check_size_guard(pts, process, max_resolutions)
     trees = _choice_trees(pts, process, {})
     return [_materialize(pts, process, tree) for tree in trees]
+
+
+def resolution_at(pts: PTS, process: ProcessId, index: int) -> Resolution:
+    """``enumerate_resolutions(pts, process)[index]``, built alone.
+
+    The index is decoded in the canonical order: 0 halts; past it, each
+    transition in turn owns a block of indices, one per combination of
+    sub-schedulers, read as a mixed-radix number whose digits are the
+    targets' indices, the last target's digit varying fastest.
+    """
+    counts = _resolution_counts(pts, process)
+    if not 0 <= index < counts[process]:
+        raise IndexError(f"resolution index {index} out of range for {process!r}")
+    choices: dict[UnfoldNode, Choice] = {}
+    todo = [(UnfoldNode((), process), index)]
+    while todo:
+        node, k = todo.pop()
+        if k == 0:
+            choices[node] = None
+            continue
+        k -= 1
+        for choice, row in enumerate(pts.transitions_of(node.process)):
+            targets = row.target.support
+            block = math.prod(counts[q] for q in targets)
+            if k < block:
+                break
+            k -= block
+        choices[node] = choice
+        kids = []
+        for q in reversed(targets):
+            k, digit = divmod(k, counts[q])
+            kids.append((node.child(choice, q), digit))
+        # Pushed last target first, so nodes are filled in preorder.
+        todo.extend(kids)
+    return Resolution(pts, process, choices)
 
 
 def validate_resolution(pts: PTS, resolution: Resolution) -> bool:

@@ -10,17 +10,23 @@ The weak view erases the silent action from traces.  Weak trace
 distributions live on tau-free representative traces, which keeps them
 honest probability distributions; summing instead over every equivalent
 tau-decorated spelling would overshoot 1.
+
+``trace_distributions`` is the layer every command reads: the trace
+distributions of all resolutions of a process, composed from those of the
+processes it can reach, with no resolution built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product
 
-from .core import Action, Dist, TraceDistribution
-from .resolutions import Resolution, UnfoldNode
+from .core import PTS, Action, Dist, ProcessId, TraceDistribution, post_order
+from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution, UnfoldNode, check_size_guard
 
 Trace = tuple[Action, ...]
 EPSILON: Trace = ()
+HALTED = Dist.dirac(EPSILON)
 
 Step = tuple[UnfoldNode, Action, Fraction, UnfoldNode]
 
@@ -69,28 +75,6 @@ def max_computations(resolution: Resolution) -> list[Computation]:
     return out
 
 
-def pr_compatible(resolution: Resolution, alpha: Trace) -> Fraction:
-    """Total probability of runs (maximal or not) whose trace equals alpha.
-
-    Runs compatible with a fixed trace all have the same length, so none is
-    a prefix of another and the sum is well defined.
-    """
-    frontier: list[tuple[UnfoldNode, Fraction]] = [(resolution.root_node, Fraction(1))]
-    for action in alpha:
-        nxt: list[tuple[UnfoldNode, Fraction]] = []
-        for node, prob in frontier:
-            row = resolution.scheduled(node)
-            if row is None or row.action != action:
-                continue
-            choice = resolution.choices[node]
-            for target in row.target.support:
-                nxt.append((node.child(choice, target), prob * row.target[target]))
-        frontier = nxt
-        if not frontier:
-            return Fraction(0)
-    return sum((prob for _, prob in frontier), Fraction(0))
-
-
 def trace_distribution(resolution: Resolution) -> TraceDistribution:
     """Map each trace to the probability of the maximal runs spelling it."""
     return Dist.merged((c.actions, c.probability) for c in max_computations(resolution))
@@ -106,62 +90,42 @@ def weak_trace_distribution(resolution: Resolution) -> TraceDistribution:
     return trace_distribution(resolution).pushforward(tau_erase)
 
 
-def pr_weak_compatible(resolution: Resolution, alpha: Trace) -> Fraction:
-    """Probability mass of runs matching alpha up to tau erasure.
+def trace_distributions(
+    pts: PTS,
+    process: ProcessId,
+    weak: bool = False,
+    max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
+    memo: dict | None = None,
+) -> list[TraceDistribution]:
+    """The (weak) trace distribution of every resolution of ``process``, in
+    the order of ``enumerate_resolutions``, without materializing any.
 
-    Among the runs whose erased trace equals ``tau_erase(alpha)``, only those
-    that are prefix-maximal within that set are summed; counting a run
-    together with one of its extensions would tally the same probability
-    twice.
+    Built bottom-up over the reachable processes.  A process's list is the
+    halting scheduler's point mass on the empty trace, then, per
+    transition, one entry for every combination of one entry per target
+    (later targets varying fastest): the targets' distributions weighted by
+    the step probabilities and merged, with the action prepended (weakly,
+    unless it is silent).  Lists of processes already in ``memo`` are
+    reused, so one memo can serve both sides of a comparison.  The
+    resolution count is checked against ``max_resolutions`` first.
     """
-    target = tau_erase(alpha)
-
-    def walk(node: UnfoldNode, erased: Trace, prob: Fraction) -> tuple[Fraction, bool]:
-        # Returns (mass of prefix-maximal matching runs below, match seen).
-        if erased != target[: len(erased)]:
-            return Fraction(0), False
-        total = Fraction(0)
-        matched_below = False
-        row = resolution.scheduled(node)
-        if row is not None:
-            choice = resolution.choices[node]
-            grown = erased if row.action.is_tau else erased + (row.action,)
-            for q in row.target.support:
-                sub_total, sub_match = walk(node.child(choice, q), grown, prob * row.target[q])
-                total += sub_total
-                matched_below = matched_below or sub_match
-        if erased == target:
-            if matched_below:
-                return total, True
-            return prob, True
-        return total, matched_below
-
-    return walk(resolution.root_node, EPSILON, Fraction(1))[0]
-
-
-def compatible_probabilities(resolution: Resolution) -> dict[Trace, Fraction]:
-    """``pr_compatible`` evaluated at every trace the resolution can show.
-
-    The returned map is total over all traces once completed with 0; its
-    values generally sum to more than 1 (each run contributes at every
-    prefix length).
-    """
-    acc: dict[Trace, Fraction] = {}
-
-    def walk(node: UnfoldNode, trace: Trace, prob: Fraction) -> None:
-        acc[trace] = acc.get(trace, Fraction(0)) + prob
-        row = resolution.scheduled(node)
-        if row is None:
-            return
-        choice = resolution.choices[node]
-        for q in row.target.support:
-            walk(node.child(choice, q), trace + (row.action,), prob * row.target[q])
-
-    walk(resolution.root_node, EPSILON, Fraction(1))
-    return acc
-
-
-def weak_compatible_probabilities(resolution: Resolution) -> dict[Trace, Fraction]:
-    """``pr_weak_compatible`` at every tau-free trace the resolution can show."""
-    candidates = {tau_erase(trace) for trace in compatible_probabilities(resolution)}
-    return {beta: pr_weak_compatible(resolution, beta) for beta in sorted(candidates)}
+    check_size_guard(pts, process, max_resolutions)
+    if memo is None:
+        memo = {}
+    for p in post_order(pts, process):
+        if (weak, p) in memo:
+            continue
+        out = [HALTED]
+        for row in pts.transitions_of(p):
+            prefix = () if weak and row.action.is_tau else (row.action,)
+            # Each target's entries, prefixed and weighted once per transition.
+            parts = [
+                [
+                    [(prefix + trace, w if step == 1 else step * w) for trace, w in d.items_sorted]
+                    for d in memo[(weak, q)]
+                ]
+                for q, step in row.target.items_sorted
+            ]
+            out.extend(Dist.merged(chain.from_iterable(combo)) for combo in product(*parts))
+        memo[(weak, p)] = out
+    return memo[(weak, process)]

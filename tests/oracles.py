@@ -5,7 +5,13 @@ kernel (``tracemet.transport``) replaced: a Hausdorff max-min that calls a
 distance function on every pair, the 0/1 transport cost computed by pushing
 both distributions through the canonicalization, and the formula-set
 distances built on them.  The kernel must give the same values and the same
-witness pairs.  ``distinguishing_resolution`` is the two-scan search that
+witness pairs.
+
+The per-resolution routes that ``tracemet.traces.trace_distributions``
+replaced live here too: the run-probability profiles (``pr_compatible``,
+``pr_weak_compatible`` and their tabulations), the run-scanning
+``satisfies`` and the weak satisfaction loop over mimicking formulae.
+``distinguishing_resolution`` is the two-scan search over profiles that
 ``find_distinguishing_resolution`` must agree with.
 """
 from __future__ import annotations
@@ -14,6 +20,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import tracemet as tm
+from tracemet.traces import EPSILON, Trace
 
 
 def tv_distance(p: tm.Dist, q: tm.Dist, metric=tm.DISCRETE) -> Fraction:
@@ -99,11 +106,123 @@ def sup_val_over(set_s: list, set_t: list, weak: bool) -> Fraction:
     return best
 
 
+def pr_compatible(resolution: tm.Resolution, alpha: Trace) -> Fraction:
+    """Total probability of runs (maximal or not) whose trace equals alpha.
+
+    Runs compatible with a fixed trace all have the same length, so none is
+    a prefix of another and the sum is well defined.
+    """
+    frontier = [(resolution.root_node, Fraction(1))]
+    for action in alpha:
+        nxt = []
+        for node, prob in frontier:
+            row = resolution.scheduled(node)
+            if row is None or row.action != action:
+                continue
+            choice = resolution.choices[node]
+            for target in row.target.support:
+                nxt.append((node.child(choice, target), prob * row.target[target]))
+        frontier = nxt
+        if not frontier:
+            return Fraction(0)
+    return sum((prob for _, prob in frontier), Fraction(0))
+
+
+def pr_weak_compatible(resolution: tm.Resolution, alpha: Trace) -> Fraction:
+    """Probability mass of runs matching alpha up to tau erasure.
+
+    Among the runs whose erased trace equals ``tau_erase(alpha)``, only those
+    that are prefix-maximal within that set are summed; counting a run
+    together with one of its extensions would tally the same probability
+    twice.
+    """
+    target = tm.tau_erase(alpha)
+
+    def walk(node, erased: Trace, prob: Fraction) -> tuple[Fraction, bool]:
+        # Returns (mass of prefix-maximal matching runs below, match seen).
+        if erased != target[: len(erased)]:
+            return Fraction(0), False
+        total = Fraction(0)
+        matched_below = False
+        row = resolution.scheduled(node)
+        if row is not None:
+            choice = resolution.choices[node]
+            grown = erased if row.action.is_tau else erased + (row.action,)
+            for q in row.target.support:
+                sub_total, sub_match = walk(node.child(choice, q), grown, prob * row.target[q])
+                total += sub_total
+                matched_below = matched_below or sub_match
+        if erased == target:
+            if matched_below:
+                return total, True
+            return prob, True
+        return total, matched_below
+
+    return walk(resolution.root_node, EPSILON, Fraction(1))[0]
+
+
+def compatible_probabilities(resolution: tm.Resolution) -> dict:
+    """``pr_compatible`` evaluated at every trace the resolution can show.
+
+    The returned map is total over all traces once completed with 0; its
+    values generally sum to more than 1 (each run contributes at every
+    prefix length).
+    """
+    acc: dict = {}
+
+    def walk(node, trace: Trace, prob: Fraction) -> None:
+        acc[trace] = acc.get(trace, Fraction(0)) + prob
+        row = resolution.scheduled(node)
+        if row is None:
+            return
+        choice = resolution.choices[node]
+        for q in row.target.support:
+            walk(node.child(choice, q), trace + (row.action,), prob * row.target[q])
+
+    walk(resolution.root_node, EPSILON, Fraction(1))
+    return acc
+
+
+def weak_compatible_probabilities(resolution: tm.Resolution) -> dict:
+    """``pr_weak_compatible`` at every tau-free trace the resolution can show."""
+    candidates = {tm.tau_erase(trace) for trace in compatible_probabilities(resolution)}
+    return {beta: pr_weak_compatible(resolution, beta) for beta in sorted(candidates)}
+
+
+def satisfies(pts: tm.PTS, process: str, psi: tm.Dist):
+    """Scans resolutions in canonical order for one where, for every listed
+    formula, the probability of the maximal runs compatible with it equals
+    the listed weight; returns (holds, first such resolution or None)."""
+    if not psi.is_probability:
+        raise ValueError("formula weights must sum to 1")
+    for resolution in tm.enumerate_resolutions(pts, process):
+        runs = tm.max_computations(resolution)
+        for phi, weight in psi.items_sorted:
+            mass = sum(
+                (c.probability for c in runs if tm.compatible_with_formula(c, phi)),
+                Fraction(0),
+            )
+            if mass != weight:
+                break
+        else:
+            return True, resolution
+    return False, None
+
+
+def weak_satisfies(pts: tm.PTS, process: str, psi: tm.Dist):
+    """The first resolution whose mimicking formula is equivalent to ``psi``
+    up to erasure of silent diamonds, as (holds, resolution or None)."""
+    for resolution in tm.enumerate_resolutions(pts, process):
+        if tm.dist_formulas_weak_equivalent(tm.mimicking_formula(resolution), psi):
+            return True, resolution
+    return False, None
+
+
 def distinguishing_resolution(pts: tm.PTS, s: str, t: str, weak: bool = False):
     """The first resolution of ``s`` whose run-probability profile no
     resolution of ``t`` shows, else the first such of ``t``, else None;
     each scan builds the other side's profile set afresh."""
-    profile_of = tm.weak_compatible_probabilities if weak else tm.compatible_probabilities
+    profile_of = weak_compatible_probabilities if weak else compatible_probabilities
 
     def scan(p: str, other: str):
         other_profiles = {

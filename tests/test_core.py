@@ -41,6 +41,27 @@ class TestDist:
         assert a.is_probability
         assert not tm.Dist({"x": Fraction(9, 10)}).is_probability
 
+    def test_fraction_weights_are_kept_as_given(self):
+        third = Fraction(1, 3)
+        assert tm.Dist({"x": third, "y": Fraction(2, 3)})["x"] is third
+        assert tm.Dist([("x", third), ("y", Fraction(2, 3))])["x"] is third
+        assert tm.Dist.merged([("x", third), ("y", Fraction(2, 3))])["x"] is third
+        assert tm.Dist({"x": "1/3", "y": 0.5})["x"] == third  # other weights still convert
+
+    def test_errors_are_the_same_for_mappings_and_pairs(self):
+        for bad in ({"x": Fraction(1), "y": Fraction(0)}, {"x": -1}):
+            with pytest.raises(ValueError, match="nonpositive weight"):
+                tm.Dist(bad)
+            with pytest.raises(ValueError, match="nonpositive weight"):
+                tm.Dist(list(bad.items()))
+        with pytest.raises(ValueError, match="duplicate key"):
+            tm.Dist([("x", Fraction(1, 2)), ("x", Fraction(1, 2))])
+        # A pair list is checked in order: the nonpositive weight comes first.
+        with pytest.raises(ValueError, match="nonpositive weight"):
+            tm.Dist([("x", Fraction(1, 2)), ("x", Fraction(0))])
+        # merged checks the summed weights.
+        assert tm.Dist.merged([("x", Fraction(1)), ("x", Fraction(-1, 2))])["x"] == Fraction(1, 2)
+
 
 class TestValidate:
     def test_branching_system_is_valid(self, equiv_pair):

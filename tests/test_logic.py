@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 import tracemet as tm
 from conftest import half_zs, half_zt, trace
 from genpts import random_case, random_formula
@@ -99,7 +100,7 @@ class TestMimicking:
             for r1 in rs:
                 for r2 in rt:
                     same_formula = tm.mimicking_formula(r1) == tm.mimicking_formula(r2)
-                    same_profile = tm.compatible_probabilities(r1) == tm.compatible_probabilities(r2)
+                    same_profile = oracles.compatible_probabilities(r1) == oracles.compatible_probabilities(r2)
                     assert same_formula == same_profile
 
     def test_weakly_equivalent_mimicking_iff_matching_weak_probabilities(self):
@@ -113,9 +114,9 @@ class TestMimicking:
                     equivalent = tm.dist_formulas_weak_equivalent(
                         tm.mimicking_formula(r1), tm.mimicking_formula(r2)
                     )
-                    same_profile = tm.weak_compatible_probabilities(
+                    same_profile = oracles.weak_compatible_probabilities(
                         r1
-                    ) == tm.weak_compatible_probabilities(r2)
+                    ) == oracles.weak_compatible_probabilities(r2)
                     assert equivalent == same_profile
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 import tracemet as tm
 from conftest import half_zs, half_zt, late_halting_resolution
 from genpts import random_case, with_tau_prefix
@@ -156,8 +157,8 @@ class TestDistinguishing:
         assert tm.validate_resolution(half_pair, resolution)
         # the returned scheduler's profile really is unmatched on the other side
         other = "t" if side == "s" else "s"
-        profile = tm.compatible_probabilities(resolution)
+        profile = oracles.compatible_probabilities(resolution)
         assert all(
-            tm.compatible_probabilities(r) != profile
+            oracles.compatible_probabilities(r) != profile
             for r in tm.enumerate_resolutions(half_pair, other)
         )

@@ -17,6 +17,13 @@ def _count_by_product_formula(pts: tm.PTS, process: str) -> int:
     return total
 
 
+def test_deep_chain_is_counted_without_recursion():
+    # c_i -a-> 1 c_{i+1}: far deeper than Python's recursion limit.
+    pts = tm.PTS.build({f"c{i}": [("a", {f"c{i + 1}": 1})] for i in range(3000)})
+    assert tm.count_resolutions(pts, "c0") == 3001
+    assert tm.depth(pts, "c0") == 3000
+
+
 class TestEnumeration:
     def test_terminal_process_has_only_trivial_resolution(self):
         pts = tm.parse_pts("s -a-> 1 u")
