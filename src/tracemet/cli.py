@@ -15,7 +15,7 @@ import warnings
 from fractions import Fraction
 
 from . import __version__
-from .core import PTS, validate_pts
+from .core import PTS
 from .formula_distance import (
     crosscheck,
     dist_formula_distance,
@@ -40,7 +40,8 @@ from .resolutions import (
     DEFAULT_MAX_RESOLUTIONS,
     Resolution,
     SizeGuardExceeded,
-    enumerate_resolutions,
+    check_size_guard,
+    resolution_at,
 )
 from .traces import trace_distribution, weak_trace_distribution
 
@@ -200,12 +201,13 @@ def _cmd_validate(args) -> int:
                 print(f"warning: {w.message}", file=sys.stderr)
             return EXIT_INVALID
         collected = [str(w.message) for w in caught]
-    report = validate_pts(pts)
+    # parse_pts has validated the system, and the duplicate transitions
+    # validate_pts would warn about are already collapsed with a warning.
     payload = {
         "valid": True,
         "processes": sorted(pts.processes),
         "errors": [],
-        "warnings": collected + [f"{loc}: {msg}" for loc, msg in report.warnings],
+        "warnings": collected,
     }
     lines = ["valid", f"  processes: {', '.join(sorted(pts.processes))}"]
     lines += [f"  warning: {w}" for w in payload["warnings"]]
@@ -216,28 +218,26 @@ def _cmd_validate(args) -> int:
 def _cmd_resolutions(args) -> int:
     pts = _load_pts(args.file)
     process = _require_process(pts, args.process)
-    resolutions = enumerate_resolutions(pts, process, _max_resolutions(args))
-    shown = resolutions if args.limit is None else resolutions[: args.limit]
+    count = check_size_guard(pts, process, _max_resolutions(args))
+    shown = [resolution_at(pts, process, k) for k in range(count)[: args.limit]]
     td_of = weak_trace_distribution if args.weak else trace_distribution
+    dists = [td_of(r) for r in shown]
     payload = {
         "process": process,
-        "count": len(resolutions),
+        "count": count,
         "shown": len(shown),
         "resolutions": [
-            {
-                **_resolution_json(r),
-                "trace_distribution": _dist_json(td_of(r)),
-            }
-            for r in shown
+            {**_resolution_json(r), "trace_distribution": _dist_json(td)}
+            for r, td in zip(shown, dists)
         ],
     }
-    lines = [f"{len(resolutions)} resolutions of {process}"]
-    for number, r in enumerate(shown, start=1):
+    lines = [f"{count} resolutions of {process}"]
+    for number, (r, td) in enumerate(zip(shown, dists), start=1):
         lines.append(f"#{number}")
         lines.extend(_resolution_lines(r))
-        lines.append(f"  TD: {print_trace_distribution(td_of(r))}")
-    if len(shown) < len(resolutions):
-        lines.append(f"... {len(resolutions) - len(shown)} more (raise --limit)")
+        lines.append(f"  TD: {print_trace_distribution(td)}")
+    if len(shown) < count:
+        lines.append(f"... {count - len(shown)} more (raise --limit)")
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -306,14 +306,15 @@ def _cmd_equiv(args) -> int:
     if found is not None:
         side, resolution = found
         td_of = weak_trace_distribution if args.weak else trace_distribution
+        td = td_of(resolution)
         payload["distinguishing"] = {
             "process": side,
             **_resolution_json(resolution),
-            "trace_distribution": _dist_json(td_of(resolution)),
+            "trace_distribution": _dist_json(td),
         }
         lines.append(f"distinguishing resolution of {side} (unmatched by the other side):")
         lines.extend(_resolution_lines(resolution))
-        lines.append(f"  TD: {print_trace_distribution(td_of(resolution))}")
+        lines.append(f"  TD: {print_trace_distribution(td)}")
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -445,10 +446,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first main() call and reused by every later one: building
+# the tree costs far more than parsing one command line with it.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ParserWarning)
             code = args.func(args)

@@ -17,13 +17,15 @@ import re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from functools import reduce
+from operator import add, itemgetter
 from typing import Callable, NamedTuple
 
 Rational = Fraction
 ProcessId = str
 
 TAU_NAME = "tau"
+_KEY = itemgetter(0)
 IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 
@@ -84,7 +86,7 @@ class Dist(Mapping):
         if not acc:
             raise ValueError("empty support")
         self._map = acc
-        self._items = tuple(sorted(acc.items(), key=itemgetter(0)))
+        self._items = tuple(sorted(acc.items(), key=_KEY))
         self._total = None
         self._hash = None
 
@@ -109,7 +111,7 @@ class Dist(Mapping):
 
     @property
     def support(self) -> tuple:
-        return tuple(key for key, _ in self._items)
+        return tuple(map(_KEY, self._items))
 
     @property
     def items_sorted(self) -> tuple:
@@ -118,7 +120,8 @@ class Dist(Mapping):
     @property
     def total(self) -> Fraction:
         if self._total is None:
-            self._total = sum(self._map.values(), Fraction(0))
+            # The support is never empty, so the sum starts from a weight.
+            self._total = reduce(add, self._map.values())
         return self._total
 
     @property

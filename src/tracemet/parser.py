@@ -77,61 +77,65 @@ _ARROW_CLOSE = "->"
 
 
 class _LineScanner:
-    """Cursor over one line, producing spans for error messages."""
+    """Cursor over one line.  A span is built only for an issue raised."""
+
+    __slots__ = ("text", "line_no", "pos")
 
     def __init__(self, text: str, line_no: int):
         self.text = text
         self.line_no = line_no
         self.pos = 0
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
+    def skip_ws(self) -> int:
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos] in " \t\r\n":
+            pos += 1
+        self.pos = pos
+        return pos
 
-    def span(self, start: int, length: int = 1) -> SourceSpan:
-        return SourceSpan(self.line_no, start + 1, max(length, 1))
-
-    def here(self) -> SourceSpan:
-        return self.span(self.pos)
+    def fail(self, message: str, start: int | None = None, length: int = 1) -> ParseError:
+        """A ParseError at ``start``, by default the cursor."""
+        if start is None:
+            start = self.pos
+        return ParseError([ParseIssue(SourceSpan(self.line_no, start + 1, max(length, 1)), message)])
 
     def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+        return self.skip_ws() >= len(self.text)
 
-    def take_regex(self, regex: re.Pattern, what: str) -> tuple[str, SourceSpan]:
-        self.skip_ws()
-        match = regex.match(self.text, self.pos)
-        if not match:
-            raise ParseError([ParseIssue(self.here(), f"expected {what}")])
-        start = self.pos
+    def take_regex(self, regex: re.Pattern, what: str) -> str:
+        match = regex.match(self.text, self.skip_ws())
+        if match is None:
+            raise self.fail(f"expected {what}")
         self.pos = match.end()
-        return match.group(), self.span(start, match.end() - start)
+        return match.group()
 
-    def take_literal(self, literal: str) -> SourceSpan:
-        self.skip_ws()
-        if not self.text.startswith(literal, self.pos):
-            raise ParseError([ParseIssue(self.here(), f"expected {literal!r}")])
-        start = self.pos
-        self.pos += len(literal)
-        return self.span(start, len(literal))
+    def take_literal(self, literal: str) -> None:
+        if not self.try_literal(literal):
+            raise self.fail(f"expected {literal!r}")
 
     def try_literal(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
+        pos = self.skip_ws()
+        if self.text.startswith(literal, pos):
+            self.pos = pos + len(literal)
             return True
         return False
 
 
-def _parse_probability(scanner: _LineScanner) -> tuple[Fraction, SourceSpan]:
-    token, span = scanner.take_regex(_PROB_RE, "a probability (1, 0.5 or p/q)")
-    try:
-        value = Fraction(token)
-    except ZeroDivisionError:
-        raise ParseError([ParseIssue(span, "zero denominator")]) from None
-    if not 0 < value <= 1:
-        raise ParseError([ParseIssue(span, f"probability {token} outside (0, 1]")])
-    return value, span
+def _parse_probability(scanner: _LineScanner, known: dict[str, Fraction]) -> Fraction:
+    """The next probability; ``known`` maps the tokens already read in this
+    parse to their values, so each distinct token is converted once."""
+    token = scanner.take_regex(_PROB_RE, "a probability (1, 0.5 or p/q)")
+    value = known.get(token)
+    if value is None:
+        start = scanner.pos - len(token)
+        try:
+            value = Fraction(token)
+        except ZeroDivisionError:
+            raise scanner.fail("zero denominator", start, len(token)) from None
+        if not 0 < value <= 1:
+            raise scanner.fail(f"probability {token} outside (0, 1]", start, len(token))
+        known[token] = value
+    return value
 
 
 def _strip_comment(line: str) -> str:
@@ -139,21 +143,26 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-def _parse_transition_line(scanner: _LineScanner):
-    src, _ = scanner.take_regex(IDENTIFIER_RE, "a process identifier")
+def _parse_transition_line(
+    scanner: _LineScanner, fractions: dict[str, Fraction], actions: dict[str, Action]
+) -> tuple[str, Action, list[tuple[Fraction, str]]]:
+    src = scanner.take_regex(IDENTIFIER_RE, "a process identifier")
     scanner.take_literal(_ARROW_OPEN)
-    act, _ = scanner.take_regex(IDENTIFIER_RE, "an action name")
+    name = scanner.take_regex(IDENTIFIER_RE, "an action name")
     scanner.take_literal(_ARROW_CLOSE)
-    pairs: list[tuple[Fraction, str, SourceSpan]] = []
+    pairs: list[tuple[Fraction, str]] = []
     while True:
-        prob, prob_span = _parse_probability(scanner)
-        target, _ = scanner.take_regex(IDENTIFIER_RE, "a target process identifier")
-        pairs.append((prob, target, prob_span))
+        prob = _parse_probability(scanner, fractions)
+        target = scanner.take_regex(IDENTIFIER_RE, "a target process identifier")
+        pairs.append((prob, target))
         if not scanner.try_literal(","):
             break
     if not scanner.at_end():
-        raise ParseError([ParseIssue(scanner.here(), "trailing input after transition")])
-    return src, Action(act), pairs
+        raise scanner.fail("trailing input after transition")
+    action = actions.get(name)
+    if action is None:
+        action = actions[name] = Action(name)
+    return src, action, pairs
 
 
 def parse_pts(text: str) -> PTS:
@@ -166,36 +175,41 @@ def parse_pts(text: str) -> PTS:
     """
     issues: list[ParseIssue] = []
     rows: list[tuple[str, Action, Dist, int]] = []
+    # One Fraction per distinct probability token, one Action per name.
+    fractions: dict[str, Fraction] = {}
+    actions: dict[str, Action] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).rstrip()
-        if not line.strip():
+        if not line:
             continue
         scanner = _LineScanner(line, line_no)
         try:
-            src, action, pairs = _parse_transition_line(scanner)
+            src, action, pairs = _parse_transition_line(scanner, fractions, actions)
         except ParseError as exc:
             issues.extend(exc.issues)
             continue
         weights: dict[str, Fraction] = {}
-        for prob, target, _span in pairs:
-            if target in weights:
-                warnings.warn(
-                    ParserWarning(
-                        f"line {line_no}: duplicate target {target!r} merged"
-                    ),
-                    stacklevel=2,
-                )
-            weights[target] = weights.get(target, Fraction(0)) + prob
-        total = sum(weights.values(), Fraction(0))
-        if total != 1:
+        for prob, target in pairs:
+            known = weights.get(target)
+            if known is None:
+                weights[target] = prob
+                continue
+            warnings.warn(
+                ParserWarning(f"line {line_no}: duplicate target {target!r} merged"),
+                stacklevel=2,
+            )
+            weights[target] = known + prob
+        # The sum is kept by the Dist, so validate_pts does not add it again.
+        dist = Dist(weights)
+        if dist.total != 1:
             issues.append(
                 ParseIssue(
                     SourceSpan(line_no, 1, len(line)),
-                    f"weights sum to {total} != 1",
+                    f"weights sum to {dist.total} != 1",
                 )
             )
             continue
-        rows.append((src, action, Dist(weights), line_no))
+        rows.append((src, action, dist, line_no))
     if issues:
         raise ParseError(issues)
 
@@ -226,13 +240,14 @@ def parse_pts(text: str) -> PTS:
 def parse_formula(text: str) -> TraceDistFormula:
     """Parse a trace distribution formula; raises ParseError on any issue."""
     scanner = _LineScanner(text, 1)
+    fractions: dict[str, Fraction] = {}
     weights: dict[TraceFormula, Fraction] = {}
     merged_any = False
     while True:
-        prob, _ = _parse_probability(scanner)
+        prob = _parse_probability(scanner, fractions)
         diamonds: list[Action] = []
         while scanner.try_literal("<"):
-            name, _ = scanner.take_regex(IDENTIFIER_RE, "an action name")
+            name = scanner.take_regex(IDENTIFIER_RE, "an action name")
             scanner.take_literal(">")
             diamonds.append(Action(name))
         scanner.take_literal("T")

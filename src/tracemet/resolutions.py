@@ -108,12 +108,13 @@ def count_resolutions(pts: PTS, process: ProcessId) -> int:
     return _resolution_counts(pts, process)[process]
 
 
-def check_size_guard(pts: PTS, process: ProcessId, max_resolutions: int) -> None:
-    """Raise SizeGuardExceeded when ``process`` has more than
-    ``max_resolutions`` resolutions."""
+def check_size_guard(pts: PTS, process: ProcessId, max_resolutions: int) -> int:
+    """The resolution count of ``process``; raises SizeGuardExceeded when it
+    is more than ``max_resolutions``."""
     count = count_resolutions(pts, process)
     if count > max_resolutions:
         raise SizeGuardExceeded(count, max_resolutions, process)
+    return count
 
 
 # A choice tree is None (halt) or (index, ((target, subtree), ...)) with

@@ -55,23 +55,28 @@ class Computation:
 
 def max_computations(resolution: Resolution) -> list[Computation]:
     """All maximal runs from the root, in depth-first (path-lexicographic)
-    order.  Their probabilities always sum to exactly 1."""
+    order.  Their probabilities always sum to exactly 1.
+
+    Walks an explicit stack, so deep resolutions do not hit the recursion
+    limit.  Each pending node carries the step entering it and the length
+    of the run before that step; ``steps`` is cut back to it on each pop.
+    """
     out: list[Computation] = []
     steps: list[Step] = []
-
-    def walk(node: UnfoldNode) -> None:
-        row = resolution.scheduled(node)
-        if row is None:
-            out.append(Computation(tuple(steps)))
-            return
+    todo: list = [(resolution.root_node, None, 0)]
+    while todo:
+        node, step, depth = todo.pop()
+        del steps[depth:]
+        if step is not None:
+            steps.append(step)
         choice = resolution.choices[node]
-        for target in row.target.support:
+        if choice is None:
+            out.append(Computation(tuple(steps)))
+            continue
+        row = resolution.pts.transitions_of(node.process)[choice]
+        for target in reversed(row.target.support):
             child = node.child(choice, target)
-            steps.append((node, row.action, row.target[target], child))
-            walk(child)
-            steps.pop()
-
-    walk(resolution.root_node)
+            todo.append((child, (node, row.action, row.target[target], child), len(steps)))
     return out
 
 

@@ -13,13 +13,23 @@ replaced live here too: the run-probability profiles (``pr_compatible``,
 ``satisfies`` and the weak satisfaction loop over mimicking formulae.
 ``distinguishing_resolution`` is the two-scan search over profiles that
 ``find_distinguishing_resolution`` must agree with.
+
+``parse_pts`` is the system parser as it was before its success path was
+trimmed: a span for every token, a ``Fraction`` per probability and an
+``Action`` per line, and the line sums added apart from the ``Dist``.  The
+package's parser must give an equal system, or equal issues, and the same
+warnings.
 """
 from __future__ import annotations
 
+import re
+import warnings
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import tracemet as tm
+from tracemet.core import IDENTIFIER_RE, Transition, validate_pts
+from tracemet.parser import ParseError, ParseIssue, ParserWarning, SourceSpan
 from tracemet.traces import EPSILON, Trace
 
 
@@ -234,3 +244,136 @@ def distinguishing_resolution(pts: tm.PTS, s: str, t: str, weak: bool = False):
         return None
 
     return scan(s, t) or scan(t, s)
+
+
+_PROB_RE = re.compile(r"\d+/\d+|\d+\.\d+|\d+")
+
+
+class _LineScanner:
+    """Cursor over one line, producing spans for error messages."""
+
+    def __init__(self, text: str, line_no: int):
+        self.text = text
+        self.line_no = line_no
+        self.pos = 0
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
+            self.pos += 1
+
+    def span(self, start: int, length: int = 1) -> SourceSpan:
+        return SourceSpan(self.line_no, start + 1, max(length, 1))
+
+    def here(self) -> SourceSpan:
+        return self.span(self.pos)
+
+    def at_end(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+    def take_regex(self, regex: re.Pattern, what: str) -> tuple[str, SourceSpan]:
+        self.skip_ws()
+        match = regex.match(self.text, self.pos)
+        if not match:
+            raise ParseError([ParseIssue(self.here(), f"expected {what}")])
+        start = self.pos
+        self.pos = match.end()
+        return match.group(), self.span(start, match.end() - start)
+
+    def take_literal(self, literal: str) -> SourceSpan:
+        self.skip_ws()
+        if not self.text.startswith(literal, self.pos):
+            raise ParseError([ParseIssue(self.here(), f"expected {literal!r}")])
+        start = self.pos
+        self.pos += len(literal)
+        return self.span(start, len(literal))
+
+    def try_literal(self, literal: str) -> bool:
+        self.skip_ws()
+        if self.text.startswith(literal, self.pos):
+            self.pos += len(literal)
+            return True
+        return False
+
+
+def _parse_probability(scanner: _LineScanner) -> tuple[Fraction, SourceSpan]:
+    token, span = scanner.take_regex(_PROB_RE, "a probability (1, 0.5 or p/q)")
+    try:
+        value = Fraction(token)
+    except ZeroDivisionError:
+        raise ParseError([ParseIssue(span, "zero denominator")]) from None
+    if not 0 < value <= 1:
+        raise ParseError([ParseIssue(span, f"probability {token} outside (0, 1]")])
+    return value, span
+
+
+def _parse_transition_line(scanner: _LineScanner):
+    src, _ = scanner.take_regex(IDENTIFIER_RE, "a process identifier")
+    scanner.take_literal("-")
+    act, _ = scanner.take_regex(IDENTIFIER_RE, "an action name")
+    scanner.take_literal("->")
+    pairs: list[tuple[Fraction, str, SourceSpan]] = []
+    while True:
+        prob, prob_span = _parse_probability(scanner)
+        target, _ = scanner.take_regex(IDENTIFIER_RE, "a target process identifier")
+        pairs.append((prob, target, prob_span))
+        if not scanner.try_literal(","):
+            break
+    if not scanner.at_end():
+        raise ParseError([ParseIssue(scanner.here(), "trailing input after transition")])
+    return src, tm.Action(act), pairs
+
+
+def parse_pts(text: str) -> tm.PTS:
+    """Reference system parser; raises ParseError carrying every issue."""
+    issues: list[ParseIssue] = []
+    rows: list[tuple[str, tm.Action, tm.Dist, int]] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        cut = raw.find("#")
+        line = (raw if cut < 0 else raw[:cut]).rstrip()
+        if not line.strip():
+            continue
+        scanner = _LineScanner(line, line_no)
+        try:
+            src, action, pairs = _parse_transition_line(scanner)
+        except ParseError as exc:
+            issues.extend(exc.issues)
+            continue
+        weights: dict[str, Fraction] = {}
+        for prob, target, _span in pairs:
+            if target in weights:
+                warnings.warn(
+                    ParserWarning(f"line {line_no}: duplicate target {target!r} merged"),
+                    stacklevel=2,
+                )
+            weights[target] = weights.get(target, Fraction(0)) + prob
+        total = sum(weights.values(), Fraction(0))
+        if total != 1:
+            issues.append(
+                ParseIssue(SourceSpan(line_no, 1, len(line)), f"weights sum to {total} != 1")
+            )
+            continue
+        rows.append((src, action, tm.Dist(weights), line_no))
+    if issues:
+        raise ParseError(issues)
+
+    transitions: dict[str, list[Transition]] = {}
+    processes: set[str] = set()
+    for src, action, dist, line_no in rows:
+        processes.add(src)
+        processes.update(dist.support)
+        row = Transition(action, dist)
+        bucket = transitions.setdefault(src, [])
+        if row in bucket:
+            warnings.warn(
+                ParserWarning(f"line {line_no}: duplicate transition {src} -{action}-> collapsed"),
+                stacklevel=2,
+            )
+            continue
+        bucket.append(row)
+
+    pts = tm.PTS(frozenset(processes), {p: tuple(rs) for p, rs in transitions.items()})
+    report = validate_pts(pts)
+    if report.errors:
+        raise ParseError([ParseIssue(None, f"{loc}: {msg}") for loc, msg in report.errors])
+    return pts

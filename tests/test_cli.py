@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +25,10 @@ def equiv_file(tmp_path):
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # --help and --version
+        code = ("SystemExit", exc.code)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -96,6 +103,17 @@ class TestEquiv:
         code, out, _ = run(capsys, "equiv", str(path), "-p", "sp", "-q", "s")
         assert out.splitlines()[0] == "false"
 
+    def test_weak_distinguisher_shows_its_weak_trace_distribution(self, capsys, tmp_path):
+        path = tmp_path / "tau.pts"
+        path.write_text("r -tau-> 1 u\nu -a-> 1 nil\nv -b-> 1 nil\n")
+        code, out, _ = run(capsys, "equiv", str(path), "-p", "r", "-q", "v", "--weak")
+        assert code == 0 and out.splitlines()[-1] == "  TD: 1 a"
+        code, out, _ = run(capsys, "equiv", str(path), "-p", "r", "-q", "v", "--weak", "--json")
+        found = json.loads(out)["distinguishing"]
+        assert found["trace_distribution"] == [
+            {"trace": ["a"], "probability": {"num": "1", "den": "1"}}
+        ]
+
 
 class TestSat:
     def test_positive(self, capsys, half_file):
@@ -151,6 +169,10 @@ class TestOtherCommands:
         assert code == 0
         assert out.splitlines()[0] == "10 resolutions of t"
         assert "more (raise --limit)" in out
+        # A negative limit drops resolutions from the end, as a slice does.
+        code, out, _ = run(capsys, "resolutions", half_file, "-p", "t", "--limit", "-3", "--json")
+        payload = json.loads(out)
+        assert code == 0 and (payload["count"], payload["shown"]) == (10, 7)
 
     def test_crosscheck_ok(self, capsys, half_file):
         code, out, _ = run(capsys, "crosscheck", half_file, "-p", "s", "-q", "t")
@@ -229,3 +251,99 @@ class TestGuardsAndErrors:
         code, out, err = run(capsys, "crosscheck", half_file, "-p", "s", "-q", "t")
         assert code == 3
         assert "crosscheck failed" in err and "MISMATCH" in out
+
+
+class TestReusedParser:
+    @pytest.fixture()
+    def calls(self, half_file, tmp_path):
+        dup = tmp_path / "dup.pts"
+        dup.write_text("s -a-> 1 u\ns -a-> 1 u\n")
+        sat = ["-f", "0.5 <a><c>T (+) 0.5 <a><b>T"]
+        runs = [
+            ["validate", half_file],
+            ["validate", str(dup)],
+            ["resolutions", half_file, "-p", "t", "--limit", "2"],
+            ["resolutions", half_file, "-p", "t", "--weak"],
+            ["mimic", half_file, "-p", "s"],
+            ["metric", half_file, "-p", "s", "-q", "t"],
+            ["metric", half_file, "-p", "s", "-q", "t", "--weak"],
+            ["equiv", half_file, "-p", "s", "-q", "t"],
+            ["sat", half_file, "-p", "t", *sat],
+            ["fdist", "-f1", "1 <a>T", "-f2", "1/2 <a>T (+) 1/2 <b>T"],
+            ["val", half_file, "-p", "s", *sat],
+            ["crosscheck", half_file, "-p", "s", "-q", "t"],
+        ]
+        return [
+            *runs,
+            *([*argv, "--json"] for argv in runs),
+            ["metric", half_file, "-p", "s"],  # usage error: exit 1
+            ["--help"],
+            ["--version"],
+            ["metric", "--help"],
+            ["metric", half_file, "-p", "s", "-q", "t", "--max-resolutions", "3"],  # exit 2
+            ["metric", str(dup), "-p", "s", "-q", "u"],  # ParserWarning on stderr
+            ["nosuch"],
+            [],
+        ]
+
+    def test_every_call_matches_a_fresh_parser(self, capsys, calls, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        fresh = []
+        for argv in calls:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(run(capsys, *argv))
+        assert {code for code, _, _ in fresh} >= {0, 1, 2, ("SystemExit", 0)}
+        assert any("duplicate transition" in err for code, _, err in fresh if code == 0)
+        # The same calls twice over on one parser, and in reverse order.
+        reused = [run(capsys, *argv) for argv in calls + calls]
+        assert reused == fresh + fresh
+        assert [run(capsys, *argv) for argv in reversed(calls)] == fresh[::-1]
+
+    def test_parser_is_built_once(self, capsys, calls, monkeypatch):
+        built = []
+        original = cli.build_parser
+
+        def counting_build_parser():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        for argv in calls * 3:
+            run(capsys, *argv)
+        assert len(built) == 1
+
+    def test_environment_is_read_on_every_call(self, capsys, half_file, monkeypatch):
+        metric = ["metric", half_file, "-p", "s", "-q", "t"]
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setenv(cli.MAX_RESOLUTIONS_ENV, "3")
+        assert run(capsys, *metric)[0] == 2
+        monkeypatch.delenv(cli.MAX_RESOLUTIONS_ENV)
+        assert run(capsys, *metric)[0] == 0
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = "import tracemet.cli as cli; print(cli._parser is None)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert done.stdout.strip() == "True"
+
+
+def test_resolutions_of_a_deep_chain(capsys, tmp_path):
+    # c_i -a-> 1 c_{i+1}: far deeper than Python's recursion limit.
+    path = tmp_path / "chain.pts"
+    path.write_text("".join(f"c{i} -a-> 1 c{i + 1}\n" for i in range(3000)))
+    code, out, err = run(capsys, "resolutions", str(path), "-p", "c0", "--limit", "1")
+    assert code == 0 and not err
+    assert out.splitlines() == [
+        "3001 resolutions of c0",
+        "#1",
+        "  c0: halt",
+        "  TD: 1 ε",
+        "... 3000 more (raise --limit)",
+    ]

@@ -1,8 +1,12 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import tracemet as tm
 from conftest import trace
 from genpts import random_formula, random_pts
@@ -91,6 +95,112 @@ class TestParsePts:
         with pytest.warns(tm.ParserWarning, match="duplicate target"):
             pts = tm.parse_pts("s -a-> 1/2 u, 1/2 u")
         assert pts.transitions_of("s")[0].target == tm.Dist.dirac("u")
+
+
+NAMES = ("p0", "p1", "p2", "p3", "p4")
+SPACES = st.sampled_from(["", " ", "  ", "\t"])
+BAD_PROBABILITIES = ("x", "1/0", "3/0", "0", "0.0", "0/4", "3/2", "2", ".5", "1.")
+
+
+@st.composite
+def probability_texts(draw, parts: list[int], den: int) -> list[str]:
+    """Each part over ``den`` as p/q (unreduced), a decimal where it is
+    exact, or ``1``."""
+    out = []
+    for part in parts:
+        value = Fraction(part, den)
+        forms = [f"{part}/{den}"]
+        if value == 1:
+            forms.append("1")
+        if (10**4 * value).denominator == 1:
+            forms.append(f"{float(value):.4f}".rstrip("0").rstrip(".") if value < 1 else "1.0")
+        out.append(draw(st.sampled_from(forms)))
+    return out
+
+
+@st.composite
+def transition_lines(draw) -> str:
+    """One line: a transition, well formed or with one corruption, a
+    comment or a blank line."""
+    kind = draw(st.sampled_from(
+        ["ok"] * 8 + ["comment", "blank", "no_arrow", "bad_prob", "trailing",
+                      "dup_target", "bad_sum", "back_edge"]
+    ))
+    if kind == "comment":
+        return draw(SPACES) + "# " + draw(st.sampled_from(["note", "s -a-> 1 u", ""]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    src = draw(st.integers(0, len(NAMES) - 2))
+    later = NAMES[src + 1:]
+    targets = draw(st.lists(st.sampled_from(later), min_size=1, max_size=3, unique=True))
+    if kind == "back_edge":
+        targets[-1] = NAMES[draw(st.integers(0, src))]
+        targets = list(dict.fromkeys(targets))
+    if kind == "dup_target":
+        targets.append(targets[0])
+    den = draw(st.sampled_from([2, 3, 4, 5, 8, 10])) if len(targets) > 1 else draw(st.sampled_from([1, 2, 4]))
+    den = max(den, len(targets))
+    cuts = sorted(draw(st.lists(st.integers(1, den - 1), min_size=len(targets) - 1,
+                                max_size=len(targets) - 1, unique=True))) if len(targets) > 1 else []
+    bounds = [0, *cuts, den]
+    parts = [bounds[i + 1] - bounds[i] for i in range(len(targets))]
+    if kind == "bad_sum":
+        parts[-1] = max(1, parts[-1] + draw(st.sampled_from([-1, 1])))
+        if sum(parts) == den:
+            parts[-1] += 1
+    probs = draw(probability_texts(parts, den))
+    if kind == "bad_prob":
+        probs[draw(st.integers(0, len(probs) - 1))] = draw(st.sampled_from(BAD_PROBABILITIES))
+    sp = draw(SPACES)
+    body = ("," + sp).join(f"{prob} {target}" for prob, target in zip(probs, targets))
+    arrow = draw(st.sampled_from(["-{}->", " -{}-> ", " - {} -> "])).format(
+        draw(st.sampled_from(["a", "b", "tau"]))
+    )
+    if kind == "no_arrow":
+        arrow = draw(st.sampled_from([" {} ", " -{} ", " {}-> "])).format("a")
+    line = NAMES[src] + arrow + sp + body
+    if kind == "trailing":
+        line += draw(st.sampled_from([" junk", " 1", ",", " -> p4", "  x y"]))
+    return line + draw(st.sampled_from(["", "  ", " # tail", "\r"]))
+
+
+@st.composite
+def system_texts(draw) -> str:
+    lines = draw(st.lists(transition_lines(), min_size=0, max_size=7))
+    # Exact and reordered duplicates of whole lines.
+    for _ in range(draw(st.integers(0, 2))):
+        if lines:
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(parse, text: str):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", tm.ParserWarning)
+        try:
+            result = parse(text)
+        except tm.ParseError as exc:
+            result = ("error", exc.issues, str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+@settings(max_examples=200, deadline=None)
+@given(system_texts())
+def test_parse_pts_matches_reference(text):
+    # Equal systems, or equal issues (message and span), and equal warnings.
+    assert _outcome(tm.parse_pts, text) == _outcome(oracles.parse_pts, text)
+
+
+@pytest.mark.parametrize("text", [
+    "p0 a 1 p1", "p0 -a-> 1/0 p1", "p0 -a-> 0 p1", "p0 -a-> 3/2 p1", "p0 -a-> x p1",
+    "p0 -a-> 1 p1 junk", "p0 -a-> 1/2 p1, 1/2 p1", "p0 -a-> 1/2 p1, 1/4 p2",
+    "p0 -a-> 1 p1\np1 -b-> 1 p0", "# c\n\np0 -a-> 0.5 p1, 1/2 p2 # t\n",
+    "p0 -a-> 1 p1\np0 -a-> 1 p1", "p0 -a-> 1/2 p1, 1/2 p2\np0 -a-> 1/2 p2, 1/2 p1",
+    "bad\np0 -a-> 1/0 p1, 1/0 p2\np1 -b-> 1/2 p2\n", "",
+    "p0 -a-> 3/2 p1\np1 -b-> 3/2 p2\np2 -c-> 0 p3, 1 p4\np3 -a-> 0 p4, 1 p4",
+])
+def test_parse_pts_matches_reference_on_each_corruption(text):
+    assert _outcome(tm.parse_pts, text) == _outcome(oracles.parse_pts, text)
 
 
 class TestParseFormula:

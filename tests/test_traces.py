@@ -44,6 +44,14 @@ def _brute_pr_weak(resolution, alpha):
 
 
 class TestMaxComputations:
+    def test_deep_chain_without_recursion(self):
+        # c_i -a-> 1 c_{i+1}: far deeper than Python's recursion limit.
+        pts = tm.PTS.build({f"c{i}": [("a", {f"c{i + 1}": 1})] for i in range(3000)})
+        resolution = tm.resolution_at(pts, "c0", 3000)
+        (run,) = tm.max_computations(resolution)
+        assert len(run) == 3000 and run.probability == 1
+        assert tm.trace_distribution(resolution) == tm.Dist.dirac(trace("a") * 3000)
+
     def test_deferred_halting_scheduler(self, equiv_pair):
         z = late_halting_resolution(equiv_pair)
         runs = tm.max_computations(z)
