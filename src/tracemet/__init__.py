@@ -36,16 +36,11 @@ from .resolutions import (
     SizeGuardExceeded,
     UnfoldNode,
     count_resolutions,
-    enumerate_resolutions,
-    make_resolution,
     resolution_at,
-    validate_resolution,
 )
 from .traces import (
-    Computation,
     EPSILON,
     Trace,
-    max_computations,
     tau_erase,
     trace_distribution,
     trace_distributions,
@@ -55,35 +50,27 @@ from .transport import (
     DISCRETE,
     Discrete,
     DiscreteQuotient,
-    Matching,
     hausdorff_witness,
     kantorovich_01,
-    kantorovich_oracle,
 )
 from .logic import (
     TOP,
     TOP_DIST,
     TraceFormula,
-    compatible_with_formula,
     dist_formulas_weak_equivalent,
     erase_formula,
     formulas_weak_equivalent,
-    mimicking_formula,
     mimicking_formulas,
     satisfied_set,
     satisfies,
-    satisfies_trace,
     tracing_formula,
-    weak_mimicking_formula,
 )
 from .metrics import (
     DedupStats,
     MetricResult,
     find_distinguishing_resolution,
-    resolution_distance,
     strong_trace_equivalent,
     strong_trace_metric,
-    weak_resolution_distance,
     weak_trace_equivalent,
     weak_trace_metric,
 )

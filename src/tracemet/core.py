@@ -248,11 +248,20 @@ def validate_pts(pts: PTS) -> ValidationReport:
                 warnings.append((where, f"duplicate transition -{row.action}->"))
             seen.add(row)
 
-    cycle = _find_cycle(pts)
+    cycle = cycle_error(pts)
     if cycle is not None:
-        errors.append((cycle[0], "reachability cycle: " + " -> ".join(cycle)))
+        errors.append(cycle)
 
     return ValidationReport(tuple(errors), tuple(warnings))
+
+
+def cycle_error(pts: PTS) -> tuple[ProcessId, str] | None:
+    """The (location, message) error naming one cycle of the support graph,
+    or None when the graph is acyclic."""
+    cycle = _find_cycle(pts)
+    if cycle is None:
+        return None
+    return cycle[0], "reachability cycle: " + " -> ".join(cycle)
 
 
 def _find_cycle(pts: PTS) -> list[ProcessId] | None:

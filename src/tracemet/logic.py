@@ -19,14 +19,7 @@ from dataclasses import dataclass
 
 from .core import Action, Dist, PTS, ProcessId, TraceDistFormula
 from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution, resolution_at
-from .traces import (
-    Computation,
-    Trace,
-    tau_erase,
-    trace_distribution,
-    trace_distributions,
-    weak_trace_distribution,
-)
+from .traces import Trace, tau_erase, trace_distributions
 
 
 @dataclass(frozen=True, order=True)
@@ -50,36 +43,6 @@ TOP_DIST = Dist.dirac(TOP)
 def tracing_formula(alpha: Trace) -> TraceFormula:
     """The formula spelling a trace; the empty trace maps to top."""
     return TraceFormula(tuple(alpha))
-
-
-def satisfies_trace(computation: Computation, phi: TraceFormula) -> bool:
-    """Structural satisfaction: top always holds; a diamond consumes one
-    matching step.  A run longer than the formula still satisfies it."""
-
-    def go(steps: tuple, diamonds: tuple) -> bool:
-        if not diamonds:
-            return True
-        if not steps:
-            return False
-        return steps[0][1] == diamonds[0] and go(steps[1:], diamonds[1:])
-
-    return go(computation.steps, phi.diamonds)
-
-
-def compatible_with_formula(computation: Computation, phi: TraceFormula) -> bool:
-    """Satisfaction plus exact length: the run spells the formula and stops."""
-    return len(computation) == phi.depth and satisfies_trace(computation, phi)
-
-
-def mimicking_formula(resolution: Resolution) -> TraceDistFormula:
-    """The distribution formula assigning each maximal trace its probability."""
-    return trace_distribution(resolution).pushforward(tracing_formula)
-
-
-def weak_mimicking_formula(resolution: Resolution) -> TraceDistFormula:
-    """Mimicking formula over tau-erased representative traces, weights
-    aggregated per class."""
-    return weak_trace_distribution(resolution).pushforward(tracing_formula)
 
 
 def erase_formula(phi: TraceFormula) -> TraceFormula:

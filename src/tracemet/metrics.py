@@ -15,20 +15,8 @@ from fractions import Fraction
 
 from .core import PTS, ProcessId, TraceDistribution
 from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution, resolution_at
-from .traces import tau_erase, trace_distribution, trace_distributions
-from .transport import DISCRETE, DiscreteQuotient, hausdorff_witness, kantorovich_01
-
-WEAK_QUOTIENT = DiscreteQuotient(tau_erase)
-
-
-def resolution_distance(r1: Resolution, r2: Resolution) -> Fraction:
-    """Transport distance between the trace distributions of two resolutions."""
-    return kantorovich_01(trace_distribution(r1), trace_distribution(r2), DISCRETE)
-
-
-def weak_resolution_distance(r1: Resolution, r2: Resolution) -> Fraction:
-    """Same, with traces compared up to tau erasure."""
-    return kantorovich_01(trace_distribution(r1), trace_distribution(r2), WEAK_QUOTIENT)
+from .traces import trace_distributions
+from .transport import hausdorff_witness
 
 
 @dataclass(frozen=True)
@@ -44,7 +32,7 @@ class MetricResult:
     """A metric value with the attaining resolution pair and dedup counts.
 
     The value is 0 exactly when the corresponding trace equivalence holds.
-    The witness is the first pair (in canonical enumeration order, preferring
+    The witness is the first pair (in the canonical order, preferring
     the left process's direction) realizing the Hausdorff max-min.
     """
 
@@ -68,13 +56,12 @@ def _trace_metric(
     t: ProcessId,
     weak: bool,
     max_resolutions: int,
-    dedup: bool,
 ) -> MetricResult:
     memo: dict = {}
     dists_s = trace_distributions(pts, s, weak, max_resolutions, memo)
     dists_t = trace_distributions(pts, t, weak, max_resolutions, memo)
-    kept_s = _first_indices(dists_s) if dedup else range(len(dists_s))
-    kept_t = _first_indices(dists_t) if dedup else range(len(dists_t))
+    kept_s = _first_indices(dists_s)
+    kept_t = _first_indices(dists_t)
     # Neither list is empty (the halting resolution is always first), so
     # there is always a witness pair.
     value, (i, j) = hausdorff_witness([dists_s[i] for i in kept_s], [dists_t[j] for j in kept_t])
@@ -88,12 +75,11 @@ def strong_trace_metric(
     s: ProcessId,
     t: ProcessId,
     max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
-    dedup: bool = True,
 ) -> MetricResult:
     """Hausdorff lifting of the resolution distance over the two resolution
     sets.  Deduplicating resolutions by trace distribution first is
     value-preserving because the distance only reads the distributions."""
-    return _trace_metric(pts, s, t, False, max_resolutions, dedup)
+    return _trace_metric(pts, s, t, False, max_resolutions)
 
 
 def weak_trace_metric(
@@ -101,11 +87,10 @@ def weak_trace_metric(
     s: ProcessId,
     t: ProcessId,
     max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
-    dedup: bool = True,
 ) -> MetricResult:
     """Weak variant: distances and dedup both act on tau-erased trace
     distributions."""
-    return _trace_metric(pts, s, t, True, max_resolutions, dedup)
+    return _trace_metric(pts, s, t, True, max_resolutions)
 
 
 def strong_trace_equivalent(

@@ -36,7 +36,7 @@ from .core import (
     PTS,
     TraceDistFormula,
     Transition,
-    validate_pts,
+    cycle_error,
 )
 from .logic import TraceFormula
 from .traces import Trace
@@ -170,8 +170,8 @@ def parse_pts(text: str) -> PTS:
 
     Line-level syntax errors do not stop the scan, so one parse reports all
     of them.  Exact duplicate transitions are collapsed with a warning.
-    Structural validation (probability sums, acyclicity) runs on the result
-    and its findings are raised as parse errors too.
+    Each line's weights must sum to 1, and a reachability cycle in the
+    result is raised as a parse error too.
     """
     issues: list[ParseIssue] = []
     rows: list[tuple[str, Action, Dist, int]] = []
@@ -199,7 +199,6 @@ def parse_pts(text: str) -> PTS:
                 stacklevel=2,
             )
             weights[target] = known + prob
-        # The sum is kept by the Dist, so validate_pts does not add it again.
         dist = Dist(weights)
         if dist.total != 1:
             issues.append(
@@ -231,9 +230,12 @@ def parse_pts(text: str) -> PTS:
         bucket.append(row)
 
     pts = PTS(frozenset(processes), {p: tuple(rs) for p, rs in transitions.items()})
-    report = validate_pts(pts)
-    if report.errors:
-        raise ParseError([ParseIssue(None, f"{loc}: {msg}") for loc, msg in report.errors])
+    # Sources and targets are declared and every line sums to 1 by
+    # construction, so of validate_pts's checks only the cycle search can
+    # fail here.
+    cycle = cycle_error(pts)
+    if cycle is not None:
+        raise ParseError([ParseIssue(None, f"{cycle[0]}: {cycle[1]}")])
     return pts
 
 

@@ -1,10 +1,8 @@
-"""Runs of a resolution, their probabilities, and trace distributions.
+"""Trace distributions of resolutions and of whole processes.
 
-A run (``Computation``) is a chain of steps through the unfolding; its
-probability is the product of the step probabilities read off the scheduled
-distributions.  Only *maximal* runs (those ending where the scheduler halts)
-carry trace-distribution mass: summing over all runs would count the same
-probability once per prefix.
+A resolution's trace distribution maps each trace to the probability of the
+maximal runs spelling it: the product of the step probabilities read off
+the scheduled distributions.
 
 The weak view erases the silent action from traces.  Weak trace
 distributions live on tau-free representative traces, which keeps them
@@ -13,76 +11,46 @@ tau-decorated spelling would overshoot 1.
 
 ``trace_distributions`` is the layer every command reads: the trace
 distributions of all resolutions of a process, composed from those of the
-processes it can reach, with no resolution built.
+processes it can reach, with no resolution built.  ``trace_distribution``
+walks one resolution, for the resolutions a command prints.  The run lists
+(``Computation``, ``max_computations``) that the tests compare both against
+live in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 
 from .core import PTS, Action, Dist, ProcessId, TraceDistribution, post_order
-from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution, UnfoldNode, check_size_guard
+from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution, check_size_guard
 
 Trace = tuple[Action, ...]
 EPSILON: Trace = ()
 HALTED = Dist.dirac(EPSILON)
 
-Step = tuple[UnfoldNode, Action, Fraction, UnfoldNode]
-
-
-@dataclass(frozen=True)
-class Computation:
-    """A finite run: consecutive steps chain, each with its positive
-    conditional probability."""
-
-    steps: tuple[Step, ...]
-
-    @property
-    def actions(self) -> Trace:
-        return tuple(step[1] for step in self.steps)
-
-    @property
-    def probability(self) -> Fraction:
-        prob = Fraction(1)
-        for step in self.steps:
-            prob *= step[2]
-        return prob
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
-def max_computations(resolution: Resolution) -> list[Computation]:
-    """All maximal runs from the root, in depth-first (path-lexicographic)
-    order.  Their probabilities always sum to exactly 1.
-
-    Walks an explicit stack, so deep resolutions do not hit the recursion
-    limit.  Each pending node carries the step entering it and the length
-    of the run before that step; ``steps`` is cut back to it on each pop.
-    """
-    out: list[Computation] = []
-    steps: list[Step] = []
-    todo: list = [(resolution.root_node, None, 0)]
-    while todo:
-        node, step, depth = todo.pop()
-        del steps[depth:]
-        if step is not None:
-            steps.append(step)
-        choice = resolution.choices[node]
-        if choice is None:
-            out.append(Computation(tuple(steps)))
-            continue
-        row = resolution.pts.transitions_of(node.process)[choice]
-        for target in reversed(row.target.support):
-            child = node.child(choice, target)
-            todo.append((child, (node, row.action, row.target[target], child), len(steps)))
-    return out
-
 
 def trace_distribution(resolution: Resolution) -> TraceDistribution:
-    """Map each trace to the probability of the maximal runs spelling it."""
-    return Dist.merged((c.actions, c.probability) for c in max_computations(resolution))
+    """Map each trace to the probability of the maximal runs spelling it.
+
+    Only maximal runs (those ending where the scheduler halts) carry mass:
+    summing over all runs would count the same probability once per prefix.
+    Walks an explicit stack, so deep resolutions do not hit the recursion
+    limit; each pending node carries the trace and the probability of the
+    run reaching it.
+    """
+    pairs = []
+    todo = [(resolution.root_node, EPSILON, Fraction(1))]
+    while todo:
+        node, trace, prob = todo.pop()
+        choice = resolution.choices[node]
+        if choice is None:
+            pairs.append((trace, prob))
+            continue
+        row = resolution.pts.transitions_of(node.process)[choice]
+        trace += (row.action,)
+        for target, step in row.target.items_sorted:
+            todo.append((node.child(choice, target), trace, prob * step))
+    return Dist.merged(pairs)
 
 
 def tau_erase(alpha: Trace) -> Trace:
@@ -103,7 +71,7 @@ def trace_distributions(
     memo: dict | None = None,
 ) -> list[TraceDistribution]:
     """The (weak) trace distribution of every resolution of ``process``, in
-    the order of ``enumerate_resolutions``, without materializing any.
+    the canonical order of ``resolution_at``, without building any.
 
     Built bottom-up over the reachable processes.  A process's list is the
     halting scheduler's point mass on the empty trace, then, per

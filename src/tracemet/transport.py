@@ -17,18 +17,17 @@ disjoint supports (distance 1) are never compared.  The Hausdorff max-min
 stops scanning a row as soon as the row can no longer change the value or
 the witness.
 
-A generic min-cost-flow solver over exact rationals is kept alongside as an
-independent oracle and plan producer.  The per-pair Hausdorff lifting over
-an arbitrary distance callable lives in the test suite (``tests/oracles.py``)
-as the reference for the kernel's values and witnesses.
+The references the tests compare the kernel against live in
+``tests/oracles.py``: the per-pair Hausdorff lifting over an arbitrary
+distance callable, and a min-cost-flow solver over exact rationals that
+computes optimal transport plans for any nonnegative ground cost.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .core import Dist
 
@@ -69,139 +68,6 @@ def kantorovich_01(p: Dist, q: Dist, metric: GroundMetric = DISCRETE) -> Fractio
     canonicalized distributions: the surplus mass that must cross classes.
     """
     return distances_to_set([p], [q], metric)[0]
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A transport plan: joint weights whose marginals are the two inputs."""
-
-    joint: Mapping[tuple, Fraction]
-
-    def cost(self, cost_fn: Callable) -> Fraction:
-        return sum((w * cost_fn(x, y) for (x, y), w in self.joint.items()), Fraction(0))
-
-    def is_valid_for(self, p: Dist, q: Dist) -> bool:
-        left: dict = {}
-        right: dict = {}
-        for (x, y), w in self.joint.items():
-            if w < 0:
-                return False
-            left[x] = left.get(x, Fraction(0)) + w
-            right[y] = right.get(y, Fraction(0)) + w
-        return left == dict(p.items_sorted) and right == dict(q.items_sorted)
-
-
-class _FlowNetwork:
-    """Tiny exact min-cost-flow network (successive shortest paths with
-    potentials; Dijkstra on reduced costs, all arithmetic in Fractions)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        # Parallel edge arrays: to, capacity, cost.
-        self.to: list[int] = []
-        self.cap: list[Fraction] = []
-        self.cost: list[Fraction] = []
-
-    def add_edge(self, u: int, v: int, cap: Fraction, cost: Fraction) -> int:
-        idx = len(self.to)
-        self.adj[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.adj[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(Fraction(0))
-        self.cost.append(-cost)
-        return idx
-
-    def min_cost_flow(self, source: int, sink: int, amount: Fraction) -> Fraction:
-        total_cost = Fraction(0)
-        potential = [Fraction(0)] * self.n
-        remaining = amount
-        while remaining > 0:
-            dist: list[Fraction | None] = [None] * self.n
-            parent_edge = [-1] * self.n
-            dist[source] = Fraction(0)
-            counter = 0
-            heap: list[tuple[Fraction, int, int]] = [(Fraction(0), counter, source)]
-            while heap:
-                d, _, u = heapq.heappop(heap)
-                if dist[u] is None or d > dist[u]:
-                    continue
-                for idx in self.adj[u]:
-                    if self.cap[idx] <= 0:
-                        continue
-                    v = self.to[idx]
-                    nd = d + self.cost[idx] + potential[u] - potential[v]
-                    if dist[v] is None or nd < dist[v]:
-                        dist[v] = nd
-                        parent_edge[v] = idx
-                        counter += 1
-                        heapq.heappush(heap, (nd, counter, v))
-            if dist[sink] is None:
-                raise ValueError("flow demand is infeasible")
-            for v in range(self.n):
-                if dist[v] is not None:
-                    potential[v] += dist[v]
-            # Bottleneck along the shortest path, then push.
-            push = remaining
-            v = sink
-            while v != source:
-                idx = parent_edge[v]
-                push = min(push, self.cap[idx])
-                v = self.to[idx ^ 1]
-            v = sink
-            while v != source:
-                idx = parent_edge[v]
-                self.cap[idx] -= push
-                self.cap[idx ^ 1] += push
-                total_cost += push * self.cost[idx]
-                v = self.to[idx ^ 1]
-            remaining -= push
-        return total_cost
-
-
-def kantorovich_oracle(
-    p: Dist,
-    q: Dist,
-    cost: Callable,
-    with_matching: bool = False,
-) -> "Fraction | tuple[Fraction, Matching]":
-    """Exact optimal transport cost by min-cost flow on the support graph.
-
-    ``cost`` maps a pair of items to a nonnegative rational.  Independent of
-    ``kantorovich_01``; used to vet it and to exhibit an optimal plan.
-    """
-    if not p.is_probability or not q.is_probability:
-        raise ValueError("kantorovich_oracle requires probability distributions")
-    left = p.support
-    right = q.support
-    n = len(left) + len(right) + 2
-    source = n - 2
-    sink = n - 1
-    net = _FlowNetwork(n)
-    for i, x in enumerate(left):
-        net.add_edge(source, i, p[x], Fraction(0))
-    pair_edges: dict[int, tuple] = {}
-    for i, x in enumerate(left):
-        for j, y in enumerate(right):
-            c = Fraction(cost(x, y))
-            if c < 0:
-                raise ValueError("ground costs must be nonnegative")
-            idx = net.add_edge(i, len(left) + j, Fraction(1), c)
-            pair_edges[idx] = (x, y)
-    for j, y in enumerate(right):
-        net.add_edge(len(left) + j, sink, q[y], Fraction(0))
-    value = net.min_cost_flow(source, sink, Fraction(1))
-    if not with_matching:
-        return value
-    joint = {}
-    for idx, pair in pair_edges.items():
-        flow = net.cap[idx ^ 1]  # reverse capacity equals pushed flow
-        if flow > 0:
-            joint[pair] = flow
-    return value, Matching(joint)
 
 
 def _integer_rows(metric: GroundMetric, *groups: Sequence[Dist]) -> tuple[int, list]:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 import tracemet as tm
 
 # Two strong-trace-equivalent processes: s resolves its nondeterminism in the
@@ -68,14 +69,14 @@ def trace_dist(weights: dict) -> tm.Dist:
 # The deferred process t halting at t1 and taking d at t2; its trace
 # distribution is {a: 1/2, ad: 1/2}.
 def late_halting_resolution(pts: tm.PTS) -> tm.Resolution:
-    return tm.make_resolution(pts, "t", (0, {"t1": None, "t2": (1, {})}))
+    return oracles.make_resolution(pts, "t", (0, {"t1": None, "t2": (1, {})}))
 
 
 # The s-side scheduler of the half-apart pair with trace distribution
 # {ac: 1/2, a: 1/2}, and the t-side one with {ac: 1/2, ab: 1/2}.
 def half_zs(pts: tm.PTS) -> tm.Resolution:
-    return tm.make_resolution(pts, "s", (0, {"s1": (1, {}), "s2": None}))
+    return oracles.make_resolution(pts, "s", (0, {"s1": (1, {}), "s2": None}))
 
 
 def half_zt(pts: tm.PTS) -> tm.Resolution:
-    return tm.make_resolution(pts, "t", (0, {"t1": (1, {}), "t2": (0, {})}))
+    return oracles.make_resolution(pts, "t", (0, {"t1": (1, {}), "t2": (0, {})}))

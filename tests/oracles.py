@@ -14,6 +14,19 @@ replaced live here too: the run-probability profiles (``pr_compatible``,
 ``distinguishing_resolution`` is the two-scan search over profiles that
 ``find_distinguishing_resolution`` must agree with.
 
+The package's test-only half lives here as well, moved unchanged.  From
+``resolutions``: the recursive enumerator ``enumerate_resolutions`` (whose
+order ``resolution_at`` and ``trace_distributions`` must reproduce), the
+independent structural check ``validate_resolution``, and
+``make_resolution``, which spells out a scheduler by hand.  From
+``traces``: the run lists ``Computation`` and ``max_computations``, which
+``trace_distribution`` must sum to.  From ``transport``: the exact
+min-cost-flow solver ``kantorovich_oracle`` (with ``_FlowNetwork`` and its
+optimal plans, ``Matching``).  From ``logic``: run satisfaction
+(``satisfies_trace``, ``compatible_with_formula``) and the per-resolution
+``mimicking_formula``/``weak_mimicking_formula``.  From ``metrics``: the
+per-resolution ``resolution_distance``/``weak_resolution_distance``.
+
 ``parse_pts`` is the system parser as it was before its success path was
 trimmed: a span for every token, a ``Fraction`` per probability and an
 ``Action`` per line, and the line sums added apart from the ``Dist``.  The
@@ -22,14 +35,24 @@ warnings.
 """
 from __future__ import annotations
 
+import heapq
 import re
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import product
+from typing import Callable, Mapping, Sequence
 
 import tracemet as tm
-from tracemet.core import IDENTIFIER_RE, Transition, validate_pts
+from tracemet.core import IDENTIFIER_RE, PTS, Action, ProcessId, Transition, validate_pts
 from tracemet.parser import ParseError, ParseIssue, ParserWarning, SourceSpan
+from tracemet.resolutions import (
+    DEFAULT_MAX_RESOLUTIONS,
+    Choice,
+    Resolution,
+    UnfoldNode,
+    check_size_guard,
+)
 from tracemet.traces import EPSILON, Trace
 
 
@@ -114,6 +137,334 @@ def sup_val_over(set_s: list, set_t: list, weak: bool) -> Fraction:
         val_t = 1 - distance_to_set(psi, set_t, weak)
         best = max(best, abs(val_s - val_t))
     return best
+
+
+# A choice tree is None (halt) or (index, ((target, subtree), ...)) with
+# targets in ascending order.  Trees are shared across enumerations.
+def _choice_trees(pts: PTS, process: ProcessId, memo: dict) -> list:
+    if process in memo:
+        return memo[process]
+    options: list = [None]
+    for index, row in enumerate(pts.transitions_of(process)):
+        targets = row.target.support
+        per_child = [_choice_trees(pts, q, memo) for q in targets]
+        for combo in product(*per_child):
+            options.append((index, tuple(zip(targets, combo))))
+    memo[process] = options
+    return options
+
+
+def _materialize(pts: PTS, root: ProcessId, tree) -> Resolution:
+    choices: dict[UnfoldNode, Choice] = {}
+
+    def walk(node: UnfoldNode, subtree) -> None:
+        if subtree is None:
+            choices[node] = None
+            return
+        index, kids = subtree
+        choices[node] = index
+        for target, sub in kids:
+            walk(node.child(index, target), sub)
+
+    walk(UnfoldNode((), root), tree)
+    return Resolution(pts, root, choices)
+
+
+def enumerate_resolutions(
+    pts: PTS,
+    process: ProcessId,
+    max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
+) -> list[Resolution]:
+    """Every resolution of ``process`` exactly once, in canonical order.
+
+    Order is lexicographic in the decisions: halt first, then transitions in
+    list order, sub-schedulers of later targets varying fastest.  The
+    count is checked against ``max_resolutions`` before materializing.
+    """
+    check_size_guard(pts, process, max_resolutions)
+    trees = _choice_trees(pts, process, {})
+    return [_materialize(pts, process, tree) for tree in trees]
+
+
+def validate_resolution(pts: PTS, resolution: Resolution) -> bool:
+    """Independent structural check of a resolution against a system.
+
+    Walks the node set the choice map *should* generate and requires the map
+    to be defined exactly there, with every taken index in range.  Does not
+    share code with the enumerator, so it can vet its output.
+    """
+    if resolution.root not in pts.processes:
+        return False
+    expected: set[UnfoldNode] = set()
+    stack = [UnfoldNode((), resolution.root)]
+    while stack:
+        node = stack.pop()
+        if node in expected:
+            return False
+        expected.add(node)
+        if node not in resolution.choices:
+            return False
+        choice = resolution.choices[node]
+        if choice is None:
+            continue
+        rows = pts.transitions_of(node.process)
+        if not isinstance(choice, int) or not 0 <= choice < len(rows):
+            return False
+        for target in rows[choice].target.support:
+            stack.append(node.child(choice, target))
+    return expected == set(resolution.choices)
+
+
+def make_resolution(pts: PTS, root: ProcessId, plan) -> Resolution:
+    """Build a resolution from a nested plan.
+
+    A plan is ``None`` (halt) or ``(index, kids)`` where ``kids`` maps a
+    target process to the plan for its node; targets omitted from ``kids``
+    halt.  Convenient for spelling out a specific scheduler by hand.
+    """
+    choices: dict[UnfoldNode, Choice] = {}
+
+    def walk(node: UnfoldNode, subplan) -> None:
+        if subplan is None:
+            choices[node] = None
+            return
+        index, kids = subplan
+        rows = pts.transitions_of(node.process)
+        if not 0 <= index < len(rows):
+            raise ValueError(f"transition index {index} out of range for {node.process!r}")
+        choices[node] = index
+        targets = rows[index].target.support
+        unknown = set(kids) - set(targets)
+        if unknown:
+            raise ValueError(f"plan names non-targets {sorted(unknown)} for {node.process!r}")
+        for target in targets:
+            walk(node.child(index, target), kids.get(target))
+
+    walk(UnfoldNode((), root), plan)
+    return Resolution(pts, root, choices)
+
+Step = tuple[UnfoldNode, Action, Fraction, UnfoldNode]
+
+
+@dataclass(frozen=True)
+class Computation:
+    """A finite run: consecutive steps chain, each with its positive
+    conditional probability."""
+
+    steps: tuple[Step, ...]
+
+    @property
+    def actions(self) -> Trace:
+        return tuple(step[1] for step in self.steps)
+
+    @property
+    def probability(self) -> Fraction:
+        prob = Fraction(1)
+        for step in self.steps:
+            prob *= step[2]
+        return prob
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+
+def max_computations(resolution: Resolution) -> list[Computation]:
+    """All maximal runs from the root, in depth-first (path-lexicographic)
+    order.  Their probabilities always sum to exactly 1.
+
+    Walks an explicit stack, so deep resolutions do not hit the recursion
+    limit.  Each pending node carries the step entering it and the length
+    of the run before that step; ``steps`` is cut back to it on each pop.
+    """
+    out: list[Computation] = []
+    steps: list[Step] = []
+    todo: list = [(resolution.root_node, None, 0)]
+    while todo:
+        node, step, depth = todo.pop()
+        del steps[depth:]
+        if step is not None:
+            steps.append(step)
+        choice = resolution.choices[node]
+        if choice is None:
+            out.append(Computation(tuple(steps)))
+            continue
+        row = resolution.pts.transitions_of(node.process)[choice]
+        for target in reversed(row.target.support):
+            child = node.child(choice, target)
+            todo.append((child, (node, row.action, row.target[target], child), len(steps)))
+    return out
+
+@dataclass(frozen=True)
+class Matching:
+    """A transport plan: joint weights whose marginals are the two inputs."""
+
+    joint: Mapping[tuple, Fraction]
+
+    def cost(self, cost_fn: Callable) -> Fraction:
+        return sum((w * cost_fn(x, y) for (x, y), w in self.joint.items()), Fraction(0))
+
+    def is_valid_for(self, p: tm.Dist, q: tm.Dist) -> bool:
+        left: dict = {}
+        right: dict = {}
+        for (x, y), w in self.joint.items():
+            if w < 0:
+                return False
+            left[x] = left.get(x, Fraction(0)) + w
+            right[y] = right.get(y, Fraction(0)) + w
+        return left == dict(p.items_sorted) and right == dict(q.items_sorted)
+
+
+class _FlowNetwork:
+    """Tiny exact min-cost-flow network (successive shortest paths with
+    potentials; Dijkstra on reduced costs, all arithmetic in Fractions)."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.adj: list[list[int]] = [[] for _ in range(n)]
+        # Parallel edge arrays: to, capacity, cost.
+        self.to: list[int] = []
+        self.cap: list[Fraction] = []
+        self.cost: list[Fraction] = []
+
+    def add_edge(self, u: int, v: int, cap: Fraction, cost: Fraction) -> int:
+        idx = len(self.to)
+        self.adj[u].append(idx)
+        self.to.append(v)
+        self.cap.append(cap)
+        self.cost.append(cost)
+        self.adj[v].append(idx + 1)
+        self.to.append(u)
+        self.cap.append(Fraction(0))
+        self.cost.append(-cost)
+        return idx
+
+    def min_cost_flow(self, source: int, sink: int, amount: Fraction) -> Fraction:
+        total_cost = Fraction(0)
+        potential = [Fraction(0)] * self.n
+        remaining = amount
+        while remaining > 0:
+            dist: list[Fraction | None] = [None] * self.n
+            parent_edge = [-1] * self.n
+            dist[source] = Fraction(0)
+            counter = 0
+            heap: list[tuple[Fraction, int, int]] = [(Fraction(0), counter, source)]
+            while heap:
+                d, _, u = heapq.heappop(heap)
+                if dist[u] is None or d > dist[u]:
+                    continue
+                for idx in self.adj[u]:
+                    if self.cap[idx] <= 0:
+                        continue
+                    v = self.to[idx]
+                    nd = d + self.cost[idx] + potential[u] - potential[v]
+                    if dist[v] is None or nd < dist[v]:
+                        dist[v] = nd
+                        parent_edge[v] = idx
+                        counter += 1
+                        heapq.heappush(heap, (nd, counter, v))
+            if dist[sink] is None:
+                raise ValueError("flow demand is infeasible")
+            for v in range(self.n):
+                if dist[v] is not None:
+                    potential[v] += dist[v]
+            # Bottleneck along the shortest path, then push.
+            push = remaining
+            v = sink
+            while v != source:
+                idx = parent_edge[v]
+                push = min(push, self.cap[idx])
+                v = self.to[idx ^ 1]
+            v = sink
+            while v != source:
+                idx = parent_edge[v]
+                self.cap[idx] -= push
+                self.cap[idx ^ 1] += push
+                total_cost += push * self.cost[idx]
+                v = self.to[idx ^ 1]
+            remaining -= push
+        return total_cost
+
+
+def kantorovich_oracle(
+    p: tm.Dist,
+    q: tm.Dist,
+    cost: Callable,
+    with_matching: bool = False,
+) -> "Fraction | tuple[Fraction, Matching]":
+    """Exact optimal transport cost by min-cost flow on the support graph.
+
+    ``cost`` maps a pair of items to a nonnegative rational.  Independent of
+    ``kantorovich_01``; used to vet it and to exhibit an optimal plan.
+    """
+    if not p.is_probability or not q.is_probability:
+        raise ValueError("kantorovich_oracle requires probability distributions")
+    left = p.support
+    right = q.support
+    n = len(left) + len(right) + 2
+    source = n - 2
+    sink = n - 1
+    net = _FlowNetwork(n)
+    for i, x in enumerate(left):
+        net.add_edge(source, i, p[x], Fraction(0))
+    pair_edges: dict[int, tuple] = {}
+    for i, x in enumerate(left):
+        for j, y in enumerate(right):
+            c = Fraction(cost(x, y))
+            if c < 0:
+                raise ValueError("ground costs must be nonnegative")
+            idx = net.add_edge(i, len(left) + j, Fraction(1), c)
+            pair_edges[idx] = (x, y)
+    for j, y in enumerate(right):
+        net.add_edge(len(left) + j, sink, q[y], Fraction(0))
+    value = net.min_cost_flow(source, sink, Fraction(1))
+    if not with_matching:
+        return value
+    joint = {}
+    for idx, pair in pair_edges.items():
+        flow = net.cap[idx ^ 1]  # reverse capacity equals pushed flow
+        if flow > 0:
+            joint[pair] = flow
+    return value, Matching(joint)
+
+def satisfies_trace(computation: Computation, phi: tm.TraceFormula) -> bool:
+    """Structural satisfaction: top always holds; a diamond consumes one
+    matching step.  A run longer than the formula still satisfies it."""
+
+    def go(steps: tuple, diamonds: tuple) -> bool:
+        if not diamonds:
+            return True
+        if not steps:
+            return False
+        return steps[0][1] == diamonds[0] and go(steps[1:], diamonds[1:])
+
+    return go(computation.steps, phi.diamonds)
+
+
+def compatible_with_formula(computation: Computation, phi: tm.TraceFormula) -> bool:
+    """Satisfaction plus exact length: the run spells the formula and stops."""
+    return len(computation) == phi.depth and satisfies_trace(computation, phi)
+
+
+def mimicking_formula(resolution: Resolution) -> tm.TraceDistFormula:
+    """The distribution formula assigning each maximal trace its probability."""
+    return tm.trace_distribution(resolution).pushforward(tm.tracing_formula)
+
+
+def weak_mimicking_formula(resolution: Resolution) -> tm.TraceDistFormula:
+    """Mimicking formula over tau-erased representative traces, weights
+    aggregated per class."""
+    return tm.weak_trace_distribution(resolution).pushforward(tm.tracing_formula)
+
+WEAK_QUOTIENT = tm.DiscreteQuotient(tm.tau_erase)
+
+def resolution_distance(r1: Resolution, r2: Resolution) -> Fraction:
+    """Transport distance between the trace distributions of two resolutions."""
+    return tm.kantorovich_01(tm.trace_distribution(r1), tm.trace_distribution(r2), tm.DISCRETE)
+
+
+def weak_resolution_distance(r1: Resolution, r2: Resolution) -> Fraction:
+    """Same, with traces compared up to tau erasure."""
+    return tm.kantorovich_01(tm.trace_distribution(r1), tm.trace_distribution(r2), WEAK_QUOTIENT)
 
 
 def pr_compatible(resolution: tm.Resolution, alpha: Trace) -> Fraction:
@@ -205,11 +556,11 @@ def satisfies(pts: tm.PTS, process: str, psi: tm.Dist):
     the listed weight; returns (holds, first such resolution or None)."""
     if not psi.is_probability:
         raise ValueError("formula weights must sum to 1")
-    for resolution in tm.enumerate_resolutions(pts, process):
-        runs = tm.max_computations(resolution)
+    for resolution in enumerate_resolutions(pts, process):
+        runs = max_computations(resolution)
         for phi, weight in psi.items_sorted:
             mass = sum(
-                (c.probability for c in runs if tm.compatible_with_formula(c, phi)),
+                (c.probability for c in runs if compatible_with_formula(c, phi)),
                 Fraction(0),
             )
             if mass != weight:
@@ -222,8 +573,8 @@ def satisfies(pts: tm.PTS, process: str, psi: tm.Dist):
 def weak_satisfies(pts: tm.PTS, process: str, psi: tm.Dist):
     """The first resolution whose mimicking formula is equivalent to ``psi``
     up to erasure of silent diamonds, as (holds, resolution or None)."""
-    for resolution in tm.enumerate_resolutions(pts, process):
-        if tm.dist_formulas_weak_equivalent(tm.mimicking_formula(resolution), psi):
+    for resolution in enumerate_resolutions(pts, process):
+        if tm.dist_formulas_weak_equivalent(mimicking_formula(resolution), psi):
             return True, resolution
     return False, None
 
@@ -236,9 +587,9 @@ def distinguishing_resolution(pts: tm.PTS, s: str, t: str, weak: bool = False):
 
     def scan(p: str, other: str):
         other_profiles = {
-            frozenset(profile_of(r).items()) for r in tm.enumerate_resolutions(pts, other)
+            frozenset(profile_of(r).items()) for r in enumerate_resolutions(pts, other)
         }
-        for resolution in tm.enumerate_resolutions(pts, p):
+        for resolution in enumerate_resolutions(pts, p):
             if frozenset(profile_of(resolution).items()) not in other_profiles:
                 return p, resolution
         return None

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 import tracemet as tm
 from conftest import trace
 from genpts import random_case, random_formula, with_tau_prefix
@@ -30,7 +31,7 @@ class TestDistFormulaDistance:
         psi2 = tm.parse_formula("0.7 <a><c>T (+) 0.3 <a><b>T")
         value = tm.dist_formula_distance(psi1, psi2)
         assert value == Fraction(3, 10)
-        assert value == tm.kantorovich_oracle(
+        assert value == oracles.kantorovich_oracle(
             psi1, psi2, lambda x, y: tm.trace_formula_distance(x, y)
         )
 
@@ -50,10 +51,10 @@ class TestDistFormulaDistance:
         rng = random.Random(72)
         for _ in range(8):
             pts, s, _ = random_case(rng, max_count=60, tau_bias=0.4)
-            for r in tm.enumerate_resolutions(pts, s)[:15]:
+            for r in oracles.enumerate_resolutions(pts, s)[:15]:
                 assert (
                     tm.dist_formula_distance(
-                        tm.mimicking_formula(r), tm.weak_mimicking_formula(r), weak=True
+                        oracles.mimicking_formula(r), oracles.weak_mimicking_formula(r), weak=True
                     )
                     == 0
                 )

@@ -26,80 +26,80 @@ class TestTracingFormula:
     def test_run_spells_trace_iff_compatible(self, half_pair):
         # A run is compatible with the formula of a trace exactly when it
         # spells that trace (same actions, same length).
-        for r in tm.enumerate_resolutions(half_pair, "t"):
-            for c in tm.max_computations(r):
+        for r in oracles.enumerate_resolutions(half_pair, "t"):
+            for c in oracles.max_computations(r):
                 for alpha in [c.actions, c.actions + trace("a"), c.actions[:-1]]:
                     expected = c.actions == tuple(alpha)
-                    assert tm.compatible_with_formula(c, tm.tracing_formula(alpha)) == expected
+                    assert oracles.compatible_with_formula(c, tm.tracing_formula(alpha)) == expected
 
 
 class TestSatisfiesTrace:
     def test_examples(self, half_pair):
         zt = half_zt(half_pair)
-        runs = {c.actions: c for c in tm.max_computations(zt)}
+        runs = {c.actions: c for c in oracles.max_computations(zt)}
         ac_run = runs[trace("a c")]
         ab_run = runs[trace("a b")]
-        assert tm.satisfies_trace(ac_run, formula("a c"))
-        assert tm.satisfies_trace(ac_run, tm.TOP)
-        assert tm.satisfies_trace(ab_run, tm.TOP)
-        assert not tm.satisfies_trace(ab_run, formula("a c"))
+        assert oracles.satisfies_trace(ac_run, formula("a c"))
+        assert oracles.satisfies_trace(ac_run, tm.TOP)
+        assert oracles.satisfies_trace(ab_run, tm.TOP)
+        assert not oracles.satisfies_trace(ab_run, formula("a c"))
 
     def test_prefix_semantics(self, half_pair):
         zt = half_zt(half_pair)
-        runs = {c.actions: c for c in tm.max_computations(zt)}
+        runs = {c.actions: c for c in oracles.max_computations(zt)}
         ac_run = runs[trace("a c")]
-        assert tm.satisfies_trace(ac_run, formula("a"))  # longer run still satisfies
-        assert not tm.compatible_with_formula(ac_run, formula("a"))  # but is not compatible
+        assert oracles.satisfies_trace(ac_run, formula("a"))  # longer run still satisfies
+        assert not oracles.compatible_with_formula(ac_run, formula("a"))  # but is not compatible
 
 
 class TestMimicking:
     def test_half_pair_examples(self, half_pair):
-        psi_s = tm.mimicking_formula(half_zs(half_pair))
-        psi_t = tm.mimicking_formula(half_zt(half_pair))
+        psi_s = oracles.mimicking_formula(half_zs(half_pair))
+        psi_t = oracles.mimicking_formula(half_zt(half_pair))
         assert psi_s == tm.Dist({formula("a c"): Fraction(1, 2), formula("a"): Fraction(1, 2)})
         assert psi_t == tm.Dist({formula("a c"): Fraction(1, 2), formula("a b"): Fraction(1, 2)})
 
     def test_trivial_resolution_mimics_top(self, half_pair):
-        (trivial, *_) = tm.enumerate_resolutions(half_pair, "s")
-        assert tm.mimicking_formula(trivial) == tm.TOP_DIST
+        (trivial, *_) = oracles.enumerate_resolutions(half_pair, "s")
+        assert oracles.mimicking_formula(trivial) == tm.TOP_DIST
 
     def test_weak_mimicking(self):
         pts = tm.parse_pts("r -tau-> 1 u\nu -a-> 1 nil")
-        r = tm.make_resolution(pts, "r", (0, {"u": (0, {})}))
-        assert tm.mimicking_formula(r) == tm.Dist.dirac(formula("tau a"))
-        assert tm.weak_mimicking_formula(r) == tm.Dist.dirac(formula("a"))
+        r = oracles.make_resolution(pts, "r", (0, {"u": (0, {})}))
+        assert oracles.mimicking_formula(r) == tm.Dist.dirac(formula("tau a"))
+        assert oracles.weak_mimicking_formula(r) == tm.Dist.dirac(formula("a"))
 
     def test_weak_mimicking_aggregates_weights(self):
         pts = tm.parse_pts("r -a-> 1/2 u, 1/2 v\nu -tau-> 1 w\nw -b-> 1 nil\nv -b-> 1 nil")
-        r = tm.make_resolution(pts, "r", (0, {"u": (0, {"w": (0, {})}), "v": (0, {})}))
-        assert tm.weak_mimicking_formula(r) == tm.Dist.dirac(formula("a b"))
+        r = oracles.make_resolution(pts, "r", (0, {"u": (0, {"w": (0, {})}), "v": (0, {})}))
+        assert oracles.weak_mimicking_formula(r) == tm.Dist.dirac(formula("a b"))
         # the same aggregation at the distribution level
         mixed = tm.Dist({trace("tau b"): Fraction(1, 2), trace("b"): Fraction(1, 2)})
         pushed = mixed.pushforward(tm.tau_erase).pushforward(tm.tracing_formula)
         assert pushed == tm.Dist.dirac(formula("b"))
 
     def test_weak_equals_strong_without_tau(self, half_pair):
-        for r in tm.enumerate_resolutions(half_pair, "t"):
-            assert tm.weak_mimicking_formula(r) == tm.mimicking_formula(r)
+        for r in oracles.enumerate_resolutions(half_pair, "t"):
+            assert oracles.weak_mimicking_formula(r) == oracles.mimicking_formula(r)
 
     def test_mimicking_always_weakly_equivalent_to_weak_mimicking(self):
         rng = random.Random(61)
         for _ in range(10):
             pts, s, _ = random_case(rng, max_count=60, tau_bias=0.4)
-            for r in tm.enumerate_resolutions(pts, s)[:20]:
+            for r in oracles.enumerate_resolutions(pts, s)[:20]:
                 assert tm.dist_formulas_weak_equivalent(
-                    tm.mimicking_formula(r), tm.weak_mimicking_formula(r)
+                    oracles.mimicking_formula(r), oracles.weak_mimicking_formula(r)
                 )
 
     def test_equal_mimicking_iff_matching_run_probabilities(self):
         rng = random.Random(62)
         for _ in range(8):
             pts, s, t = random_case(rng, max_count=60, tau_bias=0.2)
-            rs = tm.enumerate_resolutions(pts, s)[:10]
-            rt = tm.enumerate_resolutions(pts, t)[:10]
+            rs = oracles.enumerate_resolutions(pts, s)[:10]
+            rt = oracles.enumerate_resolutions(pts, t)[:10]
             for r1 in rs:
                 for r2 in rt:
-                    same_formula = tm.mimicking_formula(r1) == tm.mimicking_formula(r2)
+                    same_formula = oracles.mimicking_formula(r1) == oracles.mimicking_formula(r2)
                     same_profile = oracles.compatible_probabilities(r1) == oracles.compatible_probabilities(r2)
                     assert same_formula == same_profile
 
@@ -107,12 +107,12 @@ class TestMimicking:
         rng = random.Random(63)
         for _ in range(8):
             pts, s, t = random_case(rng, max_count=60, tau_bias=0.4)
-            rs = tm.enumerate_resolutions(pts, s)[:10]
-            rt = tm.enumerate_resolutions(pts, t)[:10]
+            rs = oracles.enumerate_resolutions(pts, s)[:10]
+            rt = oracles.enumerate_resolutions(pts, t)[:10]
             for r1 in rs:
                 for r2 in rt:
                     equivalent = tm.dist_formulas_weak_equivalent(
-                        tm.mimicking_formula(r1), tm.mimicking_formula(r2)
+                        oracles.mimicking_formula(r1), oracles.mimicking_formula(r2)
                     )
                     same_profile = oracles.weak_compatible_probabilities(
                         r1
@@ -127,7 +127,7 @@ class TestSatisfiedSet:
 
     def test_contains_scheduler_formulas(self, half_pair):
         formulas = tm.satisfied_set(half_pair, "s")
-        assert tm.mimicking_formula(half_zs(half_pair)) in formulas
+        assert oracles.mimicking_formula(half_zs(half_pair)) in formulas
         assert tm.TOP_DIST in formulas
 
     def test_equivalent_processes_have_equal_sets(self, equiv_pair):
@@ -164,9 +164,9 @@ class TestSatisfies:
         rng = random.Random(64)
         for _ in range(6):
             pts, s, _ = random_case(rng, max_count=60, tau_bias=0.2)
-            resolutions = tm.enumerate_resolutions(pts, s)
+            resolutions = oracles.enumerate_resolutions(pts, s)
             for r in resolutions[:: max(1, len(resolutions) // 5)]:
-                holds, _ = tm.satisfies(pts, s, tm.mimicking_formula(r))
+                holds, _ = tm.satisfies(pts, s, oracles.mimicking_formula(r))
                 assert holds
 
     def test_agrees_with_satisfied_set_membership(self):
@@ -181,7 +181,7 @@ class TestSatisfies:
                 holds, witness = tm.satisfies(pts, s, psi)
                 assert holds == (psi in sat)
                 if holds:
-                    assert tm.mimicking_formula(witness) == psi or psi == tm.TOP_DIST
+                    assert oracles.mimicking_formula(witness) == psi or psi == tm.TOP_DIST
 
 
 class TestWeakEquivalenceOfFormulas:

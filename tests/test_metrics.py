@@ -11,44 +11,44 @@ from genpts import random_case, with_tau_prefix
 
 class TestResolutionDistance:
     def test_half_pair(self, half_pair):
-        assert tm.resolution_distance(half_zs(half_pair), half_zt(half_pair)) == Fraction(1, 2)
+        assert oracles.resolution_distance(half_zs(half_pair), half_zt(half_pair)) == Fraction(1, 2)
 
     def test_reflexive(self, half_pair):
         z = half_zs(half_pair)
-        assert tm.resolution_distance(z, z) == 0
+        assert oracles.resolution_distance(z, z) == 0
 
     def test_early_matches_deferred(self, equiv_pair):
         # Both schedulers induce {a: 1/2, ad: 1/2}.
-        early = tm.make_resolution(equiv_pair, "s", (0, {"s1": None, "s2": (0, {})}))
+        early = oracles.make_resolution(equiv_pair, "s", (0, {"s1": None, "s2": (0, {})}))
         late = late_halting_resolution(equiv_pair)
         assert tm.trace_distribution(early) == tm.trace_distribution(late)
-        assert tm.resolution_distance(early, late) == 0
+        assert oracles.resolution_distance(early, late) == 0
 
     def test_weak_equals_strong_without_tau(self, half_pair):
-        rs = tm.enumerate_resolutions(half_pair, "s")
-        rt = tm.enumerate_resolutions(half_pair, "t")
+        rs = oracles.enumerate_resolutions(half_pair, "s")
+        rt = oracles.enumerate_resolutions(half_pair, "t")
         for r1 in rs[:5]:
             for r2 in rt[:5]:
-                assert tm.weak_resolution_distance(r1, r2) == tm.resolution_distance(r1, r2)
-        assert tm.weak_resolution_distance(half_zs(half_pair), half_zt(half_pair)) == Fraction(1, 2)
+                assert oracles.weak_resolution_distance(r1, r2) == oracles.resolution_distance(r1, r2)
+        assert oracles.weak_resolution_distance(half_zs(half_pair), half_zt(half_pair)) == Fraction(1, 2)
 
     def test_weak_ignores_tau_prefix(self):
         plain = tm.parse_pts("s -a-> 1 nil")
         prefixed = tm.parse_pts("sp -tau-> 1 s\ns -a-> 1 nil")
-        r1 = tm.make_resolution(plain, "s", (0, {}))
-        r2 = tm.make_resolution(prefixed, "sp", (0, {"s": (0, {})}))
-        assert tm.weak_resolution_distance(r1, r2) == 0
-        assert tm.resolution_distance(r1, r2) == 1
+        r1 = oracles.make_resolution(plain, "s", (0, {}))
+        r2 = oracles.make_resolution(prefixed, "sp", (0, {"s": (0, {})}))
+        assert oracles.weak_resolution_distance(r1, r2) == 0
+        assert oracles.resolution_distance(r1, r2) == 1
 
     def test_weak_distance_equals_transport_of_weak_distributions(self):
         rng = random.Random(51)
         for _ in range(10):
             pts, s, t = random_case(rng, max_count=60, tau_bias=0.4)
-            rs = tm.enumerate_resolutions(pts, s)[:8]
-            rt = tm.enumerate_resolutions(pts, t)[:8]
+            rs = oracles.enumerate_resolutions(pts, s)[:8]
+            rt = oracles.enumerate_resolutions(pts, t)[:8]
             for r1 in rs:
                 for r2 in rt:
-                    via_quotient = tm.weak_resolution_distance(r1, r2)
+                    via_quotient = oracles.weak_resolution_distance(r1, r2)
                     via_pushforward = tm.kantorovich_01(
                         tm.weak_trace_distribution(r1), tm.weak_trace_distribution(r2)
                     )
@@ -86,31 +86,33 @@ class TestTraceMetric:
     def test_witness_attains_value(self, half_pair):
         result = tm.strong_trace_metric(half_pair, "s", "t")
         left, right = result.witness
-        assert tm.resolution_distance(left, right) == result.value
+        assert oracles.resolution_distance(left, right) == result.value
         again = tm.strong_trace_metric(half_pair, "s", "t")
         assert again.witness == result.witness  # deterministic
 
     def test_dedup_stats_and_invariance(self, half_pair):
         deduped = tm.strong_trace_metric(half_pair, "s", "t")
-        raw = tm.strong_trace_metric(half_pair, "s", "t", dedup=False)
-        assert deduped.value == raw.value
+        raw_s = [tm.trace_distribution(r) for r in oracles.enumerate_resolutions(half_pair, "s")]
+        raw_t = [tm.trace_distribution(r) for r in oracles.enumerate_resolutions(half_pair, "t")]
+        assert deduped.value == tm.hausdorff_witness(raw_s, raw_t)[0]
         stats = deduped.dedup_stats
         assert (stats.left_before, stats.left_after) == (9, 8)
         assert (stats.right_before, stats.right_after) == (10, 9)
-        assert raw.dedup_stats.left_after == raw.dedup_stats.left_before == 9
+        assert len(raw_s) == 9
 
     def test_dedup_invariance_random(self):
+        # The deduplicated metric has the value and the witness of the
+        # kernel on the full lists, repeated rows included.
         rng = random.Random(52)
         for _ in range(10):
             pts, s, t = random_case(rng, max_count=80, tau_bias=0.2)
-            assert (
-                tm.strong_trace_metric(pts, s, t).value
-                == tm.strong_trace_metric(pts, s, t, dedup=False).value
-            )
-            assert (
-                tm.weak_trace_metric(pts, s, t).value
-                == tm.weak_trace_metric(pts, s, t, dedup=False).value
-            )
+            for weak, metric in ((False, tm.strong_trace_metric), (True, tm.weak_trace_metric)):
+                result = metric(pts, s, t)
+                value, (i, j) = tm.hausdorff_witness(
+                    tm.trace_distributions(pts, s, weak), tm.trace_distributions(pts, t, weak)
+                )
+                assert result.value == value
+                assert result.witness == (tm.resolution_at(pts, s, i), tm.resolution_at(pts, t, j))
 
     def test_size_guard_propagates(self, half_pair):
         with pytest.raises(tm.SizeGuardExceeded):
@@ -154,11 +156,11 @@ class TestDistinguishing:
     def test_found_when_apart(self, half_pair):
         side, resolution = tm.find_distinguishing_resolution(half_pair, "s", "t")
         assert side in {"s", "t"}
-        assert tm.validate_resolution(half_pair, resolution)
+        assert oracles.validate_resolution(half_pair, resolution)
         # the returned scheduler's profile really is unmatched on the other side
         other = "t" if side == "s" else "s"
         profile = oracles.compatible_probabilities(resolution)
         assert all(
             oracles.compatible_probabilities(r) != profile
-            for r in tm.enumerate_resolutions(half_pair, other)
+            for r in oracles.enumerate_resolutions(half_pair, other)
         )

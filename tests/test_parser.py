@@ -243,8 +243,8 @@ class TestPrinting:
     def test_print_formula_examples(self, half_pair):
         from conftest import half_zs, half_zt
 
-        assert tm.print_formula(tm.mimicking_formula(half_zs(half_pair))) == "1/2 <a><c>T (+) 1/2 <a>T"
-        assert tm.print_formula(tm.mimicking_formula(half_zt(half_pair))) == "1/2 <a><c>T (+) 1/2 <a><b>T"
+        assert tm.print_formula(oracles.mimicking_formula(half_zs(half_pair))) == "1/2 <a><c>T (+) 1/2 <a>T"
+        assert tm.print_formula(oracles.mimicking_formula(half_zt(half_pair))) == "1/2 <a><c>T (+) 1/2 <a><b>T"
         assert tm.print_formula(tm.TOP_DIST) == "1 T"
 
     def test_pts_round_trip(self, half_pair, equiv_pair):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 import tracemet as tm
 from genpts import random_case
 
@@ -27,17 +28,17 @@ def test_deep_chain_is_counted_without_recursion():
 class TestEnumeration:
     def test_terminal_process_has_only_trivial_resolution(self):
         pts = tm.parse_pts("s -a-> 1 u")
-        (only,) = tm.enumerate_resolutions(pts, "u")
+        (only,) = oracles.enumerate_resolutions(pts, "u")
         assert only.choices == {tm.UnfoldNode((), "u"): None}
         assert tm.count_resolutions(pts, "u") == 1
 
     def test_depicted_schedulers_are_enumerated(self, equiv_pair):
-        found = tm.enumerate_resolutions(equiv_pair, "t")
+        found = oracles.enumerate_resolutions(equiv_pair, "t")
         depicted = [
-            tm.make_resolution(equiv_pair, "t", (0, {"t1": None, "t2": (1, {})})),
-            tm.make_resolution(equiv_pair, "t", (0, {"t1": (0, {}), "t2": (1, {})})),
-            tm.make_resolution(equiv_pair, "t", (0, {"t1": (1, {}), "t2": (1, {})})),
-            tm.make_resolution(equiv_pair, "t", (0, {"t1": (0, {}), "t2": (0, {})})),
+            oracles.make_resolution(equiv_pair, "t", (0, {"t1": None, "t2": (1, {})})),
+            oracles.make_resolution(equiv_pair, "t", (0, {"t1": (0, {}), "t2": (1, {})})),
+            oracles.make_resolution(equiv_pair, "t", (0, {"t1": (1, {}), "t2": (1, {})})),
+            oracles.make_resolution(equiv_pair, "t", (0, {"t1": (0, {}), "t2": (0, {})})),
         ]
         for wanted in depicted:
             assert wanted in found
@@ -49,14 +50,14 @@ class TestEnumeration:
         assert tm.count_resolutions(half_pair, "s") == 9
         assert tm.count_resolutions(equiv_pair, "s") == 15
         for pts, p in ((half_pair, "t"), (half_pair, "s"), (equiv_pair, "s")):
-            assert len(tm.enumerate_resolutions(pts, p)) == tm.count_resolutions(pts, p)
+            assert len(oracles.enumerate_resolutions(pts, p)) == tm.count_resolutions(pts, p)
 
     def test_count_matches_enumeration_on_random_systems(self):
         rng = random.Random(21)
         for _ in range(25):
             pts, s, t = random_case(rng, max_count=200)
             for p in (s, t):
-                found = tm.enumerate_resolutions(pts, p)
+                found = oracles.enumerate_resolutions(pts, p)
                 assert len(found) == tm.count_resolutions(pts, p)
                 assert len(found) == _count_by_product_formula(pts, p)
 
@@ -64,16 +65,16 @@ class TestEnumeration:
         rng = random.Random(22)
         for _ in range(15):
             pts, s, _ = random_case(rng, max_count=150)
-            found = tm.enumerate_resolutions(pts, s)
+            found = oracles.enumerate_resolutions(pts, s)
             keys = {frozenset(r.choices.items()) for r in found}
             assert len(keys) == len(found)
-            assert all(tm.validate_resolution(pts, r) for r in found)
+            assert all(oracles.validate_resolution(pts, r) for r in found)
 
     def test_trivial_resolution_always_present(self):
         rng = random.Random(23)
         for _ in range(10):
             pts, s, _ = random_case(rng, max_count=150)
-            found = tm.enumerate_resolutions(pts, s)
+            found = oracles.enumerate_resolutions(pts, s)
             assert found[0].choices == {tm.UnfoldNode((), s): None}
 
     def test_shared_target_is_scheduled_per_visit(self):
@@ -82,7 +83,7 @@ class TestEnumeration:
         pts = tm.parse_pts(
             "p -a-> 1/2 q1, 1/2 q2\nq1 -c-> 1 r\nq2 -d-> 1 r\nr -e-> 1 nil"
         )
-        found = tm.enumerate_resolutions(pts, "p")
+        found = oracles.enumerate_resolutions(pts, "p")
         assert len(found) == tm.count_resolutions(pts, "p") == 10
         mixed = [
             x
@@ -93,53 +94,53 @@ class TestEnumeration:
         assert len(mixed) == 2
 
     def test_enumeration_order_is_stable(self, half_pair):
-        first = tm.enumerate_resolutions(half_pair, "t")
-        second = tm.enumerate_resolutions(half_pair, "t")
+        first = oracles.enumerate_resolutions(half_pair, "t")
+        second = oracles.enumerate_resolutions(half_pair, "t")
         assert first == second
 
     def test_size_guard(self, half_pair):
         with pytest.raises(tm.SizeGuardExceeded) as err:
-            tm.enumerate_resolutions(half_pair, "t", max_resolutions=5)
+            oracles.enumerate_resolutions(half_pair, "t", max_resolutions=5)
         assert err.value.count == 10 and err.value.limit == 5
 
 
 class TestValidateResolution:
     def test_enumerated_resolutions_validate(self, half_pair):
-        for r in tm.enumerate_resolutions(half_pair, "s"):
-            assert tm.validate_resolution(half_pair, r)
+        for r in oracles.enumerate_resolutions(half_pair, "s"):
+            assert oracles.validate_resolution(half_pair, r)
 
     def test_depicted_halting_scheduler_validates(self, equiv_pair):
         # Root takes the first a-branch, s1 halts although it could move,
         # s2 takes its d-transition.
-        z = tm.make_resolution(equiv_pair, "s", (0, {"s1": None, "s2": (0, {})}))
-        assert tm.validate_resolution(equiv_pair, z)
+        z = oracles.make_resolution(equiv_pair, "s", (0, {"s1": None, "s2": (0, {})}))
+        assert oracles.validate_resolution(equiv_pair, z)
 
     def test_out_of_range_index_is_rejected(self, half_pair):
         root = tm.UnfoldNode((), "s")
         bogus = tm.Resolution(half_pair, "s", {root: 7})
-        assert not tm.validate_resolution(half_pair, bogus)
+        assert not oracles.validate_resolution(half_pair, bogus)
 
     def test_missing_child_is_rejected(self, half_pair):
         root = tm.UnfoldNode((), "s")
         partial = tm.Resolution(half_pair, "s", {root: 1})  # child for s3 missing
-        assert not tm.validate_resolution(half_pair, partial)
+        assert not oracles.validate_resolution(half_pair, partial)
 
     def test_junk_node_is_rejected(self, half_pair):
         root = tm.UnfoldNode((), "s")
         junk = tm.UnfoldNode(((0, "t1"),), "t1")
         bogus = tm.Resolution(half_pair, "s", {root: None, junk: None})
-        assert not tm.validate_resolution(half_pair, bogus)
+        assert not oracles.validate_resolution(half_pair, bogus)
 
     def test_unknown_root_is_rejected(self, half_pair):
         bogus = tm.Resolution(half_pair, "zz", {tm.UnfoldNode((), "zz"): None})
-        assert not tm.validate_resolution(half_pair, bogus)
+        assert not oracles.validate_resolution(half_pair, bogus)
 
 
 class TestMakeResolution:
     def test_bad_index_raises(self, half_pair):
         with pytest.raises(ValueError, match="out of range"):
-            tm.make_resolution(half_pair, "s", (5, {}))
+            oracles.make_resolution(half_pair, "s", (5, {}))
 
     def test_unknown_kid_raises(self, half_pair):
         with pytest.raises(ValueError, match="non-targets"):
-            tm.make_resolution(half_pair, "s", (0, {"t1": None}))
+            oracles.make_resolution(half_pair, "s", (0, {"t1": None}))

@@ -3,7 +3,8 @@
 ``tracemet.trace_distributions`` composes the trace distributions of all
 resolutions of a process from those of the processes it reaches, and every
 command reads it.  Here its lists are held to the per-resolution
-definitions (enumerate, then ``trace_distribution`` of each), and each
+definitions (enumerate, then ``trace_distribution`` of each, and the sum
+over each resolution's maximal runs), and each
 command's values and witnesses to the routes it replaced: the per-resolution
 metric pass, the profile-matching equivalence, the run-scanning ``satisfies``
 and the weak satisfaction loop (``tests/oracles.py``).
@@ -36,7 +37,17 @@ def ladder(levels: int, p: Fraction = Fraction(17, 61)) -> tm.PTS:
 
 def per_resolution(pts: tm.PTS, process: str, weak: bool) -> list:
     td_of = tm.weak_trace_distribution if weak else tm.trace_distribution
-    return [td_of(r) for r in tm.enumerate_resolutions(pts, process)]
+    return [td_of(r) for r in oracles.enumerate_resolutions(pts, process)]
+
+
+def from_runs(pts: tm.PTS, process: str, weak: bool) -> list:
+    """Each resolution's (weak) trace distribution summed over its list of
+    maximal runs."""
+    out = []
+    for r in oracles.enumerate_resolutions(pts, process):
+        td = tm.Dist.merged((c.actions, c.probability) for c in oracles.max_computations(r))
+        out.append(td.pushforward(tm.tau_erase) if weak else td)
+    return out
 
 
 def tau_cases(seed: int, count: int, max_count: int) -> list:
@@ -71,7 +82,7 @@ def tau_cases(seed: int, count: int, max_count: int) -> list:
 
 
 def old_metric(pts, s, t, weak: bool, dedup: bool):
-    res_s, res_t = tm.enumerate_resolutions(pts, s), tm.enumerate_resolutions(pts, t)
+    res_s, res_t = oracles.enumerate_resolutions(pts, s), oracles.enumerate_resolutions(pts, t)
     tds_s, tds_t = per_resolution(pts, s, weak), per_resolution(pts, t, weak)
     if dedup:
         keep_s = [i for i, td in enumerate(tds_s) if td not in tds_s[:i]]
@@ -84,8 +95,8 @@ def old_metric(pts, s, t, weak: bool, dedup: bool):
 
 
 def old_mimicking_formulas(pts, process, weak: bool) -> list:
-    formula_of = tm.weak_mimicking_formula if weak else tm.mimicking_formula
-    return list(dict.fromkeys(formula_of(r) for r in tm.enumerate_resolutions(pts, process)))
+    formula_of = oracles.weak_mimicking_formula if weak else oracles.mimicking_formula
+    return list(dict.fromkeys(formula_of(r) for r in oracles.enumerate_resolutions(pts, process)))
 
 
 def old_satisfied_set(pts, process) -> list:
@@ -110,7 +121,9 @@ class TestLayer:
             memo: dict = {}
             for process in ("x0", "w0"):
                 layer = tm.trace_distributions(pts, process, weak, memo=memo)
-                assert layer == per_resolution(pts, process, weak)
+                walked = per_resolution(pts, process, weak)
+                assert layer == walked
+                assert walked == from_runs(pts, process, weak)
         assert len(tm.trace_distributions(pts, "x0")) == [3, 10, 51, 613][levels - 1]
 
     def test_random_tau_lists_equal_per_resolution_lists(self):
@@ -119,7 +132,9 @@ class TestLayer:
                 memo: dict = {}
                 for process in (s, t):
                     layer = tm.trace_distributions(pts, process, weak, memo=memo)
-                    assert layer == per_resolution(pts, process, weak)
+                    walked = per_resolution(pts, process, weak)
+                    assert layer == walked
+                    assert walked == from_runs(pts, process, weak)
 
     def test_one_memo_serves_both_modes(self):
         for pts, s, t in tau_cases(402, 10, max_count=80):
@@ -134,7 +149,7 @@ class TestLayer:
         cases = tau_cases(403, 15, max_count=150) + [(ladder(3), "x0", "w0")]
         for pts, s, t in cases:
             for process in (s, t):
-                listed = tm.enumerate_resolutions(pts, process)
+                listed = oracles.enumerate_resolutions(pts, process)
                 for index, resolution in enumerate(listed):
                     built = tm.resolution_at(pts, process, index)
                     assert built == resolution
@@ -179,12 +194,13 @@ class TestAgainstOldRoutes:
         for pts, s, t in tau_cases(411, 25, max_count=100):
             for weak in (False, True):
                 metric = tm.weak_trace_metric if weak else tm.strong_trace_metric
+                result = metric(pts, s, t)
                 for dedup in (True, False):
-                    result = metric(pts, s, t, dedup=dedup)
                     value, witness, stats = old_metric(pts, s, t, weak, dedup)
                     assert result.value == value
                     assert result.witness == witness
-                    assert result.dedup_stats == stats
+                    if dedup:
+                        assert result.dedup_stats == stats
 
     def test_distinguishing_resolution_equals_profile_route(self):
         for pts, s, t in tau_cases(412, 30, max_count=60):
@@ -202,7 +218,7 @@ class TestAgainstOldRoutes:
         # The equivalence rests on this: a profile is an invertible prefix
         # sum of the (weak) trace distribution.
         for pts, s, t in tau_cases(413, 20, max_count=40):
-            resolutions = tm.enumerate_resolutions(pts, s) + tm.enumerate_resolutions(pts, t)
+            resolutions = oracles.enumerate_resolutions(pts, s) + oracles.enumerate_resolutions(pts, t)
             for weak in (False, True):
                 profile_of = (
                     oracles.weak_compatible_probabilities if weak else oracles.compatible_probabilities
@@ -213,7 +229,7 @@ class TestAgainstOldRoutes:
                 for i in range(len(resolutions)):
                     for j in range(i + 1, len(resolutions)):
                         assert (profiles[i] == profiles[j]) == (dists[i] == dists[j])
-                n = len(tm.enumerate_resolutions(pts, s))
+                n = len(oracles.enumerate_resolutions(pts, s))
                 assert (set(profiles[:n]) == set(profiles[n:])) == (set(dists[:n]) == set(dists[n:]))
 
     def test_satisfies_equals_run_scanning_and_weak_loop(self):

@@ -48,36 +48,36 @@ class TestMaxComputations:
         # c_i -a-> 1 c_{i+1}: far deeper than Python's recursion limit.
         pts = tm.PTS.build({f"c{i}": [("a", {f"c{i + 1}": 1})] for i in range(3000)})
         resolution = tm.resolution_at(pts, "c0", 3000)
-        (run,) = tm.max_computations(resolution)
+        (run,) = oracles.max_computations(resolution)
         assert len(run) == 3000 and run.probability == 1
         assert tm.trace_distribution(resolution) == tm.Dist.dirac(trace("a") * 3000)
 
     def test_deferred_halting_scheduler(self, equiv_pair):
         z = late_halting_resolution(equiv_pair)
-        runs = tm.max_computations(z)
+        runs = oracles.max_computations(z)
         assert [(r.actions, r.probability) for r in runs] == [
             (trace("a"), Fraction(1, 2)),
             (trace("a d"), Fraction(1, 2)),
         ]
 
     def test_trivial_resolution(self, equiv_pair):
-        (trivial, *_) = tm.enumerate_resolutions(equiv_pair, "t")
-        (only,) = tm.max_computations(trivial)
+        (trivial, *_) = oracles.enumerate_resolutions(equiv_pair, "t")
+        (only,) = oracles.max_computations(trivial)
         assert only.actions == () and only.probability == 1 and len(only) == 0
 
     def test_mass_is_one(self):
         rng = random.Random(31)
         for _ in range(20):
             pts, s, _ = random_case(rng, max_count=120, tau_bias=0.3)
-            for r in tm.enumerate_resolutions(pts, s):
-                assert sum(c.probability for c in tm.max_computations(r)) == 1
+            for r in oracles.enumerate_resolutions(pts, s):
+                assert sum(c.probability for c in oracles.max_computations(r)) == 1
 
     def test_steps_chain(self):
         rng = random.Random(30)
         for _ in range(5):
             pts, s, _ = random_case(rng, max_count=60)
-            for r in tm.enumerate_resolutions(pts, s)[:10]:
-                for c in tm.max_computations(r):
+            for r in oracles.enumerate_resolutions(pts, s)[:10]:
+                for c in oracles.max_computations(r):
                     for left, right in zip(c.steps, c.steps[1:]):
                         assert left[3] == right[0]
                     assert all(step[2] > 0 for step in c.steps)
@@ -95,7 +95,7 @@ class TestPrCompatible:
         # Summing over all compatible runs (not only maximal ones) counts the
         # same mass at every prefix length, so the total overshoots 1 ...
         z = late_halting_resolution(equiv_pair)
-        traces = {c.actions for c in tm.max_computations(z)}
+        traces = {c.actions for c in oracles.max_computations(z)}
         assert sum(oracles.pr_compatible(z, a) for a in traces) == Fraction(3, 2)
         # ... while the maximal-run distribution is a genuine distribution.
         assert tm.trace_distribution(z).total == 1
@@ -104,8 +104,8 @@ class TestPrCompatible:
         rng = random.Random(32)
         for _ in range(15):
             pts, s, _ = random_case(rng, max_count=100, tau_bias=0.2)
-            for r in tm.enumerate_resolutions(pts, s)[:40]:
-                runs = tm.max_computations(r)
+            for r in oracles.enumerate_resolutions(pts, s)[:40]:
+                runs = oracles.max_computations(r)
                 prefixes = {c.actions[:k] for c in runs for k in range(len(c) + 1)}
                 for alpha in prefixes:
                     via_max = sum(
@@ -118,7 +118,7 @@ class TestPrCompatible:
         rng = random.Random(33)
         for _ in range(10):
             pts, s, _ = random_case(rng, max_count=80, tau_bias=0.2)
-            for r in tm.enumerate_resolutions(pts, s)[:25]:
+            for r in oracles.enumerate_resolutions(pts, s)[:25]:
                 profile = oracles.compatible_probabilities(r)
                 for alpha, value in profile.items():
                     assert oracles.pr_compatible(r, alpha) == value
@@ -130,14 +130,14 @@ class TestTraceDistribution:
         assert tm.trace_distribution(half_zt(half_pair)) == trace_dist({"a c": "1/2", "a b": "1/2"})
 
     def test_trivial(self, half_pair):
-        (trivial, *_) = tm.enumerate_resolutions(half_pair, "s")
+        (trivial, *_) = oracles.enumerate_resolutions(half_pair, "s")
         assert tm.trace_distribution(trivial) == tm.Dist.dirac(())
 
     def test_sums_to_one(self):
         rng = random.Random(34)
         for _ in range(15):
             pts, s, _ = random_case(rng, max_count=100, tau_bias=0.3)
-            for r in tm.enumerate_resolutions(pts, s):
+            for r in oracles.enumerate_resolutions(pts, s):
                 assert tm.trace_distribution(r).is_probability
                 assert tm.weak_trace_distribution(r).is_probability
 
@@ -178,17 +178,17 @@ class TestTauErase:
 class TestWeak:
     def test_weak_distribution_examples(self):
         pts = tm.parse_pts("r -tau-> 1 u\nu -a-> 1 nil")
-        r = tm.make_resolution(pts, "r", (0, {"u": (0, {})}))
+        r = oracles.make_resolution(pts, "r", (0, {"u": (0, {})}))
         assert tm.trace_distribution(r) == trace_dist({"tau a": 1})
         assert tm.weak_trace_distribution(r) == trace_dist({"a": 1})
 
     def test_tau_free_weak_equals_strong(self, half_pair):
-        for r in tm.enumerate_resolutions(half_pair, "s"):
+        for r in oracles.enumerate_resolutions(half_pair, "s"):
             assert tm.weak_trace_distribution(r) == tm.trace_distribution(r)
 
     def test_mixed_tau_aggregation(self):
         pts = tm.parse_pts("r -a-> 1/2 u, 1/2 v\nu -tau-> 1 w\nw -b-> 1 nil\nv -b-> 1 nil")
-        r = tm.make_resolution(pts, "r", (0, {"u": (0, {"w": (0, {})}), "v": (0, {})}))
+        r = oracles.make_resolution(pts, "r", (0, {"u": (0, {"w": (0, {})}), "v": (0, {})}))
         assert tm.trace_distribution(r) == trace_dist({"a tau b": "1/2", "a b": "1/2"})
         assert tm.weak_trace_distribution(r) == trace_dist({"a b": 1})
 
@@ -204,7 +204,7 @@ class TestWeak:
         rng = random.Random(37)
         for _ in range(15):
             pts, s, _ = random_case(rng, max_count=100, tau_bias=0.4)
-            for r in tm.enumerate_resolutions(pts, s)[:30]:
+            for r in oracles.enumerate_resolutions(pts, s)[:30]:
                 strong = tm.trace_distribution(r)
                 pushed = tm.Dist.merged((tm.tau_erase(a), w) for a, w in strong.items_sorted)
                 assert tm.weak_trace_distribution(r) == pushed
@@ -214,10 +214,10 @@ class TestPrWeakCompatible:
     def test_examples(self, equiv_pair):
         z = late_halting_resolution(equiv_pair)
         assert oracles.pr_weak_compatible(z, trace("a")) == 1
-        (trivial, *_) = tm.enumerate_resolutions(equiv_pair, "t")
+        (trivial, *_) = oracles.enumerate_resolutions(equiv_pair, "t")
         assert oracles.pr_weak_compatible(trivial, ()) == 1
         pts = tm.parse_pts("r -tau-> 1 u\nu -a-> 1 nil")
-        r = tm.make_resolution(pts, "r", (0, {"u": (0, {})}))
+        r = oracles.make_resolution(pts, "r", (0, {"u": (0, {})}))
         assert oracles.pr_weak_compatible(r, trace("a")) == 1
         assert oracles.pr_weak_compatible(r, trace("tau a")) == 1
         assert oracles.pr_weak_compatible(r, trace("b")) == 0
@@ -226,7 +226,7 @@ class TestPrWeakCompatible:
         rng = random.Random(38)
         for _ in range(12):
             pts, s, _ = random_case(rng, max_count=80, tau_bias=0.4)
-            for r in tm.enumerate_resolutions(pts, s)[:20]:
+            for r in oracles.enumerate_resolutions(pts, s)[:20]:
                 candidates = {_erase(t) for t, _, _ in _all_runs(r)}
                 candidates.add(trace("a b c"))  # an unreachable trace too
                 for alpha in candidates:
@@ -236,7 +236,7 @@ class TestPrWeakCompatible:
         rng = random.Random(39)
         for _ in range(8):
             pts, s, _ = random_case(rng, max_count=60, tau_bias=0.4)
-            for r in tm.enumerate_resolutions(pts, s)[:15]:
+            for r in oracles.enumerate_resolutions(pts, s)[:15]:
                 profile = oracles.weak_compatible_probabilities(r)
                 for beta, value in profile.items():
                     assert beta == tm.tau_erase(beta)
