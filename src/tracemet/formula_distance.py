@@ -10,6 +10,11 @@ real-valued semantics restates the same quantity as the largest possible
 verification gap over all formulae.  ``crosscheck`` computes every route
 and any disagreement indicates an implementation bug, never an expected
 outcome.
+
+``real_value`` and ``crosscheck`` read the integer rows of
+``traces.TraceLayer``.  The formula route of ``crosscheck`` numbers
+formulae in a table of its own, filled through ``tracing_formula`` and
+``erase_formula``, so it shares no trace ids with the metric route.
 """
 from __future__ import annotations
 
@@ -17,15 +22,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import PTS, ProcessId, TraceDistFormula
-from .logic import TraceFormula, erase_formula, formula_set, satisfied_set, tracing_formula
+from .logic import TraceFormula, erase_formula, formula_row, satisfied_set, tracing_formula
 from .resolutions import DEFAULT_MAX_RESOLUTIONS
-from .traces import tau_erase, trace_distributions
+from .traces import Entries, TraceLayer, first_indices
 from .transport import (
     DISCRETE,
     DiscreteQuotient,
+    _integer_rows,
+    distances_to_rows,
     distances_to_set,
+    hausdorff_rows,
     hausdorff_witness,
     kantorovich_01,
+    on_common_denominator,
 )
 
 FORMULA_QUOTIENT = DiscreteQuotient(erase_formula)
@@ -85,8 +94,32 @@ def real_value(
     max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
 ) -> Fraction:
     """How close the process comes to satisfying the formula: one minus the
-    distance from the formula to the process's satisfied set."""
-    return 1 - distance_to_set(psi, satisfied_set(pts, s, max_resolutions), weak)
+    distance from the formula to the process's satisfied set.
+
+    The satisfied set is the set of (weak) layer rows, the halting row
+    standing for the top formula, so the distance is read off the rows with
+    ``psi`` as a row of the same layer.
+    """
+    if not psi.is_probability:
+        raise ValueError("total variation requires probability distributions")
+    layer = TraceLayer(pts)
+    side = layer.entries(s, weak, max_resolutions)
+    psi_den, query = formula_row(layer, psi, weak)
+    total, ([query], rows) = on_common_denominator((psi_den, [query]), side)
+    return 1 - Fraction(distances_to_rows([query], rows, total)[0], total)
+
+
+def _sup_val_rows(rows_s: list[dict], rows_t: list[dict], total: int) -> int:
+    # The sup over all formulae of the value gap is attained on the two
+    # satisfied sets themselves: for a member of one set the gap IS its
+    # distance to the other set, which produces both directed Hausdorff
+    # terms, and no formula can exceed them.  Both distances are computed
+    # for every candidate, so this route shares no max-min with the others.
+    candidates = rows_s + rows_t
+    candidates = [candidates[i] for i in first_indices(candidates)]
+    to_s = distances_to_rows(candidates, rows_s, total)
+    to_t = distances_to_rows(candidates, rows_t, total)
+    return max((abs(d_s - d_t) for d_s, d_t in zip(to_s, to_t)), default=0)
 
 
 def _sup_val_over(
@@ -94,15 +127,8 @@ def _sup_val_over(
     set_t: list[TraceDistFormula],
     weak: bool,
 ) -> Fraction:
-    # The sup over all formulae of the value gap is attained on the two
-    # satisfied sets themselves: for a member of one set the gap IS its
-    # distance to the other set, which produces both directed Hausdorff
-    # terms, and no formula can exceed them.  Both distances are computed
-    # for every candidate, so this route shares no max-min with the others.
-    candidates = list(dict.fromkeys(set_s + set_t))
-    to_s = distances_to_set(candidates, set_s, _ground(weak))
-    to_t = distances_to_set(candidates, set_t, _ground(weak))
-    return max((abs(d_s - d_t) for d_s, d_t in zip(to_s, to_t)), default=Fraction(0))
+    total, (rows_s, rows_t) = _integer_rows(_ground(weak), set_s, set_t)
+    return Fraction(_sup_val_rows(rows_s, rows_t, total), total)
 
 
 def sup_val_distance(
@@ -144,28 +170,84 @@ class CrossCheckReport:
     mismatches: tuple[str, ...]
 
 
+def _formula_sets(layer: TraceLayer, sides: list[Entries]) -> list[tuple[Entries, Entries]]:
+    """Each side's satisfied set as rows over formula ids, strong and weak.
+
+    The formulae are numbered in a table of their own, not by trace id:
+    each distinct trace id is decoded once and spelled through
+    ``tracing_formula``, and each distinct formula is erased once through
+    ``erase_formula`` into a second table.  A strong set is the side's
+    distinct mimicking formulae, the halting row's being the top formula; a
+    weak set is the strong one with every formula replaced by its erasure.
+    """
+    table: dict[TraceFormula, int] = {}
+    erased_table: dict[TraceFormula, int] = {}
+    erased: list[int] = []
+    formula_of: dict[int, int] = {}
+
+    def number(phi: TraceFormula) -> int:
+        fid = table.get(phi)
+        if fid is None:
+            fid = table[phi] = len(table)
+            erased.append(erased_table.setdefault(erase_formula(phi), len(erased_table)))
+        return fid
+
+    out = []
+    for den, rows in sides:
+        strong = []
+        for row in rows:
+            frow: dict = {}
+            for tid, w in row.items():
+                fid = formula_of.get(tid)
+                if fid is None:
+                    fid = formula_of[tid] = number(tracing_formula(layer.trace(tid)))
+                frow[fid] = frow.get(fid, 0) + w
+            strong.append(frow)
+        weak = []
+        for frow in strong:
+            wrow: dict = {}
+            for fid, w in frow.items():
+                wrow[erased[fid]] = wrow.get(erased[fid], 0) + w
+            weak.append(wrow)
+        out.append((Entries(den, strong), Entries(den, weak)))
+    return out
+
+
+def _hausdorff_value(side_a: Entries, side_b: Entries) -> Fraction:
+    total, (rows_a, rows_b) = on_common_denominator(side_a, side_b)
+    return Fraction(hausdorff_rows(rows_a, rows_b, total)[0], total)
+
+
+def _sup_val_value(side_a: Entries, side_b: Entries) -> Fraction:
+    total, (rows_a, rows_b) = on_common_denominator(side_a, side_b)
+    return Fraction(_sup_val_rows(rows_a, rows_b, total), total)
+
+
+def _distinct(side: Entries) -> Entries:
+    return Entries(side.den, [side.rows[i] for i in first_indices(side.rows)])
+
+
 def crosscheck(
     pts: PTS,
     s: ProcessId,
     t: ProcessId,
     max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
 ) -> CrossCheckReport:
-    # Each side's trace distributions are built once; the weak ones, the
-    # metrics and the formula sets are all read off them.
-    memo: dict = {}
-    strong_s = list(dict.fromkeys(trace_distributions(pts, s, False, max_resolutions, memo)))
-    strong_t = list(dict.fromkeys(trace_distributions(pts, t, False, max_resolutions, memo)))
-    weak_s = list(dict.fromkeys(dist.pushforward(tau_erase) for dist in strong_s))
-    weak_t = list(dict.fromkeys(dist.pushforward(tau_erase) for dist in strong_t))
-    set_s = formula_set(dist.pushforward(tracing_formula) for dist in strong_s)
-    set_t = formula_set(dist.pushforward(tracing_formula) for dist in strong_t)
+    # One layer serves every route: the metrics read its strong and weak
+    # rows, the formula route its strong rows through a formula table.
+    layer = TraceLayer(pts)
+    strong_s = _distinct(layer.entries(s, False, max_resolutions))
+    strong_t = _distinct(layer.entries(t, False, max_resolutions))
+    weak_s = _distinct(layer.entries(s, True, max_resolutions))
+    weak_t = _distinct(layer.entries(t, True, max_resolutions))
+    (set_s, weak_set_s), (set_t, weak_set_t) = _formula_sets(layer, [strong_s, strong_t])
 
-    strong = hausdorff_witness(strong_s, strong_t)[0]
-    weak = hausdorff_witness(weak_s, weak_t)[0]
-    logical_strong = _set_distance(set_s, set_t, weak=False)
-    logical_weak = _set_distance(set_s, set_t, weak=True)
-    supval_strong = _sup_val_over(set_s, set_t, weak=False)
-    supval_weak = _sup_val_over(set_s, set_t, weak=True)
+    strong = _hausdorff_value(strong_s, strong_t)
+    weak = _hausdorff_value(weak_s, weak_t)
+    logical_strong = _hausdorff_value(set_s, set_t)
+    logical_weak = _hausdorff_value(weak_set_s, weak_set_t)
+    supval_strong = _sup_val_value(set_s, set_t)
+    supval_weak = _sup_val_value(weak_set_s, weak_set_t)
 
     mismatches: list[str] = []
     if logical_strong != strong:

@@ -11,15 +11,21 @@ The *mimicking formula* of a resolution spells out its trace distribution
 inside the logic.  The set of formulae a process satisfies is exactly the
 top formula together with the mimicking formulae of its resolutions, which
 is what makes the satisfied set finitely computable.
+
+``satisfies`` and ``mimicking_formulas`` read the integer rows of
+``traces.TraceLayer``: a formula is looked up in the layer's trie, and
+only the returned formulae are decoded.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import Action, Dist, PTS, ProcessId, TraceDistFormula
 from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution, resolution_at
-from .traces import Trace, tau_erase, trace_distributions
+from .traces import Trace, TraceLayer, first_indices, tau_erase
 
 
 @dataclass(frozen=True, order=True)
@@ -73,9 +79,38 @@ def mimicking_formulas(
 ) -> list[TraceDistFormula]:
     """The distinct (weak) mimicking formulae of the process's resolutions,
     in order of first occurrence.  ``tracing_formula`` is injective, so they
-    are the distinct trace distributions pushed forward through it."""
-    dists = trace_distributions(pts, process, weak, max_resolutions)
-    return [dist.pushforward(tracing_formula) for dist in dict.fromkeys(dists)]
+    are the distinct trace distributions pushed forward through it; each
+    trace id is decoded once."""
+    layer = TraceLayer(pts)
+    den, rows = layer.entries(process, weak, max_resolutions)
+    formula_of: dict[int, TraceFormula] = {}
+    out = []
+    for index in first_indices(rows):
+        weights = {}
+        for tid, w in rows[index].items():
+            phi = formula_of.get(tid)
+            if phi is None:
+                phi = formula_of[tid] = tracing_formula(layer.trace(tid))
+            weights[phi] = Fraction(w, den)
+        out.append(Dist(weights))
+    return out
+
+
+def formula_row(layer: TraceLayer, psi: TraceDistFormula, weak: bool) -> tuple[int, dict]:
+    """``psi`` read as a distribution over (weakly: tau-erased) traces, as a
+    row of ``layer`` over the least common denominator of its weights, which
+    is returned with it.  A trace the layer has not shown gets a negative
+    key, so it is shared with no row of the layer."""
+    den = math.lcm(*(w.denominator for _, w in psi.items_sorted))
+    absent: dict = {}
+    row: dict = {}
+    for phi, weight in psi.items_sorted:
+        trace = tau_erase(phi.diamonds) if weak else phi.diamonds
+        key = layer.find(trace)
+        if key is None:
+            key = absent.setdefault(trace, -1 - len(absent))
+        row[key] = row.get(key, 0) + weight.numerator * (den // weight.denominator)
+    return den, row
 
 
 def formula_set(mimicking: Iterable[TraceDistFormula]) -> list[TraceDistFormula]:
@@ -114,12 +149,18 @@ def satisfies(
     """
     if not psi.is_probability:
         raise ValueError("formula weights must sum to 1")
-    if weak:
-        wanted = psi.pushforward(lambda phi: tau_erase(phi.diamonds))
-    else:
-        wanted = psi.pushforward(lambda phi: phi.diamonds)
-    dists = trace_distributions(pts, process, weak, max_resolutions)
-    for index, dist in enumerate(dists):
-        if dist == wanted:
+    layer = TraceLayer(pts)
+    den, rows = layer.entries(process, weak, max_resolutions)
+    psi_den, psi_row = formula_row(layer, psi, weak)
+    # A trace the process never shows, or a weight (weakly: after merging)
+    # that is not a multiple of 1/den, rules out every resolution.
+    wanted = {}
+    for key, w in psi_row.items():
+        scaled, rest = divmod(w * den, psi_den)
+        if rest or key < 0:
+            return False, None
+        wanted[key] = scaled
+    for index, row in enumerate(rows):
+        if row == wanted:
             return True, resolution_at(pts, process, index)
     return False, None

@@ -4,19 +4,21 @@ The distance between two resolutions is the optimal transport cost between
 their trace distributions under the 0/1 cost on traces (weakly: on
 tau-erased traces).  Lifting that distance over the full resolution sets
 with the Hausdorff max-min gives the metric over processes; its kernel is
-the corresponding trace equivalence.  Both read the per-process lists of
-``traces.trace_distributions``; a witness resolution is built only for the
-pair or the resolution that is returned.
+the corresponding trace equivalence.  Both read the integer rows of one
+``traces.TraceLayer`` per call, so the trace ids of the two sides agree;
+the sides' rows are scaled to one denominator before they are compared.
+No trace or distribution object is built, and a witness resolution is
+built only for the pair or the resolution that is returned.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import PTS, ProcessId, TraceDistribution
+from .core import PTS, ProcessId
 from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution, resolution_at
-from .traces import trace_distributions
-from .transport import hausdorff_witness
+from .traces import TraceLayer, first_indices
+from .transport import hausdorff_rows, on_common_denominator
 
 
 @dataclass(frozen=True)
@@ -41,15 +43,6 @@ class MetricResult:
     dedup_stats: DedupStats
 
 
-def _first_indices(dists: list[TraceDistribution]) -> list[int]:
-    """The index of the first occurrence of each distinct distribution, in
-    list order."""
-    first: dict = {}
-    for index, dist in enumerate(dists):
-        first.setdefault(dist, index)
-    return list(first.values())
-
-
 def _trace_metric(
     pts: PTS,
     s: ProcessId,
@@ -57,17 +50,21 @@ def _trace_metric(
     weak: bool,
     max_resolutions: int,
 ) -> MetricResult:
-    memo: dict = {}
-    dists_s = trace_distributions(pts, s, weak, max_resolutions, memo)
-    dists_t = trace_distributions(pts, t, weak, max_resolutions, memo)
-    kept_s = _first_indices(dists_s)
-    kept_t = _first_indices(dists_t)
+    layer = TraceLayer(pts)
+    side_s = layer.entries(s, weak, max_resolutions)
+    side_t = layer.entries(t, weak, max_resolutions)
+    kept_s = first_indices(side_s.rows)
+    kept_t = first_indices(side_t.rows)
+    total, (rows_s, rows_t) = on_common_denominator(
+        (side_s.den, [side_s.rows[i] for i in kept_s]),
+        (side_t.den, [side_t.rows[j] for j in kept_t]),
+    )
     # Neither list is empty (the halting resolution is always first), so
     # there is always a witness pair.
-    value, (i, j) = hausdorff_witness([dists_s[i] for i in kept_s], [dists_t[j] for j in kept_t])
+    d, i, j = hausdorff_rows(rows_s, rows_t, total)
     witness = (resolution_at(pts, s, kept_s[i]), resolution_at(pts, t, kept_t[j]))
-    stats = DedupStats(len(dists_s), len(kept_s), len(dists_t), len(kept_t))
-    return MetricResult(value, witness, stats)
+    stats = DedupStats(len(side_s.rows), len(kept_s), len(side_t.rows), len(kept_t))
+    return MetricResult(Fraction(d, total), witness, stats)
 
 
 def strong_trace_metric(
@@ -135,11 +132,13 @@ def find_distinguishing_resolution(
     trace distribution, and the sum can be inverted.  The first unmatched
     resolution of ``s`` comes first, then that of ``t``; only it is built.
     """
-    memo: dict = {}
-    dists_s = trace_distributions(pts, s, weak, max_resolutions, memo)
-    dists_t = trace_distributions(pts, t, weak, max_resolutions, memo)
-    for p, dists, others in ((s, dists_s, set(dists_t)), (t, dists_t, set(dists_s))):
-        for index, dist in enumerate(dists):
-            if dist not in others:
+    layer = TraceLayer(pts)
+    sides = (layer.entries(s, weak, max_resolutions), layer.entries(t, weak, max_resolutions))
+    _, (rows_s, rows_t) = on_common_denominator(*sides)
+    keys_s = [frozenset(row.items()) for row in rows_s]
+    keys_t = [frozenset(row.items()) for row in rows_t]
+    for p, keys, others in ((s, keys_s, set(keys_t)), (t, keys_t, set(keys_s))):
+        for index, key in enumerate(keys):
+            if key not in others:
                 return p, resolution_at(pts, p, index)
     return None

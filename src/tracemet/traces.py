@@ -9,24 +9,32 @@ distributions live on tau-free representative traces, which keeps them
 honest probability distributions; summing instead over every equivalent
 tau-decorated spelling would overshoot 1.
 
-``trace_distributions`` is the layer every command reads: the trace
-distributions of all resolutions of a process, composed from those of the
-processes it can reach, with no resolution built.  ``trace_distribution``
-walks one resolution, for the resolutions a command prints.  The run lists
-(``Computation``, ``max_computations``) that the tests compare both against
-live in ``tests/oracles.py``.
+``TraceLayer`` is the layer every command reads: the trace distributions
+of all resolutions of a process, composed bottom-up from those of the
+processes it can reach, with no resolution built.  It is kept as integers.
+Traces are interned in a trie, one per layer: id 0 is the empty trace and
+every other id stands for one (action, tail id) pair, keyed by the action's
+name.  A process's list holds one ``{trace id: weight}`` row per
+resolution, all over one denominator of that process.  Trace tuples and
+``Dist`` objects are decoded only for output: ``trace_distributions`` is
+the decoder of the whole list, ``TraceLayer.trace`` of one id.
+``trace_distribution`` walks one resolution, for the resolutions a command
+prints.  The tuple-based builder the layer replaced and the run lists
+(``Computation``, ``max_computations``) that the tests compare against live
+in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
+from typing import NamedTuple
 
 from .core import PTS, Action, Dist, ProcessId, TraceDistribution, post_order
 from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution, check_size_guard
 
 Trace = tuple[Action, ...]
 EPSILON: Trace = ()
-HALTED = Dist.dirac(EPSILON)
 
 
 def trace_distribution(resolution: Resolution) -> TraceDistribution:
@@ -63,6 +71,160 @@ def weak_trace_distribution(resolution: Resolution) -> TraceDistribution:
     return trace_distribution(resolution).pushforward(tau_erase)
 
 
+class Entries(NamedTuple):
+    """One process's list in the layer: row ``{id: w}`` gives the trace with
+    that id probability ``w / den``.  Rows may be shared between lists and
+    are never modified."""
+
+    den: int
+    rows: list[dict[int, int]]
+
+
+class TraceLayer:
+    """The integer trace-distribution layer of one system, built on demand.
+
+    One layer serves one call: both sides of a comparison, and both the
+    strong and the weak lists, so trace ids agree across everything it
+    returns.  ``len(layer)`` is the number of interned trace ids.
+    """
+
+    __slots__ = ("pts", "actions", "tails", "_children", "_lists")
+
+    def __init__(self, pts: PTS):
+        self.pts = pts
+        # Id i spells actions[i] followed by the trace with id tails[i].
+        self.actions: list[Action | None] = [None]
+        self.tails: list[int] = [0]
+        self._children: dict[str, dict[int, int]] = {}
+        self._lists: dict[tuple[bool, ProcessId], Entries] = {}
+
+    def __len__(self) -> int:
+        return len(self.tails)
+
+    def entries(
+        self,
+        process: ProcessId,
+        weak: bool = False,
+        max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
+    ) -> Entries:
+        """The (weak) trace distribution of every resolution of ``process``,
+        in the canonical order of ``resolution_at``.
+
+        Built bottom-up over the reachable processes, each list once per
+        layer.  A process's list is the halting scheduler's point mass on
+        the empty trace, then, per transition, one row for every combination
+        of one row per target (later targets varying fastest): the targets'
+        rows weighted by the step probabilities and summed, with the action
+        prepended (weakly, unless it is silent, which keeps the ids).  The
+        resolution count is checked against ``max_resolutions`` first.
+        """
+        check_size_guard(self.pts, process, max_resolutions)
+        lists = self._lists
+        for p in post_order(self.pts, process):
+            if (weak, p) not in lists:
+                lists[(weak, p)] = self._build(p, weak)
+        return lists[(weak, process)]
+
+    def _build(self, p: ProcessId, weak: bool) -> Entries:
+        lists = self._lists
+        transitions = self.pts.transitions_of(p)
+        den = math.lcm(
+            1,
+            *(
+                step.denominator * lists[(weak, q)].den
+                for row in transitions
+                for q, step in row.target.items_sorted
+            ),
+        )
+        out = [{0: den}]
+        for row in transitions:
+            silent = weak and row.action.is_tau
+            parts = []
+            for q, step in row.target.items_sorted:
+                sub = lists[(weak, q)]
+                factor = step.numerator * (den // (step.denominator * sub.den))
+                if silent:
+                    if factor == 1:
+                        parts.append(sub.rows)
+                    else:
+                        parts.append([{k: w * factor for k, w in r.items()} for r in sub.rows])
+                else:
+                    parts.append(self._prefixed(row.action, sub.rows, factor))
+            if len(parts) == 1:
+                out.extend(parts[0])
+                continue
+            for first, *rest in product(*parts):
+                acc = first.copy()
+                for part in rest:
+                    for k, w in part.items():
+                        acc[k] = acc[k] + w if k in acc else w
+                out.append(acc)
+        return Entries(den, out)
+
+    def _prefixed(self, action: Action, rows: list[dict], factor: int) -> list[dict]:
+        """``rows`` with ``action`` prepended to every trace and every weight
+        multiplied by ``factor``, interning the new traces."""
+        children = self._children.setdefault(action.name, {})
+        actions, tails = self.actions, self.tails
+        out = []
+        for r in rows:
+            new = {}
+            for k, w in r.items():
+                child = children.get(k)
+                if child is None:
+                    child = children[k] = len(tails)
+                    tails.append(k)
+                    actions.append(action)
+                new[child] = w * factor
+            out.append(new)
+        return out
+
+    def find(self, trace: Trace) -> int | None:
+        """The id of ``trace``, or None when no list of this layer has
+        shown it."""
+        tid = 0
+        for action in reversed(trace):
+            children = self._children.get(action.name)
+            if children is None:
+                return None
+            tid = children.get(tid)
+            if tid is None:
+                return None
+        return tid
+
+    def trace(self, tid: int) -> Trace:
+        """The trace with id ``tid``."""
+        out = []
+        while tid:
+            out.append(self.actions[tid])
+            tid = self.tails[tid]
+        return tuple(out)
+
+    def decode(self, entries: Entries) -> list[TraceDistribution]:
+        """The rows as trace distributions, each distinct id decoded once."""
+        traces: dict[int, Trace] = {}
+        out = []
+        for r in entries.rows:
+            pairs = {}
+            for k, w in r.items():
+                trace = traces.get(k)
+                if trace is None:
+                    trace = traces[k] = self.trace(k)
+                pairs[trace] = Fraction(w, entries.den)
+            out.append(Dist(pairs))
+        return out
+
+
+def first_indices(rows: list[dict[int, int]]) -> list[int]:
+    """The index of the first occurrence of each distinct row, in list
+    order.  Rows of one list share a denominator, so equal rows are equal
+    distributions."""
+    first: dict = {}
+    for index, row in enumerate(rows):
+        first.setdefault(frozenset(row.items()), index)
+    return list(first.values())
+
+
 def trace_distributions(
     pts: PTS,
     process: ProcessId,
@@ -71,34 +233,15 @@ def trace_distributions(
     memo: dict | None = None,
 ) -> list[TraceDistribution]:
     """The (weak) trace distribution of every resolution of ``process``, in
-    the canonical order of ``resolution_at``, without building any.
+    the canonical order of ``resolution_at``, without building any: the
+    layer's list (``TraceLayer.entries``), decoded.
 
-    Built bottom-up over the reachable processes.  A process's list is the
-    halting scheduler's point mass on the empty trace, then, per
-    transition, one entry for every combination of one entry per target
-    (later targets varying fastest): the targets' distributions weighted by
-    the step probabilities and merged, with the action prepended (weakly,
-    unless it is silent).  Lists of processes already in ``memo`` are
-    reused, so one memo can serve both sides of a comparison.  The
-    resolution count is checked against ``max_resolutions`` first.
+    ``memo``, when given, keeps the layer between calls, so one memo can
+    serve both sides of a comparison and both modes.
     """
-    check_size_guard(pts, process, max_resolutions)
-    if memo is None:
-        memo = {}
-    for p in post_order(pts, process):
-        if (weak, p) in memo:
-            continue
-        out = [HALTED]
-        for row in pts.transitions_of(p):
-            prefix = () if weak and row.action.is_tau else (row.action,)
-            # Each target's entries, prefixed and weighted once per transition.
-            parts = [
-                [
-                    [(prefix + trace, w if step == 1 else step * w) for trace, w in d.items_sorted]
-                    for d in memo[(weak, q)]
-                ]
-                for q, step in row.target.items_sorted
-            ]
-            out.extend(Dist.merged(chain.from_iterable(combo)) for combo in product(*parts))
-        memo[(weak, p)] = out
-    return memo[(weak, process)]
+    layer = None if memo is None else memo.get("layer")
+    if layer is None:
+        layer = TraceLayer(pts)
+        if memo is not None:
+            memo["layer"] = layer
+    return layer.decode(layer.entries(process, weak, max_resolutions))

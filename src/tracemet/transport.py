@@ -8,9 +8,16 @@ canonicalized distributions, and one exact integer TV kernel computes it for
 every caller: the trace metrics, the logical distance, the real-valued
 semantics and ``kantorovich_01`` itself.
 
-A pass of the kernel canonicalizes each distribution once and scales its
-weights to integers over the pass's common denominator, so the inner loops
-run on Python ints and each result becomes one ``Fraction`` at the end.
+The kernel works on integer rows: a row is a dict from small-int keys to
+int weights, and a set of rows shares one denominator ``total``, so the
+inner loops run on Python ints and each result becomes one ``Fraction`` at
+the end.  ``hausdorff_rows`` is the max-min and ``distances_to_rows`` the
+nearest-row query.  The trace layer (``traces.TraceLayer``) hands its
+rows to the kernel directly, after ``on_common_denominator`` has scaled
+both sides to one denominator.  On ``Dist`` inputs (``hausdorff_witness``,
+``distances_to_set``, ``kantorovich_01``) a pass first canonicalizes each
+distribution once into such a row (``_integer_rows``).
+
 Each side is indexed twice: by whole row, so a row that also occurs on the
 other side is at distance 0 without a scan, and by key, so rows with
 disjoint supports (distance 1) are never compared.  The Hausdorff max-min
@@ -157,6 +164,45 @@ def _directed(rows: list[dict], index: _Index, total: int, floor: int) -> tuple[
     return best, i_at, j_at
 
 
+def hausdorff_rows(rows_a: list[dict], rows_b: list[dict], total: int) -> tuple[int, int, int]:
+    """Hausdorff max-min of TV distances between two nonempty sets of rows
+    over ``total``: (distance in units of ``1/total``, i, j).
+
+    The witness (i, j) is the first (max-side, then min-side) pair in input
+    order realizing the value; the first set wins ties between the two
+    directions.
+    """
+    d_ab, i_ab, j_ab = _directed(rows_a, _Index(rows_b), total, -1)
+    # The B->A direction only matters where it beats A->B outright.
+    d_ba, j_ba, i_ba = _directed(rows_b, _Index(rows_a), total, d_ab)
+    if d_ab >= d_ba:
+        return d_ab, i_ab, j_ab
+    return d_ba, i_ba, j_ba
+
+
+def distances_to_rows(queries: list[dict], rows: list[dict], total: int) -> list[int]:
+    """TV distance from each query row to its nearest row, in units of
+    ``1/total``, indexing ``rows`` once for all queries."""
+    if queries and not rows:
+        raise ValueError("distance to an empty set is undefined")
+    index = _Index(rows)
+    return [index.nearest(row, total, -1)[0] for row in queries]
+
+
+def on_common_denominator(*sides: tuple[int, list[dict]]) -> tuple[int, list[list[dict]]]:
+    """Rows given as (denominator, rows) per side, scaled to the least
+    common denominator, which is returned with them.  A side already over
+    it is returned as it is."""
+    total = math.lcm(*(den for den, _ in sides))
+    scaled = []
+    for den, rows in sides:
+        if den != total:
+            factor = total // den
+            rows = [{k: w * factor for k, w in row.items()} for row in rows]
+        scaled.append(rows)
+    return total, scaled
+
+
 def distances_to_set(
     queries: Sequence[Dist],
     items: Sequence[Dist],
@@ -164,11 +210,8 @@ def distances_to_set(
 ) -> list[Fraction]:
     """TV distance from each query to its nearest item, indexing ``items``
     once for all queries."""
-    if queries and not items:
-        raise ValueError("distance to an empty set is undefined")
     total, (query_rows, rows) = _integer_rows(metric, queries, items)
-    index = _Index(rows)
-    return [Fraction(index.nearest(row, total, -1)[0], total) for row in query_rows]
+    return [Fraction(d, total) for d in distances_to_rows(query_rows, rows, total)]
 
 
 def hausdorff_witness(
@@ -189,9 +232,5 @@ def hausdorff_witness(
     if not items_a or not items_b:
         return Fraction(1), None
     total, (rows_a, rows_b) = _integer_rows(metric, items_a, items_b)
-    d_ab, i_ab, j_ab = _directed(rows_a, _Index(rows_b), total, -1)
-    # The B->A direction only matters where it beats A->B outright.
-    d_ba, j_ba, i_ba = _directed(rows_b, _Index(rows_a), total, d_ab)
-    if d_ab >= d_ba:
-        return Fraction(d_ab, total), (i_ab, j_ab)
-    return Fraction(d_ba, total), (i_ba, j_ba)
+    d, i, j = hausdorff_rows(rows_a, rows_b, total)
+    return Fraction(d, total), (i, j)

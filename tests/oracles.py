@@ -11,6 +11,10 @@ The per-resolution routes that ``tracemet.traces.trace_distributions``
 replaced live here too: the run-probability profiles (``pr_compatible``,
 ``pr_weak_compatible`` and their tabulations), the run-scanning
 ``satisfies`` and the weak satisfaction loop over mimicking formulae.
+``trace_distributions`` is the layer as it was built before it became
+integers: a ``Dist`` of trace tuples per resolution, composed bottom-up
+with the same recurrence, which the package's integer layer
+(``tracemet.traces.TraceLayer``) must decode to entry by entry.
 ``distinguishing_resolution`` is the two-scan search over profiles that
 ``find_distinguishing_resolution`` must agree with.
 
@@ -40,11 +44,11 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Mapping, Sequence
 
 import tracemet as tm
-from tracemet.core import IDENTIFIER_RE, PTS, Action, ProcessId, Transition, validate_pts
+from tracemet.core import IDENTIFIER_RE, PTS, Action, ProcessId, Transition, post_order, validate_pts
 from tracemet.parser import ParseError, ParseIssue, ParserWarning, SourceSpan
 from tracemet.resolutions import (
     DEFAULT_MAX_RESOLUTIONS,
@@ -293,6 +297,51 @@ def max_computations(resolution: Resolution) -> list[Computation]:
             child = node.child(choice, target)
             todo.append((child, (node, row.action, row.target[target], child), len(steps)))
     return out
+
+
+HALTED = tm.Dist.dirac(EPSILON)
+
+
+def trace_distributions(
+    pts: PTS,
+    process: ProcessId,
+    weak: bool = False,
+    max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
+    memo: dict | None = None,
+) -> list[tm.TraceDistribution]:
+    """The (weak) trace distribution of every resolution of ``process``, in
+    the canonical order of ``resolution_at``, without building any.
+
+    Built bottom-up over the reachable processes.  A process's list is the
+    halting scheduler's point mass on the empty trace, then, per
+    transition, one entry for every combination of one entry per target
+    (later targets varying fastest): the targets' distributions weighted by
+    the step probabilities and merged, with the action prepended (weakly,
+    unless it is silent).  Lists of processes already in ``memo`` are
+    reused, so one memo can serve both sides of a comparison.  The
+    resolution count is checked against ``max_resolutions`` first.
+    """
+    check_size_guard(pts, process, max_resolutions)
+    if memo is None:
+        memo = {}
+    for p in post_order(pts, process):
+        if (weak, p) in memo:
+            continue
+        out = [HALTED]
+        for row in pts.transitions_of(p):
+            prefix = () if weak and row.action.is_tau else (row.action,)
+            # Each target's entries, prefixed and weighted once per transition.
+            parts = [
+                [
+                    [(prefix + trace, w if step == 1 else step * w) for trace, w in d.items_sorted]
+                    for d in memo[(weak, q)]
+                ]
+                for q, step in row.target.items_sorted
+            ]
+            out.extend(tm.Dist.merged(chain.from_iterable(combo)) for combo in product(*parts))
+        memo[(weak, p)] = out
+    return memo[(weak, process)]
+
 
 @dataclass(frozen=True)
 class Matching:

@@ -347,3 +347,20 @@ def test_resolutions_of_a_deep_chain(capsys, tmp_path):
         "  TD: 1 ε",
         "... 3000 more (raise --limit)",
     ]
+
+
+def test_python_dash_m_runs_the_cli(half_file):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def module_run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "tracemet", *argv], capture_output=True, text=True, env=env
+        )
+
+    version = module_run("--version")
+    assert (version.returncode, version.stdout, version.stderr) == (0, "tracemet 0.1.0\n", "")
+    metric = module_run("metric", half_file, "-p", "s", "-q", "t")
+    assert metric.returncode == 0 and metric.stdout.startswith("1/2 (0.5)\n")
+    usage = module_run("metric", half_file, "-p", "s")
+    assert usage.returncode == 1 and "required" in usage.stderr
