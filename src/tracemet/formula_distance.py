@@ -11,10 +11,13 @@ verification gap over all formulae.  ``crosscheck`` computes every route
 and any disagreement indicates an implementation bug, never an expected
 outcome.
 
-``real_value`` and ``crosscheck`` read the integer rows of
-``traces.TraceLayer``.  The formula route of ``crosscheck`` numbers
-formulae in a table of its own, filled through ``tracing_formula`` and
-``erase_formula``, so it shares no trace ids with the metric route.
+``logical_distance``, ``sup_val_distance``, ``real_value`` and
+``crosscheck`` read the integer rows of ``traces.TraceLayer``.  The
+satisfied sets are numbered in a formula table of their own, filled
+through ``tracing_formula`` and ``erase_formula``, so the formula route of
+``crosscheck`` shares no trace ids with its metric route.
+``distance_to_set`` and ``dist_formula_distance`` take formulae as
+``Dist`` objects and go through the kernel's ``Dist`` entry points.
 """
 from __future__ import annotations
 
@@ -22,17 +25,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import PTS, ProcessId, TraceDistFormula
-from .logic import TraceFormula, erase_formula, formula_row, satisfied_set, tracing_formula
+from .logic import TraceFormula, erase_formula, formula_row, tracing_formula
 from .resolutions import DEFAULT_MAX_RESOLUTIONS
 from .traces import Entries, TraceLayer, first_indices
 from .transport import (
     DISCRETE,
     DiscreteQuotient,
-    _integer_rows,
     distances_to_rows,
     distances_to_set,
     hausdorff_rows,
-    hausdorff_witness,
     kantorovich_01,
     on_common_denominator,
 )
@@ -54,14 +55,6 @@ def dist_formula_distance(p: TraceDistFormula, q: TraceDistFormula, weak: bool =
     return kantorovich_01(p, q, _ground(weak))
 
 
-def _set_distance(
-    set_s: list[TraceDistFormula],
-    set_t: list[TraceDistFormula],
-    weak: bool,
-) -> Fraction:
-    return hausdorff_witness(set_s, set_t, _ground(weak))[0]
-
-
 def logical_distance(
     pts: PTS,
     s: ProcessId,
@@ -70,11 +63,10 @@ def logical_distance(
     max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
 ) -> Fraction:
     """Hausdorff distance between the satisfied-formula sets of two processes."""
-    return _set_distance(
-        satisfied_set(pts, s, max_resolutions),
-        satisfied_set(pts, t, max_resolutions),
-        weak,
-    )
+    (set_s, weak_set_s), (set_t, weak_set_t) = _satisfied_sets(pts, s, t, max_resolutions)
+    if weak:
+        return _hausdorff_value(weak_set_s, weak_set_t)
+    return _hausdorff_value(set_s, set_t)
 
 
 def distance_to_set(
@@ -122,15 +114,6 @@ def _sup_val_rows(rows_s: list[dict], rows_t: list[dict], total: int) -> int:
     return max((abs(d_s - d_t) for d_s, d_t in zip(to_s, to_t)), default=0)
 
 
-def _sup_val_over(
-    set_s: list[TraceDistFormula],
-    set_t: list[TraceDistFormula],
-    weak: bool,
-) -> Fraction:
-    total, (rows_s, rows_t) = _integer_rows(_ground(weak), set_s, set_t)
-    return Fraction(_sup_val_rows(rows_s, rows_t, total), total)
-
-
 def sup_val_distance(
     pts: PTS,
     s: ProcessId,
@@ -143,11 +126,10 @@ def sup_val_distance(
     The strong form equals the strong trace metric.  The weak form is
     computed the same way but is reported as derived only.
     """
-    return _sup_val_over(
-        satisfied_set(pts, s, max_resolutions),
-        satisfied_set(pts, t, max_resolutions),
-        weak,
-    )
+    (set_s, weak_set_s), (set_t, weak_set_t) = _satisfied_sets(pts, s, t, max_resolutions)
+    if weak:
+        return _sup_val_value(weak_set_s, weak_set_t)
+    return _sup_val_value(set_s, set_t)
 
 
 @dataclass(frozen=True)
@@ -225,6 +207,16 @@ def _sup_val_value(side_a: Entries, side_b: Entries) -> Fraction:
 
 def _distinct(side: Entries) -> Entries:
     return Entries(side.den, [side.rows[i] for i in first_indices(side.rows)])
+
+
+def _satisfied_sets(
+    pts: PTS, s: ProcessId, t: ProcessId, max_resolutions: int
+) -> list[tuple[Entries, Entries]]:
+    """The strong and weak satisfied sets of both processes, as rows over
+    one formula table (``_formula_sets``)."""
+    layer = TraceLayer(pts)
+    sides = [_distinct(layer.entries(p, False, max_resolutions)) for p in (s, t)]
+    return _formula_sets(layer, sides)
 
 
 def crosscheck(

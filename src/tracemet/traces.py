@@ -144,15 +144,9 @@ class TraceLayer:
                 sub = lists[(weak, q)]
                 factor = step.numerator * (den // (step.denominator * sub.den))
                 if silent:
-                    if factor == 1:
-                        parts.append(sub.rows)
-                    else:
-                        parts.append([{k: w * factor for k, w in r.items()} for r in sub.rows])
+                    parts.append([{k: w * factor for k, w in r.items()} for r in sub.rows])
                 else:
                     parts.append(self._prefixed(row.action, sub.rows, factor))
-            if len(parts) == 1:
-                out.extend(parts[0])
-                continue
             for first, *rest in product(*parts):
                 acc = first.copy()
                 for part in rest:

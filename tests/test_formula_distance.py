@@ -143,6 +143,11 @@ class TestSupValDistance:
     def test_reflexive(self, half_pair):
         assert tm.sup_val_distance(half_pair, "s", "s") == 0
 
+    def test_weak_kernel(self, half_pair):
+        pts = with_tau_prefix(half_pair, "s")
+        assert tm.sup_val_distance(pts, "ptau", "s", weak=True) == 0
+        assert tm.sup_val_distance(pts, "ptau", "s") > 0
+
     def test_matches_trace_metric(self):
         rng = random.Random(76)
         for _ in range(10):

@@ -15,6 +15,7 @@ import oracles
 import tracemet as tm
 from conftest import dist
 from genpts import random_case, random_formula
+from tracemet.traces import Entries
 
 FORMULA_QUOTIENT = tm.formula_distance.FORMULA_QUOTIENT
 FIRST_LETTER = tm.DiscreteQuotient(lambda s: s[0])
@@ -110,9 +111,10 @@ class TestFormulaSets:
                 )
 
     def test_sup_val_rejects_one_empty_set(self):
+        sup_val = tm.formula_distance._sup_val_value
         with pytest.raises(ValueError):
-            tm.formula_distance._sup_val_over([tm.TOP_DIST], [], weak=False)
-        assert tm.formula_distance._sup_val_over([], [], weak=False) == 0
+            sup_val(Entries(1, [{0: 1}]), Entries(1, []))
+        assert sup_val(Entries(1, []), Entries(1, [])) == 0
 
 
 class TestHandBuilt:
