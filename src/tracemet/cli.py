@@ -13,6 +13,7 @@ import os
 import sys
 import warnings
 from fractions import Fraction
+from typing import Callable, Iterable
 
 from . import __version__
 from .core import PTS
@@ -126,11 +127,13 @@ def _resolution_lines(resolution: Resolution, indent: str = "  ") -> list[str]:
     return lines
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict, text_lines: Callable[[], Iterable[str]]) -> None:
+    # The text lines are built only when they are printed: under --json a
+    # mimic query would otherwise format every formula for nothing.
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -196,7 +199,7 @@ def _cmd_validate(args) -> int:
                 "errors": [str(issue) for issue in exc.issues],
                 "warnings": [str(w.message) for w in caught],
             }
-            _emit(args, payload, ["invalid"] + [f"  error: {i}" for i in exc.issues])
+            _emit(args, payload, lambda: ["invalid"] + [f"  error: {i}" for i in exc.issues])
             for w in caught:
                 print(f"warning: {w.message}", file=sys.stderr)
             return EXIT_INVALID
@@ -209,8 +212,13 @@ def _cmd_validate(args) -> int:
         "errors": [],
         "warnings": collected,
     }
-    lines = ["valid", f"  processes: {', '.join(sorted(pts.processes))}"]
-    lines += [f"  warning: {w}" for w in payload["warnings"]]
+
+    def lines():
+        yield "valid"
+        yield f"  processes: {', '.join(sorted(pts.processes))}"
+        for w in payload["warnings"]:
+            yield f"  warning: {w}"
+
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -231,13 +239,16 @@ def _cmd_resolutions(args) -> int:
             for r, td in zip(shown, dists)
         ],
     }
-    lines = [f"{count} resolutions of {process}"]
-    for number, (r, td) in enumerate(zip(shown, dists), start=1):
-        lines.append(f"#{number}")
-        lines.extend(_resolution_lines(r))
-        lines.append(f"  TD: {print_trace_distribution(td)}")
-    if len(shown) < count:
-        lines.append(f"... {count - len(shown)} more (raise --limit)")
+
+    def lines():
+        yield f"{count} resolutions of {process}"
+        for number, (r, td) in enumerate(zip(shown, dists), start=1):
+            yield f"#{number}"
+            yield from _resolution_lines(r)
+            yield f"  TD: {print_trace_distribution(td)}"
+        if len(shown) < count:
+            yield f"... {count - len(shown)} more (raise --limit)"
+
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -251,7 +262,7 @@ def _cmd_mimic(args) -> int:
         "weak": args.weak,
         "formulas": [_formula_json(psi) for psi in formulas],
     }
-    _emit(args, payload, [print_formula(psi) for psi in formulas])
+    _emit(args, payload, lambda: map(print_formula, formulas))
     return EXIT_OK
 
 
@@ -278,18 +289,21 @@ def _cmd_metric(args) -> int:
     t = _require_process(pts, args.other)
     metric = weak_trace_metric if args.weak else strong_trace_metric
     result = metric(pts, s, t, _max_resolutions(args))
-    lines = [_frac_text(result.value)]
-    if result.witness is not None:
-        left, right = result.witness
-        lines.append(f"witness resolution of {s}:")
-        lines.extend(_resolution_lines(left))
-        lines.append(f"witness resolution of {t}:")
-        lines.extend(_resolution_lines(right))
-    stats = result.dedup_stats
-    lines.append(
-        f"resolutions: {s} {stats.left_before}->{stats.left_after} deduped, "
-        f"{t} {stats.right_before}->{stats.right_after} deduped"
-    )
+
+    def lines():
+        yield _frac_text(result.value)
+        if result.witness is not None:
+            left, right = result.witness
+            yield f"witness resolution of {s}:"
+            yield from _resolution_lines(left)
+            yield f"witness resolution of {t}:"
+            yield from _resolution_lines(right)
+        stats = result.dedup_stats
+        yield (
+            f"resolutions: {s} {stats.left_before}->{stats.left_after} deduped, "
+            f"{t} {stats.right_before}->{stats.right_after} deduped"
+        )
+
     _emit(args, _metric_payload(result), lines)
     return EXIT_OK
 
@@ -302,7 +316,6 @@ def _cmd_equiv(args) -> int:
         pts, s, t, weak=args.weak, max_resolutions=_max_resolutions(args)
     )
     payload = {"equivalent": found is None, "distinguishing": None}
-    lines = ["true" if found is None else "false"]
     if found is not None:
         side, resolution = found
         td_of = weak_trace_distribution if args.weak else trace_distribution
@@ -312,9 +325,14 @@ def _cmd_equiv(args) -> int:
             **_resolution_json(resolution),
             "trace_distribution": _dist_json(td),
         }
-        lines.append(f"distinguishing resolution of {side} (unmatched by the other side):")
-        lines.extend(_resolution_lines(resolution))
-        lines.append(f"  TD: {print_trace_distribution(td)}")
+
+    def lines():
+        yield "true" if found is None else "false"
+        if found is not None:
+            yield f"distinguishing resolution of {side} (unmatched by the other side):"
+            yield from _resolution_lines(resolution)
+            yield f"  TD: {print_trace_distribution(td)}"
+
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -328,10 +346,13 @@ def _cmd_sat(args) -> int:
         "satisfied": holds,
         "witness": _resolution_json(witness) if witness is not None else None,
     }
-    lines = ["true" if holds else "false"]
-    if witness is not None:
-        lines.append("witness resolution:")
-        lines.extend(_resolution_lines(witness))
+
+    def lines():
+        yield "true" if holds else "false"
+        if witness is not None:
+            yield "witness resolution:"
+            yield from _resolution_lines(witness)
+
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -340,7 +361,7 @@ def _cmd_fdist(args) -> int:
     psi1 = _parse_formula_arg(args.formula1)
     psi2 = _parse_formula_arg(args.formula2)
     value = dist_formula_distance(psi1, psi2, weak=args.weak)
-    _emit(args, {"value": _frac_json(value)}, [_frac_text(value)])
+    _emit(args, {"value": _frac_json(value)}, lambda: [_frac_text(value)])
     return EXIT_OK
 
 
@@ -349,7 +370,7 @@ def _cmd_val(args) -> int:
     process = _require_process(pts, args.process)
     psi = _parse_formula_arg(args.formula)
     value = real_value(pts, process, psi, weak=args.weak, max_resolutions=_max_resolutions(args))
-    _emit(args, {"value": _frac_json(value)}, [_frac_text(value)])
+    _emit(args, {"value": _frac_json(value)}, lambda: [_frac_text(value)])
     return EXIT_OK
 
 
@@ -368,16 +389,18 @@ def _cmd_crosscheck(args) -> int:
         "all_equal": report.all_equal,
         "mismatches": list(report.mismatches),
     }
-    lines = [
-        f"strong metric:          {_frac_text(report.strong_metric)}",
-        f"logical distance:       {_frac_text(report.logical_distance)}",
-        f"sup-val distance:       {_frac_text(report.sup_val_distance)}",
-        f"weak metric:            {_frac_text(report.weak_metric)}",
-        f"weak logical distance:  {_frac_text(report.weak_logical_distance)}",
-        f"weak sup-val distance:  {_frac_text(report.weak_sup_val_distance)} (derived)",
-        f"all equal: {'true' if report.all_equal else 'false'}",
-    ]
-    lines += [f"MISMATCH: {m}" for m in report.mismatches]
+
+    def lines():
+        return [
+            f"strong metric:          {_frac_text(report.strong_metric)}",
+            f"logical distance:       {_frac_text(report.logical_distance)}",
+            f"sup-val distance:       {_frac_text(report.sup_val_distance)}",
+            f"weak metric:            {_frac_text(report.weak_metric)}",
+            f"weak logical distance:  {_frac_text(report.weak_logical_distance)}",
+            f"weak sup-val distance:  {_frac_text(report.weak_sup_val_distance)} (derived)",
+            f"all equal: {'true' if report.all_equal else 'false'}",
+        ] + [f"MISMATCH: {m}" for m in report.mismatches]
+
     _emit(args, payload, lines)
     if not report.all_equal:
         for mismatch in report.mismatches:

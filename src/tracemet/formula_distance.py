@@ -18,11 +18,20 @@ through ``tracing_formula`` and ``erase_formula``, so the formula route of
 ``crosscheck`` shares no trace ids with its metric route.
 ``distance_to_set`` and ``dist_formula_distance`` take formulae as
 ``Dist`` objects and go through the kernel's ``Dist`` entry points.
+
+The sup-value route stays an independent check of the other two: where
+the metric and the logical distance share the kernel's max-min
+(``hausdorff_rows``, with its early breaks and same-position first
+candidate), the sup-value gap reads ``nearest_distances``, which computes
+every candidate formula's exact distance to both satisfied sets with no
+early exit.  A fault in the max-min's pruning therefore shows up as a
+mismatch in ``crosscheck`` instead of being repeated on every route.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .core import PTS, ProcessId, TraceDistFormula
 from .logic import TraceFormula, erase_formula, formula_row, tracing_formula
@@ -31,10 +40,10 @@ from .traces import Entries, TraceLayer, first_indices
 from .transport import (
     DISCRETE,
     DiscreteQuotient,
-    distances_to_rows,
     distances_to_set,
     hausdorff_rows,
     kantorovich_01,
+    nearest_distances,
     on_common_denominator,
 )
 
@@ -98,20 +107,20 @@ def real_value(
     side = layer.entries(s, weak, max_resolutions)
     psi_den, query = formula_row(layer, psi, weak)
     total, ([query], rows) = on_common_denominator((psi_den, [query]), side)
-    return 1 - Fraction(distances_to_rows([query], rows, total)[0], total)
+    return 1 - Fraction(nearest_distances([query], rows, total)[0][0], total)
 
 
 def _sup_val_rows(rows_s: list[dict], rows_t: list[dict], total: int) -> int:
     # The sup over all formulae of the value gap is attained on the two
     # satisfied sets themselves: for a member of one set the gap IS its
     # distance to the other set, which produces both directed Hausdorff
-    # terms, and no formula can exceed them.  Both distances are computed
-    # for every candidate, so this route shares no max-min with the others.
-    candidates = rows_s + rows_t
-    candidates = [candidates[i] for i in first_indices(candidates)]
-    to_s = distances_to_rows(candidates, rows_s, total)
-    to_t = distances_to_rows(candidates, rows_t, total)
-    return max((abs(d_s - d_t) for d_s, d_t in zip(to_s, to_t)), default=0)
+    # terms, and no formula can exceed them.  One sweep gives every
+    # candidate's exact distance to the other set, its distance to its own
+    # set being 0, so this route shares no max-min with the others.
+    rows_s = [rows_s[i] for i in first_indices(rows_s)]
+    rows_t = [rows_t[j] for j in first_indices(rows_t)]
+    to_t, to_s = nearest_distances(rows_s, rows_t, total)
+    return max(chain(to_t, to_s), default=0)
 
 
 def sup_val_distance(

@@ -187,6 +187,27 @@ class TestOtherCommands:
         assert payload["strong_metric"] == {"num": "1", "den": "2"}
 
 
+def test_json_builds_no_text_lines(capsys, half_file, monkeypatch):
+    # Under --json the text formatters are never called: a mimic query
+    # would otherwise format every formula only to discard it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("text line built under --json")
+
+    monkeypatch.setattr(cli, "print_formula", refuse)
+    monkeypatch.setattr(cli, "print_trace_distribution", refuse)
+    monkeypatch.setattr(cli, "_resolution_lines", refuse)
+    for argv in (
+        ("mimic", half_file, "-p", "s"),
+        ("metric", half_file, "-p", "s", "-q", "t"),
+        ("equiv", half_file, "-p", "s", "-q", "t"),
+        ("sat", half_file, "-p", "s", "-f", "1 <a><b>T"),
+        ("resolutions", half_file, "-p", "t", "--limit", "2"),
+    ):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        json.loads(out)
+
+
 class TestGuardsAndErrors:
     def test_size_guard_exit_code(self, capsys, half_file):
         code, _, err = run(capsys, "metric", half_file, "-p", "s", "-q", "t",

@@ -149,6 +149,33 @@ class TestHandBuilt:
         c = [dist({"x": "1/2", "y": "1/2"}), dist({"y": 1}), dist({"z": 1})]
         assert assert_matches_oracle([dist({"x": 1})], c) == (1, (0, 1))
 
+    # Each row after the first is compared first with the column at its own
+    # position (the last column when the other side is shorter); the three
+    # cases below are where that first comparison could leak into the
+    # witness.
+
+    def test_hinted_column_ties_an_earlier_one(self):
+        # Row 1 is 1/2 from its hinted column 1 and from column 0, and the
+        # hint does not end it (the max so far is 0): the witness is column 0.
+        a = [dist({"y": 1}), dist({"x": "1/2", "y": "1/2"})]
+        b = [dist({"x": "1/2", "z": "1/2"}), dist({"x": "1/2", "w": "1/2"}), dist({"y": 1})]
+        assert assert_matches_oracle(a, b) == (Fraction(1, 2), (1, 0))
+
+    def test_hinted_column_shares_no_key(self):
+        # Row 2 shares no key with any column, its hinted column 2
+        # included: the witness column is 0, not the hint.
+        a = [dist({"x": 1}), dist({"y": 1}), dist({"z": 1})]
+        b = [dist({"x": 1}), dist({"y": 1}), dist({"w": 1})]
+        assert assert_matches_oracle(a, b) == (1, (2, 0))
+
+    def test_hint_clamped_to_the_shorter_side(self):
+        # Row 2 has no column 2; its hint is the last column, at distance 1,
+        # and the scan finds column 0 at 1/2.
+        a = [dist({"x": 1}), dist({"y": 1}), dist({"x": "1/2", "z": "1/2"})]
+        b = [dist({"x": 1}), dist({"y": 1})]
+        assert assert_matches_oracle(a, b) == (Fraction(1, 2), (2, 0))
+        assert assert_matches_oracle(b, a) == (Fraction(1, 2), (0, 2))
+
     def test_quotient_classes(self):
         a = [dist({"a0": "1/2", "b0": "1/2"})]
         b = [dist({"a1": "1/2", "b1": "1/2"}), dist({"a0": 1})]
@@ -160,8 +187,8 @@ class TestHandBuilt:
 
 
 @st.composite
-def distributions(draw):
-    support = draw(st.lists(st.sampled_from(["a0", "a1", "b0", "b1"]), min_size=1, max_size=4, unique=True))
+def distributions(draw, alphabet=("a0", "a1", "b0", "b1")):
+    support = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=4, unique=True))
     weights = draw(st.lists(st.integers(1, 6), min_size=len(support), max_size=len(support)))
     total = sum(weights)
     return tm.Dist({key: Fraction(w, total) for key, w in zip(support, weights)})
@@ -199,3 +226,46 @@ def test_distinguishing_resolution_is_first_of_a_repeated_profile():
     assert side == "t"
     assert resolution == oracles.make_resolution(pts, "t", (1, {}))
     assert (side, resolution) == oracles.distinguishing_resolution(pts, "s", "t")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([tm.DISCRETE, FIRST_LETTER]))
+def test_permuted_side_never_changes_value_or_witness(data, metric):
+    # The max-min tries each row's same-position column first.  Sharing
+    # rows between the sides and permuting one of them makes that hint
+    # anything from an exact match to the farthest column; the lengths
+    # differ, so some hints are clamped.
+    n_a = data.draw(st.integers(1, 7))
+    n_b = data.draw(st.integers(1, 7).filter(lambda n: n != n_a))
+    items_a = data.draw(st.lists(distributions(), min_size=n_a, max_size=n_a))
+    shared = data.draw(st.integers(0, min(n_a, n_b)))
+    extra = data.draw(st.lists(distributions(), min_size=n_b - shared, max_size=n_b - shared))
+    items_b = data.draw(st.permutations(items_a[:shared] + extra))
+    for left, right in ((items_a, items_b), (items_b, items_a)):
+        total, (rows_l, rows_r) = tm.transport._integer_rows(metric, left, right)
+        d, i, j = tm.transport.hausdorff_rows(rows_l, rows_r, total)
+        assert (Fraction(d, total), (i, j)) == oracle_witness(left, right, metric)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.booleans(), st.sampled_from([tm.DISCRETE, FIRST_LETTER]))
+def test_nearest_distances_both_directions(data, disjoint, metric):
+    items_a = data.draw(st.lists(distributions(), min_size=1, max_size=6))
+    # Keys starting with c or d never occur on the left side.
+    alphabet = ("c0", "c1", "d0", "d1") if disjoint else ("a0", "a1", "c0", "c1")
+    items_b = data.draw(st.lists(distributions(alphabet), min_size=1, max_size=6))
+    if not disjoint:
+        # A row on both sides is at distance 0, but its other pairs still
+        # lower the minima of the rows it is compared with.
+        repeated = data.draw(st.lists(st.sampled_from(items_a), max_size=3))
+        items_b = data.draw(st.permutations(items_b + repeated))
+    total, (rows_a, rows_b) = tm.transport._integer_rows(metric, items_a, items_b)
+    to_b, to_a = tm.transport.nearest_distances(rows_a, rows_b, total)
+    assert [Fraction(d, total) for d in to_b] == [
+        min(oracles.tv_distance(x, y, metric) for y in items_b) for x in items_a
+    ]
+    assert [Fraction(d, total) for d in to_a] == [
+        min(oracles.tv_distance(y, x, metric) for x in items_a) for y in items_b
+    ]
+    if disjoint:
+        assert set(to_b) == set(to_a) == {total}
