@@ -41,10 +41,8 @@ from .resolutions import (
     DEFAULT_MAX_RESOLUTIONS,
     Resolution,
     SizeGuardExceeded,
-    check_size_guard,
-    resolution_at,
 )
-from .traces import trace_distribution, weak_trace_distribution
+from .traces import TraceLayer, trace_distribution, weak_trace_distribution
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -78,18 +76,16 @@ def _trace_json(trace) -> list[str]:
 
 
 def _dist_json(td) -> list[dict]:
-    items = sorted(td.items_sorted, key=lambda item: item[0], reverse=True)
     return [
         {"trace": _trace_json(trace), "probability": _frac_json(weight)}
-        for trace, weight in items
+        for trace, weight in td.items_descending
     ]
 
 
 def _formula_json(psi) -> list[dict]:
-    items = sorted(psi.items_sorted, key=lambda item: item[0], reverse=True)
     return [
         {"diamonds": [a.name for a in phi.diamonds], "weight": _frac_json(weight)}
-        for phi, weight in items
+        for phi, weight in psi.items_descending
     ]
 
 
@@ -137,12 +133,16 @@ def _emit(args, payload: dict, text_lines: Callable[[], Iterable[str]]) -> None:
             print(line)
 
 
-def _load_pts(path: str) -> PTS:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_pts(path: str) -> PTS:
+    text = _read_text(path)
     try:
         return parse_pts(text)
     except ParseError as exc:
@@ -153,11 +153,7 @@ def _load_pts(path: str) -> PTS:
 def _parse_formula_arg(text: str):
     # A .psi path stands in for the formula it contains.
     if text.endswith(".psi"):
-        try:
-            with open(text, "r", encoding="utf-8") as handle:
-                text = handle.read().strip()
-        except OSError as exc:
-            raise _CliError(f"cannot read {text}: {exc}") from exc
+        text = _read_text(text).strip()
     try:
         return parse_formula(text)
     except ParseError as exc:
@@ -183,11 +179,7 @@ def _max_resolutions(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise _CliError(f"cannot read {args.file}: {exc}") from exc
+    text = _read_text(args.file)
     collected: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ParserWarning)
@@ -224,10 +216,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_resolutions(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise _CliError(f"--limit must not be negative, got {args.limit}")
     pts = _load_pts(args.file)
     process = _require_process(pts, args.process)
-    count = check_size_guard(pts, process, _max_resolutions(args))
-    shown = [resolution_at(pts, process, k) for k in range(count)[: args.limit]]
+    layer = TraceLayer(pts)
+    count = layer.count(process, _max_resolutions(args))
+    shown = [layer.resolution(process, k) for k in range(count)[: args.limit]]
     td_of = weak_trace_distribution if args.weak else trace_distribution
     dists = [td_of(r) for r in shown]
     payload = {

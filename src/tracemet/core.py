@@ -118,6 +118,12 @@ class Dist(Mapping):
         return self._items
 
     @property
+    def items_descending(self) -> tuple:
+        """The items from the greatest key down: the display order, which
+        puts the longest and greatest traces and formulae first."""
+        return self._items[::-1]
+
+    @property
     def total(self) -> Fraction:
         if self._total is None:
             # The support is never empty, so the sum starts from a weight.
@@ -255,48 +261,20 @@ def validate_pts(pts: PTS) -> ValidationReport:
     return ValidationReport(tuple(errors), tuple(warnings))
 
 
+class _CycleError(ValueError):
+    def __init__(self, cycle: list[ProcessId]):
+        super().__init__(f"cycle through {cycle[0]!r}")
+        self.cycle = cycle
+
+
 def cycle_error(pts: PTS) -> tuple[ProcessId, str] | None:
     """The (location, message) error naming one cycle of the support graph,
-    or None when the graph is acyclic."""
-    cycle = _find_cycle(pts)
-    if cycle is None:
-        return None
-    return cycle[0], "reachability cycle: " + " -> ".join(cycle)
-
-
-def _find_cycle(pts: PTS) -> list[ProcessId] | None:
-    """Return one cycle of the support graph as [p0, ..., p0], or None."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {p: WHITE for p in pts.processes}
-
-    def successors(p: ProcessId) -> list[ProcessId]:
-        out: list[ProcessId] = []
-        for row in pts.transitions.get(p, ()):
-            out.extend(q for q in row.target.support if q in color)
-        return out
-
-    for start in sorted(pts.processes):
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[ProcessId, Iterator[ProcessId]]] = [(start, iter(successors(start)))]
-        color[start] = GREY
-        path = [start]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GREY:
-                    return path[path.index(nxt):] + [nxt]
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    path.append(nxt)
-                    stack.append((nxt, iter(successors(nxt))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                path.pop()
-                stack.pop()
+    or None when the graph is acyclic: the first cycle ``post_order`` meets
+    from the processes in sorted order."""
+    try:
+        post_order(pts, *sorted(pts.processes))
+    except _CycleError as exc:
+        return exc.cycle[0], "reachability cycle: " + " -> ".join(exc.cycle)
     return None
 
 
@@ -305,34 +283,46 @@ def enabled_actions(pts: PTS, process: ProcessId) -> frozenset[Action]:
     return frozenset(row.action for row in pts.transitions_of(process))
 
 
-def post_order(pts: PTS, process: ProcessId) -> list[ProcessId]:
-    """The processes reachable from ``process``, each listed after every
-    process its transitions can reach, so ``process`` comes last.
+def post_order(pts: PTS, *roots: ProcessId) -> list[ProcessId]:
+    """The processes reachable from ``roots``, each listed after every
+    process its transitions can reach.
 
-    Walks an explicit stack, so deep systems do not hit the recursion limit.
-    Requires an acyclic system; a reachable cycle raises ValueError.
+    The one depth-first search of the support graph: roots in the order
+    given, transitions in list order, targets in support order, on an
+    explicit stack, so deep systems do not hit the recursion limit.  An
+    undeclared process is listed with no successors, so callers reading
+    its transitions raise on it.  A reachable cycle raises ValueError
+    whose ``cycle`` is ``[p0, ..., p0]``.
     """
+    declared, transitions = pts.processes, pts.transitions
+
     def successors(p: ProcessId) -> Iterator[ProcessId]:
-        return (q for row in pts.transitions_of(p) for q in row.target.support)
+        rows = transitions.get(p, ()) if p in declared else ()
+        return (q for row in rows for q in row.target.support)
 
     order: list[ProcessId] = []
-    on_path: set[ProcessId] = {process}
+    on_path: set[ProcessId] = set()
     done: set[ProcessId] = set()
-    stack = [(process, successors(process))]
-    while stack:
-        p, it = stack[-1]
-        for q in it:
-            if q in on_path:
-                raise ValueError(f"cycle through {q!r}")
-            if q not in done:
-                on_path.add(q)
-                stack.append((q, successors(q)))
-                break
-        else:
-            stack.pop()
-            on_path.discard(p)
-            done.add(p)
-            order.append(p)
+    for root in roots:
+        if root in done:
+            continue
+        on_path.add(root)
+        stack = [(root, successors(root))]
+        while stack:
+            p, it = stack[-1]
+            for q in it:
+                if q in on_path:
+                    path = [node for node, _ in stack]
+                    raise _CycleError(path[path.index(q):] + [q])
+                if q not in done:
+                    on_path.add(q)
+                    stack.append((q, successors(q)))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(p)
+                done.add(p)
+                order.append(p)
     return order
 
 

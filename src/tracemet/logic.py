@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Action, Dist, PTS, ProcessId, TraceDistFormula
-from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution, resolution_at
+from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution
 from .traces import Trace, TraceLayer, first_indices, tau_erase
 
 
@@ -162,5 +162,5 @@ def satisfies(
         wanted[key] = scaled
     for index, row in enumerate(rows):
         if row == wanted:
-            return True, resolution_at(pts, process, index)
+            return True, layer.resolution(process, index)
     return False, None

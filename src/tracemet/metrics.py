@@ -8,7 +8,8 @@ the corresponding trace equivalence.  Both read the integer rows of one
 ``traces.TraceLayer`` per call, so the trace ids of the two sides agree;
 the sides' rows are scaled to one denominator before they are compared.
 No trace or distribution object is built, and a witness resolution is
-built only for the pair or the resolution that is returned.
+built only for the pair or the resolution that is returned, off the
+layer's resolution-count table.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import PTS, ProcessId
-from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution, resolution_at
+from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution
 from .traces import TraceLayer, first_indices
 from .transport import hausdorff_rows, on_common_denominator
 
@@ -62,7 +63,7 @@ def _trace_metric(
     # Neither list is empty (the halting resolution is always first), so
     # there is always a witness pair.
     d, i, j = hausdorff_rows(rows_s, rows_t, total)
-    witness = (resolution_at(pts, s, kept_s[i]), resolution_at(pts, t, kept_t[j]))
+    witness = (layer.resolution(s, kept_s[i]), layer.resolution(t, kept_t[j]))
     stats = DedupStats(len(side_s.rows), len(kept_s), len(side_t.rows), len(kept_t))
     return MetricResult(Fraction(d, total), witness, stats)
 
@@ -140,5 +141,5 @@ def find_distinguishing_resolution(
     for p, keys, others in ((s, keys_s, set(keys_t)), (t, keys_t, set(keys_s))):
         for index, key in enumerate(keys):
             if key not in others:
-                return p, resolution_at(pts, p, index)
+                return p, layer.resolution(p, index)
     return None

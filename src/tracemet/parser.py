@@ -271,14 +271,8 @@ def parse_formula(text: str) -> TraceDistFormula:
     return Dist(weights)
 
 
-def _formula_display_order(psi: TraceDistFormula) -> list[tuple[TraceFormula, Fraction]]:
-    # Longest/greatest diamond sequences first; a stable convention that
-    # keeps the dominant shapes at the front of the printed choice.
-    return sorted(psi.items_sorted, key=lambda item: item[0], reverse=True)
-
-
 def print_formula(psi: TraceDistFormula) -> str:
-    return " (+) ".join(f"{weight} {phi}" for phi, weight in _formula_display_order(psi))
+    return " (+) ".join(f"{weight} {phi}" for phi, weight in psi.items_descending)
 
 
 def print_trace(trace: Trace) -> str:
@@ -286,8 +280,7 @@ def print_trace(trace: Trace) -> str:
 
 
 def print_trace_distribution(td: Dist) -> str:
-    items = sorted(td.items_sorted, key=lambda item: item[0], reverse=True)
-    return ", ".join(f"{weight} {print_trace(trace)}" for trace, weight in items)
+    return ", ".join(f"{weight} {print_trace(trace)}" for trace, weight in td.items_descending)
 
 
 def print_pts(pts: PTS) -> str:

@@ -8,9 +8,10 @@ different branches may be scheduled differently, and the initial state must
 never occur inside a target distribution.  Each node maps back to the
 process it unfolds.
 
-No command lists resolutions: ``count_resolutions`` counts them,
-``check_size_guard`` bounds the count, and ``resolution_at`` builds the one
-with a given index in the canonical order.  The recursive enumerator, the
+No command lists resolutions: ``count_resolutions`` counts them, and
+``resolution_at`` builds the one with a given index in the canonical order
+off the counts of the processes the root reaches (``traces.TraceLayer``
+keeps that table per queried process).  The recursive enumerator, the
 structural validator and the hand-built-resolution helper that the tests
 compare against live in ``tests/oracles.py``.
 """
@@ -98,15 +99,6 @@ def count_resolutions(pts: PTS, process: ProcessId) -> int:
     return _resolution_counts(pts, process)[process]
 
 
-def check_size_guard(pts: PTS, process: ProcessId, max_resolutions: int) -> int:
-    """The resolution count of ``process``; raises SizeGuardExceeded when it
-    is more than ``max_resolutions``."""
-    count = count_resolutions(pts, process)
-    if count > max_resolutions:
-        raise SizeGuardExceeded(count, max_resolutions, process)
-    return count
-
-
 def resolution_at(pts: PTS, process: ProcessId, index: int) -> Resolution:
     """The resolution of ``process`` with the given index in the canonical
     order, built alone.
@@ -116,7 +108,12 @@ def resolution_at(pts: PTS, process: ProcessId, index: int) -> Resolution:
     combination of sub-schedulers, read as a mixed-radix number whose digits
     are the targets' indices, the last target's digit varying fastest.
     """
-    counts = _resolution_counts(pts, process)
+    return _resolution_from(pts, process, index, _resolution_counts(pts, process))
+
+
+def _resolution_from(pts: PTS, process: ProcessId, index: int, counts: dict) -> Resolution:
+    """``resolution_at`` off ``counts``, the resolution counts of every
+    process that ``process`` reaches."""
     if not 0 <= index < counts[process]:
         raise IndexError(f"resolution index {index} out of range for {process!r}")
     choices: dict[UnfoldNode, Choice] = {}

@@ -30,8 +30,9 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
-from .core import PTS, Action, Dist, ProcessId, TraceDistribution, post_order
-from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution, check_size_guard
+from .core import PTS, Action, Dist, ProcessId, TraceDistribution
+from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution, SizeGuardExceeded
+from .resolutions import _resolution_counts, _resolution_from
 
 Trace = tuple[Action, ...]
 EPSILON: Trace = ()
@@ -85,10 +86,13 @@ class TraceLayer:
 
     One layer serves one call: both sides of a comparison, and both the
     strong and the weak lists, so trace ids agree across everything it
-    returns.  ``len(layer)`` is the number of interned trace ids.
+    returns.  ``len(layer)`` is the number of interned trace ids.  The
+    resolution counts of the processes a queried process reaches are
+    walked once per layer: the size guard (``count``), the build
+    (``entries``) and every witness (``resolution``) read that table.
     """
 
-    __slots__ = ("pts", "actions", "tails", "_children", "_lists")
+    __slots__ = ("pts", "actions", "tails", "_children", "_lists", "_counts")
 
     def __init__(self, pts: PTS):
         self.pts = pts
@@ -97,6 +101,7 @@ class TraceLayer:
         self.tails: list[int] = [0]
         self._children: dict[str, dict[int, int]] = {}
         self._lists: dict[tuple[bool, ProcessId], Entries] = {}
+        self._counts: dict[ProcessId, dict[ProcessId, int]] = {}
 
     def __len__(self) -> int:
         return len(self.tails)
@@ -118,12 +123,27 @@ class TraceLayer:
         prepended (weakly, unless it is silent, which keeps the ids).  The
         resolution count is checked against ``max_resolutions`` first.
         """
-        check_size_guard(self.pts, process, max_resolutions)
+        self.count(process, max_resolutions)
         lists = self._lists
-        for p in post_order(self.pts, process):
+        for p in self._counts[process]:  # keyed in post-order
             if (weak, p) not in lists:
                 lists[(weak, p)] = self._build(p, weak)
         return lists[(weak, process)]
+
+    def count(self, process: ProcessId, max_resolutions: int = DEFAULT_MAX_RESOLUTIONS) -> int:
+        """The number of resolutions of ``process``, off its count table;
+        raises SizeGuardExceeded when it is more than ``max_resolutions``."""
+        table = self._counts.get(process)
+        if table is None:
+            table = self._counts[process] = _resolution_counts(self.pts, process)
+        if table[process] > max_resolutions:
+            raise SizeGuardExceeded(table[process], max_resolutions, process)
+        return table[process]
+
+    def resolution(self, process: ProcessId, index: int) -> Resolution:
+        """``resolution_at(pts, process, index)``, off the same table."""
+        self.count(process, math.inf)
+        return _resolution_from(self.pts, process, index, self._counts[process])
 
     def _build(self, p: ProcessId, weak: bool) -> Entries:
         lists = self._lists

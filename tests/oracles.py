@@ -22,7 +22,9 @@ The package's test-only half lives here as well, moved unchanged.  From
 ``resolutions``: the recursive enumerator ``enumerate_resolutions`` (whose
 order ``resolution_at`` and ``trace_distributions`` must reproduce), the
 independent structural check ``validate_resolution``, and
-``make_resolution``, which spells out a scheduler by hand.  From
+``make_resolution``, which spells out a scheduler by hand.  From ``core``:
+the colouring cycle search ``_find_cycle`` that ``core.cycle_error`` (one
+pass of ``post_order``) must agree with.  From
 ``traces``: the run lists ``Computation`` and ``max_computations``, which
 ``trace_distribution`` must sum to.  From ``transport``: the exact
 min-cost-flow solver ``kantorovich_oracle`` (with ``_FlowNetwork`` and its
@@ -45,7 +47,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import tracemet as tm
 from tracemet.core import IDENTIFIER_RE, PTS, Action, ProcessId, Transition, post_order, validate_pts
@@ -55,7 +57,6 @@ from tracemet.resolutions import (
     Choice,
     Resolution,
     UnfoldNode,
-    check_size_guard,
 )
 from tracemet.traces import EPSILON, Trace
 
@@ -143,6 +144,42 @@ def sup_val_over(set_s: list, set_t: list, weak: bool) -> Fraction:
     return best
 
 
+def _find_cycle(pts: PTS) -> list[ProcessId] | None:
+    """Return one cycle of the support graph as [p0, ..., p0], or None."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {p: WHITE for p in pts.processes}
+
+    def successors(p: ProcessId) -> list[ProcessId]:
+        out: list[ProcessId] = []
+        for row in pts.transitions.get(p, ()):
+            out.extend(q for q in row.target.support if q in color)
+        return out
+
+    for start in sorted(pts.processes):
+        if color[start] != WHITE:
+            continue
+        stack: list[tuple[ProcessId, Iterator[ProcessId]]] = [(start, iter(successors(start)))]
+        color[start] = GREY
+        path = [start]
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if color[nxt] == GREY:
+                    return path[path.index(nxt):] + [nxt]
+                if color[nxt] == WHITE:
+                    color[nxt] = GREY
+                    path.append(nxt)
+                    stack.append((nxt, iter(successors(nxt))))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = BLACK
+                path.pop()
+                stack.pop()
+    return None
+
+
 # A choice tree is None (halt) or (index, ((target, subtree), ...)) with
 # targets in ascending order.  Trees are shared across enumerations.
 def _choice_trees(pts: PTS, process: ProcessId, memo: dict) -> list:
@@ -174,6 +211,12 @@ def _materialize(pts: PTS, root: ProcessId, tree) -> Resolution:
     return Resolution(pts, root, choices)
 
 
+def _check_size_guard(pts: PTS, process: ProcessId, max_resolutions: int) -> None:
+    count = tm.count_resolutions(pts, process)
+    if count > max_resolutions:
+        raise tm.SizeGuardExceeded(count, max_resolutions, process)
+
+
 def enumerate_resolutions(
     pts: PTS,
     process: ProcessId,
@@ -185,7 +228,7 @@ def enumerate_resolutions(
     list order, sub-schedulers of later targets varying fastest.  The
     count is checked against ``max_resolutions`` before materializing.
     """
-    check_size_guard(pts, process, max_resolutions)
+    _check_size_guard(pts, process, max_resolutions)
     trees = _choice_trees(pts, process, {})
     return [_materialize(pts, process, tree) for tree in trees]
 
@@ -321,7 +364,7 @@ def trace_distributions(
     reused, so one memo can serve both sides of a comparison.  The
     resolution count is checked against ``max_resolutions`` first.
     """
-    check_size_guard(pts, process, max_resolutions)
+    _check_size_guard(pts, process, max_resolutions)
     if memo is None:
         memo = {}
     for p in post_order(pts, process):

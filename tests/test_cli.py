@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,9 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import tracemet
 import tracemet.cli as cli
 from conftest import EQUIV_PAIR_TEXT, HALF_PAIR_TEXT
+from test_parser import system_texts
 
 
 @pytest.fixture()
@@ -169,10 +175,13 @@ class TestOtherCommands:
         assert code == 0
         assert out.splitlines()[0] == "10 resolutions of t"
         assert "more (raise --limit)" in out
-        # A negative limit drops resolutions from the end, as a slice does.
-        code, out, _ = run(capsys, "resolutions", half_file, "-p", "t", "--limit", "-3", "--json")
-        payload = json.loads(out)
-        assert code == 0 and (payload["count"], payload["shown"]) == (10, 7)
+        # A negative limit is a usage error, not a slice from the end.
+        for limit in ("-1", "-3"):
+            code, out, err = run(capsys, "resolutions", half_file, "-p", "t", "--limit", limit)
+            assert (code, out) == (1, "")
+            assert err.strip() == f"--limit must not be negative, got {limit}"
+        code, out, _ = run(capsys, "resolutions", half_file, "-p", "t", "--limit", "0", "--json")
+        assert code == 0 and (json.loads(out)["count"], json.loads(out)["shown"]) == (10, 0)
 
     def test_crosscheck_ok(self, capsys, half_file):
         code, out, _ = run(capsys, "crosscheck", half_file, "-p", "s", "-q", "t")
@@ -385,3 +394,100 @@ def test_python_dash_m_runs_the_cli(half_file):
     assert metric.returncode == 0 and metric.stdout.startswith("1/2 (0.5)\n")
     usage = module_run("metric", half_file, "-p", "s")
     assert usage.returncode == 1 and "required" in usage.stderr
+
+
+class TestUnreadableInput:
+    @pytest.fixture()
+    def latin1_file(self, tmp_path):
+        path = tmp_path / "latin1.pts"
+        path.write_bytes(b"s -a-> 1 caf\xe9\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["metric", "-p", "s", "-q", "s"], ["resolutions", "-p", "s"],
+    ])
+    def test_non_utf8_system_is_a_read_error(self, capsys, latin1_file, command):
+        code, out, err = run(capsys, command[0], latin1_file, *command[1:])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"cannot read {latin1_file}: 'utf-8' codec can't decode byte 0xe9")
+
+    def test_non_utf8_formula_file_is_a_read_error(self, capsys, half_file, tmp_path):
+        psi = tmp_path / "bad.psi"
+        psi.write_bytes(b"1 <a>T \xff")
+        code, out, err = run(capsys, "sat", half_file, "-p", "s", "-f", str(psi))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"cannot read {psi}: ")
+
+
+@st.composite
+def corrupted_files(draw) -> bytes:
+    text = draw(system_texts()).encode("utf-8")
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.binary(min_size=1, max_size=3)) + text[at:]
+    return text
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(corrupted_files())
+def test_corrupted_files_end_in_a_documented_exit_code(tmp_path, data):
+    path = tmp_path / "corrupt.pts"
+    path.write_bytes(data)
+    file = str(path)
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        for argv in (
+            ["validate", file],
+            ["metric", file, "-p", "p0", "-q", "p1", "--max-resolutions", "200"],
+            ["sat", file, "-p", "p0", "-f", "1 <a>T", "--weak", "--max-resolutions", "200"],
+        ):
+            assert cli.main(argv) in (0, 1, 2, 3)
+
+
+class TestCountWalks:
+    """Each process side's resolutions are counted once per command: the
+    size guard, the build and every witness read one table."""
+
+    FORMULA = "1/2 <a><c>T (+) 1/2 <a><b>T"
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        original = tracemet.resolutions._resolution_counts
+        calls = []
+
+        def counting(pts, process):
+            calls.append(process)
+            return original(pts, process)
+
+        for module in (tracemet.resolutions, tracemet.traces):
+            monkeypatch.setattr(module, "_resolution_counts", counting)
+        return calls
+
+    @pytest.mark.parametrize("argv, sides", [
+        (["metric", "-p", "s", "-q", "t"], ["s", "t"]),
+        (["metric", "-p", "s", "-q", "t", "--weak"], ["s", "t"]),
+        (["equiv", "-p", "s", "-q", "t"], ["s", "t"]),
+        (["equiv", "-p", "t", "-q", "s", "--weak"], ["t", "s"]),
+        (["crosscheck", "-p", "s", "-q", "t"], ["s", "t"]),
+        (["sat", "-p", "t", "-f", FORMULA], ["t"]),
+        (["sat", "-p", "s", "-f", FORMULA, "--weak"], ["s"]),
+        (["val", "-p", "s", "-f", FORMULA], ["s"]),
+        (["mimic", "-p", "t"], ["t"]),
+        (["mimic", "-p", "s", "--weak"], ["s"]),
+        (["resolutions", "-p", "t", "--limit", "5"], ["t"]),
+        (["resolutions", "-p", "s"], ["s"]),
+    ])
+    def test_one_count_per_side(self, capsys, half_file, counted, argv, sides):
+        code, out, _ = run(capsys, argv[0], half_file, *argv[1:], "--json")
+        assert code == 0
+        assert counted == sides
+        payload = json.loads(out)
+        # The witnesses were decoded, off the same tables.
+        if argv[0] == "metric":
+            assert payload["witness"] is not None
+        if argv[0] == "equiv":
+            assert payload["distinguishing"] is not None
+        if argv == ["sat", "-p", "t", "-f", self.FORMULA]:
+            assert payload["witness"] is not None
+        if argv[0] == "resolutions":
+            assert payload["shown"] == (5 if "--limit" in argv else payload["count"])

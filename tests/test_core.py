@@ -2,9 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import tracemet as tm
 from genpts import random_pts
+from tracemet.core import cycle_error, post_order
+from tracemet.traces import TraceLayer
 
 
 def test_action_validation():
@@ -166,3 +171,139 @@ def _depth_by_path_enumeration(pts: tm.PTS, process: str) -> int:
             for q in row.target.support:
                 stack.append((q, length + 1))
     return best
+
+
+# The one depth-first search: ``post_order`` over several roots, and
+# ``cycle_error`` read off it, against the colouring search it replaced.
+
+def _row(action: str, weights: dict) -> tm.Transition:
+    return tm.Transition(tm.Action(action), tm.Dist(weights))
+
+
+@st.composite
+def wired_systems(draw) -> tm.PTS:
+    """Systems built without validation: arbitrary back edges and self
+    loops, targets that are not declared (g0, g1), and transition lists
+    kept for undeclared sources."""
+    names = [f"p{i}" for i in range(draw(st.integers(1, 6)))]
+    ghosts = ["g0", "g1"]
+    sources = names + draw(st.lists(st.sampled_from(ghosts), unique=True, max_size=2))
+    transitions = {}
+    for src in sources:
+        rows = []
+        for _ in range(draw(st.integers(0, 2))):
+            support = draw(st.lists(st.sampled_from(names + ghosts), min_size=1, max_size=3, unique=True))
+            rows.append(_row("a", {q: Fraction(1, len(support)) for q in support}))
+        if rows:
+            transitions[src] = tuple(rows)
+    return tm.PTS(frozenset(names), transitions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wired_systems())
+def test_cycle_error_matches_the_colouring_search(pts):
+    cycle = oracles._find_cycle(pts)
+    expected = None if cycle is None else (cycle[0], "reachability cycle: " + " -> ".join(cycle))
+    assert cycle_error(pts) == expected
+    assert (expected in tm.validate_pts(pts).errors) == (expected is not None)
+    if expected is None:
+        # Every process once, after each of its successors.
+        order = post_order(pts, *sorted(pts.processes))
+        assert len(order) == len(set(order))
+        position = {p: i for i, p in enumerate(order)}
+        for p in pts.processes:
+            for row in pts.transitions.get(p, ()):
+                assert all(position[q] < position[p] for q in row.target.support)
+
+
+def test_post_order_over_several_roots_continues_one_walk():
+    rng = random.Random(11)
+    for _ in range(30):
+        pts = random_pts(rng, max_states=7)
+        roots = sorted(pts.processes)
+        rng.shuffle(roots)
+        expected: list = []
+        for root in roots:
+            expected += [p for p in post_order(pts, root) if p not in expected]
+        assert post_order(pts, *roots) == expected
+
+
+# Several cycles each; the message names the first one the search meets.
+MANY_CYCLES = tm.PTS.build(
+    {
+        "m": [("a", {"n": "1/2", "q": "1/2"})],
+        "n": [("b", {"o": 1})],
+        "o": [("c", {"q": "1/3", "m": "2/3"})],
+        "q": [("d", {"r": 1})],
+        "r": [("e", {"q": 1})],
+        "z": [("f", {"z": 1})],
+    }
+)
+# An undeclared target (ghost) that loops on itself, a self loop at b
+# behind a longer cycle, and a cycle not reachable from the first process.
+CYCLES_PAST_A_GHOST = tm.PTS(
+    frozenset({"a", "b", "c", "d", "e"}),
+    {
+        "a": (_row("x", {"ghost": 1}),),
+        "b": (_row("x", {"d": "1/2", "c": "1/2"}), _row("y", {"b": 1})),
+        "c": (_row("x", {"e": 1}),),
+        "d": (_row("x", {"b": 1}),),
+        "e": (_row("x", {"c": 1}), _row("y", {"a": 1})),
+        "ghost": (_row("x", {"ghost": 1}),),
+    },
+)
+
+
+def test_cycle_messages_are_pinned():
+    assert cycle_error(MANY_CYCLES) == ("m", "reachability cycle: m -> n -> o -> m")
+    assert cycle_error(CYCLES_PAST_A_GHOST) == ("c", "reachability cycle: c -> e -> c")
+    assert tm.validate_pts(CYCLES_PAST_A_GHOST).errors == (
+        ("ghost", "transition source is not a declared process"),
+        ("a#0", "reference to undeclared process 'ghost'"),
+        ("c", "reachability cycle: c -> e -> c"),
+    )
+    with pytest.raises(tm.ParseError) as caught:
+        tm.parse_pts(tm.print_pts(MANY_CYCLES))
+    assert str(caught.value) == "m: reachability cycle: m -> n -> o -> m"
+    with pytest.raises(ValueError, match=r"^cycle through 'q'$") as raised:
+        post_order(MANY_CYCLES, "q")
+    assert raised.value.cycle == ["q", "r", "q"]
+
+
+# s reaches a target that is not declared; t loops on itself.
+GHOST = tm.PTS(
+    frozenset({"s", "t"}),
+    {"s": (_row("a", {"ghost": 1}),), "t": (_row("b", {"t": 1}),)},
+)
+
+
+class TestUndeclaredTargets:
+    def test_listed_with_no_successors(self):
+        assert post_order(GHOST, "s") == ["ghost", "s"]
+        assert post_order(GHOST, "ghost") == ["ghost"]
+
+    def test_validation_reports_every_error(self):
+        assert tm.validate_pts(GHOST).errors == (
+            ("s#0", "reference to undeclared process 'ghost'"),
+            ("t", "reachability cycle: t -> t"),
+        )
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda: tm.depth(GHOST, "s"),
+            lambda: tm.count_resolutions(GHOST, "s"),
+            lambda: tm.resolution_at(GHOST, "s", 0),
+            lambda: TraceLayer(GHOST).entries("s"),
+            lambda: TraceLayer(GHOST).resolution("s", 0),
+            lambda: tm.trace_distributions(GHOST, "s", weak=True),
+            lambda: tm.strong_trace_metric(GHOST, "s", "s"),
+            lambda: tm.weak_trace_equivalent(GHOST, "s", "s"),
+            lambda: tm.satisfies(GHOST, "s", tm.TOP_DIST),
+            lambda: tm.mimicking_formulas(GHOST, "s"),
+            lambda: tm.crosscheck(GHOST, "s", "s"),
+        ],
+    )
+    def test_queries_name_the_unknown_process(self, query):
+        with pytest.raises(ValueError, match=r"^unknown process 'ghost'$"):
+            query()
