@@ -1,18 +1,19 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 parse/validation/usage errors, 2 resolution-count
-guard exceeded, 3 cross-check inequality (a bug signal).  Diagnostics go to
+Exit codes: 0 success, 1 parse/validation/usage errors, unreadable input or
+a closed standard output (``tracemet ... | head``), 2 resolution-count guard
+exceeded, 3 cross-check inequality (a bug signal).  Diagnostics go to
 stderr; results go to stdout as text or, with ``--json``, as a stable JSON
 document in which every rational appears as ``{"num": "...", "den": "..."}``.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable
 
 from . import __version__
@@ -82,11 +83,23 @@ def _dist_json(td) -> list[dict]:
     ]
 
 
-def _formula_json(psi) -> list[dict]:
-    return [
-        {"diamonds": [a.name for a in phi.diamonds], "weight": _frac_json(weight)}
-        for phi, weight in psi.items_descending
-    ]
+def _formula_json(psi, entries: dict) -> list[dict]:
+    # One entry dict per (formula, weight), shared by every formula that
+    # lists it, so _dumps encodes it once.  The key is the formula object's
+    # identity, valid while the formulae live: mimicking_formulas returns
+    # one object per trace, and hashing the dataclass would cost about what
+    # the sharing saves.
+    out = []
+    for phi, weight in psi.items_descending:
+        key = (id(phi), weight.numerator, weight.denominator)
+        entry = entries.get(key)
+        if entry is None:
+            entry = entries[key] = {
+                "diamonds": [a.name for a in phi.diamonds],
+                "weight": _frac_json(weight),
+            }
+        out.append(entry)
+    return out
 
 
 def _format_node(resolution: Resolution, node) -> str:
@@ -123,11 +136,83 @@ def _resolution_lines(resolution: Resolution, indent: str = "  ") -> list[str]:
     return lines
 
 
+def _dumps(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, for
+    payloads of dicts with ``str`` keys, lists, ``str``, ``int``, ``bool``
+    and ``None``; any other type raises ``TypeError``.
+
+    The stdlib's indenting encoder is pure Python and re-encodes a shared
+    object at every occurrence.  Here a dict or list met again at the same
+    depth is encoded once: its text is memoized under ``(id, depth)`` for
+    this call, during which the payload keeps every object alive.  The walk
+    keeps an explicit stack, so nesting depth is bounded by memory only.
+    """
+    memo: dict[tuple[int, int], str] = {}
+    active: set[int] = set()  # containers being encoded, to catch cycles
+    top: list[str] = []
+    # A frame: item texts so far, remaining items, whether they are
+    # (key, value) pairs, depth, the memo key, and the text to put before
+    # the finished container in its parent.
+    stack = [(top, iter((payload,)), False, -1, None, "")]
+    while stack:
+        parts, items, pairs, depth, key, lead = stack[-1]
+        for item in items:
+            if pairs:
+                name, value = item
+                if not isinstance(name, str):
+                    raise TypeError(f"keys must be str, not {type(name).__name__}")
+                head = encode_basestring_ascii(name) + ": "
+            else:
+                value, head = item, ""
+            if isinstance(value, (dict, list)):
+                if not value:
+                    parts.append(head + ("{}" if isinstance(value, dict) else "[]"))
+                    continue
+                child = (id(value), depth + 1)
+                text = memo.get(child)
+                if text is not None:
+                    parts.append(head + text)
+                    continue
+                if child[0] in active:
+                    raise ValueError("Circular reference detected")
+                active.add(child[0])
+                if isinstance(value, dict):
+                    stack.append(([], iter(sorted(value.items())), True, depth + 1, child, head))
+                else:
+                    stack.append(([], iter(value), False, depth + 1, child, head))
+                break
+            elif isinstance(value, str):
+                parts.append(head + encode_basestring_ascii(value))
+            elif value is None:
+                parts.append(head + "null")
+            elif value is True:
+                parts.append(head + "true")
+            elif value is False:
+                parts.append(head + "false")
+            elif isinstance(value, int):
+                parts.append(head + int.__repr__(value))
+            else:
+                raise TypeError(
+                    f"Object of type {type(value).__name__} is not JSON serializable"
+                )
+        else:
+            stack.pop()
+            if key is None:
+                break
+            inner = "  " * (depth + 1)
+            opening, closing = ("{", "}") if pairs else ("[", "]")
+            text = f"{opening}\n{inner}" + f",\n{inner}".join(parts) + f"\n{inner[2:]}{closing}"
+            memo[key] = text
+            active.discard(key[0])
+            stack[-1][0].append(lead + text)
+    return top[0]
+
+
 def _emit(args, payload: dict, text_lines: Callable[[], Iterable[str]]) -> None:
     # The text lines are built only when they are printed: under --json a
     # mimic query would otherwise format every formula for nothing.
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         for line in text_lines():
             print(line)
@@ -167,15 +252,18 @@ def _require_process(pts: PTS, name: str) -> str:
 
 
 def _max_resolutions(args) -> int:
-    if args.max_resolutions is not None:
-        return args.max_resolutions
-    env = os.environ.get(MAX_RESOLUTIONS_ENV)
-    if env is not None:
+    cap, source = args.max_resolutions, "--max-resolutions"
+    if cap is None:
+        env = os.environ.get(MAX_RESOLUTIONS_ENV)
+        if env is None:
+            return DEFAULT_MAX_RESOLUTIONS
         try:
-            return int(env)
+            cap, source = int(env), MAX_RESOLUTIONS_ENV
         except ValueError as exc:
             raise _CliError(f"{MAX_RESOLUTIONS_ENV} must be an integer") from exc
-    return DEFAULT_MAX_RESOLUTIONS
+    if cap < 0:
+        raise _CliError(f"{source} must not be negative, got {cap}")
+    return cap
 
 
 def _cmd_validate(args) -> int:
@@ -252,10 +340,11 @@ def _cmd_mimic(args) -> int:
     pts = _load_pts(args.file)
     process = _require_process(pts, args.process)
     formulas = mimicking_formulas(pts, process, args.weak, _max_resolutions(args))
+    entries: dict = {}
     payload = {
         "process": process,
         "weak": args.weak,
-        "formulas": [_formula_json(psi) for psi in formulas],
+        "formulas": [_formula_json(psi, entries) for psi in formulas],
     }
     _emit(args, payload, lambda: map(print_formula, formulas))
     return EXIT_OK
@@ -420,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tracemet",
         description="Exact trace metrics, equivalences and characterizing "
         "formulae for finite probabilistic transition systems.",
-        epilog="exit codes: 0 ok; 1 parse/validation/usage error; "
+        epilog="exit codes: 0 ok; 1 parse/validation/usage error or closed stdout; "
         "2 resolution size guard; 3 cross-check disagreement",
     )
     parser.add_argument("--version", action="version", version=f"tracemet {__version__}")
@@ -481,6 +570,7 @@ def main(argv=None) -> int:
         for w in caught:
             if args.command != "validate":
                 print(f"warning: {w.message}", file=sys.stderr)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
@@ -488,6 +578,15 @@ def main(argv=None) -> int:
     except SizeGuardExceeded as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return EXIT_SIZE_GUARD
+    except BrokenPipeError:
+        # The reader closed standard output (``tracemet ... | head``): an
+        # I/O failure like an unreadable file, reported by the exit code
+        # alone.  What is still buffered goes to the null device, so the
+        # interpreter's final flush does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

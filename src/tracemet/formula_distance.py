@@ -243,12 +243,20 @@ def crosscheck(
     weak_t = _distinct(layer.entries(t, True, max_resolutions))
     (set_s, weak_set_s), (set_t, weak_set_t) = _formula_sets(layer, [strong_s, strong_t])
 
+    # Where no silent step is reachable the weak rows and sets equal the
+    # strong ones, and a weak pass would repeat a strong one on equal input.
     strong = _hausdorff_value(strong_s, strong_t)
-    weak = _hausdorff_value(weak_s, weak_t)
+    if (weak_s, weak_t) == (strong_s, strong_t):
+        weak = strong
+    else:
+        weak = _hausdorff_value(weak_s, weak_t)
     logical_strong = _hausdorff_value(set_s, set_t)
-    logical_weak = _hausdorff_value(weak_set_s, weak_set_t)
     supval_strong = _sup_val_value(set_s, set_t)
-    supval_weak = _sup_val_value(weak_set_s, weak_set_t)
+    if (weak_set_s, weak_set_t) == (set_s, set_t):
+        logical_weak, supval_weak = logical_strong, supval_strong
+    else:
+        logical_weak = _hausdorff_value(weak_set_s, weak_set_t)
+        supval_weak = _sup_val_value(weak_set_s, weak_set_t)
 
     mismatches: list[str] = []
     if logical_strong != strong:

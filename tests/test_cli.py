@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import tracemet
 import tracemet.cli as cli
 from conftest import EQUIV_PAIR_TEXT, HALF_PAIR_TEXT
+from golden.generate import ladder_text
 from test_parser import system_texts
 
 
@@ -217,6 +219,75 @@ def test_json_builds_no_text_lines(capsys, half_file, monkeypatch):
         json.loads(out)
 
 
+def reference_dumps(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+json_strings = st.text() | st.sampled_from(
+    ["", "\x00\x1f\x7f", "caf\xe9", "\u2028", "\U0001f600", '"\\/']
+)
+json_leaves = st.none() | st.booleans() | st.integers() | json_strings
+json_payloads = st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(json_strings, kids, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestDumps:
+    """``cli._dumps`` writes what ``json.dumps(indent=2, sort_keys=True)``
+    writes, encoding a shared container once per depth."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(json_payloads)
+    def test_matches_json_dumps(self, payload):
+        assert cli._dumps(payload) == reference_dumps(payload)
+
+    def test_shared_objects_at_one_depth_and_at_two(self):
+        entry = {"diamonds": ["a", "b"], "weight": {"num": "1", "den": "2"}}
+        row = [entry, entry, [], {}]
+        payload = {"rows": [row, row, [row]], "same": entry, "nested": [[entry]], "z": row}
+        text = cli._dumps(payload)
+        assert text == reference_dumps(payload)
+        assert json.loads(text)["rows"][2][0][1] == entry
+
+    def test_a_list_reused_at_several_depths(self):
+        leaf = ["x"]
+        payload = [leaf, [leaf, [leaf, {"k": leaf}]], leaf]
+        assert cli._dumps(payload) == reference_dumps(payload)
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, (1, 2), {1: "a"}])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._dumps({"value": [value]})
+
+    def test_cycle_raises(self):
+        loop: list = []
+        loop.append({"again": loop})
+        with pytest.raises(ValueError):
+            cli._dumps(loop)
+
+    def test_nested_containers(self):
+        # Every level's text is memoized until the call returns, so the
+        # memo grows with depth times output: keep this deep case small.
+        payload: list = []
+        for level in range(100):
+            payload = [payload, 1] if level % 2 else {"k": payload, "e": {}}
+        assert cli._dumps(payload) == reference_dumps(payload)
+
+    def test_ladder4_mimic_document(self, capsys, tmp_path):
+        # 613 formulae, about 390 KB: far beyond the golden mimic cases.
+        path = tmp_path / "ladder4.pts"
+        path.write_text(ladder_text(4))
+        code, out, err = run(capsys, "mimic", str(path), "-p", "x0", "--json")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["formulas"]) == 613
+        # A bool, not the strings: pytest's diff of two 390 KB texts would
+        # run for minutes.
+        same = out == reference_dumps(json.loads(out)) + "\n"
+        assert same
+
+
 class TestGuardsAndErrors:
     def test_size_guard_exit_code(self, capsys, half_file):
         code, _, err = run(capsys, "metric", half_file, "-p", "s", "-q", "t",
@@ -255,6 +326,22 @@ class TestGuardsAndErrors:
         monkeypatch.setenv(cli.MAX_RESOLUTIONS_ENV, "lots")
         code, _, err = run(capsys, "metric", half_file, "-p", "s", "-q", "t")
         assert code == 1 and "must be an integer" in err
+
+    def test_negative_cap_flag_is_a_usage_error(self, capsys, half_file):
+        code, out, err = run(capsys, "metric", half_file, "-p", "s", "-q", "t",
+                             "--max-resolutions", "-1")
+        assert (code, out) == (1, "")
+        assert err == "--max-resolutions must not be negative, got -1\n"
+
+    def test_negative_cap_env_is_a_usage_error(self, capsys, half_file, monkeypatch):
+        monkeypatch.setenv(cli.MAX_RESOLUTIONS_ENV, "-5")
+        code, out, err = run(capsys, "mimic", half_file, "-p", "s")
+        assert (code, out) == (1, "")
+        assert err == f"{cli.MAX_RESOLUTIONS_ENV} must not be negative, got -5\n"
+        # A zero cap is valid: it admits no process, so the guard answers.
+        monkeypatch.setenv(cli.MAX_RESOLUTIONS_ENV, "0")
+        code, _, err = run(capsys, "mimic", half_file, "-p", "s")
+        assert code == 2 and "size guard" in err
 
     def test_parser_warnings_reach_stderr(self, capsys, tmp_path):
         path = tmp_path / "dup.pts"
@@ -377,6 +464,22 @@ def test_resolutions_of_a_deep_chain(capsys, tmp_path):
         "  TD: 1 ε",
         "... 3000 more (raise --limit)",
     ]
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # ladder(4)'s mimic document (about 390 KB) outgrows the pipe's buffer,
+    # so the write meets the closed pipe inside main, not at exit.
+    path = tmp_path / "ladder4.pts"
+    path.write_text(ladder_text(4))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-m", "tracemet", "mimic", str(path), "-p", "x0", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    ) as child:
+        assert child.stdout.read(100).startswith(b"{")
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (1, b"")
 
 
 def test_python_dash_m_runs_the_cli(half_file):

@@ -193,3 +193,37 @@ class TestCrossCheck:
             report = tm.crosscheck(pts, s, t)
             assert report.all_equal, report.mismatches
             assert report.weak_sup_val_distance == report.weak_metric
+
+    @pytest.fixture()
+    def passes(self, monkeypatch):
+        import tracemet.formula_distance as fd
+
+        counted = {"max-min": 0, "sup-value": 0}
+
+        def counting(name, original):
+            def wrapper(*args):
+                counted[name] += 1
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(fd, "_hausdorff_value", counting("max-min", fd._hausdorff_value))
+        monkeypatch.setattr(fd, "_sup_val_value", counting("sup-value", fd._sup_val_value))
+        return counted
+
+    def test_tau_free_weak_route_reuses_the_strong_passes(self, half_pair, passes):
+        # No silent step: the weak rows and sets equal the strong ones, so
+        # the three weak values are the strong passes' results.
+        report = tm.crosscheck(half_pair, "s", "t")
+        assert passes == {"max-min": 2, "sup-value": 1}
+        assert report.weak_metric == tm.weak_trace_metric(half_pair, "s", "t").value
+        assert report.weak_logical_distance == tm.logical_distance(half_pair, "s", "t", weak=True)
+        assert report.weak_sup_val_distance == tm.sup_val_distance(half_pair, "s", "t", weak=True)
+        assert report.all_equal and report.mismatches == ()
+
+    def test_silent_steps_run_every_weak_pass(self, half_pair, passes):
+        pts = with_tau_prefix(half_pair, "s")
+        report = tm.crosscheck(pts, "ptau", "t")
+        assert passes == {"max-min": 4, "sup-value": 2}
+        assert report.strong_metric == 1
+        assert report.weak_metric == report.weak_logical_distance == Fraction(1, 2)
+        assert report.all_equal
