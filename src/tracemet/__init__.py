@@ -34,7 +34,6 @@ from .resolutions import (
     DEFAULT_MAX_RESOLUTIONS,
     Resolution,
     SizeGuardExceeded,
-    UnfoldNode,
     count_resolutions,
     resolution_at,
 )

@@ -102,37 +102,31 @@ def _formula_json(psi, entries: dict) -> list[dict]:
     return out
 
 
-def _format_node(resolution: Resolution, node) -> str:
-    text = resolution.root
-    for index, target in node.path:
-        text += f" /{index}/ {target}"
-    return text
-
-
 def _resolution_json(resolution: Resolution) -> dict:
+    # A node's path is its parent's plus one [index, target] list, which
+    # every descendant's path shares, so _dumps encodes it once.
+    nodes = resolution.nodes
     entries = []
-    for node in sorted(resolution.choices, key=lambda n: n.path):
-        entries.append(
-            {
-                "path": [[index, target] for index, target in node.path],
-                "process": node.process,
-                "choice": resolution.choices[node],
-            }
-        )
+    for parent, process, choice in nodes:
+        path = [] if parent is None else entries[parent]["path"] + [[nodes[parent][2], process]]
+        entries.append({"path": path, "process": process, "choice": choice})
     return {"root": resolution.root, "choices": entries}
 
 
 def _resolution_lines(resolution: Resolution, indent: str = "  ") -> list[str]:
+    nodes = resolution.nodes
+    paths: list[str] = []
     lines = []
-    for node in sorted(resolution.choices, key=lambda n: n.path):
-        choice = resolution.choices[node]
+    for parent, process, choice in nodes:
+        path = process if parent is None else f"{paths[parent]} /{nodes[parent][2]}/ {process}"
+        paths.append(path)
         if choice is None:
             decision = "halt"
         else:
-            row = resolution.pts.transitions_of(node.process)[choice]
+            row = resolution.pts.transitions_of(process)[choice]
             body = ", ".join(f"{w} {t}" for t, w in row.target.items_sorted)
             decision = f"-{row.action.name}-> {body}  [#{choice}]"
-        lines.append(f"{indent}{_format_node(resolution, node)}: {decision}")
+        lines.append(f"{indent}{path}: {decision}")
     return lines
 
 
@@ -562,31 +556,32 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    try:
-        args = _parser.parse_args(argv)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ParserWarning)
+    # Parser warnings are printed after the output or the error line, on
+    # every exit path; validate reports its own and leaves none here.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ParserWarning)
+        try:
+            args = _parser.parse_args(argv)
             code = args.func(args)
-        for w in caught:
-            if args.command != "validate":
-                print(f"warning: {w.message}", file=sys.stderr)
-        sys.stdout.flush()  # a closed stdout fails here, not at exit
-        return code
-    except _CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
-    except SizeGuardExceeded as exc:
-        print(f"size guard: {exc}", file=sys.stderr)
-        return EXIT_SIZE_GUARD
-    except BrokenPipeError:
-        # The reader closed standard output (``tracemet ... | head``): an
-        # I/O failure like an unreadable file, reported by the exit code
-        # alone.  What is still buffered goes to the null device, so the
-        # interpreter's final flush does not fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_INVALID
+            sys.stdout.flush()  # a closed stdout fails here, not at exit
+        except _CliError as exc:
+            print(str(exc), file=sys.stderr)
+            code = exc.code
+        except SizeGuardExceeded as exc:
+            print(f"size guard: {exc}", file=sys.stderr)
+            code = EXIT_SIZE_GUARD
+        except BrokenPipeError:
+            # The reader closed standard output (``tracemet ... | head``): an
+            # I/O failure like an unreadable file, reported by the exit code
+            # alone.  What is still buffered goes to the null device, so the
+            # interpreter's final flush does not fail again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            code = EXIT_INVALID
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

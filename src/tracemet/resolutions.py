@@ -4,9 +4,16 @@ A resolution fixes, at every reached state, either one of the available
 transitions or the decision to halt; halting is allowed even when
 transitions are enabled.  Resolution states are *unfolding nodes* (paths
 from the root), not process ids: the same process reached along two
-different branches may be scheduled differently, and the initial state must
-never occur inside a target distribution.  Each node maps back to the
-process it unfolds.
+different branches may be resolved differently, and the initial state must
+never occur inside a target distribution.
+
+A ``Resolution`` lists its nodes in preorder, each as a
+``(parent, process, choice)`` tuple: the index of its parent node in the
+list (None for the root, which comes first), the process it unfolds and
+the choice made there.  A node's path is its parent's path followed by the
+pair (parent's choice, process), and children follow their transition's
+support order, so the list is in the lexicographic order of the paths.
+Readers make one pass over it, reading each node's data off its parent's.
 
 No command lists resolutions: ``count_resolutions`` counts them, and
 ``resolution_at`` builds the one with a given index in the canonical order
@@ -19,14 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
-from .core import PTS, ProcessId, Transition, post_order
+from .core import PTS, ProcessId, post_order
 
 DEFAULT_MAX_RESOLUTIONS = 10**6
 
 # A choice is a transition index into the node's process, or None to halt.
 Choice = int | None
+# A node: its parent's index in ``Resolution.nodes`` (None for the root),
+# the process it unfolds, and its choice.
+Node = tuple[int | None, ProcessId, Choice]
 
 
 class SizeGuardExceeded(RuntimeError):
@@ -41,43 +50,23 @@ class SizeGuardExceeded(RuntimeError):
         self.process = process
 
 
-@dataclass(frozen=True, order=True)
-class UnfoldNode:
-    """A state of the unfolding: the path of (transition index, target) pairs
-    taken from the root.  ``process`` is the process this node unfolds and
-    always equals the last path target (or the root for the empty path)."""
-
-    path: tuple[tuple[int, ProcessId], ...]
-    process: ProcessId
-
-    def child(self, index: int, target: ProcessId) -> "UnfoldNode":
-        return UnfoldNode(self.path + ((index, target),), target)
-
-
 @dataclass(frozen=True)
 class Resolution:
     """A scheduler decision for every reachable unfolding node.
 
-    ``choices`` is defined exactly on the nodes generated by the decisions
-    themselves: the root is present, and a node with choice ``k`` spawns one
-    child per support process of transition ``k``.  The underlying system is
-    kept alongside so traversals can read actions and step probabilities.
+    ``nodes`` holds exactly the nodes generated by the decisions
+    themselves, in preorder: the root first, and a node with choice ``k``
+    followed by the subtrees of its children, one per support process of
+    transition ``k``.  The underlying system is kept alongside so readers
+    can look up actions and step probabilities.
     """
 
     pts: PTS
-    root: ProcessId
-    choices: Mapping[UnfoldNode, Choice]
+    nodes: tuple[Node, ...]
 
     @property
-    def root_node(self) -> UnfoldNode:
-        return UnfoldNode((), self.root)
-
-    def scheduled(self, node: UnfoldNode) -> Transition | None:
-        """The transition taken at ``node``, or None when it halts."""
-        choice = self.choices[node]
-        if choice is None:
-            return None
-        return self.pts.transitions_of(node.process)[choice]
+    def root(self) -> ProcessId:
+        return self.nodes[0][1]
 
 
 def _resolution_counts(pts: PTS, process: ProcessId) -> dict[ProcessId, int]:
@@ -116,25 +105,24 @@ def _resolution_from(pts: PTS, process: ProcessId, index: int, counts: dict) -> 
     process that ``process`` reaches."""
     if not 0 <= index < counts[process]:
         raise IndexError(f"resolution index {index} out of range for {process!r}")
-    choices: dict[UnfoldNode, Choice] = {}
-    todo = [(UnfoldNode((), process), index)]
+    nodes: list[Node] = []
+    todo = [(None, process, index)]
     while todo:
-        node, k = todo.pop()
+        parent, p, k = todo.pop()
         if k == 0:
-            choices[node] = None
+            nodes.append((parent, p, None))
             continue
         k -= 1
-        for choice, row in enumerate(pts.transitions_of(node.process)):
+        for choice, row in enumerate(pts.transitions_of(p)):
             targets = row.target.support
             block = math.prod(counts[q] for q in targets)
             if k < block:
                 break
             k -= block
-        choices[node] = choice
-        kids = []
+        here = len(nodes)
+        nodes.append((parent, p, choice))
+        # Pushed last target first, so nodes are filled in preorder.
         for q in reversed(targets):
             k, digit = divmod(k, counts[q])
-            kids.append((node.child(choice, q), digit))
-        # Pushed last target first, so nodes are filled in preorder.
-        todo.extend(kids)
-    return Resolution(pts, process, choices)
+            todo.append((here, q, digit))
+    return Resolution(pts, tuple(nodes))

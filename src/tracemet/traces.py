@@ -2,7 +2,7 @@
 
 A resolution's trace distribution maps each trace to the probability of the
 maximal runs spelling it: the product of the step probabilities read off
-the scheduled distributions.
+the distributions the scheduler picks.
 
 The weak view erases the silent action from traces.  Weak trace
 distributions live on tau-free representative traces, which keeps them
@@ -18,10 +18,12 @@ name.  A process's list holds one ``{trace id: weight}`` row per
 resolution, all over one denominator of that process.  Trace tuples and
 ``Dist`` objects are decoded only for output: ``trace_distributions`` is
 the decoder of the whole list, ``TraceLayer.trace`` of one id.
-``trace_distribution`` walks one resolution, for the resolutions a command
-prints.  The tuple-based builder the layer replaced and the run lists
-(``Computation``, ``max_computations``) that the tests compare against live
-in ``tests/oracles.py``.
+``trace_distribution`` reads one resolution, for the resolutions a command
+prints, in one pass over its preorder ``(parent, process, choice)`` nodes:
+a node's run probability and a halting node's trace come off its parents.
+The tuple-based builder the layer replaced and the run lists
+(``Computation``, ``max_computations``) that the tests compare against
+live in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -43,22 +45,27 @@ def trace_distribution(resolution: Resolution) -> TraceDistribution:
 
     Only maximal runs (those ending where the scheduler halts) carry mass:
     summing over all runs would count the same probability once per prefix.
-    Walks an explicit stack, so deep resolutions do not hit the recursion
-    limit; each pending node carries the trace and the probability of the
-    run reaching it.
+    One pass over the nodes in preorder: each node's run probability is its
+    parent's times the step into it, and a halting node's trace is read off
+    its chain of parents, with no recursion.
     """
+    transitions_of = resolution.pts.transitions_of
+    nodes = resolution.nodes
+    rows = []  # the transition taken at each node, None where it halts
+    probs = []
     pairs = []
-    todo = [(resolution.root_node, EPSILON, Fraction(1))]
-    while todo:
-        node, trace, prob = todo.pop()
-        choice = resolution.choices[node]
-        if choice is None:
-            pairs.append((trace, prob))
+    for parent, process, choice in nodes:
+        prob = Fraction(1) if parent is None else probs[parent] * rows[parent].target[process]
+        probs.append(prob)
+        if choice is not None:
+            rows.append(transitions_of(process)[choice])
             continue
-        row = resolution.pts.transitions_of(node.process)[choice]
-        trace += (row.action,)
-        for target, step in row.target.items_sorted:
-            todo.append((node.child(choice, target), trace, prob * step))
+        rows.append(None)
+        trace = []
+        while parent is not None:
+            trace.append(rows[parent].action)
+            parent = nodes[parent][0]
+        pairs.append((tuple(reversed(trace)), prob))
     return Dist.merged(pairs)
 
 
@@ -244,18 +251,9 @@ def trace_distributions(
     process: ProcessId,
     weak: bool = False,
     max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
-    memo: dict | None = None,
 ) -> list[TraceDistribution]:
     """The (weak) trace distribution of every resolution of ``process``, in
     the canonical order of ``resolution_at``, without building any: the
-    layer's list (``TraceLayer.entries``), decoded.
-
-    ``memo``, when given, keeps the layer between calls, so one memo can
-    serve both sides of a comparison and both modes.
-    """
-    layer = None if memo is None else memo.get("layer")
-    if layer is None:
-        layer = TraceLayer(pts)
-        if memo is not None:
-            memo["layer"] = layer
+    layer's list (``TraceLayer.entries``), decoded."""
+    layer = TraceLayer(pts)
     return layer.decode(layer.entries(process, weak, max_resolutions))

@@ -18,11 +18,16 @@ with the same recurrence, which the package's integer layer
 ``distinguishing_resolution`` is the two-scan search over profiles that
 ``find_distinguishing_resolution`` must agree with.
 
-The package's test-only half lives here as well, moved unchanged.  From
+The package's test-only half lives here as well, moved out of it.  From
 ``resolutions``: the recursive enumerator ``enumerate_resolutions`` (whose
 order ``resolution_at`` and ``trace_distributions`` must reproduce), the
 independent structural check ``validate_resolution``, and
-``make_resolution``, which spells out a scheduler by hand.  From ``core``:
+``make_resolution``, which spells out a scheduler by hand.  They, and the
+run walkers below, keep a representation of their own, a map from
+``UnfoldNode``s (which carry their whole path) to choices, so they share
+no code with the package's builder; ``choices_of`` and ``from_choices``
+convert it to and from the package's preorder nodes with parent links,
+once per resolution.  From ``core``:
 the colouring cycle search ``_find_cycle`` that ``core.cycle_error`` (one
 pass of ``post_order``) must agree with.  From
 ``traces``: the run lists ``Computation`` and ``max_computations``, which
@@ -52,12 +57,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import tracemet as tm
 from tracemet.core import IDENTIFIER_RE, PTS, Action, ProcessId, Transition, post_order, validate_pts
 from tracemet.parser import ParseError, ParseIssue, ParserWarning, SourceSpan
-from tracemet.resolutions import (
-    DEFAULT_MAX_RESOLUTIONS,
-    Choice,
-    Resolution,
-    UnfoldNode,
-)
+from tracemet.resolutions import DEFAULT_MAX_RESOLUTIONS, Choice, Resolution
 from tracemet.traces import EPSILON, Trace
 
 
@@ -195,8 +195,64 @@ def _choice_trees(pts: PTS, process: ProcessId, memo: dict) -> list:
     return options
 
 
+@dataclass(frozen=True, order=True)
+class UnfoldNode:
+    """A state of the unfolding: the path of (transition index, target) pairs
+    taken from the root.  ``process`` is the process this node unfolds and
+    always equals the last path target (or the root for the empty path)."""
+
+    path: tuple[tuple[int, ProcessId], ...]
+    process: ProcessId
+
+    def child(self, index: int, target: ProcessId) -> "UnfoldNode":
+        return UnfoldNode(self.path + ((index, target),), target)
+
+
+Choices = dict[UnfoldNode, Choice]
+
+
+def from_choices(pts: PTS, choices: Choices) -> Resolution:
+    """The package's resolution with these choices: the nodes sorted by
+    path, each linked to the node one step shorter."""
+    order = sorted(choices)
+    where = {node.path: k for k, node in enumerate(order)}
+    return Resolution(
+        pts,
+        tuple(
+            (where[node.path[:-1]] if node.path else None, node.process, choices[node])
+            for node in order
+        ),
+    )
+
+
+def choices_of(resolution: Resolution) -> Choices:
+    """The path-keyed choices of a resolution; raises ValueError when a
+    parent link does not name an earlier node that moves, or when two nodes
+    have the same path."""
+    unfold: list[UnfoldNode] = []
+    choices: Choices = {}
+    for k, (parent, process, choice) in enumerate(resolution.nodes):
+        if parent is None and k == 0:
+            node = UnfoldNode((), process)
+        elif isinstance(parent, int) and 0 <= parent < k and resolution.nodes[parent][2] is not None:
+            node = unfold[parent].child(resolution.nodes[parent][2], process)
+        else:
+            raise ValueError(f"node {k} has the bad parent {parent!r}")
+        if node in choices:
+            raise ValueError(f"node {k} repeats the path {node.path}")
+        unfold.append(node)
+        choices[node] = choice
+    return choices
+
+
+def _scheduled(pts: PTS, choices: Choices, node: UnfoldNode) -> Transition | None:
+    """The transition taken at ``node``, or None when it halts."""
+    choice = choices[node]
+    return None if choice is None else pts.transitions_of(node.process)[choice]
+
+
 def _materialize(pts: PTS, root: ProcessId, tree) -> Resolution:
-    choices: dict[UnfoldNode, Choice] = {}
+    choices: Choices = {}
 
     def walk(node: UnfoldNode, subtree) -> None:
         if subtree is None:
@@ -208,7 +264,7 @@ def _materialize(pts: PTS, root: ProcessId, tree) -> Resolution:
             walk(node.child(index, target), sub)
 
     walk(UnfoldNode((), root), tree)
-    return Resolution(pts, root, choices)
+    return from_choices(pts, choices)
 
 
 def _check_size_guard(pts: PTS, process: ProcessId, max_resolutions: int) -> None:
@@ -236,11 +292,18 @@ def enumerate_resolutions(
 def validate_resolution(pts: PTS, resolution: Resolution) -> bool:
     """Independent structural check of a resolution against a system.
 
-    Walks the node set the choice map *should* generate and requires the map
-    to be defined exactly there, with every taken index in range.  Does not
-    share code with the enumerator, so it can vet its output.
+    Walks the node set the choices *should* generate and requires the
+    resolution to list exactly those nodes, in path order, with every
+    taken index in range.  Does not share code with the enumerator, so it
+    can vet its output.
     """
     if resolution.root not in pts.processes:
+        return False
+    try:
+        choices = choices_of(resolution)
+    except ValueError:
+        return False
+    if list(choices) != sorted(choices):
         return False
     expected: set[UnfoldNode] = set()
     stack = [UnfoldNode((), resolution.root)]
@@ -249,9 +312,9 @@ def validate_resolution(pts: PTS, resolution: Resolution) -> bool:
         if node in expected:
             return False
         expected.add(node)
-        if node not in resolution.choices:
+        if node not in choices:
             return False
-        choice = resolution.choices[node]
+        choice = choices[node]
         if choice is None:
             continue
         rows = pts.transitions_of(node.process)
@@ -259,7 +322,7 @@ def validate_resolution(pts: PTS, resolution: Resolution) -> bool:
             return False
         for target in rows[choice].target.support:
             stack.append(node.child(choice, target))
-    return expected == set(resolution.choices)
+    return expected == set(choices)
 
 
 def make_resolution(pts: PTS, root: ProcessId, plan) -> Resolution:
@@ -269,7 +332,7 @@ def make_resolution(pts: PTS, root: ProcessId, plan) -> Resolution:
     target process to the plan for its node; targets omitted from ``kids``
     halt.  Convenient for spelling out a specific scheduler by hand.
     """
-    choices: dict[UnfoldNode, Choice] = {}
+    choices: Choices = {}
 
     def walk(node: UnfoldNode, subplan) -> None:
         if subplan is None:
@@ -288,7 +351,7 @@ def make_resolution(pts: PTS, root: ProcessId, plan) -> Resolution:
             walk(node.child(index, target), kids.get(target))
 
     walk(UnfoldNode((), root), plan)
-    return Resolution(pts, root, choices)
+    return from_choices(pts, choices)
 
 Step = tuple[UnfoldNode, Action, Fraction, UnfoldNode]
 
@@ -323,15 +386,16 @@ def max_computations(resolution: Resolution) -> list[Computation]:
     limit.  Each pending node carries the step entering it and the length
     of the run before that step; ``steps`` is cut back to it on each pop.
     """
+    choices = choices_of(resolution)
     out: list[Computation] = []
     steps: list[Step] = []
-    todo: list = [(resolution.root_node, None, 0)]
+    todo: list = [(UnfoldNode((), resolution.root), None, 0)]
     while todo:
         node, step, depth = todo.pop()
         del steps[depth:]
         if step is not None:
             steps.append(step)
-        choice = resolution.choices[node]
+        choice = choices[node]
         if choice is None:
             out.append(Computation(tuple(steps)))
             continue
@@ -565,14 +629,15 @@ def pr_compatible(resolution: tm.Resolution, alpha: Trace) -> Fraction:
     Runs compatible with a fixed trace all have the same length, so none is
     a prefix of another and the sum is well defined.
     """
-    frontier = [(resolution.root_node, Fraction(1))]
+    choices = choices_of(resolution)
+    frontier = [(UnfoldNode((), resolution.root), Fraction(1))]
     for action in alpha:
         nxt = []
         for node, prob in frontier:
-            row = resolution.scheduled(node)
+            row = _scheduled(resolution.pts, choices, node)
             if row is None or row.action != action:
                 continue
-            choice = resolution.choices[node]
+            choice = choices[node]
             for target in row.target.support:
                 nxt.append((node.child(choice, target), prob * row.target[target]))
         frontier = nxt
@@ -590,6 +655,7 @@ def pr_weak_compatible(resolution: tm.Resolution, alpha: Trace) -> Fraction:
     twice.
     """
     target = tm.tau_erase(alpha)
+    choices = choices_of(resolution)
 
     def walk(node, erased: Trace, prob: Fraction) -> tuple[Fraction, bool]:
         # Returns (mass of prefix-maximal matching runs below, match seen).
@@ -597,9 +663,9 @@ def pr_weak_compatible(resolution: tm.Resolution, alpha: Trace) -> Fraction:
             return Fraction(0), False
         total = Fraction(0)
         matched_below = False
-        row = resolution.scheduled(node)
+        row = _scheduled(resolution.pts, choices, node)
         if row is not None:
-            choice = resolution.choices[node]
+            choice = choices[node]
             grown = erased if row.action.is_tau else erased + (row.action,)
             for q in row.target.support:
                 sub_total, sub_match = walk(node.child(choice, q), grown, prob * row.target[q])
@@ -611,7 +677,7 @@ def pr_weak_compatible(resolution: tm.Resolution, alpha: Trace) -> Fraction:
             return prob, True
         return total, matched_below
 
-    return walk(resolution.root_node, EPSILON, Fraction(1))[0]
+    return walk(UnfoldNode((), resolution.root), EPSILON, Fraction(1))[0]
 
 
 def compatible_probabilities(resolution: tm.Resolution) -> dict:
@@ -622,17 +688,18 @@ def compatible_probabilities(resolution: tm.Resolution) -> dict:
     prefix length).
     """
     acc: dict = {}
+    choices = choices_of(resolution)
 
     def walk(node, trace: Trace, prob: Fraction) -> None:
         acc[trace] = acc.get(trace, Fraction(0)) + prob
-        row = resolution.scheduled(node)
+        row = _scheduled(resolution.pts, choices, node)
         if row is None:
             return
-        choice = resolution.choices[node]
+        choice = choices[node]
         for q in row.target.support:
             walk(node.child(choice, q), trace + (row.action,), prob * row.target[q])
 
-    walk(resolution.root_node, EPSILON, Fraction(1))
+    walk(UnfoldNode((), resolution.root), EPSILON, Fraction(1))
     return acc
 
 

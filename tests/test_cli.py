@@ -349,6 +349,19 @@ class TestGuardsAndErrors:
         code, _, err = run(capsys, "metric", str(path), "-p", "s", "-q", "u")
         assert code == 0 and "duplicate transition" in err
 
+    @pytest.mark.parametrize("argv, code", [
+        (["-q", "ghost"], 1),
+        (["-q", "u", "--max-resolutions", "1"], 2),
+    ])
+    def test_parser_warnings_follow_the_error_line(self, capsys, tmp_path, argv, code):
+        path = tmp_path / "dup.pts"
+        path.write_text("s -a-> 1 u\ns -a-> 1 u\n")
+        got, out, err = run(capsys, "metric", str(path), "-p", "s", *argv)
+        assert got == code and out == ""
+        error, warning = err.splitlines()
+        assert not error.startswith("warning:")
+        assert warning.startswith("warning: ") and "duplicate transition" in warning
+
     def test_crosscheck_disagreement_exits_3(self, capsys, half_file, monkeypatch):
         # The real routes always agree; fake a disagreement to pin the exit code.
         import tracemet.formula_distance as fd
@@ -466,6 +479,26 @@ def test_resolutions_of_a_deep_chain(capsys, tmp_path):
     ]
 
 
+def test_each_path_pair_is_one_list_shared_by_the_descendants():
+    pts = tracemet.parse_pts(ladder_text(3))
+    count = tracemet.count_resolutions(pts, "x0")
+    resolution = max(
+        (tracemet.resolution_at(pts, "x0", k) for k in range(count)), key=lambda r: len(r.nodes)
+    )
+    entries = cli._resolution_json(resolution)["choices"]
+    assert len(entries) == len(resolution.nodes) == 11
+    for (parent, process, _), entry in zip(resolution.nodes, entries):
+        if parent is None:
+            assert entry["path"] == []
+            continue
+        above = entries[parent]["path"]
+        assert len(entry["path"]) == len(above) + 1
+        assert all(a is b for a, b in zip(entry["path"], above))
+        assert entry["path"][-1] == [resolution.nodes[parent][2], process]
+    pairs = {id(pair) for entry in entries for pair in entry["path"]}
+    assert len(pairs) == len(entries) - 1
+
+
 def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
     # ladder(4)'s mimic document (about 390 KB) outgrows the pipe's buffer,
     # so the write meets the closed pipe inside main, not at exit.
@@ -538,13 +571,20 @@ def test_corrupted_files_end_in_a_documented_exit_code(tmp_path, data):
     path.write_bytes(data)
     file = str(path)
     sink = io.StringIO()
+    cap = ["--max-resolutions", "200"]
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         for argv in (
             ["validate", file],
-            ["metric", file, "-p", "p0", "-q", "p1", "--max-resolutions", "200"],
-            ["sat", file, "-p", "p0", "-f", "1 <a>T", "--weak", "--max-resolutions", "200"],
+            ["resolutions", file, "-p", "p0", "--limit", "20", *cap],
+            ["mimic", file, "-p", "p0", "--weak", *cap],
+            ["metric", file, "-p", "p0", "-q", "p1", *cap],
+            ["equiv", file, "-p", "p0", "-q", "p1", *cap],
+            ["sat", file, "-p", "p0", "-f", "1 <a>T", "--weak", *cap],
+            ["val", file, "-p", "p0", "-f", "1/2 <a>T (+) 1/2 T", *cap],
+            ["crosscheck", file, "-p", "p0", "-q", "p1", *cap],
         ):
-            assert cli.main(argv) in (0, 1, 2, 3)
+            for json_flag in ([], ["--json"]):
+                assert cli.main(argv + json_flag) in (0, 1, 2, 3)
 
 
 class TestCountWalks:

@@ -98,9 +98,9 @@ def check_readers(pts, s, t) -> None:
 def test_decoded_layer_equals_the_tuple_builder(drawn):
     pts, processes = drawn
     for weak in (False, True):
-        memo: dict = {}
+        layer = TraceLayer(pts)
         for process in processes:
-            decoded = tm.trace_distributions(pts, process, weak, memo=memo)
+            decoded = layer.decode(layer.entries(process, weak))
             assert decoded == oracles.trace_distributions(pts, process, weak)
     check_readers(pts, processes[0], processes[1])
 

@@ -149,7 +149,7 @@ class TestSatisfies:
     def test_top_is_always_satisfied(self, half_pair):
         holds, witness = tm.satisfies(half_pair, "s", tm.TOP_DIST)
         assert holds
-        assert witness.choices == {tm.UnfoldNode((), "s"): None}
+        assert witness.nodes == ((None, "s", None),)
 
     def test_negative(self, half_pair):
         psi = tm.parse_formula("0.5 <a><c>T (+) 0.5 <a><b>T")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,11 +26,28 @@ def test_deep_chain_is_counted_without_recursion():
     assert tm.depth(pts, "c0") == 3000
 
 
+def test_deep_chain_resolution_is_linear_in_its_depth():
+    # Nodes link to their parents instead of carrying their paths, so the
+    # deepest resolution of a 3000-step chain, built and read, stays small
+    # (about 37 MB when every node held its whole path).
+    pts = tm.PTS.build({f"c{i}": [("a", {f"c{i + 1}": 1})] for i in range(3000)})
+    tracemalloc.start()
+    try:
+        resolution = tm.resolution_at(pts, "c0", 3000)
+        td = tm.trace_distribution(resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert td == tm.Dist.dirac((tm.Action("a"),) * 3000)
+    assert len(resolution.nodes) == 3001
+
+
 class TestEnumeration:
     def test_terminal_process_has_only_trivial_resolution(self):
         pts = tm.parse_pts("s -a-> 1 u")
         (only,) = oracles.enumerate_resolutions(pts, "u")
-        assert only.choices == {tm.UnfoldNode((), "u"): None}
+        assert only.nodes == ((None, "u", None),)
         assert tm.count_resolutions(pts, "u") == 1
 
     def test_depicted_schedulers_are_enumerated(self, equiv_pair):
@@ -66,8 +84,7 @@ class TestEnumeration:
         for _ in range(15):
             pts, s, _ = random_case(rng, max_count=150)
             found = oracles.enumerate_resolutions(pts, s)
-            keys = {frozenset(r.choices.items()) for r in found}
-            assert len(keys) == len(found)
+            assert len({r.nodes for r in found}) == len(found)
             assert all(oracles.validate_resolution(pts, r) for r in found)
 
     def test_trivial_resolution_always_present(self):
@@ -75,7 +92,7 @@ class TestEnumeration:
         for _ in range(10):
             pts, s, _ = random_case(rng, max_count=150)
             found = oracles.enumerate_resolutions(pts, s)
-            assert found[0].choices == {tm.UnfoldNode((), s): None}
+            assert found[0].nodes == ((None, s, None),)
 
     def test_shared_target_is_scheduled_per_visit(self):
         # One process reached along both branches of a distribution unfolds
@@ -88,8 +105,8 @@ class TestEnumeration:
         mixed = [
             x
             for x in found
-            if any(n.process == "r" and c is None for n, c in x.choices.items())
-            and any(n.process == "r" and c == 0 for n, c in x.choices.items())
+            if any(p == "r" and c is None for _, p, c in x.nodes)
+            and any(p == "r" and c == 0 for _, p, c in x.nodes)
         ]
         assert len(mixed) == 2
 
@@ -115,24 +132,43 @@ class TestValidateResolution:
         z = oracles.make_resolution(equiv_pair, "s", (0, {"s1": None, "s2": (0, {})}))
         assert oracles.validate_resolution(equiv_pair, z)
 
+    def test_hand_written_nodes_validate(self, half_pair):
+        # s takes its first a-branch; s1 takes c to nil, s2 halts.
+        nodes = ((None, "s", 0), (0, "s1", 1), (1, "nil", None), (0, "s2", None))
+        assert oracles.validate_resolution(half_pair, tm.Resolution(half_pair, nodes))
+
     def test_out_of_range_index_is_rejected(self, half_pair):
-        root = tm.UnfoldNode((), "s")
-        bogus = tm.Resolution(half_pair, "s", {root: 7})
+        bogus = tm.Resolution(half_pair, ((None, "s", 7),))
         assert not oracles.validate_resolution(half_pair, bogus)
 
     def test_missing_child_is_rejected(self, half_pair):
-        root = tm.UnfoldNode((), "s")
-        partial = tm.Resolution(half_pair, "s", {root: 1})  # child for s3 missing
+        partial = tm.Resolution(half_pair, ((None, "s", 1),))  # child for s3 missing
         assert not oracles.validate_resolution(half_pair, partial)
 
+    def test_extra_child_is_rejected(self, half_pair):
+        # s3 is the target of s's other transition, not of the one taken.
+        nodes = ((None, "s", 0), (0, "s1", None), (0, "s2", None), (0, "s3", None))
+        assert not oracles.validate_resolution(half_pair, tm.Resolution(half_pair, nodes))
+
     def test_junk_node_is_rejected(self, half_pair):
-        root = tm.UnfoldNode((), "s")
-        junk = tm.UnfoldNode(((0, "t1"),), "t1")
-        bogus = tm.Resolution(half_pair, "s", {root: None, junk: None})
+        # A child of the halting root, on a path of t's.
+        bogus = tm.Resolution(half_pair, ((None, "s", None), (0, "t1", None)))
         assert not oracles.validate_resolution(half_pair, bogus)
 
+    @pytest.mark.parametrize("nodes", [
+        ((None, "s", 0), (2, "s1", None), (0, "s2", None)),  # a later parent
+        ((None, "s", 0), (None, "s1", None), (0, "s2", None)),  # a second root
+        ((None, "s", 0), (0, "s1", None), (0, "s1", None), (0, "s2", None)),  # a repeat
+    ])
+    def test_bad_parent_is_rejected(self, half_pair, nodes):
+        assert not oracles.validate_resolution(half_pair, tm.Resolution(half_pair, nodes))
+
+    def test_nodes_out_of_path_order_are_rejected(self, half_pair):
+        nodes = ((None, "s", 0), (0, "s2", None), (0, "s1", None))
+        assert not oracles.validate_resolution(half_pair, tm.Resolution(half_pair, nodes))
+
     def test_unknown_root_is_rejected(self, half_pair):
-        bogus = tm.Resolution(half_pair, "zz", {tm.UnfoldNode((), "zz"): None})
+        bogus = tm.Resolution(half_pair, ((None, "zz", None),))
         assert not oracles.validate_resolution(half_pair, bogus)
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import oracles
 import tracemet as tm
 from genpts import random_formula, random_pts, with_tau_prefix
+from tracemet.traces import TraceLayer
 
 HALF = Fraction(1, 2)
 
@@ -118,30 +119,28 @@ class TestLayer:
     def test_ladder_lists_equal_per_resolution_lists(self, levels):
         pts = ladder(levels)
         for weak in (False, True):
-            memo: dict = {}
+            layer = TraceLayer(pts)
             for process in ("x0", "w0"):
-                layer = tm.trace_distributions(pts, process, weak, memo=memo)
                 walked = per_resolution(pts, process, weak)
-                assert layer == walked
+                assert layer.decode(layer.entries(process, weak)) == walked
                 assert walked == from_runs(pts, process, weak)
         assert len(tm.trace_distributions(pts, "x0")) == [3, 10, 51, 613][levels - 1]
 
     def test_random_tau_lists_equal_per_resolution_lists(self):
         for pts, s, t in tau_cases(401, 40, max_count=150):
             for weak in (False, True):
-                memo: dict = {}
+                layer = TraceLayer(pts)
                 for process in (s, t):
-                    layer = tm.trace_distributions(pts, process, weak, memo=memo)
                     walked = per_resolution(pts, process, weak)
-                    assert layer == walked
+                    assert layer.decode(layer.entries(process, weak)) == walked
                     assert walked == from_runs(pts, process, weak)
 
-    def test_one_memo_serves_both_modes(self):
+    def test_one_layer_serves_both_modes(self):
         for pts, s, t in tau_cases(402, 10, max_count=80):
-            memo: dict = {}
+            layer = TraceLayer(pts)
             for weak in (True, False, True):
                 for process in (t, s):
-                    assert tm.trace_distributions(pts, process, weak, memo=memo) == per_resolution(
+                    assert layer.decode(layer.entries(process, weak)) == per_resolution(
                         pts, process, weak
                     )
 
@@ -152,8 +151,8 @@ class TestLayer:
                 listed = oracles.enumerate_resolutions(pts, process)
                 for index, resolution in enumerate(listed):
                     built = tm.resolution_at(pts, process, index)
+                    assert built.nodes == resolution.nodes  # preorder
                     assert built == resolution
-                    assert list(built.choices) == list(resolution.choices)  # preorder
                 with pytest.raises(IndexError):
                     tm.resolution_at(pts, process, len(listed))
 
@@ -307,11 +306,9 @@ def test_layer_and_commands_match_old_routes_property(drawn):
     pts, t = drawn
     s = "p0"
     for weak in (False, True):
-        memo: dict = {}
+        layer = TraceLayer(pts)
         for process in (s, t):
-            assert tm.trace_distributions(pts, process, weak, memo=memo) == per_resolution(
-                pts, process, weak
-            )
+            assert layer.decode(layer.entries(process, weak)) == per_resolution(pts, process, weak)
         metric = tm.weak_trace_metric if weak else tm.strong_trace_metric
         result = metric(pts, s, t)
         assert (result.value, result.witness) == old_metric(pts, s, t, weak, True)[:2]

@@ -10,18 +10,19 @@ from genpts import random_case
 def _all_runs(resolution):
     # Independent walk: every run from the root as (trace, probability, node);
     # run x is a proper prefix of run y iff x's node path strictly prefixes y's.
+    choices = oracles.choices_of(resolution)
     out = []
 
     def walk(node, actions, prob):
         out.append((tuple(actions), prob, node))
-        choice = resolution.choices[node]
+        choice = choices[node]
         if choice is None:
             return
         action, target = resolution.pts.transitions_of(node.process)[choice]
         for q, w in target.items_sorted:
             walk(node.child(choice, q), actions + [action], prob * w)
 
-    walk(resolution.root_node, [], Fraction(1))
+    walk(oracles.UnfoldNode((), resolution.root), [], Fraction(1))
     return out
 
 
