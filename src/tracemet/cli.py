@@ -302,8 +302,8 @@ def _cmd_resolutions(args) -> int:
         raise _CliError(f"--limit must not be negative, got {args.limit}")
     pts = _load_pts(args.file)
     process = _require_process(pts, args.process)
-    layer = TraceLayer(pts)
-    count = layer.count(process, _max_resolutions(args))
+    layer = TraceLayer(pts, process, max_resolutions=_max_resolutions(args))
+    count = layer.count(process)
     shown = [layer.resolution(process, k) for k in range(count)[: args.limit]]
     td_of = weak_trace_distribution if args.weak else trace_distribution
     dists = [td_of(r) for r in shown]

@@ -12,7 +12,9 @@ and any disagreement indicates an implementation bug, never an expected
 outcome.
 
 ``logical_distance``, ``sup_val_distance``, ``real_value`` and
-``crosscheck`` read the integer rows of ``traces.TraceLayer``.  The
+``crosscheck`` read the integer rows of a ``traces.TraceLayer`` rooted at
+the processes they compare: the distinct rows of both, over the layer's
+common denominator, or for ``real_value`` one process's full list.  The
 satisfied sets are numbered in a formula table of their own, filled
 through ``tracing_formula`` and ``erase_formula``, so the formula route of
 ``crosscheck`` shares no trace ids with its metric route.
@@ -36,7 +38,7 @@ from itertools import chain
 from .core import PTS, ProcessId, TraceDistFormula
 from .logic import TraceFormula, erase_formula, formula_row, tracing_formula
 from .resolutions import DEFAULT_MAX_RESOLUTIONS
-from .traces import Entries, TraceLayer, first_indices
+from .traces import TraceLayer
 from .transport import (
     DISCRETE,
     DiscreteQuotient,
@@ -72,10 +74,10 @@ def logical_distance(
     max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
 ) -> Fraction:
     """Hausdorff distance between the satisfied-formula sets of two processes."""
-    (set_s, weak_set_s), (set_t, weak_set_t) = _satisfied_sets(pts, s, t, max_resolutions)
+    total, (set_s, weak_set_s), (set_t, weak_set_t) = _satisfied_sets(pts, s, t, max_resolutions)
     if weak:
-        return _hausdorff_value(weak_set_s, weak_set_t)
-    return _hausdorff_value(set_s, set_t)
+        return _hausdorff_value(weak_set_s, weak_set_t, total)
+    return _hausdorff_value(set_s, set_t, total)
 
 
 def distance_to_set(
@@ -103,24 +105,11 @@ def real_value(
     """
     if not psi.is_probability:
         raise ValueError("total variation requires probability distributions")
-    layer = TraceLayer(pts)
-    side = layer.entries(s, weak, max_resolutions)
+    layer = TraceLayer(pts, s, max_resolutions=max_resolutions)
+    side = layer.entries(s, weak)
     psi_den, query = formula_row(layer, psi, weak)
     total, ([query], rows) = on_common_denominator((psi_den, [query]), side)
     return 1 - Fraction(nearest_distances([query], rows, total)[0][0], total)
-
-
-def _sup_val_rows(rows_s: list[dict], rows_t: list[dict], total: int) -> int:
-    # The sup over all formulae of the value gap is attained on the two
-    # satisfied sets themselves: for a member of one set the gap IS its
-    # distance to the other set, which produces both directed Hausdorff
-    # terms, and no formula can exceed them.  One sweep gives every
-    # candidate's exact distance to the other set, its distance to its own
-    # set being 0, so this route shares no max-min with the others.
-    rows_s = [rows_s[i] for i in first_indices(rows_s)]
-    rows_t = [rows_t[j] for j in first_indices(rows_t)]
-    to_t, to_s = nearest_distances(rows_s, rows_t, total)
-    return max(chain(to_t, to_s), default=0)
 
 
 def sup_val_distance(
@@ -135,10 +124,10 @@ def sup_val_distance(
     The strong form equals the strong trace metric.  The weak form is
     computed the same way but is reported as derived only.
     """
-    (set_s, weak_set_s), (set_t, weak_set_t) = _satisfied_sets(pts, s, t, max_resolutions)
+    total, (set_s, weak_set_s), (set_t, weak_set_t) = _satisfied_sets(pts, s, t, max_resolutions)
     if weak:
-        return _sup_val_value(weak_set_s, weak_set_t)
-    return _sup_val_value(set_s, set_t)
+        return _sup_val_value(weak_set_s, weak_set_t, total)
+    return _sup_val_value(set_s, set_t, total)
 
 
 @dataclass(frozen=True)
@@ -161,8 +150,9 @@ class CrossCheckReport:
     mismatches: tuple[str, ...]
 
 
-def _formula_sets(layer: TraceLayer, sides: list[Entries]) -> list[tuple[Entries, Entries]]:
-    """Each side's satisfied set as rows over formula ids, strong and weak.
+def _formula_sets(layer: TraceLayer, sides: list[list[dict]]) -> list[tuple[list, list]]:
+    """Each side's satisfied set as rows over formula ids, strong and weak,
+    over the denominator of the side's rows.
 
     The formulae are numbered in a table of their own, not by trace id:
     each distinct trace id is decoded once and spelled through
@@ -184,7 +174,7 @@ def _formula_sets(layer: TraceLayer, sides: list[Entries]) -> list[tuple[Entries
         return fid
 
     out = []
-    for den, rows in sides:
+    for rows in sides:
         strong = []
         for row in rows:
             frow: dict = {}
@@ -200,32 +190,31 @@ def _formula_sets(layer: TraceLayer, sides: list[Entries]) -> list[tuple[Entries
             for fid, w in frow.items():
                 wrow[erased[fid]] = wrow.get(erased[fid], 0) + w
             weak.append(wrow)
-        out.append((Entries(den, strong), Entries(den, weak)))
+        out.append((strong, weak))
     return out
 
 
-def _hausdorff_value(side_a: Entries, side_b: Entries) -> Fraction:
-    total, (rows_a, rows_b) = on_common_denominator(side_a, side_b)
+def _hausdorff_value(rows_a: list[dict], rows_b: list[dict], total: int) -> Fraction:
     return Fraction(hausdorff_rows(rows_a, rows_b, total)[0], total)
 
 
-def _sup_val_value(side_a: Entries, side_b: Entries) -> Fraction:
-    total, (rows_a, rows_b) = on_common_denominator(side_a, side_b)
-    return Fraction(_sup_val_rows(rows_a, rows_b, total), total)
+def _sup_val_value(rows_a: list[dict], rows_b: list[dict], total: int) -> Fraction:
+    # The sup over all formulae of the value gap is attained on the two
+    # satisfied sets themselves: for a member of one set the gap IS its
+    # distance to the other set, which produces both directed Hausdorff
+    # terms, and no formula can exceed them.  One sweep gives every
+    # candidate's exact distance to the other set, its distance to its own
+    # set being 0, so this route shares no max-min with the others.
+    to_b, to_a = nearest_distances(rows_a, rows_b, total)
+    return Fraction(max(chain(to_b, to_a), default=0), total)
 
 
-def _distinct(side: Entries) -> Entries:
-    return Entries(side.den, [side.rows[i] for i in first_indices(side.rows)])
-
-
-def _satisfied_sets(
-    pts: PTS, s: ProcessId, t: ProcessId, max_resolutions: int
-) -> list[tuple[Entries, Entries]]:
-    """The strong and weak satisfied sets of both processes, as rows over
-    one formula table (``_formula_sets``)."""
-    layer = TraceLayer(pts)
-    sides = [_distinct(layer.entries(p, False, max_resolutions)) for p in (s, t)]
-    return _formula_sets(layer, sides)
+def _satisfied_sets(pts: PTS, s: ProcessId, t: ProcessId, max_resolutions: int) -> tuple:
+    """The layer's denominator, then the strong and weak satisfied sets of
+    each process, as rows over one formula table (``_formula_sets``)."""
+    layer = TraceLayer(pts, s, t, max_resolutions=max_resolutions)
+    total, sides = layer.distinct(False)
+    return total, *_formula_sets(layer, [rows for _, rows in sides])
 
 
 def crosscheck(
@@ -236,27 +225,27 @@ def crosscheck(
 ) -> CrossCheckReport:
     # One layer serves every route: the metrics read its strong and weak
     # rows, the formula route its strong rows through a formula table.
-    layer = TraceLayer(pts)
-    strong_s = _distinct(layer.entries(s, False, max_resolutions))
-    strong_t = _distinct(layer.entries(t, False, max_resolutions))
-    weak_s = _distinct(layer.entries(s, True, max_resolutions))
-    weak_t = _distinct(layer.entries(t, True, max_resolutions))
+    layer = TraceLayer(pts, s, t, max_resolutions=max_resolutions)
+    total, ((_, strong_s), (_, strong_t)) = layer.distinct(False)
+    _, ((_, weak_s), (_, weak_t)) = layer.distinct(True)
     (set_s, weak_set_s), (set_t, weak_set_t) = _formula_sets(layer, [strong_s, strong_t])
 
     # Where no silent step is reachable the weak rows and sets equal the
     # strong ones, and a weak pass would repeat a strong one on equal input.
-    strong = _hausdorff_value(strong_s, strong_t)
+    # Both modes' lists of a process share its denominator, so the two
+    # modes' rows come over the same total.
+    strong = _hausdorff_value(strong_s, strong_t, total)
     if (weak_s, weak_t) == (strong_s, strong_t):
         weak = strong
     else:
-        weak = _hausdorff_value(weak_s, weak_t)
-    logical_strong = _hausdorff_value(set_s, set_t)
-    supval_strong = _sup_val_value(set_s, set_t)
+        weak = _hausdorff_value(weak_s, weak_t, total)
+    logical_strong = _hausdorff_value(set_s, set_t, total)
+    supval_strong = _sup_val_value(set_s, set_t, total)
     if (weak_set_s, weak_set_t) == (set_s, set_t):
         logical_weak, supval_weak = logical_strong, supval_strong
     else:
-        logical_weak = _hausdorff_value(weak_set_s, weak_set_t)
-        supval_weak = _sup_val_value(weak_set_s, weak_set_t)
+        logical_weak = _hausdorff_value(weak_set_s, weak_set_t, total)
+        supval_weak = _sup_val_value(weak_set_s, weak_set_t, total)
 
     mismatches: list[str] = []
     if logical_strong != strong:

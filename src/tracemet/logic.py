@@ -12,9 +12,10 @@ inside the logic.  The set of formulae a process satisfies is exactly the
 top formula together with the mimicking formulae of its resolutions, which
 is what makes the satisfied set finitely computable.
 
-``satisfies`` and ``mimicking_formulas`` read the integer rows of
-``traces.TraceLayer``: a formula is looked up in the layer's trie, and
-only the returned formulae are decoded.
+``satisfies`` and ``mimicking_formulas`` read the integer rows of a
+``traces.TraceLayer`` rooted at the process, the full list and the
+distinct rows: a formula is looked up in the layer's trie, and only the
+returned formulae are decoded.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 from .core import Action, Dist, PTS, ProcessId, TraceDistFormula
 from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution
-from .traces import Trace, TraceLayer, first_indices, tau_erase
+from .traces import Trace, TraceLayer, tau_erase
 
 
 @dataclass(frozen=True, order=True)
@@ -81,13 +82,13 @@ def mimicking_formulas(
     in order of first occurrence.  ``tracing_formula`` is injective, so they
     are the distinct trace distributions pushed forward through it; each
     trace id is decoded once."""
-    layer = TraceLayer(pts)
-    den, rows = layer.entries(process, weak, max_resolutions)
+    layer = TraceLayer(pts, process, max_resolutions=max_resolutions)
+    den, [(_, rows)] = layer.distinct(weak)
     formula_of: dict[int, TraceFormula] = {}
     out = []
-    for index in first_indices(rows):
+    for row in rows:
         weights = {}
-        for tid, w in rows[index].items():
+        for tid, w in row.items():
             phi = formula_of.get(tid)
             if phi is None:
                 phi = formula_of[tid] = tracing_formula(layer.trace(tid))
@@ -149,8 +150,8 @@ def satisfies(
     """
     if not psi.is_probability:
         raise ValueError("formula weights must sum to 1")
-    layer = TraceLayer(pts)
-    den, rows = layer.entries(process, weak, max_resolutions)
+    layer = TraceLayer(pts, process, max_resolutions=max_resolutions)
+    den, rows = layer.entries(process, weak)
     psi_den, psi_row = formula_row(layer, psi, weak)
     # A trace the process never shows, or a weight (weakly: after merging)
     # that is not a multiple of 1/den, rules out every resolution.

@@ -4,12 +4,12 @@ The distance between two resolutions is the optimal transport cost between
 their trace distributions under the 0/1 cost on traces (weakly: on
 tau-erased traces).  Lifting that distance over the full resolution sets
 with the Hausdorff max-min gives the metric over processes; its kernel is
-the corresponding trace equivalence.  Both read the integer rows of one
-``traces.TraceLayer`` per call, so the trace ids of the two sides agree;
-the sides' rows are scaled to one denominator before they are compared.
-No trace or distribution object is built, and a witness resolution is
-built only for the pair or the resolution that is returned, off the
-layer's resolution-count table.
+the corresponding trace equivalence.  Both read one ``traces.TraceLayer``
+per call, rooted at the two processes, so the trace ids of the two sides
+agree and their rows come over one denominator: the metric its distinct
+rows, the equivalence its full lists.  No trace or distribution object is
+built, and a witness resolution is built only for the pair or the
+resolution that is returned, off the layer's resolution-count table.
 """
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .core import PTS, ProcessId
 from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution
-from .traces import TraceLayer, first_indices
-from .transport import hausdorff_rows, on_common_denominator
+from .traces import TraceLayer
+from .transport import hausdorff_rows
 
 
 @dataclass(frozen=True)
@@ -51,20 +51,13 @@ def _trace_metric(
     weak: bool,
     max_resolutions: int,
 ) -> MetricResult:
-    layer = TraceLayer(pts)
-    side_s = layer.entries(s, weak, max_resolutions)
-    side_t = layer.entries(t, weak, max_resolutions)
-    kept_s = first_indices(side_s.rows)
-    kept_t = first_indices(side_t.rows)
-    total, (rows_s, rows_t) = on_common_denominator(
-        (side_s.den, [side_s.rows[i] for i in kept_s]),
-        (side_t.den, [side_t.rows[j] for j in kept_t]),
-    )
+    layer = TraceLayer(pts, s, t, max_resolutions=max_resolutions)
+    total, ((kept_s, rows_s), (kept_t, rows_t)) = layer.distinct(weak)
     # Neither list is empty (the halting resolution is always first), so
     # there is always a witness pair.
     d, i, j = hausdorff_rows(rows_s, rows_t, total)
     witness = (layer.resolution(s, kept_s[i]), layer.resolution(t, kept_t[j]))
-    stats = DedupStats(len(side_s.rows), len(kept_s), len(side_t.rows), len(kept_t))
+    stats = DedupStats(layer.count(s), len(kept_s), layer.count(t), len(kept_t))
     return MetricResult(Fraction(d, total), witness, stats)
 
 
@@ -133,9 +126,8 @@ def find_distinguishing_resolution(
     trace distribution, and the sum can be inverted.  The first unmatched
     resolution of ``s`` comes first, then that of ``t``; only it is built.
     """
-    layer = TraceLayer(pts)
-    sides = (layer.entries(s, weak, max_resolutions), layer.entries(t, weak, max_resolutions))
-    _, (rows_s, rows_t) = on_common_denominator(*sides)
+    layer = TraceLayer(pts, s, t, max_resolutions=max_resolutions)
+    _, (rows_s, rows_t) = layer.lists(weak)
     keys_s = [frozenset(row.items()) for row in rows_s]
     keys_t = [frozenset(row.items()) for row in rows_t]
     for p, keys, others in ((s, keys_s, set(keys_t)), (t, keys_t, set(keys_s))):

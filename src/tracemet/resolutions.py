@@ -18,7 +18,7 @@ Readers make one pass over it, reading each node's data off its parent's.
 No command lists resolutions: ``count_resolutions`` counts them, and
 ``resolution_at`` builds the one with a given index in the canonical order
 off the counts of the processes the root reaches (``traces.TraceLayer``
-keeps that table per queried process).  The recursive enumerator, the
+keeps one such table for all the roots of a call).  The recursive enumerator, the
 structural validator and the hand-built-resolution helper that the tests
 compare against live in ``tests/oracles.py``.
 """
@@ -69,14 +69,15 @@ class Resolution:
         return self.nodes[0][1]
 
 
-def _resolution_counts(pts: PTS, process: ProcessId) -> dict[ProcessId, int]:
-    """Resolution count of every process reachable from ``process``.
+def _resolution_counts(pts: PTS, *roots: ProcessId) -> dict[ProcessId, int]:
+    """Resolution count of every process reachable from ``roots``, keyed
+    in post-order.
 
     Recurrence: a process offers the halting scheduler plus, per transition,
     one scheduler for every combination of sub-schedulers of the targets.
     """
     counts: dict[ProcessId, int] = {}
-    for p in post_order(pts, process):
+    for p in post_order(pts, *roots):
         counts[p] = 1 + sum(
             math.prod(counts[q] for q in row.target.support) for row in pts.transitions_of(p)
         )

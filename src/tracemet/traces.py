@@ -10,12 +10,15 @@ honest probability distributions; summing instead over every equivalent
 tau-decorated spelling would overshoot 1.
 
 ``TraceLayer`` is the layer every command reads: the trace distributions
-of all resolutions of a process, composed bottom-up from those of the
-processes it can reach, with no resolution built.  It is kept as integers.
-Traces are interned in a trie, one per layer: id 0 is the empty trace and
-every other id stands for one (action, tail id) pair, keyed by the action's
-name.  A process's list holds one ``{trace id: weight}`` row per
-resolution, all over one denominator of that process.  Trace tuples and
+of all resolutions of the processes a call names as its roots, composed
+bottom-up from those of the processes they reach, with no resolution
+built.  It is kept as integers.  Traces are interned in a trie, one per
+layer: id 0 is the empty trace and every other id stands for one (action,
+tail id) pair, keyed by the action's name.  A process's list holds one
+``{trace id: weight}`` row per resolution, all over one denominator of
+that process; the layer's readers (``lists``, ``distinct``) hand the
+roots' rows over one common denominator, ``distinct`` deduplicated with
+the index of the resolution that first shows each row.  Trace tuples and
 ``Dist`` objects are decoded only for output: ``trace_distributions`` is
 the decoder of the whole list, ``TraceLayer.trace`` of one id.
 ``trace_distribution`` reads one resolution, for the resolutions a command
@@ -89,76 +92,112 @@ class Entries(NamedTuple):
 
 
 class TraceLayer:
-    """The integer trace-distribution layer of one system, built on demand.
+    """The integer trace-distribution layer of one call's roots.
 
-    One layer serves one call: both sides of a comparison, and both the
-    strong and the weak lists, so trace ids agree across everything it
-    returns.  ``len(layer)`` is the number of interned trace ids.  The
-    resolution counts of the processes a queried process reaches are
-    walked once per layer: the size guard (``count``), the build
-    (``entries``) and every witness (``resolution``) read that table.
+    A call names its roots up front: both sides of a comparison, or the
+    one process it reads.  The resolution counts of every process they
+    reach come from one walk, in post-order: the size guard (each root in
+    the given order), the build and every witness (``resolution``) read
+    that table.  Per mode, strong or weak, every reachable list is built
+    once, in that order, so trace ids agree across everything the layer
+    returns, and a non-root list is dropped once the last process that
+    reads it has been built.  ``len(layer)`` is the number of interned
+    trace ids.
     """
 
-    __slots__ = ("pts", "actions", "tails", "_children", "_lists", "_counts")
+    __slots__ = ("pts", "roots", "actions", "tails", "_children", "_lists", "_counts")
 
-    def __init__(self, pts: PTS):
+    def __init__(
+        self, pts: PTS, *roots: ProcessId, max_resolutions: int = DEFAULT_MAX_RESOLUTIONS
+    ):
         self.pts = pts
+        self.roots = roots
         # Id i spells actions[i] followed by the trace with id tails[i].
         self.actions: list[Action | None] = [None]
         self.tails: list[int] = [0]
         self._children: dict[str, dict[int, int]] = {}
-        self._lists: dict[tuple[bool, ProcessId], Entries] = {}
-        self._counts: dict[ProcessId, dict[ProcessId, int]] = {}
+        self._lists: dict[bool, dict[ProcessId, Entries]] = {}
+        self._counts = _resolution_counts(pts, *roots)
+        for root in roots:
+            if self._counts[root] > max_resolutions:
+                raise SizeGuardExceeded(self._counts[root], max_resolutions, root)
 
     def __len__(self) -> int:
         return len(self.tails)
 
-    def entries(
-        self,
-        process: ProcessId,
-        weak: bool = False,
-        max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
-    ) -> Entries:
-        """The (weak) trace distribution of every resolution of ``process``,
+    def entries(self, root: ProcessId, weak: bool = False) -> Entries:
+        """The (weak) trace distribution of every resolution of ``root``,
         in the canonical order of ``resolution_at``.
 
-        Built bottom-up over the reachable processes, each list once per
-        layer.  A process's list is the halting scheduler's point mass on
-        the empty trace, then, per transition, one row for every combination
-        of one row per target (later targets varying fastest): the targets'
-        rows weighted by the step probabilities and summed, with the action
-        prepended (weakly, unless it is silent, which keeps the ids).  The
-        resolution count is checked against ``max_resolutions`` first.
+        A process's list is the halting scheduler's point mass on the empty
+        trace, then, per transition, one row for every combination of one
+        row per target (later targets varying fastest): the targets' rows
+        weighted by the step probabilities and summed, with the action
+        prepended (weakly, unless it is silent, which keeps the ids).
         """
-        self.count(process, max_resolutions)
-        lists = self._lists
-        for p in self._counts[process]:  # keyed in post-order
-            if (weak, p) not in lists:
-                lists[(weak, p)] = self._build(p, weak)
-        return lists[(weak, process)]
+        lists = self._lists.get(weak)
+        if lists is None:
+            lists = self._lists[weak] = self._build_all(weak)
+        return lists[root]
 
-    def count(self, process: ProcessId, max_resolutions: int = DEFAULT_MAX_RESOLUTIONS) -> int:
-        """The number of resolutions of ``process``, off its count table;
-        raises SizeGuardExceeded when it is more than ``max_resolutions``."""
-        table = self._counts.get(process)
-        if table is None:
-            table = self._counts[process] = _resolution_counts(self.pts, process)
-        if table[process] > max_resolutions:
-            raise SizeGuardExceeded(table[process], max_resolutions, process)
-        return table[process]
+    def lists(self, weak: bool = False) -> tuple[int, list[list[dict[int, int]]]]:
+        """Every root's full list, over the least common denominator of
+        the roots' lists, which is returned with them."""
+        sides = [self.entries(root, weak) for root in self.roots]
+        total = math.lcm(*(den for den, _ in sides))
+        scaled = []
+        for den, rows in sides:
+            factor = total // den
+            if factor != 1:
+                rows = [{k: w * factor for k, w in row.items()} for row in rows]
+            scaled.append(rows)
+        return total, scaled
+
+    def distinct(self, weak: bool = False) -> tuple[int, list[tuple[list[int], list[dict]]]]:
+        """Every root's distinct rows in order of first occurrence, each
+        with the index of the resolution that first shows it, over the
+        denominator of ``lists``."""
+        total, sides = self.lists(weak)
+        out = []
+        for rows in sides:
+            first: dict = {}
+            for index, row in enumerate(rows):
+                first.setdefault(frozenset(row.items()), index)
+            out.append((list(first.values()), [rows[i] for i in first.values()]))
+        return total, out
+
+    def count(self, process: ProcessId) -> int:
+        """The number of resolutions of ``process``, off the count table."""
+        return self._counts[process]
 
     def resolution(self, process: ProcessId, index: int) -> Resolution:
         """``resolution_at(pts, process, index)``, off the same table."""
-        self.count(process, math.inf)
-        return _resolution_from(self.pts, process, index, self._counts[process])
+        return _resolution_from(self.pts, process, index, self._counts)
 
-    def _build(self, p: ProcessId, weak: bool) -> Entries:
-        lists = self._lists
+    def _build_all(self, weak: bool) -> dict[ProcessId, Entries]:
+        """The roots' (weak) lists, building every reachable list in
+        post-order and dropping each non-root one after its last reader."""
+        transitions_of = self.pts.transitions_of
+        last_reader = {
+            q: p for p in self._counts for row in transitions_of(p) for q in row.target.support
+        }
+        dying: dict[ProcessId, list[ProcessId]] = {}
+        for q, p in last_reader.items():
+            if q not in self.roots:
+                dying.setdefault(p, []).append(q)
+        lists: dict[ProcessId, Entries] = {}
+        for p in self._counts:  # keyed in post-order
+            lists[p] = self._build(p, weak, lists)
+            for q in dying.get(p, ()):
+                del lists[q]
+        return {root: lists[root] for root in self.roots}
+
+    def _build(self, p: ProcessId, weak: bool, lists: dict[ProcessId, Entries]) -> Entries:
         transitions = self.pts.transitions_of(p)
         den = math.lcm(
             1,
             *(
-                step.denominator * lists[(weak, q)].den
+                step.denominator * lists[q].den
                 for row in transitions
                 for q, step in row.target.items_sorted
             ),
@@ -168,7 +207,7 @@ class TraceLayer:
             silent = weak and row.action.is_tau
             parts = []
             for q, step in row.target.items_sorted:
-                sub = lists[(weak, q)]
+                sub = lists[q]
                 factor = step.numerator * (den // (step.denominator * sub.den))
                 if silent:
                     parts.append([{k: w * factor for k, w in r.items()} for r in sub.rows])
@@ -236,16 +275,6 @@ class TraceLayer:
         return out
 
 
-def first_indices(rows: list[dict[int, int]]) -> list[int]:
-    """The index of the first occurrence of each distinct row, in list
-    order.  Rows of one list share a denominator, so equal rows are equal
-    distributions."""
-    first: dict = {}
-    for index, row in enumerate(rows):
-        first.setdefault(frozenset(row.items()), index)
-    return list(first.values())
-
-
 def trace_distributions(
     pts: PTS,
     process: ProcessId,
@@ -255,5 +284,5 @@ def trace_distributions(
     """The (weak) trace distribution of every resolution of ``process``, in
     the canonical order of ``resolution_at``, without building any: the
     layer's list (``TraceLayer.entries``), decoded."""
-    layer = TraceLayer(pts)
-    return layer.decode(layer.entries(process, weak, max_resolutions))
+    layer = TraceLayer(pts, process, max_resolutions=max_resolutions)
+    return layer.decode(layer.entries(process, weak))

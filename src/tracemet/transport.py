@@ -13,8 +13,9 @@ int weights, and a set of rows shares one denominator ``total``, so the
 inner loops run on Python ints and each result becomes one ``Fraction`` at
 the end.  ``hausdorff_rows`` is the max-min and ``nearest_distances`` the
 exact nearest-row distances of two sets in both directions.  The trace
-layer (``traces.TraceLayer``) hands its rows to the kernel directly, after
-``on_common_denominator`` has scaled both sides to one denominator.  On
+layer (``traces.TraceLayer``) hands its roots' rows to the kernel
+directly, over one common denominator; ``on_common_denominator`` scales
+a formula's row and a process's list to one for ``real_value``.  On
 ``Dist`` inputs (``hausdorff_witness``, ``distances_to_set``,
 ``kantorovich_01``) a pass first canonicalizes each distribution once into
 such a row (``_integer_rows``).

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -587,9 +588,60 @@ def test_corrupted_files_end_in_a_documented_exit_code(tmp_path, data):
                 assert cli.main(argv + json_flag) in (0, 1, 2, 3)
 
 
+@st.composite
+def deep_and_wide_systems(draw) -> str:
+    """A chain of up to 1,100 steps, past Python's default recursion limit,
+    a fan of up to 40 transitions or 40 targets, and silent steps, rooted
+    at p0 (the chain and the fan) and q0 (the fan and a chain suffix)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    depth = draw(st.one_of(st.integers(1, 60), st.integers(1000, 1100)))
+    width = draw(st.integers(1, 40))
+
+    def action():
+        return rng.choice(("a", "b", "tau", "tau"))
+
+    lines = [f"c{i} -{action()}-> 1 c{i + 1}" for i in range(depth)]
+    if draw(st.booleans()):
+        targets = rng.sample(range(depth + 1), min(width, depth + 1))
+        lines += [f"f -{action()}-> 1 c{j}" for j in targets]
+    elif width == 1:
+        lines.append(f"f -{action()}-> 1 l0")
+    else:
+        lines.append(f"f -{action()}-> " + ", ".join(f"1/{width} l{k}" for k in range(width)))
+    lines.append(f"p0 -{action()}-> 1/2 c0, 1/2 f")
+    lines.append(f"q0 -{action()}-> 1 f")
+    lines.append(f"q0 -tau-> 1 c{rng.randrange(depth + 1)}")
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(deep_and_wide_systems(), st.sampled_from(["1", "50", "400"]))
+def test_deep_and_wide_systems_answer_or_hit_the_guard(tmp_path, text, cap):
+    path = tmp_path / "deep.pts"
+    path.write_text(text)
+    file = str(path)
+    sink = io.StringIO()
+    limit = ["--max-resolutions", cap]
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        for argv in (
+            ["validate", file],
+            ["resolutions", file, "-p", "q0", "--limit", "3", *limit],
+            ["mimic", file, "-p", "q0", "--weak", *limit],
+            ["metric", file, "-p", "p0", "-q", "q0", *limit],
+            ["equiv", file, "-p", "q0", "-q", "p0", "--weak", *limit],
+            ["sat", file, "-p", "q0", "-f", "1 <a>T", "--weak", *limit],
+            ["val", file, "-p", "p0", "-f", "1/2 <a>T (+) 1/2 T", *limit],
+            ["crosscheck", file, "-p", "p0", "-q", "q0", *limit],
+        ):
+            for json_flag in ([], ["--json"]):
+                assert cli.main(argv + json_flag) in (0, 2), argv
+
+
 class TestCountWalks:
-    """Each process side's resolutions are counted once per command: the
-    size guard, the build and every witness read one table."""
+    """Each command counts resolutions in one walk that names all its
+    roots in order: the size guard, the build and every witness read that
+    one table."""
 
     FORMULA = "1/2 <a><c>T (+) 1/2 <a><b>T"
 
@@ -598,32 +650,32 @@ class TestCountWalks:
         original = tracemet.resolutions._resolution_counts
         calls = []
 
-        def counting(pts, process):
-            calls.append(process)
-            return original(pts, process)
+        def counting(pts, *roots):
+            calls.append(roots)
+            return original(pts, *roots)
 
         for module in (tracemet.resolutions, tracemet.traces):
             monkeypatch.setattr(module, "_resolution_counts", counting)
         return calls
 
-    @pytest.mark.parametrize("argv, sides", [
-        (["metric", "-p", "s", "-q", "t"], ["s", "t"]),
-        (["metric", "-p", "s", "-q", "t", "--weak"], ["s", "t"]),
-        (["equiv", "-p", "s", "-q", "t"], ["s", "t"]),
-        (["equiv", "-p", "t", "-q", "s", "--weak"], ["t", "s"]),
-        (["crosscheck", "-p", "s", "-q", "t"], ["s", "t"]),
-        (["sat", "-p", "t", "-f", FORMULA], ["t"]),
-        (["sat", "-p", "s", "-f", FORMULA, "--weak"], ["s"]),
-        (["val", "-p", "s", "-f", FORMULA], ["s"]),
-        (["mimic", "-p", "t"], ["t"]),
-        (["mimic", "-p", "s", "--weak"], ["s"]),
-        (["resolutions", "-p", "t", "--limit", "5"], ["t"]),
-        (["resolutions", "-p", "s"], ["s"]),
+    @pytest.mark.parametrize("argv, walks", [
+        (["metric", "-p", "s", "-q", "t"], [("s", "t")]),
+        (["metric", "-p", "s", "-q", "t", "--weak"], [("s", "t")]),
+        (["equiv", "-p", "s", "-q", "t"], [("s", "t")]),
+        (["equiv", "-p", "t", "-q", "s", "--weak"], [("t", "s")]),
+        (["crosscheck", "-p", "s", "-q", "t"], [("s", "t")]),
+        (["sat", "-p", "t", "-f", FORMULA], [("t",)]),
+        (["sat", "-p", "s", "-f", FORMULA, "--weak"], [("s",)]),
+        (["val", "-p", "s", "-f", FORMULA], [("s",)]),
+        (["mimic", "-p", "t"], [("t",)]),
+        (["mimic", "-p", "s", "--weak"], [("s",)]),
+        (["resolutions", "-p", "t", "--limit", "5"], [("t",)]),
+        (["resolutions", "-p", "s"], [("s",)]),
     ])
-    def test_one_count_per_side(self, capsys, half_file, counted, argv, sides):
+    def test_one_count_per_side(self, capsys, half_file, counted, argv, walks):
         code, out, _ = run(capsys, argv[0], half_file, *argv[1:], "--json")
         assert code == 0
-        assert counted == sides
+        assert counted == walks
         payload = json.loads(out)
         # The witnesses were decoded, off the same tables.
         if argv[0] == "metric":

@@ -294,8 +294,8 @@ class TestUndeclaredTargets:
             lambda: tm.depth(GHOST, "s"),
             lambda: tm.count_resolutions(GHOST, "s"),
             lambda: tm.resolution_at(GHOST, "s", 0),
-            lambda: TraceLayer(GHOST).entries("s"),
-            lambda: TraceLayer(GHOST).resolution("s", 0),
+            lambda: TraceLayer(GHOST, "s").entries("s"),
+            lambda: TraceLayer(GHOST, "s").resolution("s", 0),
             lambda: tm.trace_distributions(GHOST, "s", weak=True),
             lambda: tm.strong_trace_metric(GHOST, "s", "s"),
             lambda: tm.weak_trace_equivalent(GHOST, "s", "s"),

@@ -15,7 +15,6 @@ import oracles
 import tracemet as tm
 from conftest import dist
 from genpts import random_case, random_formula
-from tracemet.traces import Entries
 
 FORMULA_QUOTIENT = tm.formula_distance.FORMULA_QUOTIENT
 FIRST_LETTER = tm.DiscreteQuotient(lambda s: s[0])
@@ -113,8 +112,8 @@ class TestFormulaSets:
     def test_sup_val_rejects_one_empty_set(self):
         sup_val = tm.formula_distance._sup_val_value
         with pytest.raises(ValueError):
-            sup_val(Entries(1, [{0: 1}]), Entries(1, []))
-        assert sup_val(Entries(1, []), Entries(1, [])) == 0
+            sup_val([{0: 1}], [], 1)
+        assert sup_val([], [], 1) == 0
 
 
 class TestHandBuilt:

@@ -119,7 +119,7 @@ class TestLayer:
     def test_ladder_lists_equal_per_resolution_lists(self, levels):
         pts = ladder(levels)
         for weak in (False, True):
-            layer = TraceLayer(pts)
+            layer = TraceLayer(pts, "x0", "w0")
             for process in ("x0", "w0"):
                 walked = per_resolution(pts, process, weak)
                 assert layer.decode(layer.entries(process, weak)) == walked
@@ -129,7 +129,7 @@ class TestLayer:
     def test_random_tau_lists_equal_per_resolution_lists(self):
         for pts, s, t in tau_cases(401, 40, max_count=150):
             for weak in (False, True):
-                layer = TraceLayer(pts)
+                layer = TraceLayer(pts, s, t)
                 for process in (s, t):
                     walked = per_resolution(pts, process, weak)
                     assert layer.decode(layer.entries(process, weak)) == walked
@@ -137,7 +137,7 @@ class TestLayer:
 
     def test_one_layer_serves_both_modes(self):
         for pts, s, t in tau_cases(402, 10, max_count=80):
-            layer = TraceLayer(pts)
+            layer = TraceLayer(pts, t, s)
             for weak in (True, False, True):
                 for process in (t, s):
                     assert layer.decode(layer.entries(process, weak)) == per_resolution(
@@ -306,7 +306,7 @@ def test_layer_and_commands_match_old_routes_property(drawn):
     pts, t = drawn
     s = "p0"
     for weak in (False, True):
-        layer = TraceLayer(pts)
+        layer = TraceLayer(pts, s, t)
         for process in (s, t):
             assert layer.decode(layer.entries(process, weak)) == per_resolution(pts, process, weak)
         metric = tm.weak_trace_metric if weak else tm.strong_trace_metric
