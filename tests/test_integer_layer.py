@@ -116,15 +116,15 @@ def test_readers_share_one_denominator_and_keep_the_roots(drawn, data):
     pts, processes = drawn
     roots = data.draw(st.lists(st.sampled_from(processes), min_size=1, max_size=3))
     counts = [tm.count_resolutions(pts, root) for root in roots]
-    cap = data.draw(st.one_of(st.none(), st.integers(0, max(counts))))
-    over = [(root, n) for root, n in zip(roots, counts) if cap is not None and n > cap]
+    cap = data.draw(st.one_of(st.just(tm.DEFAULT_MAX_RESOLUTIONS), st.integers(0, max(counts))))
+    over = [(root, n) for root, n in zip(roots, counts) if n > cap]
     if over:
         # The guard checks the roots in the given order, before any build.
         with pytest.raises(tm.SizeGuardExceeded) as raised:
             TraceLayer(pts, *roots, max_resolutions=cap)
         assert (raised.value.process, raised.value.count, raised.value.limit) == (*over[0], cap)
         return
-    layer = TraceLayer(pts, *roots) if cap is None else TraceLayer(pts, *roots, max_resolutions=cap)
+    layer = TraceLayer(pts, *roots, max_resolutions=cap)
     first = data.draw(st.booleans())
     # The first mode is read again after the second mode's build, which
     # drops every non-root list of that mode.
