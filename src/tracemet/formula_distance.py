@@ -17,7 +17,10 @@ the processes they compare: the distinct rows of both, over the layer's
 common denominator, or for ``real_value`` one process's full list.  The
 satisfied sets are numbered in a formula table of their own, filled
 through ``tracing_formula`` and ``erase_formula``, so the formula route of
-``crosscheck`` shares no trace ids with its metric route.
+``crosscheck`` shares no trace ids with its metric route.  Where the
+layer's ``silent`` is False the weak rows and satisfied sets are the
+strong ones, and ``crosscheck`` builds no weak list: its three weak values
+are its strong passes' results.
 ``distance_to_set`` and ``dist_formula_distance`` take formulae as
 ``Dist`` objects and go through the kernel's ``Dist`` entry points.
 
@@ -74,10 +77,7 @@ def logical_distance(
     max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
 ) -> Fraction:
     """Hausdorff distance between the satisfied-formula sets of two processes."""
-    total, (set_s, weak_set_s), (set_t, weak_set_t) = _satisfied_sets(pts, s, t, max_resolutions)
-    if weak:
-        return _hausdorff_value(weak_set_s, weak_set_t, total)
-    return _hausdorff_value(set_s, set_t, total)
+    return _hausdorff_value(*_satisfied_sets(pts, s, t, weak, max_resolutions))
 
 
 def distance_to_set(
@@ -124,10 +124,7 @@ def sup_val_distance(
     The strong form equals the strong trace metric.  The weak form is
     computed the same way but is reported as derived only.
     """
-    total, (set_s, weak_set_s), (set_t, weak_set_t) = _satisfied_sets(pts, s, t, max_resolutions)
-    if weak:
-        return _sup_val_value(weak_set_s, weak_set_t, total)
-    return _sup_val_value(set_s, set_t, total)
+    return _sup_val_value(*_satisfied_sets(pts, s, t, weak, max_resolutions))
 
 
 @dataclass(frozen=True)
@@ -156,24 +153,16 @@ def _formula_sets(layer: TraceLayer, sides: list[list[dict]]) -> list[tuple[list
 
     The formulae are numbered in a table of their own, not by trace id:
     each distinct trace id is decoded once and spelled through
-    ``tracing_formula``, and each distinct formula is erased once through
-    ``erase_formula`` into a second table.  A strong set is the side's
-    distinct mimicking formulae, the halting row's being the top formula; a
-    weak set is the strong one with every formula replaced by its erasure.
+    ``tracing_formula``, and, where a silent step is reachable, each
+    distinct formula is erased once through ``erase_formula`` into a second
+    table.  A strong set is the side's distinct mimicking formulae, the
+    halting row's being the top formula; a weak set is the strong one with
+    every formula replaced by its erasure, and is the strong set itself
+    where no silent step is reachable.
     """
     table: dict[TraceFormula, int] = {}
-    erased_table: dict[TraceFormula, int] = {}
-    erased: list[int] = []
     formula_of: dict[int, int] = {}
-
-    def number(phi: TraceFormula) -> int:
-        fid = table.get(phi)
-        if fid is None:
-            fid = table[phi] = len(table)
-            erased.append(erased_table.setdefault(erase_formula(phi), len(erased_table)))
-        return fid
-
-    out = []
+    strong_sides = []
     for rows in sides:
         strong = []
         for row in rows:
@@ -181,9 +170,17 @@ def _formula_sets(layer: TraceLayer, sides: list[list[dict]]) -> list[tuple[list
             for tid, w in row.items():
                 fid = formula_of.get(tid)
                 if fid is None:
-                    fid = formula_of[tid] = number(tracing_formula(layer.trace(tid)))
+                    phi = tracing_formula(layer.trace(tid))
+                    fid = formula_of[tid] = table.setdefault(phi, len(table))
                 frow[fid] = frow.get(fid, 0) + w
             strong.append(frow)
+        strong_sides.append(strong)
+    if not layer.silent:
+        return [(strong, strong) for strong in strong_sides]
+    erased_table: dict[TraceFormula, int] = {}
+    erased = [erased_table.setdefault(erase_formula(phi), len(erased_table)) for phi in table]
+    out = []
+    for strong in strong_sides:
         weak = []
         for frow in strong:
             wrow: dict = {}
@@ -209,12 +206,13 @@ def _sup_val_value(rows_a: list[dict], rows_b: list[dict], total: int) -> Fracti
     return Fraction(max(chain(to_b, to_a), default=0), total)
 
 
-def _satisfied_sets(pts: PTS, s: ProcessId, t: ProcessId, max_resolutions: int) -> tuple:
-    """The layer's denominator, then the strong and weak satisfied sets of
-    each process, as rows over one formula table (``_formula_sets``)."""
+def _satisfied_sets(pts: PTS, s: ProcessId, t: ProcessId, weak: bool, max_resolutions: int):
+    """The (weak) satisfied sets of the two processes, as rows over one
+    formula table (``_formula_sets``), then the layer's denominator."""
     layer = TraceLayer(pts, s, t, max_resolutions=max_resolutions)
     total, sides = layer.distinct(False)
-    return total, *_formula_sets(layer, [rows for _, rows in sides])
+    (set_s, weak_set_s), (set_t, weak_set_t) = _formula_sets(layer, [rows for _, rows in sides])
+    return (weak_set_s, weak_set_t, total) if weak else (set_s, set_t, total)
 
 
 def crosscheck(
@@ -227,25 +225,22 @@ def crosscheck(
     # rows, the formula route its strong rows through a formula table.
     layer = TraceLayer(pts, s, t, max_resolutions=max_resolutions)
     total, ((_, strong_s), (_, strong_t)) = layer.distinct(False)
-    _, ((_, weak_s), (_, weak_t)) = layer.distinct(True)
     (set_s, weak_set_s), (set_t, weak_set_t) = _formula_sets(layer, [strong_s, strong_t])
-
-    # Where no silent step is reachable the weak rows and sets equal the
-    # strong ones, and a weak pass would repeat a strong one on equal input.
-    # Both modes' lists of a process share its denominator, so the two
-    # modes' rows come over the same total.
     strong = _hausdorff_value(strong_s, strong_t, total)
-    if (weak_s, weak_t) == (strong_s, strong_t):
-        weak = strong
-    else:
-        weak = _hausdorff_value(weak_s, weak_t, total)
     logical_strong = _hausdorff_value(set_s, set_t, total)
     supval_strong = _sup_val_value(set_s, set_t, total)
-    if (weak_set_s, weak_set_t) == (set_s, set_t):
-        logical_weak, supval_weak = logical_strong, supval_strong
-    else:
+
+    # Where no silent step is reachable the weak rows and sets are the
+    # strong ones, so the weak values are the strong passes' results.  Both
+    # modes' lists of a process share its denominator, so the two modes'
+    # rows come over the same total.
+    if layer.silent:
+        _, ((_, weak_s), (_, weak_t)) = layer.distinct(True)
+        weak = _hausdorff_value(weak_s, weak_t, total)
         logical_weak = _hausdorff_value(weak_set_s, weak_set_t, total)
         supval_weak = _sup_val_value(weak_set_s, weak_set_t, total)
+    else:
+        weak, logical_weak, supval_weak = strong, logical_strong, supval_strong
 
     mismatches: list[str] = []
     if logical_strong != strong:

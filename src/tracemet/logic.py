@@ -15,18 +15,18 @@ is what makes the satisfied set finitely computable.
 ``satisfies`` and ``mimicking_formulas`` read the integer rows of a
 ``traces.TraceLayer`` rooted at the process, the full list and the
 distinct rows: a formula is looked up in the layer's trie, and only the
-returned formulae are decoded.
+returned formulae are decoded, by the layer's ``decode`` spelling each
+trace through ``tracing_formula``.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import Action, Dist, PTS, ProcessId, TraceDistFormula
 from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution
-from .traces import Trace, TraceLayer, tau_erase
+from .traces import Entries, Trace, TraceLayer, tau_erase
 
 
 @dataclass(frozen=True, order=True)
@@ -80,21 +80,12 @@ def mimicking_formulas(
 ) -> list[TraceDistFormula]:
     """The distinct (weak) mimicking formulae of the process's resolutions,
     in order of first occurrence.  ``tracing_formula`` is injective, so they
-    are the distinct trace distributions pushed forward through it; each
-    trace id is decoded once."""
+    are the distinct trace distributions pushed forward through it.  The
+    layer decodes each trace id once, so all the formulae share one
+    ``TraceFormula`` object per trace (``cli._formula_json`` relies on it)."""
     layer = TraceLayer(pts, process, max_resolutions=max_resolutions)
     den, [(_, rows)] = layer.distinct(weak)
-    formula_of: dict[int, TraceFormula] = {}
-    out = []
-    for row in rows:
-        weights = {}
-        for tid, w in row.items():
-            phi = formula_of.get(tid)
-            if phi is None:
-                phi = formula_of[tid] = tracing_formula(layer.trace(tid))
-            weights[phi] = Fraction(w, den)
-        out.append(Dist(weights))
-    return out
+    return layer.decode(Entries(den, rows), tracing_formula)
 
 
 def formula_row(layer: TraceLayer, psi: TraceDistFormula, weak: bool) -> tuple[int, dict]:

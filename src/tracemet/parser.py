@@ -212,13 +212,15 @@ def parse_pts(text: str) -> PTS:
     if issues:
         raise ParseError(issues)
 
-    transitions: dict[str, list[Transition]] = {}
+    # Each source's transitions in an insertion-ordered dict used as a set,
+    # so finding a duplicate costs one hash lookup, whatever the fan-out.
+    transitions: dict[str, dict[Transition, None]] = {}
     processes: set[str] = set()
     for src, action, dist, line_no in rows:
         processes.add(src)
         processes.update(dist.support)
         row = Transition(action, dist)
-        bucket = transitions.setdefault(src, [])
+        bucket = transitions.setdefault(src, {})
         if row in bucket:
             warnings.warn(
                 ParserWarning(
@@ -227,7 +229,7 @@ def parse_pts(text: str) -> PTS:
                 stacklevel=2,
             )
             continue
-        bucket.append(row)
+        bucket[row] = None
 
     pts = PTS(frozenset(processes), {p: tuple(rs) for p, rs in transitions.items()})
     # Sources and targets are declared and every line sums to 1 by

@@ -17,10 +17,10 @@ layer: id 0 is the empty trace and every other id stands for one (action,
 tail id) pair, keyed by the action's name.  A process's list holds one
 ``{trace id: weight}`` row per resolution, all over one denominator of
 that process; the layer's readers (``lists``, ``distinct``) hand the
-roots' rows over one common denominator, ``distinct`` deduplicated with
-the index of the resolution that first shows each row.  Trace tuples and
-``Dist`` objects are decoded only for output: ``trace_distributions`` is
-the decoder of the whole list, ``TraceLayer.trace`` of one id.
+roots' rows over one common denominator (``on_common_denominator``),
+``distinct`` deduplicated with the index of the resolution that first
+shows each row.  Trace tuples and ``Dist`` objects are decoded only for
+output: ``decode`` spells each id of a list once, ``trace`` one id.
 ``trace_distribution`` reads one resolution, for the resolutions a command
 prints, in one pass over its preorder ``(parent, process, choice)`` nodes:
 a node's run probability and a halting node's trace come off its parents.
@@ -33,11 +33,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
-from typing import NamedTuple
+from typing import Callable, Hashable, NamedTuple
 
 from .core import PTS, Action, Dist, ProcessId, TraceDistribution
 from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution, SizeGuardExceeded
 from .resolutions import _resolution_counts, _resolution_from
+from .transport import on_common_denominator
 
 Trace = tuple[Action, ...]
 EPSILON: Trace = ()
@@ -101,11 +102,13 @@ class TraceLayer:
     that table.  Per mode, strong or weak, every reachable list is built
     once, in that order, so trace ids agree across everything the layer
     returns, and a non-root list is dropped once the last process that
-    reads it has been built.  ``len(layer)`` is the number of interned
-    trace ids.
+    reads it has been built.  ``silent`` tells whether a silent transition
+    is reachable from the roots; where it is not, the weak lists are the
+    strong ones and are never built.  ``len(layer)`` is the number of
+    interned trace ids.
     """
 
-    __slots__ = ("pts", "roots", "actions", "tails", "_children", "_lists", "_counts")
+    __slots__ = ("pts", "roots", "actions", "tails", "_children", "_lists", "_counts", "_silent")
 
     def __init__(
         self, pts: PTS, *roots: ProcessId, max_resolutions: int = DEFAULT_MAX_RESOLUTIONS
@@ -121,9 +124,15 @@ class TraceLayer:
         for root in roots:
             if self._counts[root] > max_resolutions:
                 raise SizeGuardExceeded(self._counts[root], max_resolutions, root)
+        self._silent = any(row.action.is_tau for p in self._counts for row in pts.transitions_of(p))
 
     def __len__(self) -> int:
         return len(self.tails)
+
+    @property
+    def silent(self) -> bool:
+        """Whether a silent transition is reachable from the roots."""
+        return self._silent
 
     def entries(self, root: ProcessId, weak: bool = False) -> Entries:
         """The (weak) trace distribution of every resolution of ``root``,
@@ -134,7 +143,9 @@ class TraceLayer:
         row per target (later targets varying fastest): the targets' rows
         weighted by the step probabilities and summed, with the action
         prepended (weakly, unless it is silent, which keeps the ids).
+        Where ``silent`` is False the weak list is the strong list itself.
         """
+        weak = weak and self._silent
         lists = self._lists.get(weak)
         if lists is None:
             lists = self._lists[weak] = self._build_all(weak)
@@ -143,15 +154,7 @@ class TraceLayer:
     def lists(self, weak: bool = False) -> tuple[int, list[list[dict[int, int]]]]:
         """Every root's full list, over the least common denominator of
         the roots' lists, which is returned with them."""
-        sides = [self.entries(root, weak) for root in self.roots]
-        total = math.lcm(*(den for den, _ in sides))
-        scaled = []
-        for den, rows in sides:
-            factor = total // den
-            if factor != 1:
-                rows = [{k: w * factor for k, w in row.items()} for row in rows]
-            scaled.append(rows)
-        return total, scaled
+        return on_common_denominator(*(self.entries(root, weak) for root in self.roots))
 
     def distinct(self, weak: bool = False) -> tuple[int, list[tuple[list[int], list[dict]]]]:
         """Every root's distinct rows in order of first occurrence, each
@@ -260,17 +263,19 @@ class TraceLayer:
             tid = self.tails[tid]
         return tuple(out)
 
-    def decode(self, entries: Entries) -> list[TraceDistribution]:
-        """The rows as trace distributions, each distinct id decoded once."""
-        traces: dict[int, Trace] = {}
+    def decode(self, entries: Entries, spell: Callable[[Trace], Hashable] = tuple) -> list[Dist]:
+        """The rows as distributions over ``spell`` of their traces (by
+        default the trace tuples), each distinct id decoded and spelled
+        once, so every row that shows a trace holds the same key object."""
+        spelled: dict[int, Hashable] = {}
         out = []
         for r in entries.rows:
             pairs = {}
             for k, w in r.items():
-                trace = traces.get(k)
-                if trace is None:
-                    trace = traces[k] = self.trace(k)
-                pairs[trace] = Fraction(w, entries.den)
+                key = spelled.get(k)
+                if key is None:
+                    key = spelled[k] = spell(self.trace(k))
+                pairs[key] = Fraction(w, entries.den)
             out.append(Dist(pairs))
         return out
 

@@ -14,8 +14,9 @@ inner loops run on Python ints and each result becomes one ``Fraction`` at
 the end.  ``hausdorff_rows`` is the max-min and ``nearest_distances`` the
 exact nearest-row distances of two sets in both directions.  The trace
 layer (``traces.TraceLayer``) hands its roots' rows to the kernel
-directly, over one common denominator; ``on_common_denominator`` scales
-a formula's row and a process's list to one for ``real_value``.  On
+directly, over one common denominator; ``on_common_denominator`` is the
+one scaler of rows to one, for the layer's roots and for ``real_value``'s
+formula row and process list.  On
 ``Dist`` inputs (``hausdorff_witness``, ``distances_to_set``,
 ``kantorovich_01``) a pass first canonicalizes each distribution once into
 such a row (``_integer_rows``).
@@ -267,9 +268,9 @@ def nearest_distances(
 
 
 def on_common_denominator(*sides: tuple[int, list[dict]]) -> tuple[int, list[list[dict]]]:
-    """Rows given as (denominator, rows) per side, scaled to the least
-    common denominator, which is returned with them.  A side already over
-    it is returned as it is."""
+    """Rows given as (denominator, rows) per side, such as the layer's
+    ``Entries``, scaled to the least common denominator, which is returned
+    with them.  A side already over it is returned as it is."""
     total = math.lcm(*(den for den, _ in sides))
     scaled = []
     for den, rows in sides:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import tracemet
 import tracemet.cli as cli
 from conftest import EQUIV_PAIR_TEXT, HALF_PAIR_TEXT
+from genpts import random_case
 from golden.generate import ladder_text
 from test_parser import system_texts
 
@@ -478,6 +479,26 @@ def test_resolutions_of_a_deep_chain(capsys, tmp_path):
         "  TD: 1 ε",
         "... 3000 more (raise --limit)",
     ]
+
+
+def test_mimic_formulas_share_one_object_per_trace():
+    # cli._formula_json keys its entries by the formula object's identity,
+    # so mimicking_formulas must hand one TraceFormula object per trace:
+    # were each occurrence spelled anew, every entry would be its own dict
+    # and the writer would encode each, with the same bytes out.
+    rng = random.Random(91)
+    cases = [(tracemet.parse_pts(ladder_text(4)), "x0")]
+    cases += [random_case(rng, max_count=60, tau_bias=0.4)[:2] for _ in range(6)]
+    for pts, process in cases:
+        for weak in (False, True):
+            seen: dict = {}
+            for psi in tracemet.mimicking_formulas(pts, process, weak):
+                for phi in psi:
+                    assert seen.setdefault(phi, phi) is phi
+    formulas = tracemet.mimicking_formulas(cases[0][0], "x0")
+    entries: dict = {}
+    listed = [entry for psi in formulas for entry in cli._formula_json(psi, entries)]
+    assert (len(formulas), len(listed), len({id(entry) for entry in listed})) == (613, 2196, 57)
 
 
 def test_each_path_pair_is_one_list_shared_by_the_descendants():

@@ -91,6 +91,27 @@ class TestParsePts:
             pts = tm.parse_pts("s -a-> 1 u\ns -a-> 1 u")
         assert len(pts.transitions_of("s")) == 1
 
+    def test_duplicate_check_is_linear_in_a_source_s_transitions(self, monkeypatch):
+        # A fan s -a-> 1 t_i, then its first line again: checking each new
+        # transition against a list of the source's earlier ones compares
+        # about n^2/2 pairs of targets, a hashed set one per duplicate.
+        n = 3000
+        calls = [0]
+        original = tm.Dist.__eq__
+
+        def counting(self, other):
+            calls[0] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(tm.Dist, "__eq__", counting)
+        text = "".join(f"s -a-> 1 t{i}\n" for i in range(n)) + "s -a-> 1 t0\n"
+        with pytest.warns(tm.ParserWarning, match=f"line {n + 1}: duplicate transition"):
+            pts = tm.parse_pts(text)
+        assert [row.target.support for row in pts.transitions_of("s")] == [
+            (f"t{i}",) for i in range(n)
+        ]
+        assert calls[0] <= 2 * n
+
     def test_duplicate_target_in_line_merges_with_warning(self):
         with pytest.warns(tm.ParserWarning, match="duplicate target"):
             pts = tm.parse_pts("s -a-> 1/2 u, 1/2 u")

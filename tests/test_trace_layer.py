@@ -144,6 +144,47 @@ class TestLayer:
                         pts, process, weak
                     )
 
+    def test_weak_lists_are_the_strong_lists_exactly_without_silent_steps(self, half_pair):
+        cases = [
+            (ladder(3), ("x0", "w0"), False),
+            (half_pair, ("s", "t"), False),
+            (with_tau_prefix(half_pair, "s"), ("ptau", "t"), True),
+            # The silent step is reachable from ptau only, yet it makes the
+            # whole layer silent: both roots' lists share one trie.
+            (with_tau_prefix(half_pair, "s"), ("t", "ptau"), True),
+            (with_tau_prefix(half_pair, "s"), ("s", "t"), False),
+        ]
+        for pts, roots, silent in cases:
+            layer = TraceLayer(pts, *roots)
+            assert layer.silent is silent
+            for root in roots:
+                assert (layer.entries(root, True) is layer.entries(root, False)) is not silent
+            with pytest.raises(AttributeError):
+                layer.silent = not silent
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        built = []
+        original = TraceLayer._build
+
+        def counting(self, p, weak, lists):
+            built.append((p, weak))
+            return original(self, p, weak, lists)
+
+        monkeypatch.setattr(TraceLayer, "_build", counting)
+        return built
+
+    def test_tau_free_crosscheck_builds_each_list_once(self, half_pair, builds):
+        tm.crosscheck(half_pair, "s", "t")
+        reached = tm.reachable(half_pair, "s") | tm.reachable(half_pair, "t")
+        assert sorted(builds) == sorted((p, False) for p in reached)
+
+    def test_silent_crosscheck_builds_both_modes(self, half_pair, builds):
+        pts = with_tau_prefix(half_pair, "s")
+        tm.crosscheck(pts, "ptau", "t")
+        reached = tm.reachable(pts, "ptau") | tm.reachable(pts, "t")
+        assert sorted(builds) == sorted((p, weak) for p in reached for weak in (False, True))
+
     def test_resolution_at_is_the_enumerated_resolution(self):
         cases = tau_cases(403, 15, max_count=150) + [(ladder(3), "x0", "w0")]
         for pts, s, t in cases:
@@ -278,10 +319,10 @@ class TestAgainstOldRoutes:
 
 
 @st.composite
-def systems(draw):
+def systems(draw, actions=("a", "b", "tau")):
     """An acyclic system over p0..p{n-1}: transitions only go to
     higher-numbered states, at most two per state, with one or two targets
-    and silent steps among the actions."""
+    and, by default, silent steps among the actions."""
     n = draw(st.integers(2, 5))
     spec: dict = {f"p{i}": [] for i in range(n)}
     for i in range(n - 1):
@@ -293,7 +334,7 @@ def systems(draw):
             else:
                 first = Fraction(draw(st.integers(1, 3)), 4)
                 weights = [first, 1 - first]
-            action = draw(st.sampled_from(["a", "b", "tau"]))
+            action = draw(st.sampled_from(actions))
             row = (action, {f"p{q}": w for q, w in zip(targets, weights)})
             if row not in rows:
                 rows.append(row)
@@ -318,3 +359,33 @@ def test_layer_and_commands_match_old_routes_property(drawn):
     for psi in old_mimicking_formulas(pts, t, False)[-2:]:
         assert tm.satisfies(pts, s, psi) == oracles.satisfies(pts, s, psi)
         assert tm.satisfies(pts, s, psi, weak=True) == oracles.weak_satisfies(pts, s, psi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([("a", "b"), ("a", "b", "tau")]).flatmap(systems),
+    st.data(),
+)
+def test_silent_and_crosscheck_property(drawn, data):
+    # Systems with and without silent steps, each rooted at one to three
+    # processes: the layer is silent exactly when a silent transition is
+    # reachable from a root, and only then builds weak lists of its own.
+    pts, _ = drawn
+    processes = st.sampled_from(sorted(pts.processes))
+    roots = data.draw(st.lists(processes, min_size=1, max_size=3, unique=True))
+    layer = TraceLayer(pts, *roots)
+    reached = set().union(*(tm.reachable(pts, root) for root in roots))
+    assert layer.silent == any(row.action.is_tau for p in reached for row in pts.transitions_of(p))
+    for root in roots:
+        assert (layer.entries(root, True) is layer.entries(root, False)) == (not layer.silent)
+        assert layer.decode(layer.entries(root, True)) == per_resolution(pts, root, True)
+    s, t = roots[0], roots[-1]
+    report = tm.crosscheck(pts, s, t)
+    set_s, set_t = old_satisfied_set(pts, s), old_satisfied_set(pts, t)
+    assert report.strong_metric == old_metric(pts, s, t, False, True)[0]
+    assert report.weak_metric == old_metric(pts, s, t, True, True)[0]
+    assert report.logical_distance == oracles.hausdorff(set_s, set_t, tv(False))
+    assert report.weak_logical_distance == oracles.hausdorff(set_s, set_t, tv(True))
+    assert report.sup_val_distance == oracles.sup_val_over(set_s, set_t, False)
+    assert report.weak_sup_val_distance == oracles.sup_val_over(set_s, set_t, True)
+    assert report.all_equal
