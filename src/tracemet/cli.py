@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 parse/validation/usage errors, unreadable input or
 a closed standard output (``tracemet ... | head``), 2 resolution-count guard
-exceeded, 3 cross-check inequality (a bug signal).  Diagnostics go to
+exceeded, 3 cross-check inequality (a bug signal), 4 out of memory.  Every
+input of a command is on its command line or in the files it names; the
+resolution cap is ``--max-resolutions``.  Diagnostics go to
 stderr; results go to stdout as text or, with ``--json``, as a stable JSON
 document in which every rational appears as ``{"num": "...", "den": "..."}``.
 """
@@ -17,7 +19,6 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable
 
 from . import __version__
-from .core import PTS
 from .formula_distance import (
     crosscheck,
     dist_formula_distance,
@@ -49,8 +50,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_SIZE_GUARD = 2
 EXIT_CROSSCHECK = 3
-
-MAX_RESOLUTIONS_ENV = "TRACEMET_MAX_RESOLUTIONS"
+EXIT_MEMORY = 4
 
 
 class _CliError(Exception):
@@ -220,13 +220,17 @@ def _read_text(path: str) -> str:
         raise _CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_pts(path: str) -> PTS:
-    text = _read_text(path)
+def _system(args, *names: str) -> tuple:
+    """The system in ``args.file``, then each named process, checked."""
     try:
-        return parse_pts(text)
+        pts = parse_pts(_read_text(args.file))
     except ParseError as exc:
         details = "\n".join(f"  {issue}" for issue in exc.issues)
-        raise _CliError(f"{path}: invalid system:\n{details}") from exc
+        raise _CliError(f"{args.file}: invalid system:\n{details}") from exc
+    for name in names:
+        if name not in pts.processes:
+            raise _CliError(f"unknown process {name!r}")
+    return (pts, *names)
 
 
 def _parse_formula_arg(text: str):
@@ -239,25 +243,11 @@ def _parse_formula_arg(text: str):
         raise _CliError(f"invalid formula {text!r}: {exc}") from exc
 
 
-def _require_process(pts: PTS, name: str) -> str:
-    if name not in pts.processes:
-        raise _CliError(f"unknown process {name!r}")
-    return name
-
-
 def _max_resolutions(args) -> int:
-    cap, source = args.max_resolutions, "--max-resolutions"
-    if cap is None:
-        env = os.environ.get(MAX_RESOLUTIONS_ENV)
-        if env is None:
-            return DEFAULT_MAX_RESOLUTIONS
-        try:
-            cap, source = int(env), MAX_RESOLUTIONS_ENV
-        except ValueError as exc:
-            raise _CliError(f"{MAX_RESOLUTIONS_ENV} must be an integer") from exc
-    if cap < 0:
-        raise _CliError(f"{source} must not be negative, got {cap}")
-    return cap
+    # Read after the command's file and processes, so their errors come first.
+    if args.max_resolutions < 0:
+        raise _CliError(f"--max-resolutions must not be negative, got {args.max_resolutions}")
+    return args.max_resolutions
 
 
 def _cmd_validate(args) -> int:
@@ -300,8 +290,7 @@ def _cmd_validate(args) -> int:
 def _cmd_resolutions(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise _CliError(f"--limit must not be negative, got {args.limit}")
-    pts = _load_pts(args.file)
-    process = _require_process(pts, args.process)
+    pts, process = _system(args, args.process)
     layer = TraceLayer(pts, process, max_resolutions=_max_resolutions(args))
     count = layer.count(process)
     shown = [layer.resolution(process, k) for k in range(count)[: args.limit]]
@@ -331,8 +320,7 @@ def _cmd_resolutions(args) -> int:
 
 
 def _cmd_mimic(args) -> int:
-    pts = _load_pts(args.file)
-    process = _require_process(pts, args.process)
+    pts, process = _system(args, args.process)
     formulas = mimicking_formulas(pts, process, args.weak, _max_resolutions(args))
     entries: dict = {}
     payload = {
@@ -362,9 +350,7 @@ def _metric_payload(result: MetricResult) -> dict:
 
 
 def _cmd_metric(args) -> int:
-    pts = _load_pts(args.file)
-    s = _require_process(pts, args.process)
-    t = _require_process(pts, args.other)
+    pts, s, t = _system(args, args.process, args.other)
     metric = weak_trace_metric if args.weak else strong_trace_metric
     result = metric(pts, s, t, _max_resolutions(args))
 
@@ -387,9 +373,7 @@ def _cmd_metric(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    pts = _load_pts(args.file)
-    s = _require_process(pts, args.process)
-    t = _require_process(pts, args.other)
+    pts, s, t = _system(args, args.process, args.other)
     found = find_distinguishing_resolution(
         pts, s, t, weak=args.weak, max_resolutions=_max_resolutions(args)
     )
@@ -416,8 +400,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_sat(args) -> int:
-    pts = _load_pts(args.file)
-    process = _require_process(pts, args.process)
+    pts, process = _system(args, args.process)
     psi = _parse_formula_arg(args.formula)
     holds, witness = satisfies(pts, process, psi, _max_resolutions(args), weak=args.weak)
     payload = {
@@ -444,8 +427,7 @@ def _cmd_fdist(args) -> int:
 
 
 def _cmd_val(args) -> int:
-    pts = _load_pts(args.file)
-    process = _require_process(pts, args.process)
+    pts, process = _system(args, args.process)
     psi = _parse_formula_arg(args.formula)
     value = real_value(pts, process, psi, weak=args.weak, max_resolutions=_max_resolutions(args))
     _emit(args, {"value": _frac_json(value)}, lambda: [_frac_text(value)])
@@ -453,9 +435,7 @@ def _cmd_val(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    pts = _load_pts(args.file)
-    s = _require_process(pts, args.process)
-    t = _require_process(pts, args.other)
+    pts, s, t = _system(args, args.process, args.other)
     report = crosscheck(pts, s, t, _max_resolutions(args))
     payload = {
         "strong_metric": _frac_json(report.strong_metric),
@@ -494,9 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-resolutions",
         type=int,
         metavar="N",
-        default=None,
-        help=f"abort when a process has more resolutions (default {DEFAULT_MAX_RESOLUTIONS}; "
-        f"env {MAX_RESOLUTIONS_ENV})",
+        default=DEFAULT_MAX_RESOLUTIONS,
+        help=f"abort when a process has more resolutions (default {DEFAULT_MAX_RESOLUTIONS})",
     )
 
     parser = _Parser(
@@ -504,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact trace metrics, equivalences and characterizing "
         "formulae for finite probabilistic transition systems.",
         epilog="exit codes: 0 ok; 1 parse/validation/usage error or closed stdout; "
-        "2 resolution size guard; 3 cross-check disagreement",
+        "2 resolution size guard; 3 cross-check disagreement; 4 out of memory",
     )
     parser.add_argument("--version", action="version", version=f"tracemet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -570,6 +549,9 @@ def main(argv=None) -> int:
         except SizeGuardExceeded as exc:
             print(f"size guard: {exc}", file=sys.stderr)
             code = EXIT_SIZE_GUARD
+        except MemoryError:
+            print("out of memory", file=sys.stderr)
+            code = EXIT_MEMORY
         except BrokenPipeError:
             # The reader closed standard output (``tracemet ... | head``): an
             # I/O failure like an unreadable file, reported by the exit code

@@ -11,10 +11,11 @@ verification gap over all formulae.  ``crosscheck`` computes every route
 and any disagreement indicates an implementation bug, never an expected
 outcome.
 
-``logical_distance``, ``sup_val_distance``, ``real_value`` and
-``crosscheck`` read the integer rows of a ``traces.TraceLayer`` rooted at
-the processes they compare: the distinct rows of both, over the layer's
-common denominator, or for ``real_value`` one process's full list.  The
+``logical_distance``, ``sup_val_distance`` and ``crosscheck`` read the
+integer rows of a ``traces.TraceLayer`` rooted at the processes they
+compare: the distinct rows of both, over the layer's common denominator.
+``real_value`` reads one process's full list and the formula as a row of
+the same layer, both from ``logic.formula_query``.  The
 satisfied sets are numbered in a formula table of their own, filled
 through ``tracing_formula`` and ``erase_formula``, so the formula route of
 ``crosscheck`` shares no trace ids with its metric route.  Where the
@@ -39,7 +40,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .core import PTS, ProcessId, TraceDistFormula
-from .logic import TraceFormula, erase_formula, formula_row, tracing_formula
+from .logic import TraceFormula, erase_formula, formula_query, tracing_formula
 from .resolutions import DEFAULT_MAX_RESOLUTIONS
 from .traces import TraceLayer
 from .transport import (
@@ -105,9 +106,7 @@ def real_value(
     """
     if not psi.is_probability:
         raise ValueError("total variation requires probability distributions")
-    layer = TraceLayer(pts, s, max_resolutions=max_resolutions)
-    side = layer.entries(s, weak)
-    psi_den, query = formula_row(layer, psi, weak)
+    _, side, psi_den, query = formula_query(pts, s, psi, weak, max_resolutions)
     total, ([query], rows) = on_common_denominator((psi_den, [query]), side)
     return 1 - Fraction(nearest_distances([query], rows, total)[0][0], total)
 

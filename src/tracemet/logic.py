@@ -9,19 +9,21 @@ probability mass on its maximal runs.
 
 The *mimicking formula* of a resolution spells out its trace distribution
 inside the logic.  The set of formulae a process satisfies is exactly the
-top formula together with the mimicking formulae of its resolutions, which
-is what makes the satisfied set finitely computable.
+set of mimicking formulae of its resolutions, the halting resolution's
+being the top formula, which is what makes the satisfied set finitely
+computable: ``satisfied_set`` sorts the distinct ones.
 
 ``satisfies`` and ``mimicking_formulas`` read the integer rows of a
 ``traces.TraceLayer`` rooted at the process, the full list and the
-distinct rows: a formula is looked up in the layer's trie, and only the
-returned formulae are decoded, by the layer's ``decode`` spelling each
-trace through ``tracing_formula``.
+distinct rows.  ``formula_query`` is the one reading of a formula against
+a process, shared by ``satisfies`` and ``formula_distance.real_value``: it
+builds the layer and the process's entries, then looks the formula's
+traces up in the layer's trie.  Only the returned formulae are decoded,
+by the layer's ``decode`` spelling each trace through ``tracing_formula``.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .core import Action, Dist, PTS, ProcessId, TraceDistFormula
@@ -88,11 +90,23 @@ def mimicking_formulas(
     return layer.decode(Entries(den, rows), tracing_formula)
 
 
-def formula_row(layer: TraceLayer, psi: TraceDistFormula, weak: bool) -> tuple[int, dict]:
-    """``psi`` read as a distribution over (weakly: tau-erased) traces, as a
-    row of ``layer`` over the least common denominator of its weights, which
-    is returned with it.  A trace the layer has not shown gets a negative
-    key, so it is shared with no row of the layer."""
+def formula_query(
+    pts: PTS,
+    process: ProcessId,
+    psi: TraceDistFormula,
+    weak: bool,
+    max_resolutions: int,
+) -> tuple[TraceLayer, Entries, int, dict]:
+    """``(layer, entries, den, row)``: the layer rooted at the process, the
+    process's (weak) entries, and ``psi`` read as a distribution over
+    (weakly: tau-erased) traces, as a row of that layer over ``den``, the
+    least common denominator of its weights.
+
+    The entries are built first, as their build fills the trie that
+    ``find`` reads.  A trace the process does not show gets a negative
+    key, so it is shared with no row."""
+    layer = TraceLayer(pts, process, max_resolutions=max_resolutions)
+    entries = layer.entries(process, weak)
     den = math.lcm(*(w.denominator for _, w in psi.items_sorted))
     absent: dict = {}
     row: dict = {}
@@ -102,13 +116,7 @@ def formula_row(layer: TraceLayer, psi: TraceDistFormula, weak: bool) -> tuple[i
         if key is None:
             key = absent.setdefault(trace, -1 - len(absent))
         row[key] = row.get(key, 0) + weight.numerator * (den // weight.denominator)
-    return den, row
-
-
-def formula_set(mimicking: Iterable[TraceDistFormula]) -> list[TraceDistFormula]:
-    """Mimicking formulae together with the top formula, deduplicated and
-    in the canonical order of a satisfied set."""
-    return sorted({TOP_DIST, *mimicking}, key=formula_sort_key)
+    return layer, entries, den, row
 
 
 def satisfied_set(
@@ -116,11 +124,10 @@ def satisfied_set(
     process: ProcessId,
     max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
 ) -> list[TraceDistFormula]:
-    """All distribution formulae the process satisfies, deduplicated and in
-    a canonical order.  Materialized as the mimicking formulae of its
-    resolutions together with the top formula (which the halting scheduler
-    already contributes)."""
-    return formula_set(mimicking_formulas(pts, process, False, max_resolutions))
+    """All distribution formulae the process satisfies, in a canonical
+    order: its distinct mimicking formulae, the halting resolution's being
+    the top formula."""
+    return sorted(mimicking_formulas(pts, process, False, max_resolutions), key=formula_sort_key)
 
 
 def satisfies(
@@ -141,10 +148,9 @@ def satisfies(
     """
     if not psi.is_probability:
         raise ValueError("formula weights must sum to 1")
-    layer = TraceLayer(pts, process, max_resolutions=max_resolutions)
-    den, rows = layer.entries(process, weak)
-    psi_den, psi_row = formula_row(layer, psi, weak)
-    # A trace the process never shows, or a weight (weakly: after merging)
+    layer, (den, rows), psi_den, psi_row = formula_query(pts, process, psi, weak, max_resolutions)
+    # psi is scaled to the rows' denominator, so no row is rescaled.  A
+    # trace the process never shows, or a weight (weakly: after merging)
     # that is not a multiple of 1/den, rules out every resolution.
     wanted = {}
     for key, w in psi_row.items():

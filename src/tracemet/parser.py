@@ -212,16 +212,18 @@ def parse_pts(text: str) -> PTS:
     if issues:
         raise ParseError(issues)
 
-    # Each source's transitions in an insertion-ordered dict used as a set,
-    # so finding a duplicate costs one hash lookup, whatever the fan-out.
-    transitions: dict[str, dict[Transition, None]] = {}
+    # Each source's transitions in an insertion-ordered dict, so finding a
+    # duplicate costs one hash lookup, whatever the fan-out.  The key holds
+    # only strings and ints: hashing the Transition would hash its Action
+    # in Python and one Fraction per weight.
+    transitions: dict[str, dict[tuple, Transition]] = {}
     processes: set[str] = set()
     for src, action, dist, line_no in rows:
         processes.add(src)
         processes.update(dist.support)
-        row = Transition(action, dist)
+        key = (action.name, tuple((t, w.numerator, w.denominator) for t, w in dist.items_sorted))
         bucket = transitions.setdefault(src, {})
-        if row in bucket:
+        if key in bucket:
             warnings.warn(
                 ParserWarning(
                     f"line {line_no}: duplicate transition {src} -{action}-> collapsed"
@@ -229,9 +231,9 @@ def parse_pts(text: str) -> PTS:
                 stacklevel=2,
             )
             continue
-        bucket[row] = None
+        bucket[key] = Transition(action, dist)
 
-    pts = PTS(frozenset(processes), {p: tuple(rs) for p, rs in transitions.items()})
+    pts = PTS(frozenset(processes), {p: tuple(rs.values()) for p, rs in transitions.items()})
     # Sources and targets are declared and every line sums to 1 by
     # construction, so of validate_pts's checks only the cycle search can
     # fail here.

@@ -296,15 +296,14 @@ class TestGuardsAndErrors:
                            "--max-resolutions", "3")
         assert code == 2 and "size guard" in err
 
-    def test_size_guard_env(self, capsys, half_file, monkeypatch):
-        monkeypatch.setenv(cli.MAX_RESOLUTIONS_ENV, "3")
-        code, _, err = run(capsys, "resolutions", half_file, "-p", "t")
-        assert code == 2
-        # explicit flag beats the environment
-        monkeypatch.setenv(cli.MAX_RESOLUTIONS_ENV, "3")
-        code, out, _ = run(capsys, "resolutions", half_file, "-p", "t",
-                           "--max-resolutions", "1000")
-        assert code == 0
+    def test_environment_sets_no_cap(self, capsys, half_file, monkeypatch):
+        # The cap comes from --max-resolutions alone; a cap of 1 would stop
+        # this query at the guard.
+        metric = ["metric", half_file, "-p", "s", "-q", "t"]
+        expected = run(capsys, *metric)
+        assert expected[0] == 0
+        monkeypatch.setenv("TRACEMET_MAX_RESOLUTIONS", "1")
+        assert run(capsys, *metric) == expected
 
     def test_usage_error(self, capsys, half_file):
         code, _, err = run(capsys, "metric", half_file, "-p", "s")
@@ -324,26 +323,24 @@ class TestGuardsAndErrors:
         code, _, err = run(capsys, "sat", half_file, "-p", "s", "-f", "/no/such/query.psi")
         assert code == 1 and "cannot read" in err
 
-    def test_bad_env_value(self, capsys, half_file, monkeypatch):
-        monkeypatch.setenv(cli.MAX_RESOLUTIONS_ENV, "lots")
-        code, _, err = run(capsys, "metric", half_file, "-p", "s", "-q", "t")
-        assert code == 1 and "must be an integer" in err
-
     def test_negative_cap_flag_is_a_usage_error(self, capsys, half_file):
         code, out, err = run(capsys, "metric", half_file, "-p", "s", "-q", "t",
                              "--max-resolutions", "-1")
         assert (code, out) == (1, "")
         assert err == "--max-resolutions must not be negative, got -1\n"
 
-    def test_negative_cap_env_is_a_usage_error(self, capsys, half_file, monkeypatch):
-        monkeypatch.setenv(cli.MAX_RESOLUTIONS_ENV, "-5")
-        code, out, err = run(capsys, "mimic", half_file, "-p", "s")
-        assert (code, out) == (1, "")
-        assert err == f"{cli.MAX_RESOLUTIONS_ENV} must not be negative, got -5\n"
+    def test_zero_cap_flag_is_answered_by_the_guard(self, capsys, half_file):
         # A zero cap is valid: it admits no process, so the guard answers.
-        monkeypatch.setenv(cli.MAX_RESOLUTIONS_ENV, "0")
-        code, _, err = run(capsys, "mimic", half_file, "-p", "s")
-        assert code == 2 and "size guard" in err
+        code, out, err = run(capsys, "mimic", half_file, "-p", "s", "--max-resolutions", "0")
+        assert (code, out) == (2, "") and "size guard" in err
+
+    def test_out_of_memory_exits_4_without_a_traceback(self, capsys, half_file, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "strong_trace_metric", exhausted)
+        code, out, err = run(capsys, "metric", half_file, "-p", "s", "-q", "t")
+        assert (code, out, err) == (4, "", "out of memory\n")
 
     def test_parser_warnings_reach_stderr(self, capsys, tmp_path):
         path = tmp_path / "dup.pts"
@@ -444,14 +441,6 @@ class TestReusedParser:
         for argv in calls * 3:
             run(capsys, *argv)
         assert len(built) == 1
-
-    def test_environment_is_read_on_every_call(self, capsys, half_file, monkeypatch):
-        metric = ["metric", half_file, "-p", "s", "-q", "t"]
-        monkeypatch.setattr(cli, "_parser", None)
-        monkeypatch.setenv(cli.MAX_RESOLUTIONS_ENV, "3")
-        assert run(capsys, *metric)[0] == 2
-        monkeypatch.delenv(cli.MAX_RESOLUTIONS_ENV)
-        assert run(capsys, *metric)[0] == 0
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert cli.build_parser() is not cli.build_parser()

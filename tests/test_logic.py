@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import tracemet as tm
@@ -182,6 +184,36 @@ class TestSatisfies:
                 assert holds == (psi in sat)
                 if holds:
                     assert oracles.mimicking_formula(witness) == psi or psi == tm.TOP_DIST
+
+
+@st.composite
+def sat_queries(draw):
+    """A system with silent steps, one of its processes, a mode, and a
+    formula: the strong or weak mimicking formula of one of the process's
+    resolutions, or a random formula with silent diamonds."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pts, s, _ = random_case(rng, max_count=60, tau_bias=0.3)
+    resolutions = oracles.enumerate_resolutions(pts, s)
+    kind = draw(st.sampled_from(["strong", "weak", "random"]))
+    if kind == "random":
+        psi = random_formula(rng, tau_bias=0.3)
+    else:
+        r = resolutions[draw(st.integers(0, len(resolutions) - 1))]
+        psi = (oracles.weak_mimicking_formula if kind == "weak" else oracles.mimicking_formula)(r)
+    return pts, s, resolutions, psi, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sat_queries())
+def test_satisfies_is_real_value_one_with_the_first_witness(query):
+    pts, s, resolutions, psi, weak = query
+    holds, witness = tm.satisfies(pts, s, psi, weak=weak)
+    assert holds == (tm.real_value(pts, s, psi, weak=weak) == 1)
+    # psi read as a distribution over (weakly: tau-erased) traces.
+    traces = psi.pushforward(lambda phi: tm.tau_erase(phi.diamonds) if weak else phi.diamonds)
+    td_of = tm.weak_trace_distribution if weak else tm.trace_distribution
+    first = next((r for r in resolutions if td_of(r) == traces), None)
+    assert (holds, witness) == (first is not None, first)
 
 
 class TestWeakEquivalenceOfFormulas:

@@ -112,6 +112,23 @@ class TestParsePts:
         ]
         assert calls[0] <= 2 * n
 
+    def test_duplicate_check_hashes_no_fraction(self, monkeypatch):
+        # The check keys each transition on strings and ints; hashing the
+        # Transition would hash one Fraction per weight.
+        calls = [0]
+        original = Fraction.__hash__
+
+        def counting(self):
+            calls[0] += 1
+            return original(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        text = "".join(f"s -a-> 1/2 t{i}, 1/2 u{i}\n" for i in range(50)) + "s -a-> 1/2 t0, 1/2 u0\n"
+        with pytest.warns(tm.ParserWarning, match="line 51: duplicate transition"):
+            pts = tm.parse_pts(text)
+        assert len(pts.transitions_of("s")) == 50
+        assert calls[0] == 0
+
     def test_duplicate_target_in_line_merges_with_warning(self):
         with pytest.warns(tm.ParserWarning, match="duplicate target"):
             pts = tm.parse_pts("s -a-> 1/2 u, 1/2 u")
