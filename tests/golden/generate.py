@@ -20,6 +20,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -83,6 +84,29 @@ EDGE_FORMULAS = (
     "1 <q>T",
 )
 
+# fdist pairs that erasing silent diamonds brings closer: the first three
+# differ only by them, so they are apart strongly and at distance 0 weakly.
+TAU_PAIRS = (
+    ("1 <tau>T", "1 T"),
+    ("1/2 <tau><a>T (+) 1/2 <a><tau>T", "1 <a>T"),
+    ("1/3 <a>T (+) 2/3 <b>T", "1/3 <tau><a>T (+) 2/3 <b><tau>T"),
+    ("1/2 <tau><a>T (+) 1/2 <b>T", "1/3 <a>T (+) 2/3 <b>T"),
+)
+
+# For validate: a weight sum other than 1 and a syntax error; a duplicate
+# transition that parsing collapses with a warning.
+INVALID_TEXT = """\
+s -a-> 1/2 t, 1/3 u
+s -> 1 t
+t -b-> 1 nil
+"""
+
+DUPLICATE_TEXT = """\
+s -a-> 1/2 t, 1/2 u
+s -a-> 1/2 u, 1/2 t
+t -b-> 1 nil
+"""
+
 
 def ladder_commands(f: str) -> list[list[str]]:
     out = []
@@ -116,6 +140,13 @@ def pair_commands(f: str, s: str, t: str, formulas) -> list[list[str]]:
     return out
 
 
+def fdist_commands() -> list[list[str]]:
+    pairs = [*combinations(LADDER_FORMULAS, 2), *combinations(EDGE_FORMULAS, 2), *TAU_PAIRS]
+    return [
+        ["fdist", "-f1", f1, "-f2", f2, *weak] for f1, f2 in pairs for weak in ((), ("--weak",))
+    ]
+
+
 def seeded_systems(count: int):
     """``count`` seeded ``genpts`` systems with silent steps, each with a
     pair (p0, t): every second one compares p0 with itself behind a silent
@@ -147,6 +178,9 @@ def all_commands() -> tuple[dict[str, str], list[list[str]]]:
         name = f"genpts{number}.pts"
         files[name] = text
         commands += pair_commands(name, s, t, formulas)
+    files["invalid.pts"], files["duplicate.pts"] = INVALID_TEXT, DUPLICATE_TEXT
+    commands += [["validate", name] for name in files]
+    commands += fdist_commands()
     return files, [argv + extra for argv in commands for extra in ([], ["--json"])]
 
 

@@ -32,6 +32,8 @@ def test_output_is_byte_identical(case, capsys, monkeypatch):
 
 def test_golden_set_covers_every_reading_command():
     commands = {case["argv"][0] for case in CASES}
-    assert {"metric", "equiv", "sat", "val", "mimic", "crosscheck", "resolutions"} <= commands
+    assert {
+        "validate", "resolutions", "mimic", "metric", "equiv", "sat", "fdist", "val", "crosscheck"
+    } <= commands
     assert sum(1 for case in CASES if case["argv"][1].startswith("genpts")) > 0
     assert sum(1 for case in CASES if "--json" in case["argv"]) * 2 == len(CASES)
