@@ -45,13 +45,7 @@ from .traces import (
     trace_distributions,
     weak_trace_distribution,
 )
-from .transport import (
-    DISCRETE,
-    Discrete,
-    DiscreteQuotient,
-    hausdorff_witness,
-    kantorovich_01,
-)
+from .transport import hausdorff_witness, kantorovich_01
 from .logic import (
     TOP,
     TOP_DIST,

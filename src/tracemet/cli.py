@@ -113,7 +113,7 @@ def _resolution_json(resolution: Resolution) -> dict:
     return {"root": resolution.root, "choices": entries}
 
 
-def _resolution_lines(resolution: Resolution, indent: str = "  ") -> list[str]:
+def _resolution_lines(resolution: Resolution) -> list[str]:
     nodes = resolution.nodes
     paths: list[str] = []
     lines = []
@@ -126,7 +126,7 @@ def _resolution_lines(resolution: Resolution, indent: str = "  ") -> list[str]:
             row = resolution.pts.transitions_of(process)[choice]
             body = ", ".join(f"{w} {t}" for t, w in row.target.items_sorted)
             decision = f"-{row.action.name}-> {body}  [#{choice}]"
-        lines.append(f"{indent}{path}: {decision}")
+        lines.append(f"  {path}: {decision}")
     return lines
 
 

@@ -62,7 +62,7 @@ class Dist(Mapping):
     them.
     """
 
-    __slots__ = ("_map", "_items", "_total", "_hash")
+    __slots__ = ("_map", "_items", "_total")
 
     def __init__(self, weights: Mapping | Iterable[tuple]):
         if isinstance(weights, Mapping):
@@ -88,7 +88,6 @@ class Dist(Mapping):
         self._map = acc
         self._items = tuple(sorted(acc.items(), key=_KEY))
         self._total = None
-        self._hash = None
 
     @classmethod
     def merged(cls, pairs: Iterable[tuple]) -> "Dist":
@@ -149,11 +148,7 @@ class Dist(Mapping):
         return NotImplemented
 
     def __hash__(self) -> int:
-        # Hashing the items hashes every key; a trace key hashes each of
-        # its actions, so the value is computed once and kept.
-        if self._hash is None:
-            self._hash = hash(self._items)
-        return self._hash
+        return hash(self._items)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{key!r}: {weight}" for key, weight in self._items)

@@ -23,7 +23,8 @@ layer's ``silent`` is False the weak rows and satisfied sets are the
 strong ones, and ``crosscheck`` builds no weak list: its three weak values
 are its strong passes' results.
 ``distance_to_set`` and ``dist_formula_distance`` take formulae as
-``Dist`` objects and go through the kernel's ``Dist`` entry points.
+``Dist`` objects and go through the kernel's ``Dist`` entry points; their
+weak forms pass ``erase_formula`` as the kernel's canonicalizing function.
 
 The sup-value route stays an independent check of the other two: where
 the metric and the logical distance share the kernel's max-min
@@ -44,8 +45,6 @@ from .logic import TraceFormula, erase_formula, formula_query, tracing_formula
 from .resolutions import DEFAULT_MAX_RESOLUTIONS
 from .traces import TraceLayer
 from .transport import (
-    DISCRETE,
-    DiscreteQuotient,
     distances_to_set,
     hausdorff_rows,
     kantorovich_01,
@@ -53,21 +52,17 @@ from .transport import (
     on_common_denominator,
 )
 
-FORMULA_QUOTIENT = DiscreteQuotient(erase_formula)
-
-
-def _ground(weak: bool):
-    return FORMULA_QUOTIENT if weak else DISCRETE
-
 
 def trace_formula_distance(x: TraceFormula, y: TraceFormula, weak: bool = False) -> Fraction:
     """0/1 distance on trace formulae; weakly, 0 on erasure-equivalent ones."""
-    return _ground(weak).distance(x, y)
+    if weak:
+        x, y = erase_formula(x), erase_formula(y)
+    return Fraction(x != y)
 
 
 def dist_formula_distance(p: TraceDistFormula, q: TraceDistFormula, weak: bool = False) -> Fraction:
     """Transport distance between two distribution formulae."""
-    return kantorovich_01(p, q, _ground(weak))
+    return kantorovich_01(p, q, erase_formula if weak else None)
 
 
 def logical_distance(
@@ -87,7 +82,7 @@ def distance_to_set(
     weak: bool = False,
 ) -> Fraction:
     """Distance from a formula to a finite nonempty set (the minimum)."""
-    return distances_to_set([psi], formulas, _ground(weak))[0]
+    return distances_to_set([psi], formulas, erase_formula if weak else None)[0]
 
 
 def real_value(

@@ -57,7 +57,7 @@ def tracing_formula(alpha: Trace) -> TraceFormula:
 def erase_formula(phi: TraceFormula) -> TraceFormula:
     """Drop every silent diamond; the canonical representative of the
     formula's equivalence class."""
-    return TraceFormula(tuple(a for a in phi.diamonds if not a.is_tau))
+    return TraceFormula(tau_erase(phi.diamonds))
 
 
 def formulas_weak_equivalent(x: TraceFormula, y: TraceFormula) -> bool:

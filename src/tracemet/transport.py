@@ -1,11 +1,12 @@
 """Exact optimal transport under 0/1 ground costs, and its Hausdorff lifting.
 
-Two ground costs occur: the discrete 0/1 cost, and its quotient by an
-idempotent canonicalization (items are free to move within a class, cost 1
-across classes).  For both, the optimal transport cost between two
-distributions is the total variation (TV) distance between the
-canonicalized distributions, and one exact integer TV kernel computes it for
-every caller: the trace metrics, the logical distance, the real-valued
+The ground cost is 0/1: on the items themselves, or, given an idempotent
+canonicalizing function ``canonical``, on its classes (items are free to
+move within a class, cost 1 across classes).  Either way the optimal
+transport cost between two distributions is the total variation (TV)
+distance between the canonicalized distributions, so the function is the
+whole description of the cost, and one exact integer TV kernel computes it
+for every caller: the trace metrics, the logical distance, the real-valued
 semantics and ``kantorovich_01`` itself.
 
 The kernel works on integer rows: a row is a dict from small-int keys to
@@ -18,8 +19,8 @@ directly, over one common denominator; ``on_common_denominator`` is the
 one scaler of rows to one, for the layer's roots and for ``real_value``'s
 formula row and process list.  On
 ``Dist`` inputs (``hausdorff_witness``, ``distances_to_set``,
-``kantorovich_01``) a pass first canonicalizes each distribution once into
-such a row (``_integer_rows``).
+``kantorovich_01``) a pass first maps each distribution once into such a
+row, through ``canonical`` if one is given (``_integer_rows``).
 
 The max-min indexes each side twice: by whole row, so a row that also
 occurs on the other side is at distance 0 without a scan, and by key, so
@@ -45,63 +46,35 @@ computes optimal transport plans for any nonnegative ground cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .core import Dist
 
 
-@dataclass(frozen=True)
-class Discrete:
-    """0/1 ground cost: distance 0 exactly on equal items."""
+def kantorovich_01(p: Dist, q: Dist, canonical: Callable | None = None) -> Fraction:
+    """Minimum cost of transporting ``p`` onto ``q`` under the 0/1 ground
+    cost on the classes of ``canonical`` (on the items, if it is None).
 
-    def canonical(self, item):
-        return item
-
-    def distance(self, x, y) -> Fraction:
-        return Fraction(0) if x == y else Fraction(1)
-
-
-@dataclass(frozen=True)
-class DiscreteQuotient:
-    """0/1 ground cost on classes of an idempotent canonicalization."""
-
-    canonicalize: Callable
-
-    def canonical(self, item):
-        return self.canonicalize(item)
-
-    def distance(self, x, y) -> Fraction:
-        return Fraction(0) if self.canonicalize(x) == self.canonicalize(y) else Fraction(1)
-
-
-GroundMetric = Discrete | DiscreteQuotient
-DISCRETE = Discrete()
-
-
-def kantorovich_01(p: Dist, q: Dist, metric: GroundMetric = DISCRETE) -> Fraction:
-    """Minimum cost of transporting ``p`` onto ``q`` under a 0/1 ground cost.
-
-    Since moving mass within a canonical class is free and across classes
-    costs 1, the optimum is the total variation distance between the
-    canonicalized distributions: the surplus mass that must cross classes.
+    Since moving mass within a class is free and across classes costs 1,
+    the optimum is the total variation distance between the canonicalized
+    distributions: the surplus mass that must cross classes.
     """
-    return distances_to_set([p], [q], metric)[0]
+    return distances_to_set([p], [q], canonical)[0]
 
 
-def _integer_rows(metric: GroundMetric, *groups: Sequence[Dist]) -> tuple[int, list]:
-    """Canonicalize every distribution once into a plain dict with its
-    weights scaled to integers over one common denominator, which is
-    returned.
+def _integer_rows(canonical: Callable | None, *groups: Sequence[Dist]) -> tuple[int, list]:
+    """Map every distribution once, through ``canonical`` if given, into a
+    plain dict with its weights scaled to integers over one common
+    denominator, which is returned.
 
-    Canonical keys are numbered in order of first appearance, so the
-    kernel's lookups hash small ints rather than traces or formulae.
+    Keys are numbered in order of first appearance, keys that ``canonical``
+    maps together sharing one number, so the kernel's lookups hash small
+    ints rather than traces or formulae.
     """
     total = math.lcm(
         *{w.denominator for group in groups for item in group for _, w in item.items_sorted}
     )
-    canonical = metric.canonical
     numbers: dict = {}
     scaled = []
     for group in groups:
@@ -111,7 +84,9 @@ def _integer_rows(metric: GroundMetric, *groups: Sequence[Dist]) -> tuple[int, l
                 raise ValueError("total variation requires probability distributions")
             row: dict = {}
             for key, w in item.items_sorted:
-                key = numbers.setdefault(canonical(key), len(numbers))
+                if canonical is not None:
+                    key = canonical(key)
+                key = numbers.setdefault(key, len(numbers))
                 row[key] = row.get(key, 0) + w.numerator * (total // w.denominator)
             rows.append(row)
         scaled.append(rows)
@@ -284,21 +259,22 @@ def on_common_denominator(*sides: tuple[int, list[dict]]) -> tuple[int, list[lis
 def distances_to_set(
     queries: Sequence[Dist],
     items: Sequence[Dist],
-    metric: GroundMetric = DISCRETE,
+    canonical: Callable | None = None,
 ) -> list[Fraction]:
     """TV distance from each query to its nearest item, in one sweep over
-    all queries.  Raises ``ValueError`` when exactly one list is empty."""
-    total, (query_rows, rows) = _integer_rows(metric, queries, items)
+    all queries, under the 0/1 cost on the classes of ``canonical``.
+    Raises ``ValueError`` when exactly one list is empty."""
+    total, (query_rows, rows) = _integer_rows(canonical, queries, items)
     return [Fraction(d, total) for d in nearest_distances(query_rows, rows, total)[0]]
 
 
 def hausdorff_witness(
     items_a: Sequence[Dist],
     items_b: Sequence[Dist],
-    metric: GroundMetric = DISCRETE,
+    canonical: Callable | None = None,
 ) -> tuple[Fraction, "tuple[int, int] | None"]:
-    """Hausdorff max-min of TV distances between two sets, with an
-    attaining index pair.
+    """Hausdorff max-min of TV distances between two sets, under the 0/1
+    cost on the classes of ``canonical``, with an attaining index pair.
 
     Conventions for empty sets: the inner infimum over an empty set is 1 and
     the outer supremum over an empty set is 0.  The witness is the first
@@ -309,6 +285,6 @@ def hausdorff_witness(
         return Fraction(0), None
     if not items_a or not items_b:
         return Fraction(1), None
-    total, (rows_a, rows_b) = _integer_rows(metric, items_a, items_b)
+    total, (rows_a, rows_b) = _integer_rows(canonical, items_a, items_b)
     d, i, j = hausdorff_rows(rows_a, rows_b, total)
     return Fraction(d, total), (i, j)

@@ -3,9 +3,10 @@
 These are the per-pair definitions the package's integer total-variation
 kernel (``tracemet.transport``) replaced: a Hausdorff max-min that calls a
 distance function on every pair, the 0/1 transport cost computed by pushing
-both distributions through the canonicalization, and the formula-set
-distances built on them.  The kernel must give the same values and the same
-witness pairs.
+both distributions through a canonicalizing function (``tv_distance``), and
+the formula-set distances built on them.  ``quotient_cost`` is the same 0/1
+cost per pair of items, for the min-cost-flow solver below.  The kernel must
+give the same values and the same witness pairs.
 
 The per-resolution routes that ``tracemet.traces.trace_distributions``
 replaced live here too: the run-probability profiles (``pr_compatible``,
@@ -61,13 +62,13 @@ from tracemet.resolutions import DEFAULT_MAX_RESOLUTIONS, Choice, Resolution
 from tracemet.traces import EPSILON, Trace
 
 
-def tv_distance(p: tm.Dist, q: tm.Dist, metric=tm.DISCRETE) -> Fraction:
-    """0/1 transport cost as the surplus mass of the canonicalized ``p``
-    over the canonicalized ``q``."""
+def tv_distance(p: tm.Dist, q: tm.Dist, canonical: Callable | None = None) -> Fraction:
+    """0/1 transport cost as the surplus mass of ``p`` over ``q``, both
+    pushed through ``canonical`` if it is given."""
     if not p.is_probability or not q.is_probability:
         raise ValueError("tv_distance requires probability distributions")
-    ph = p.pushforward(metric.canonical)
-    qh = q.pushforward(metric.canonical)
+    ph = p.pushforward(canonical) if canonical else p
+    qh = q.pushforward(canonical) if canonical else q
     surplus = Fraction(0)
     for key, weight in ph.items_sorted:
         gap = weight - qh.get(key, Fraction(0))
@@ -119,8 +120,16 @@ def hausdorff(items_a: Sequence, items_b: Sequence, distance: Callable) -> Fract
     return hausdorff_witness(list(items_a), list(items_b), distance)[0]
 
 
+def quotient_cost(canonical: Callable | None) -> Callable:
+    """The 0/1 ground cost on the classes of ``canonical`` (on the items
+    themselves if it is None), one pair at a time."""
+    if canonical is None:
+        return lambda x, y: Fraction(x != y)
+    return lambda x, y: Fraction(canonical(x) != canonical(y))
+
+
 def formula_metric(weak: bool):
-    return tm.formula_distance.FORMULA_QUOTIENT if weak else tm.DISCRETE
+    return tm.erase_formula if weak else None
 
 
 def distance_to_set(psi: tm.Dist, formulas: list, weak: bool = False) -> Fraction:
@@ -611,11 +620,11 @@ def weak_mimicking_formula(resolution: Resolution) -> tm.TraceDistFormula:
     aggregated per class."""
     return tm.weak_trace_distribution(resolution).pushforward(tm.tracing_formula)
 
-WEAK_QUOTIENT = tm.DiscreteQuotient(tm.tau_erase)
+WEAK_QUOTIENT = tm.tau_erase
 
 def resolution_distance(r1: Resolution, r2: Resolution) -> Fraction:
     """Transport distance between the trace distributions of two resolutions."""
-    return tm.kantorovich_01(tm.trace_distribution(r1), tm.trace_distribution(r2), tm.DISCRETE)
+    return tm.kantorovich_01(tm.trace_distribution(r1), tm.trace_distribution(r2))
 
 
 def weak_resolution_distance(r1: Resolution, r2: Resolution) -> Fraction:

@@ -223,13 +223,13 @@ def test_criterion_6j_tau_prefix_is_weakly_null(property_cases):
 def test_criterion_7_transport_correctness():
     with criterion(7, "closed-form transport equals the flow oracle"):
         rng = random.Random(SEED + 7)
-        quotient = tm.DiscreteQuotient(lambda s: s.rstrip("0123456789"))
+        quotient = lambda s: s.rstrip("0123456789")
         for index in range(TRANSPORT_PAIRS):
             p = random_distribution(rng, max_support=8)
             q = random_distribution(rng, max_support=8)
-            metric = quotient if index % 2 else tm.DISCRETE
-            assert tm.kantorovich_01(p, q, metric) == oracles.kantorovich_oracle(
-                p, q, metric.distance
+            canonical = quotient if index % 2 else None
+            assert tm.kantorovich_01(p, q, canonical) == oracles.kantorovich_oracle(
+                p, q, oracles.quotient_cost(canonical)
             )
         for _ in range(100):
             p = random_distribution(rng, max_support=3, universe=5)

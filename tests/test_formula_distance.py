@@ -47,6 +47,23 @@ class TestDistFormulaDistance:
             zero = tm.dist_formula_distance(p, q, weak=True) == 0
             assert zero == tm.dist_formulas_weak_equivalent(p, q)
 
+    def test_weak_matches_flow_solver(self):
+        # The flow solver reads the weak 0/1 cost pair by pair, where the
+        # kernel canonicalizes both formulae and takes their TV distance.
+        rng = random.Random(79)
+        weak_cost = lambda x, y: tm.trace_formula_distance(x, y, weak=True)
+        closer = 0
+        for _ in range(60):
+            psi = random_formula(rng, tau_bias=0.4)
+            formulas = [random_formula(rng, tau_bias=0.4) for _ in range(rng.randint(1, 4))]
+            values = [oracles.kantorovich_oracle(psi, phi, weak_cost) for phi in formulas]
+            assert [tm.dist_formula_distance(psi, phi, weak=True) for phi in formulas] == values
+            assert tm.distance_to_set(psi, formulas, weak=True) == min(values)
+            strong = [tm.dist_formula_distance(psi, phi) for phi in formulas]
+            closer += sum(0 < v < d for v, d in zip(values, strong))
+        # Erasure brings formulae closer without making them equal.
+        assert closer > 0
+
     def test_mimicking_vs_weak_mimicking_is_weakly_null(self):
         rng = random.Random(72)
         for _ in range(8):

@@ -16,19 +16,18 @@ import tracemet as tm
 from conftest import dist
 from genpts import random_case, random_formula
 
-FORMULA_QUOTIENT = tm.formula_distance.FORMULA_QUOTIENT
-FIRST_LETTER = tm.DiscreteQuotient(lambda s: s[0])
+FIRST_LETTER = lambda s: s[0]
 
 
-def oracle_witness(items_a, items_b, metric=tm.DISCRETE):
+def oracle_witness(items_a, items_b, canonical=None):
     return oracles.hausdorff_witness(
-        items_a, items_b, lambda x, y: oracles.tv_distance(x, y, metric)
+        items_a, items_b, lambda x, y: oracles.tv_distance(x, y, canonical)
     )
 
 
-def assert_matches_oracle(items_a, items_b, metric=tm.DISCRETE):
-    got = tm.hausdorff_witness(items_a, items_b, metric)
-    assert got == oracle_witness(items_a, items_b, metric)
+def assert_matches_oracle(items_a, items_b, canonical=None):
+    got = tm.hausdorff_witness(items_a, items_b, canonical)
+    assert got == oracle_witness(items_a, items_b, canonical)
     return got
 
 
@@ -83,8 +82,8 @@ class TestFormulaSets:
         merged = 0
         for pts, s, t in cases:
             set_s, set_t = tm.satisfied_set(pts, s), tm.satisfied_set(pts, t)
-            for metric in (tm.DISCRETE, FORMULA_QUOTIENT):
-                assert_matches_oracle(set_s, set_t, metric)
+            for canonical in (None, tm.erase_formula):
+                assert_matches_oracle(set_s, set_t, canonical)
             weak_classes = {psi.pushforward(tm.erase_formula) for psi in set_s}
             merged += len(set_s) - len(weak_classes)
         # Distinct formulae falling into one weak class do occur.
@@ -197,14 +196,14 @@ def distributions(draw, alphabet=("a0", "a1", "b0", "b1")):
 @given(
     st.lists(distributions(), max_size=6),
     st.lists(distributions(), max_size=6),
-    st.sampled_from([tm.DISCRETE, FIRST_LETTER]),
+    st.sampled_from([None, FIRST_LETTER]),
 )
-def test_property_matches_oracle(items_a, items_b, metric):
-    assert_matches_oracle(items_a, items_b, metric)
+def test_property_matches_oracle(items_a, items_b, canonical):
+    assert_matches_oracle(items_a, items_b, canonical)
     queries = items_a + items_b
     if items_b:
-        assert tm.transport.distances_to_set(queries, items_b, metric) == [
-            min(oracles.tv_distance(q, y, metric) for y in items_b) for q in queries
+        assert tm.transport.distances_to_set(queries, items_b, canonical) == [
+            min(oracles.tv_distance(q, y, canonical) for y in items_b) for q in queries
         ]
 
 
@@ -228,8 +227,8 @@ def test_distinguishing_resolution_is_first_of_a_repeated_profile():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data(), st.sampled_from([tm.DISCRETE, FIRST_LETTER]))
-def test_permuted_side_never_changes_value_or_witness(data, metric):
+@given(st.data(), st.sampled_from([None, FIRST_LETTER]))
+def test_permuted_side_never_changes_value_or_witness(data, canonical):
     # The max-min tries each row's same-position column first.  Sharing
     # rows between the sides and permuting one of them makes that hint
     # anything from an exact match to the farthest column; the lengths
@@ -241,14 +240,14 @@ def test_permuted_side_never_changes_value_or_witness(data, metric):
     extra = data.draw(st.lists(distributions(), min_size=n_b - shared, max_size=n_b - shared))
     items_b = data.draw(st.permutations(items_a[:shared] + extra))
     for left, right in ((items_a, items_b), (items_b, items_a)):
-        total, (rows_l, rows_r) = tm.transport._integer_rows(metric, left, right)
+        total, (rows_l, rows_r) = tm.transport._integer_rows(canonical, left, right)
         d, i, j = tm.transport.hausdorff_rows(rows_l, rows_r, total)
-        assert (Fraction(d, total), (i, j)) == oracle_witness(left, right, metric)
+        assert (Fraction(d, total), (i, j)) == oracle_witness(left, right, canonical)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data(), st.booleans(), st.sampled_from([tm.DISCRETE, FIRST_LETTER]))
-def test_nearest_distances_both_directions(data, disjoint, metric):
+@given(st.data(), st.booleans(), st.sampled_from([None, FIRST_LETTER]))
+def test_nearest_distances_both_directions(data, disjoint, canonical):
     items_a = data.draw(st.lists(distributions(), min_size=1, max_size=6))
     # Keys starting with c or d never occur on the left side.
     alphabet = ("c0", "c1", "d0", "d1") if disjoint else ("a0", "a1", "c0", "c1")
@@ -258,13 +257,13 @@ def test_nearest_distances_both_directions(data, disjoint, metric):
         # lower the minima of the rows it is compared with.
         repeated = data.draw(st.lists(st.sampled_from(items_a), max_size=3))
         items_b = data.draw(st.permutations(items_b + repeated))
-    total, (rows_a, rows_b) = tm.transport._integer_rows(metric, items_a, items_b)
+    total, (rows_a, rows_b) = tm.transport._integer_rows(canonical, items_a, items_b)
     to_b, to_a = tm.transport.nearest_distances(rows_a, rows_b, total)
     assert [Fraction(d, total) for d in to_b] == [
-        min(oracles.tv_distance(x, y, metric) for y in items_b) for x in items_a
+        min(oracles.tv_distance(x, y, canonical) for y in items_b) for x in items_a
     ]
     assert [Fraction(d, total) for d in to_a] == [
-        min(oracles.tv_distance(y, x, metric) for x in items_a) for y in items_b
+        min(oracles.tv_distance(y, x, canonical) for x in items_a) for y in items_b
     ]
     if disjoint:
         assert set(to_b) == set(to_a) == {total}

@@ -67,7 +67,7 @@ class TestKantorovich01:
     def test_identity(self):
         p = dist({"x": "1/3", "y": "2/3"})
         assert tm.kantorovich_01(p, p) == 0
-        assert tm.kantorovich_01(p, p, tm.DiscreteQuotient(lambda s: s[0])) == 0
+        assert tm.kantorovich_01(p, p, lambda s: s[0]) == 0
 
     def test_known_optimum(self):
         p = dist({"ab": "3/5", "ac": "2/5"})
@@ -80,13 +80,14 @@ class TestKantorovich01:
 
     def test_zero_iff_canonicalized_equal(self):
         rng = random.Random(41)
-        quotient = tm.DiscreteQuotient(lambda s: s.rstrip("0123456789"))
+        quotient = lambda s: s.rstrip("0123456789")
         for _ in range(60):
             p = random_distribution(rng, max_support=5)
             q = random_distribution(rng, max_support=5)
-            for metric in (tm.DISCRETE, quotient):
-                zero = tm.kantorovich_01(p, q, metric) == 0
-                assert zero == (p.pushforward(metric.canonical) == q.pushforward(metric.canonical))
+            for canonical in (None, quotient):
+                zero = tm.kantorovich_01(p, q, canonical) == 0
+                push = canonical or (lambda s: s)
+                assert zero == (p.pushforward(push) == q.pushforward(push))
 
     def test_symmetry_and_triangle(self):
         rng = random.Random(42)
@@ -98,7 +99,7 @@ class TestKantorovich01:
 
     def test_quotient_never_exceeds_discrete(self):
         rng = random.Random(43)
-        quotient = tm.DiscreteQuotient(lambda s: s.rstrip("0123456789"))
+        quotient = lambda s: s.rstrip("0123456789")
         for _ in range(60):
             p = random_distribution(rng)
             q = random_distribution(rng)
@@ -128,12 +129,13 @@ class TestOracle:
 
     def test_agrees_with_closed_form_on_01_costs(self):
         rng = random.Random(44)
-        quotient = tm.DiscreteQuotient(lambda s: s.rstrip("0123456789"))
+        quotient = lambda s: s.rstrip("0123456789")
         for _ in range(150):
             p = random_distribution(rng)
             q = random_distribution(rng)
-            metric = quotient if rng.random() < 0.5 else tm.DISCRETE
-            assert oracles.kantorovich_oracle(p, q, metric.distance) == tm.kantorovich_01(p, q, metric)
+            canonical = quotient if rng.random() < 0.5 else None
+            cost = oracles.quotient_cost(canonical)
+            assert oracles.kantorovich_oracle(p, q, cost) == tm.kantorovich_01(p, q, canonical)
 
     def test_agrees_with_vertex_enumeration(self):
         rng = random.Random(45)
