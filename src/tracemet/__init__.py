@@ -16,18 +16,13 @@ __version__ = "0.1.0"
 from .core import (
     Action,
     Dist,
-    Distribution,
     PTS,
     ProcessId,
-    Rational,
     TAU,
     TraceDistFormula,
     TraceDistribution,
     Transition,
     ValidationReport,
-    depth,
-    enabled_actions,
-    reachable,
     validate_pts,
 )
 from .resolutions import (
@@ -45,14 +40,11 @@ from .traces import (
     trace_distributions,
     weak_trace_distribution,
 )
-from .transport import hausdorff_witness, kantorovich_01
+from .transport import kantorovich_01
 from .logic import (
     TOP,
-    TOP_DIST,
     TraceFormula,
-    dist_formulas_weak_equivalent,
     erase_formula,
-    formulas_weak_equivalent,
     mimicking_formulas,
     satisfied_set,
     satisfies,
@@ -71,11 +63,9 @@ from .formula_distance import (
     CrossCheckReport,
     crosscheck,
     dist_formula_distance,
-    distance_to_set,
     logical_distance,
     real_value,
     sup_val_distance,
-    trace_formula_distance,
 )
 from .parser import (
     ParseError,

@@ -21,7 +21,6 @@ from functools import reduce
 from operator import add, itemgetter
 from typing import Callable, NamedTuple
 
-Rational = Fraction
 ProcessId = str
 
 TAU_NAME = "tau"
@@ -155,8 +154,7 @@ class Dist(Mapping):
         return f"Dist({{{inner}}})"
 
 
-# Aliases naming the three roles Dist plays.
-Distribution = Dist
+# Aliases naming the roles Dist plays.
 TraceDistribution = Dist
 TraceDistFormula = Dist
 
@@ -273,11 +271,6 @@ def cycle_error(pts: PTS) -> tuple[ProcessId, str] | None:
     return None
 
 
-def enabled_actions(pts: PTS, process: ProcessId) -> frozenset[Action]:
-    """The set of actions the process can perform."""
-    return frozenset(row.action for row in pts.transitions_of(process))
-
-
 def post_order(pts: PTS, *roots: ProcessId) -> list[ProcessId]:
     """The processes reachable from ``roots``, each listed after every
     process its transitions can reach.
@@ -319,31 +312,3 @@ def post_order(pts: PTS, *roots: ProcessId) -> list[ProcessId]:
                 done.add(p)
                 order.append(p)
     return order
-
-
-def depth(pts: PTS, process: ProcessId) -> int:
-    """Length of the longest run from the process; 0 when terminal.
-
-    Requires an acyclic system; a cycle through `process` raises ValueError.
-    """
-    memo: dict[ProcessId, int] = {}
-    for p in post_order(pts, process):
-        memo[p] = max(
-            (1 + max(memo[q] for q in row.target.support) for row in pts.transitions_of(p)),
-            default=0,
-        )
-    return memo[process]
-
-
-def reachable(pts: PTS, process: ProcessId) -> frozenset[ProcessId]:
-    """All processes reachable from ``process`` through transition supports."""
-    seen = {process}
-    todo = [process]
-    while todo:
-        p = todo.pop()
-        for row in pts.transitions_of(p):
-            for q in row.target.support:
-                if q not in seen:
-                    seen.add(q)
-                    todo.append(q)
-    return frozenset(seen)

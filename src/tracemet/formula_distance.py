@@ -22,9 +22,9 @@ through ``tracing_formula`` and ``erase_formula``, so the formula route of
 layer's ``silent`` is False the weak rows and satisfied sets are the
 strong ones, and ``crosscheck`` builds no weak list: its three weak values
 are its strong passes' results.
-``distance_to_set`` and ``dist_formula_distance`` take formulae as
-``Dist`` objects and go through the kernel's ``Dist`` entry points; their
-weak forms pass ``erase_formula`` as the kernel's canonicalizing function.
+``dist_formula_distance`` alone reads no layer: it is
+``transport.kantorovich_01`` on two formulae given as ``Dist`` objects,
+and its weak form passes ``erase_formula`` as the canonicalizing function.
 
 The sup-value route stays an independent check of the other two: where
 the metric and the logical distance share the kernel's max-min
@@ -45,19 +45,11 @@ from .logic import TraceFormula, erase_formula, formula_query, tracing_formula
 from .resolutions import DEFAULT_MAX_RESOLUTIONS
 from .traces import TraceLayer
 from .transport import (
-    distances_to_set,
     hausdorff_rows,
     kantorovich_01,
     nearest_distances,
     on_common_denominator,
 )
-
-
-def trace_formula_distance(x: TraceFormula, y: TraceFormula, weak: bool = False) -> Fraction:
-    """0/1 distance on trace formulae; weakly, 0 on erasure-equivalent ones."""
-    if weak:
-        x, y = erase_formula(x), erase_formula(y)
-    return Fraction(x != y)
 
 
 def dist_formula_distance(p: TraceDistFormula, q: TraceDistFormula, weak: bool = False) -> Fraction:
@@ -74,15 +66,6 @@ def logical_distance(
 ) -> Fraction:
     """Hausdorff distance between the satisfied-formula sets of two processes."""
     return _hausdorff_value(*_satisfied_sets(pts, s, t, weak, max_resolutions))
-
-
-def distance_to_set(
-    psi: TraceDistFormula,
-    formulas: list[TraceDistFormula],
-    weak: bool = False,
-) -> Fraction:
-    """Distance from a formula to a finite nonempty set (the minimum)."""
-    return distances_to_set([psi], formulas, erase_formula if weak else None)[0]
 
 
 def real_value(

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Action, Dist, PTS, ProcessId, TraceDistFormula
+from .core import Action, PTS, ProcessId, TraceDistFormula
 from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution
 from .traces import Entries, Trace, TraceLayer, tau_erase
 
@@ -46,7 +46,6 @@ class TraceFormula:
 
 
 TOP = TraceFormula()
-TOP_DIST = Dist.dirac(TOP)
 
 
 def tracing_formula(alpha: Trace) -> TraceFormula:
@@ -58,14 +57,6 @@ def erase_formula(phi: TraceFormula) -> TraceFormula:
     """Drop every silent diamond; the canonical representative of the
     formula's equivalence class."""
     return TraceFormula(tau_erase(phi.diamonds))
-
-
-def formulas_weak_equivalent(x: TraceFormula, y: TraceFormula) -> bool:
-    return erase_formula(x) == erase_formula(y)
-
-
-def dist_formulas_weak_equivalent(p: TraceDistFormula, q: TraceDistFormula) -> bool:
-    return p.pushforward(erase_formula) == q.pushforward(erase_formula)
 
 
 def formula_sort_key(psi: TraceDistFormula):

@@ -5,22 +5,21 @@ canonicalizing function ``canonical``, on its classes (items are free to
 move within a class, cost 1 across classes).  Either way the optimal
 transport cost between two distributions is the total variation (TV)
 distance between the canonicalized distributions, so the function is the
-whole description of the cost, and one exact integer TV kernel computes it
-for every caller: the trace metrics, the logical distance, the real-valued
-semantics and ``kantorovich_01`` itself.
+whole description of the cost.  ``kantorovich_01`` is that definition on
+two ``Dist``s: one minus the mass they share once both are pushed through
+``canonical``.
 
-The kernel works on integer rows: a row is a dict from small-int keys to
-int weights, and a set of rows shares one denominator ``total``, so the
-inner loops run on Python ints and each result becomes one ``Fraction`` at
-the end.  ``hausdorff_rows`` is the max-min and ``nearest_distances`` the
+The kernel below computes the same distance on integer rows, for every
+set-level caller: the trace metrics, the logical distance and the
+real-valued semantics.  A row is a dict from small-int keys to int
+weights, and a set of rows shares one denominator ``total``, so the inner
+loops run on Python ints and each result becomes one ``Fraction`` at the
+end.  ``hausdorff_rows`` is the max-min and ``nearest_distances`` the
 exact nearest-row distances of two sets in both directions.  The trace
 layer (``traces.TraceLayer``) hands its roots' rows to the kernel
 directly, over one common denominator; ``on_common_denominator`` is the
 one scaler of rows to one, for the layer's roots and for ``real_value``'s
-formula row and process list.  On
-``Dist`` inputs (``hausdorff_witness``, ``distances_to_set``,
-``kantorovich_01``) a pass first maps each distribution once into such a
-row, through ``canonical`` if one is given (``_integer_rows``).
+formula row and process list.
 
 The max-min indexes each side twice: by whole row, so a row that also
 occurs on the other side is at distance 0 without a scan, and by key, so
@@ -47,7 +46,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .core import Dist
 
@@ -60,37 +59,11 @@ def kantorovich_01(p: Dist, q: Dist, canonical: Callable | None = None) -> Fract
     the optimum is the total variation distance between the canonicalized
     distributions: the surplus mass that must cross classes.
     """
-    return distances_to_set([p], [q], canonical)[0]
-
-
-def _integer_rows(canonical: Callable | None, *groups: Sequence[Dist]) -> tuple[int, list]:
-    """Map every distribution once, through ``canonical`` if given, into a
-    plain dict with its weights scaled to integers over one common
-    denominator, which is returned.
-
-    Keys are numbered in order of first appearance, keys that ``canonical``
-    maps together sharing one number, so the kernel's lookups hash small
-    ints rather than traces or formulae.
-    """
-    total = math.lcm(
-        *{w.denominator for group in groups for item in group for _, w in item.items_sorted}
-    )
-    numbers: dict = {}
-    scaled = []
-    for group in groups:
-        rows = []
-        for item in group:
-            if not item.is_probability:
-                raise ValueError("total variation requires probability distributions")
-            row: dict = {}
-            for key, w in item.items_sorted:
-                if canonical is not None:
-                    key = canonical(key)
-                key = numbers.setdefault(key, len(numbers))
-                row[key] = row.get(key, 0) + w.numerator * (total // w.denominator)
-            rows.append(row)
-        scaled.append(rows)
-    return total, scaled
+    if not p.is_probability or not q.is_probability:
+        raise ValueError("total variation requires probability distributions")
+    if canonical is not None:
+        p, q = p.pushforward(canonical), q.pushforward(canonical)
+    return 1 - sum((min(w, q[key]) for key, w in p.items_sorted if key in q), Fraction(0))
 
 
 def _postings(rows: list[dict]) -> dict:
@@ -254,37 +227,3 @@ def on_common_denominator(*sides: tuple[int, list[dict]]) -> tuple[int, list[lis
             rows = [{k: w * factor for k, w in row.items()} for row in rows]
         scaled.append(rows)
     return total, scaled
-
-
-def distances_to_set(
-    queries: Sequence[Dist],
-    items: Sequence[Dist],
-    canonical: Callable | None = None,
-) -> list[Fraction]:
-    """TV distance from each query to its nearest item, in one sweep over
-    all queries, under the 0/1 cost on the classes of ``canonical``.
-    Raises ``ValueError`` when exactly one list is empty."""
-    total, (query_rows, rows) = _integer_rows(canonical, queries, items)
-    return [Fraction(d, total) for d in nearest_distances(query_rows, rows, total)[0]]
-
-
-def hausdorff_witness(
-    items_a: Sequence[Dist],
-    items_b: Sequence[Dist],
-    canonical: Callable | None = None,
-) -> tuple[Fraction, "tuple[int, int] | None"]:
-    """Hausdorff max-min of TV distances between two sets, under the 0/1
-    cost on the classes of ``canonical``, with an attaining index pair.
-
-    Conventions for empty sets: the inner infimum over an empty set is 1 and
-    the outer supremum over an empty set is 0.  The witness is the first
-    (max-side, then min-side) pair in input order realizing the value; the
-    first set wins ties between the two directions.
-    """
-    if not items_a and not items_b:
-        return Fraction(0), None
-    if not items_a or not items_b:
-        return Fraction(1), None
-    total, (rows_a, rows_b) = _integer_rows(canonical, items_a, items_b)
-    d, i, j = hausdorff_rows(rows_a, rows_b, total)
-    return Fraction(d, total), (i, j)

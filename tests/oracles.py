@@ -6,7 +6,11 @@ distance function on every pair, the 0/1 transport cost computed by pushing
 both distributions through a canonicalizing function (``tv_distance``), and
 the formula-set distances built on them.  ``quotient_cost`` is the same 0/1
 cost per pair of items, for the min-cost-flow solver below.  The kernel must
-give the same values and the same witness pairs.
+give the same values and the same witness pairs.  The package hands its
+kernel only the trace layer's integer rows; ``integer_rows`` maps lists of
+``Dist``s to such rows, and ``kernel_hausdorff`` reads the kernel's max-min
+through it, so the tests can hold the kernel to these routes on any
+distributions.
 
 The per-resolution routes that ``tracemet.traces.trace_distributions``
 replaced live here too: the run-probability profiles (``pr_compatible``,
@@ -35,9 +39,14 @@ pass of ``post_order``) must agree with.  From
 ``trace_distribution`` must sum to.  From ``transport``: the exact
 min-cost-flow solver ``kantorovich_oracle`` (with ``_FlowNetwork`` and its
 optimal plans, ``Matching``).  From ``logic``: run satisfaction
-(``satisfies_trace``, ``compatible_with_formula``) and the per-resolution
-``mimicking_formula``/``weak_mimicking_formula``.  From ``metrics``: the
-per-resolution ``resolution_distance``/``weak_resolution_distance``.
+(``satisfies_trace``, ``compatible_with_formula``), the per-resolution
+``mimicking_formula``/``weak_mimicking_formula``, and the weak equivalence
+of formulae (``formulas_weak_equivalent``, ``dist_formulas_weak_equivalent``)
+with the top distribution formula ``TOP_DIST``, which ``weak_satisfies``
+and the acceptance tests read.  From ``formula_distance``: the 0/1
+distance on trace formulae, ``trace_formula_distance``, the ground cost
+the flow solver reads.  From ``metrics``: the per-resolution
+``resolution_distance``/``weak_resolution_distance``.
 
 ``parse_pts`` is the system parser as it was before its success path was
 trimmed: a span for every token, a ``Fraction`` per probability and an
@@ -48,6 +57,7 @@ warnings.
 from __future__ import annotations
 
 import heapq
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -60,6 +70,7 @@ from tracemet.core import IDENTIFIER_RE, PTS, Action, ProcessId, Transition, pos
 from tracemet.parser import ParseError, ParseIssue, ParserWarning, SourceSpan
 from tracemet.resolutions import DEFAULT_MAX_RESOLUTIONS, Choice, Resolution
 from tracemet.traces import EPSILON, Trace
+from tracemet.transport import hausdorff_rows
 
 
 def tv_distance(p: tm.Dist, q: tm.Dist, canonical: Callable | None = None) -> Fraction:
@@ -128,8 +139,56 @@ def quotient_cost(canonical: Callable | None) -> Callable:
     return lambda x, y: Fraction(canonical(x) != canonical(y))
 
 
+def integer_rows(canonical: Callable | None, *groups: Sequence[tm.Dist]) -> tuple[int, list]:
+    """Each group of ``Dist``s as the kernel's integer rows, pushed through
+    ``canonical`` if it is given, with the one common denominator of all
+    groups, which is returned first.  Keys are numbered in order of first
+    appearance across the groups."""
+    if canonical is not None:
+        groups = tuple([d.pushforward(canonical) for d in group] for group in groups)
+    total = math.lcm(*(w.denominator for group in groups for d in group for _, w in d.items_sorted))
+    numbers: dict = {}
+
+    def row(d: tm.Dist) -> dict:
+        return {
+            numbers.setdefault(key, len(numbers)): w.numerator * (total // w.denominator)
+            for key, w in d.items_sorted
+        }
+
+    return total, [[row(d) for d in group] for group in groups]
+
+
+def kernel_hausdorff(
+    items_a: Sequence[tm.Dist], items_b: Sequence[tm.Dist], canonical: Callable | None = None
+) -> tuple[Fraction, tuple[int, int]]:
+    """The kernel's max-min (``transport.hausdorff_rows``) between two
+    nonempty lists of ``Dist``s, as (value, witness pair), for holding it
+    to ``hausdorff_witness`` on ``Dist`` inputs."""
+    total, (rows_a, rows_b) = integer_rows(canonical, items_a, items_b)
+    d, i, j = hausdorff_rows(rows_a, rows_b, total)
+    return Fraction(d, total), (i, j)
+
+
 def formula_metric(weak: bool):
     return tm.erase_formula if weak else None
+
+
+TOP_DIST = tm.Dist.dirac(tm.TOP)
+
+
+def trace_formula_distance(x: tm.TraceFormula, y: tm.TraceFormula, weak: bool = False) -> Fraction:
+    """0/1 distance on trace formulae; weakly, 0 on erasure-equivalent ones."""
+    if weak:
+        x, y = tm.erase_formula(x), tm.erase_formula(y)
+    return Fraction(x != y)
+
+
+def formulas_weak_equivalent(x: tm.TraceFormula, y: tm.TraceFormula) -> bool:
+    return tm.erase_formula(x) == tm.erase_formula(y)
+
+
+def dist_formulas_weak_equivalent(p: tm.TraceDistFormula, q: tm.TraceDistFormula) -> bool:
+    return p.pushforward(tm.erase_formula) == q.pushforward(tm.erase_formula)
 
 
 def distance_to_set(psi: tm.Dist, formulas: list, weak: bool = False) -> Fraction:
@@ -742,7 +801,7 @@ def weak_satisfies(pts: tm.PTS, process: str, psi: tm.Dist):
     """The first resolution whose mimicking formula is equivalent to ``psi``
     up to erasure of silent diamonds, as (holds, resolution or None)."""
     for resolution in enumerate_resolutions(pts, process):
-        if tm.dist_formulas_weak_equivalent(mimicking_formula(resolution), psi):
+        if dist_formulas_weak_equivalent(mimicking_formula(resolution), psi):
             return True, resolution
     return False, None
 

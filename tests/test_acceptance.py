@@ -76,7 +76,7 @@ def test_criterion_4_formula_distance_vs_flow_oracle():
         psi1 = tm.parse_formula("0.6 <a><b>T (+) 0.4 <a><c>T")
         psi2 = tm.parse_formula("0.7 <a><c>T (+) 0.3 <a><b>T")
         value = tm.dist_formula_distance(psi1, psi2)
-        oracle = oracles.kantorovich_oracle(psi1, psi2, tm.trace_formula_distance)
+        oracle = oracles.kantorovich_oracle(psi1, psi2, oracles.trace_formula_distance)
         assert value == Fraction(3, 10) == oracle
 
 
@@ -163,7 +163,7 @@ def test_criterion_6d_mimicking_characterizes_matching(property_cases):
                     assert (oracles.mimicking_formula(r1) == oracles.mimicking_formula(r2)) == (
                         oracles.compatible_probabilities(r1) == oracles.compatible_probabilities(r2)
                     )
-                    assert tm.dist_formulas_weak_equivalent(
+                    assert oracles.dist_formulas_weak_equivalent(
                         oracles.mimicking_formula(r1), oracles.mimicking_formula(r2)
                     ) == (
                         oracles.weak_compatible_probabilities(r1)

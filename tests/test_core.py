@@ -123,54 +123,14 @@ class TestValidate:
 
 
 class TestQueries:
-    def test_enabled_actions(self, equiv_pair):
-        assert tm.enabled_actions(equiv_pair, "s") == {tm.Action("a")}
-        assert tm.enabled_actions(equiv_pair, "s1") == {tm.Action("b"), tm.Action("c")}
-        assert tm.enabled_actions(equiv_pair, "nil") == frozenset()
-        with pytest.raises(ValueError):
-            tm.enabled_actions(equiv_pair, "nope")
-
-    def test_depth(self, equiv_pair, half_pair):
-        assert tm.depth(equiv_pair, "s") == 2
-        assert tm.depth(equiv_pair, "nil") == 0
-        assert tm.depth(half_pair, "t") == _depth_by_path_enumeration(half_pair, "t")
-        assert tm.depth(half_pair, "t") == 2
-        with pytest.raises(ValueError):
-            tm.depth(equiv_pair, "nope")
-
-    def test_depth_rejects_cycles(self):
-        pts = tm.PTS.build({"a": [("go", {"b": 1})], "b": [("go", {"a": 1})]})
-        with pytest.raises(ValueError, match="cycle"):
-            tm.depth(pts, "a")
-
-    def test_depth_zero_iff_no_actions(self):
-        rng = random.Random(7)
-        for _ in range(30):
-            pts = random_pts(rng)
-            for p in sorted(pts.processes):
-                assert (tm.depth(pts, p) == 0) == (not tm.enabled_actions(pts, p))
-
     def test_reachability_is_closed_under_supports(self):
         rng = random.Random(8)
         for _ in range(30):
             pts = random_pts(rng)
-            seen = tm.reachable(pts, "p0")
+            seen = set(post_order(pts, "p0"))
             for p in seen:
                 for row in pts.transitions_of(p):
                     assert set(row.target.support) <= seen
-
-
-def _depth_by_path_enumeration(pts: tm.PTS, process: str) -> int:
-    # Independent oracle: walk every path and keep the longest length.
-    best = 0
-    stack = [(process, 0)]
-    while stack:
-        p, length = stack.pop()
-        best = max(best, length)
-        for row in pts.transitions_of(p):
-            for q in row.target.support:
-                stack.append((q, length + 1))
-    return best
 
 
 # The one depth-first search: ``post_order`` over several roots, and
@@ -291,7 +251,7 @@ class TestUndeclaredTargets:
     @pytest.mark.parametrize(
         "query",
         [
-            lambda: tm.depth(GHOST, "s"),
+            lambda: tm.logical_distance(GHOST, "s", "s"),
             lambda: tm.count_resolutions(GHOST, "s"),
             lambda: tm.resolution_at(GHOST, "s", 0),
             lambda: TraceLayer(GHOST, "s").entries("s"),
@@ -299,7 +259,7 @@ class TestUndeclaredTargets:
             lambda: tm.trace_distributions(GHOST, "s", weak=True),
             lambda: tm.strong_trace_metric(GHOST, "s", "s"),
             lambda: tm.weak_trace_equivalent(GHOST, "s", "s"),
-            lambda: tm.satisfies(GHOST, "s", tm.TOP_DIST),
+            lambda: tm.satisfies(GHOST, "s", oracles.TOP_DIST),
             lambda: tm.mimicking_formulas(GHOST, "s"),
             lambda: tm.crosscheck(GHOST, "s", "s"),
         ],

@@ -15,14 +15,14 @@ def formula(text: str) -> tm.TraceFormula:
 
 class TestTraceFormulaDistance:
     def test_strong(self):
-        assert tm.trace_formula_distance(formula("a c"), formula("a c")) == 0
-        assert tm.trace_formula_distance(formula("a c"), formula("a b")) == 1
-        assert tm.trace_formula_distance(formula("a"), tm.TOP) == 1
+        assert oracles.trace_formula_distance(formula("a c"), formula("a c")) == 0
+        assert oracles.trace_formula_distance(formula("a c"), formula("a b")) == 1
+        assert oracles.trace_formula_distance(formula("a"), tm.TOP) == 1
 
     def test_weak(self):
-        assert tm.trace_formula_distance(formula("tau a"), formula("a"), weak=True) == 0
-        assert tm.trace_formula_distance(formula("tau a"), formula("b"), weak=True) == 1
-        assert tm.trace_formula_distance(formula("tau a"), formula("a"), weak=False) == 1
+        assert oracles.trace_formula_distance(formula("tau a"), formula("a"), weak=True) == 0
+        assert oracles.trace_formula_distance(formula("tau a"), formula("b"), weak=True) == 1
+        assert oracles.trace_formula_distance(formula("tau a"), formula("a"), weak=False) == 1
 
 
 class TestDistFormulaDistance:
@@ -32,7 +32,7 @@ class TestDistFormulaDistance:
         value = tm.dist_formula_distance(psi1, psi2)
         assert value == Fraction(3, 10)
         assert value == oracles.kantorovich_oracle(
-            psi1, psi2, lambda x, y: tm.trace_formula_distance(x, y)
+            psi1, psi2, lambda x, y: oracles.trace_formula_distance(x, y)
         )
 
     def test_reflexive(self):
@@ -45,20 +45,20 @@ class TestDistFormulaDistance:
             p = random_formula(rng, tau_bias=0.4)
             q = random_formula(rng, tau_bias=0.4)
             zero = tm.dist_formula_distance(p, q, weak=True) == 0
-            assert zero == tm.dist_formulas_weak_equivalent(p, q)
+            assert zero == oracles.dist_formulas_weak_equivalent(p, q)
 
     def test_weak_matches_flow_solver(self):
         # The flow solver reads the weak 0/1 cost pair by pair, where the
         # kernel canonicalizes both formulae and takes their TV distance.
         rng = random.Random(79)
-        weak_cost = lambda x, y: tm.trace_formula_distance(x, y, weak=True)
+        weak_cost = lambda x, y: oracles.trace_formula_distance(x, y, weak=True)
         closer = 0
         for _ in range(60):
             psi = random_formula(rng, tau_bias=0.4)
             formulas = [random_formula(rng, tau_bias=0.4) for _ in range(rng.randint(1, 4))]
             values = [oracles.kantorovich_oracle(psi, phi, weak_cost) for phi in formulas]
             assert [tm.dist_formula_distance(psi, phi, weak=True) for phi in formulas] == values
-            assert tm.distance_to_set(psi, formulas, weak=True) == min(values)
+            assert oracles.distance_to_set(psi, formulas, weak=True) == min(values)
             strong = [tm.dist_formula_distance(psi, phi) for phi in formulas]
             closer += sum(0 < v < d for v, d in zip(values, strong))
         # Erasure brings formulae closer without making them equal.
@@ -119,16 +119,19 @@ class TestLogicalDistance:
 
 
 class TestDistanceToSet:
+    # The distance from a formula to a process's satisfied set is one minus
+    # its real value there.
+
     def test_member_is_at_zero(self, half_pair):
         formulas = tm.satisfied_set(half_pair, "s")
-        assert tm.distance_to_set(formulas[0], formulas) == 0
+        assert all(tm.real_value(half_pair, "s", psi) == 1 for psi in formulas)
 
     def test_disjoint_singletons(self):
-        assert tm.distance_to_set(tm.TOP_DIST, [tm.Dist.dirac(formula("a"))]) == 1
+        assert tm.dist_formula_distance(oracles.TOP_DIST, tm.Dist.dirac(formula("a"))) == 1
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            tm.distance_to_set(tm.TOP_DIST, [])
+            tm.transport.nearest_distances([{0: 1}], [], 1)
 
     def test_is_brute_force_min(self, half_pair):
         rng = random.Random(75)
@@ -136,7 +139,7 @@ class TestDistanceToSet:
         for _ in range(20):
             psi = random_formula(rng)
             expected = min(tm.dist_formula_distance(psi, other) for other in formulas)
-            assert tm.distance_to_set(psi, formulas) == expected
+            assert 1 - tm.real_value(half_pair, "t", psi) == expected
 
 
 class TestRealValue:

@@ -26,7 +26,7 @@ def oracle_witness(items_a, items_b, canonical=None):
 
 
 def assert_matches_oracle(items_a, items_b, canonical=None):
-    got = tm.hausdorff_witness(items_a, items_b, canonical)
+    got = oracles.kernel_hausdorff(items_a, items_b, canonical)
     assert got == oracle_witness(items_a, items_b, canonical)
     return got
 
@@ -66,7 +66,7 @@ class TestResolutionSets:
                     duplicates += len(res) - len(set(sides[-1][1]))
             (kept_s, tds_s), (kept_t, tds_t) = sides
             value, pair = oracle_witness(tds_s, tds_t)
-            assert tm.hausdorff_witness(tds_s, tds_t) == (value, pair)
+            assert oracles.kernel_hausdorff(tds_s, tds_t) == (value, pair)
             # The metric always deduplicates; on the full lists the first
             # index rule picks the same resolutions.
             result = metric(pts, s, t)
@@ -96,7 +96,10 @@ class TestFormulaSets:
             probes = [random_formula(rng, tau_bias=0.3) for _ in range(4)] + formulas[:3]
             for psi in probes:
                 for weak in (False, True):
-                    assert tm.distance_to_set(psi, formulas, weak) == oracles.distance_to_set(
+                    canonical = oracles.formula_metric(weak)
+                    total, ([query], rows) = oracles.integer_rows(canonical, [psi], formulas)
+                    to_set = tm.transport.nearest_distances([query], rows, total)[0]
+                    assert Fraction(to_set[0], total) == oracles.distance_to_set(
                         psi, formulas, weak
                     )
 
@@ -116,12 +119,6 @@ class TestFormulaSets:
 
 
 class TestHandBuilt:
-    def test_empty_sides(self):
-        one = [dist({"x": 1})]
-        assert tm.hausdorff_witness([], []) == (0, None)
-        assert tm.hausdorff_witness(one, []) == (1, None)
-        assert tm.hausdorff_witness([], one) == (1, None)
-
     def test_identical_sets(self):
         items = [dist({"x": "1/3", "y": "2/3"}), dist({"x": 1}), dist({"x": "1/3", "y": "2/3"})]
         assert assert_matches_oracle(items, items) == (0, (0, 0))
@@ -181,7 +178,7 @@ class TestHandBuilt:
 
     def test_rejects_non_distributions(self):
         with pytest.raises(ValueError, match="probability"):
-            tm.hausdorff_witness([tm.Dist({"x": Fraction(1, 2)})], [dist({"x": 1})])
+            tm.kantorovich_01(tm.Dist({"x": Fraction(1, 2)}), dist({"x": 1}))
 
 
 @st.composite
@@ -194,17 +191,18 @@ def distributions(draw, alphabet=("a0", "a1", "b0", "b1")):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(distributions(), max_size=6),
-    st.lists(distributions(), max_size=6),
+    st.lists(distributions(), min_size=1, max_size=6),
+    st.lists(distributions(), min_size=1, max_size=6),
     st.sampled_from([None, FIRST_LETTER]),
 )
 def test_property_matches_oracle(items_a, items_b, canonical):
     assert_matches_oracle(items_a, items_b, canonical)
     queries = items_a + items_b
-    if items_b:
-        assert tm.transport.distances_to_set(queries, items_b, canonical) == [
-            min(oracles.tv_distance(q, y, canonical) for y in items_b) for q in queries
-        ]
+    total, (query_rows, rows_b) = oracles.integer_rows(canonical, queries, items_b)
+    to_b, _ = tm.transport.nearest_distances(query_rows, rows_b, total)
+    assert [Fraction(d, total) for d in to_b] == [
+        min(oracles.tv_distance(q, y, canonical) for y in items_b) for q in queries
+    ]
 
 
 def test_distinguishing_resolution_matches_two_scans(cases):
@@ -240,7 +238,7 @@ def test_permuted_side_never_changes_value_or_witness(data, canonical):
     extra = data.draw(st.lists(distributions(), min_size=n_b - shared, max_size=n_b - shared))
     items_b = data.draw(st.permutations(items_a[:shared] + extra))
     for left, right in ((items_a, items_b), (items_b, items_a)):
-        total, (rows_l, rows_r) = tm.transport._integer_rows(canonical, left, right)
+        total, (rows_l, rows_r) = oracles.integer_rows(canonical, left, right)
         d, i, j = tm.transport.hausdorff_rows(rows_l, rows_r, total)
         assert (Fraction(d, total), (i, j)) == oracle_witness(left, right, canonical)
 
@@ -257,7 +255,7 @@ def test_nearest_distances_both_directions(data, disjoint, canonical):
         # lower the minima of the rows it is compared with.
         repeated = data.draw(st.lists(st.sampled_from(items_a), max_size=3))
         items_b = data.draw(st.permutations(items_b + repeated))
-    total, (rows_a, rows_b) = tm.transport._integer_rows(canonical, items_a, items_b)
+    total, (rows_a, rows_b) = oracles.integer_rows(canonical, items_a, items_b)
     to_b, to_a = tm.transport.nearest_distances(rows_a, rows_b, total)
     assert [Fraction(d, total) for d in to_b] == [
         min(oracles.tv_distance(x, y, canonical) for y in items_b) for x in items_a

@@ -77,7 +77,7 @@ def oracle_metric(pts, s, t, weak: bool):
 
 
 def oracle_value(pts, process, psi, weak: bool) -> Fraction:
-    formulas = {tm.TOP_DIST} | {
+    formulas = {oracles.TOP_DIST} | {
         d.pushforward(tm.tracing_formula) for d in oracles.trace_distributions(pts, process)
     }
     return 1 - oracles.distance_to_set(psi, sorted(formulas, key=tm.logic.formula_sort_key), weak)

@@ -94,7 +94,7 @@ class TestTraceMetric:
         deduped = tm.strong_trace_metric(half_pair, "s", "t")
         raw_s = [tm.trace_distribution(r) for r in oracles.enumerate_resolutions(half_pair, "s")]
         raw_t = [tm.trace_distribution(r) for r in oracles.enumerate_resolutions(half_pair, "t")]
-        assert deduped.value == tm.hausdorff_witness(raw_s, raw_t)[0]
+        assert deduped.value == oracles.kernel_hausdorff(raw_s, raw_t)[0]
         stats = deduped.dedup_stats
         assert (stats.left_before, stats.left_after) == (9, 8)
         assert (stats.right_before, stats.right_after) == (10, 9)
@@ -108,7 +108,7 @@ class TestTraceMetric:
             pts, s, t = random_case(rng, max_count=80, tau_bias=0.2)
             for weak, metric in ((False, tm.strong_trace_metric), (True, tm.weak_trace_metric)):
                 result = metric(pts, s, t)
-                value, (i, j) = tm.hausdorff_witness(
+                value, (i, j) = oracles.kernel_hausdorff(
                     tm.trace_distributions(pts, s, weak), tm.trace_distributions(pts, t, weak)
                 )
                 assert result.value == value

@@ -252,7 +252,7 @@ class TestParseFormula:
         )
 
     def test_top(self):
-        assert tm.parse_formula("1 T") == tm.TOP_DIST
+        assert tm.parse_formula("1 T") == oracles.TOP_DIST
 
     def test_duplicates_merge_with_warning(self):
         with pytest.warns(tm.ParserWarning, match="merged"):
@@ -283,7 +283,7 @@ class TestPrinting:
 
         assert tm.print_formula(oracles.mimicking_formula(half_zs(half_pair))) == "1/2 <a><c>T (+) 1/2 <a>T"
         assert tm.print_formula(oracles.mimicking_formula(half_zt(half_pair))) == "1/2 <a><c>T (+) 1/2 <a><b>T"
-        assert tm.print_formula(tm.TOP_DIST) == "1 T"
+        assert tm.print_formula(oracles.TOP_DIST) == "1 T"
 
     def test_pts_round_trip(self, half_pair, equiv_pair):
         for pts in (half_pair, equiv_pair, tm.parse_pts("s -tau-> 1 u\nu -a-> 1 nil")):

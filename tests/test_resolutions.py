@@ -6,6 +6,7 @@ import pytest
 import oracles
 import tracemet as tm
 from genpts import random_case
+from tracemet.core import post_order
 
 
 def _count_by_product_formula(pts: tm.PTS, process: str) -> int:
@@ -23,7 +24,7 @@ def test_deep_chain_is_counted_without_recursion():
     # c_i -a-> 1 c_{i+1}: far deeper than Python's recursion limit.
     pts = tm.PTS.build({f"c{i}": [("a", {f"c{i + 1}": 1})] for i in range(3000)})
     assert tm.count_resolutions(pts, "c0") == 3001
-    assert tm.depth(pts, "c0") == 3000
+    assert len(post_order(pts, "c0")) == 3001
 
 
 def test_deep_chain_resolution_is_linear_in_its_depth():

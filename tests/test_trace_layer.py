@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import oracles
 import tracemet as tm
 from genpts import random_formula, random_pts, with_tau_prefix
+from tracemet.core import post_order
 from tracemet.traces import TraceLayer
 
 HALF = Fraction(1, 2)
@@ -90,7 +91,9 @@ def old_metric(pts, s, t, weak: bool, dedup: bool):
         keep_t = [j for j, td in enumerate(tds_t) if td not in tds_t[:j]]
     else:
         keep_s, keep_t = range(len(tds_s)), range(len(tds_t))
-    value, (i, j) = tm.hausdorff_witness([tds_s[i] for i in keep_s], [tds_t[j] for j in keep_t])
+    value, (i, j) = oracles.kernel_hausdorff(
+        [tds_s[i] for i in keep_s], [tds_t[j] for j in keep_t]
+    )
     stats = tm.DedupStats(len(res_s), len(keep_s), len(res_t), len(keep_t))
     return value, (res_s[keep_s[i]], res_t[keep_t[j]]), stats
 
@@ -101,7 +104,7 @@ def old_mimicking_formulas(pts, process, weak: bool) -> list:
 
 
 def old_satisfied_set(pts, process) -> list:
-    formulas = {tm.TOP_DIST} | set(old_mimicking_formulas(pts, process, False))
+    formulas = {oracles.TOP_DIST} | set(old_mimicking_formulas(pts, process, False))
     return sorted(formulas, key=tm.logic.formula_sort_key)
 
 
@@ -176,13 +179,13 @@ class TestLayer:
 
     def test_tau_free_crosscheck_builds_each_list_once(self, half_pair, builds):
         tm.crosscheck(half_pair, "s", "t")
-        reached = tm.reachable(half_pair, "s") | tm.reachable(half_pair, "t")
+        reached = set(post_order(half_pair, "s", "t"))
         assert sorted(builds) == sorted((p, False) for p in reached)
 
     def test_silent_crosscheck_builds_both_modes(self, half_pair, builds):
         pts = with_tau_prefix(half_pair, "s")
         tm.crosscheck(pts, "ptau", "t")
-        reached = tm.reachable(pts, "ptau") | tm.reachable(pts, "t")
+        reached = set(post_order(pts, "ptau", "t"))
         assert sorted(builds) == sorted((p, weak) for p in reached for weak in (False, True))
 
     def test_resolution_at_is_the_enumerated_resolution(self):
@@ -205,10 +208,10 @@ class TestLayer:
             lambda n: tm.weak_trace_metric(half_pair, "t", "s", n),
             lambda n: tm.find_distinguishing_resolution(half_pair, "t", "s", True, n),
             lambda n: tm.crosscheck(half_pair, "t", "s", n),
-            lambda n: tm.satisfies(half_pair, "t", tm.TOP_DIST, n),
-            lambda n: tm.satisfies(half_pair, "t", tm.TOP_DIST, n, weak=True),
+            lambda n: tm.satisfies(half_pair, "t", oracles.TOP_DIST, n),
+            lambda n: tm.satisfies(half_pair, "t", oracles.TOP_DIST, n, weak=True),
             lambda n: tm.satisfied_set(half_pair, "t", n),
-            lambda n: tm.real_value(half_pair, "t", tm.TOP_DIST, max_resolutions=n),
+            lambda n: tm.real_value(half_pair, "t", oracles.TOP_DIST, max_resolutions=n),
             lambda n: tm.mimicking_formulas(half_pair, "t", max_resolutions=n),
         ]
         for call in calls:
@@ -374,7 +377,7 @@ def test_silent_and_crosscheck_property(drawn, data):
     processes = st.sampled_from(sorted(pts.processes))
     roots = data.draw(st.lists(processes, min_size=1, max_size=3, unique=True))
     layer = TraceLayer(pts, *roots)
-    reached = set().union(*(tm.reachable(pts, root) for root in roots))
+    reached = set(post_order(pts, *roots))
     assert layer.silent == any(row.action.is_tau for p in reached for row in pts.transitions_of(p))
     for root in roots:
         assert (layer.entries(root, True) is layer.entries(root, False)) == (not layer.silent)
