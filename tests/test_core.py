@@ -122,7 +122,45 @@ class TestValidate:
         assert tm.validate_pts(half_pair) == tm.validate_pts(half_pair)
 
 
+def _depth(pts: tm.PTS, process: str) -> int:
+    # The longest trace any resolution of ``process`` can perform.
+    return max(len(trace) for td in tm.trace_distributions(pts, process) for trace in td)
+
+
 class TestQueries:
+    def test_enabled_actions(self, equiv_pair):
+        def enabled(p):
+            return {row.action for row in equiv_pair.transitions_of(p)}
+
+        assert enabled("s") == {tm.Action("a")}
+        assert enabled("s1") == {tm.Action("b"), tm.Action("c")}
+        assert enabled("nil") == set()
+        with pytest.raises(ValueError):
+            enabled("nope")
+
+    def test_depth(self, equiv_pair, half_pair):
+        assert _depth(equiv_pair, "s") == 2
+        assert _depth(equiv_pair, "nil") == 0
+        assert _depth(half_pair, "t") == _depth_by_path_enumeration(half_pair, "t")
+        assert _depth(half_pair, "t") == 2
+        with pytest.raises(ValueError):
+            _depth(equiv_pair, "nope")
+
+    def test_depth_rejects_cycles(self):
+        pts = tm.PTS.build({"a": [("go", {"b": 1})], "b": [("go", {"a": 1})]})
+        with pytest.raises(ValueError, match="cycle"):
+            post_order(pts, "a")
+        with pytest.raises(ValueError, match="cycle"):
+            _depth(pts, "a")
+
+    def test_depth_zero_iff_no_actions(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            pts = random_pts(rng)
+            for p in sorted(pts.processes):
+                assert (_depth(pts, p) == 0) == pts.is_terminal(p)
+                assert _depth(pts, p) == _depth_by_path_enumeration(pts, p)
+
     def test_reachability_is_closed_under_supports(self):
         rng = random.Random(8)
         for _ in range(30):
@@ -131,6 +169,19 @@ class TestQueries:
             for p in seen:
                 for row in pts.transitions_of(p):
                     assert set(row.target.support) <= seen
+
+
+def _depth_by_path_enumeration(pts: tm.PTS, process: str) -> int:
+    # Independent oracle: walk every path and keep the longest length.
+    best = 0
+    stack = [(process, 0)]
+    while stack:
+        p, length = stack.pop()
+        best = max(best, length)
+        for row in pts.transitions_of(p):
+            for q in row.target.support:
+                stack.append((q, length + 1))
+    return best
 
 
 # The one depth-first search: ``post_order`` over several roots, and

@@ -119,6 +119,16 @@ class TestFormulaSets:
 
 
 class TestHandBuilt:
+    def test_empty_sides(self):
+        # The kernel takes no convention for an empty side: two empty sets
+        # have no rows to compare, and one empty side is rejected.
+        total, (one,) = oracles.integer_rows(None, [dist({"x": 1})])
+        assert tm.transport.nearest_distances([], [], total) == ([], [])
+        with pytest.raises(ValueError, match="empty"):
+            tm.transport.nearest_distances(one, [], total)
+        with pytest.raises(ValueError, match="empty"):
+            tm.transport.nearest_distances([], one, total)
+
     def test_identical_sets(self):
         items = [dist({"x": "1/3", "y": "2/3"}), dist({"x": 1}), dist({"x": "1/3", "y": "2/3"})]
         assert assert_matches_oracle(items, items) == (0, (0, 0))
