@@ -64,19 +64,21 @@ class Dist(Mapping):
     __slots__ = ("_map", "_items", "_total")
 
     def __init__(self, weights: Mapping | Iterable[tuple]):
-        if isinstance(weights, Mapping):
+        # The exact-type tests come first: they are much cheaper than the
+        # ABC checks, and a dict of Fractions is the common input.
+        if type(weights) is dict or isinstance(weights, Mapping):
             # A mapping's keys are distinct, and copying a dict reuses the
             # hashes it stores, so no key is hashed again here.
             acc = dict(weights)
             for key, weight in acc.items():
-                if not isinstance(weight, Fraction):
+                if type(weight) is not Fraction and not isinstance(weight, Fraction):
                     acc[key] = weight = Fraction(weight)
                 if weight.numerator <= 0:
                     raise ValueError(f"nonpositive weight {weight} for {key!r}")
         else:
             acc = {}
             for key, raw in weights:
-                weight = raw if isinstance(raw, Fraction) else Fraction(raw)
+                weight = raw if type(raw) is Fraction or isinstance(raw, Fraction) else Fraction(raw)
                 if weight.numerator <= 0:
                     raise ValueError(f"nonpositive weight {weight} for {key!r}")
                 if key in acc:

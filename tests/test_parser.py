@@ -1,6 +1,8 @@
+import importlib.util
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 import tracemet as tm
+import tracemet.parser as parser
 from conftest import trace
 from genpts import random_formula, random_pts
 
@@ -137,6 +140,13 @@ class TestParsePts:
 
 NAMES = ("p0", "p1", "p2", "p3", "p4")
 SPACES = st.sampled_from(["", " ", "  ", "\t"])
+# Between a probability and its target: none at all reads "1/2p1".
+GAPS = st.sampled_from([" ", "", "\t"])
+# The scanner skips only " \t\r\n".  An EM SPACE or a no-break space
+# inside a line is an error, and at its end it is stripped; "\x0b" and
+# "\x0c" end a line (str.splitlines).
+ODD_SPACES = st.sampled_from(["\u2003", "\xa0", "\x0b", "\x0c"])
+ENDS = st.one_of(st.sampled_from(["", "  ", " # tail", "\r"]), ODD_SPACES)
 BAD_PROBABILITIES = ("x", "1/0", "3/0", "0", "0.0", "0/4", "3/2", "2", ".5", "1.")
 
 
@@ -162,7 +172,7 @@ def transition_lines(draw) -> str:
     comment or a blank line."""
     kind = draw(st.sampled_from(
         ["ok"] * 8 + ["comment", "blank", "no_arrow", "bad_prob", "trailing",
-                      "dup_target", "bad_sum", "back_edge"]
+                      "dup_target", "dup_bad_prob", "bad_sum", "back_edge", "odd_space"]
     ))
     if kind == "comment":
         return draw(SPACES) + "# " + draw(st.sampled_from(["note", "s -a-> 1 u", ""]))
@@ -174,7 +184,7 @@ def transition_lines(draw) -> str:
     if kind == "back_edge":
         targets[-1] = NAMES[draw(st.integers(0, src))]
         targets = list(dict.fromkeys(targets))
-    if kind == "dup_target":
+    if kind in ("dup_target", "dup_bad_prob"):
         targets.append(targets[0])
     den = draw(st.sampled_from([2, 3, 4, 5, 8, 10])) if len(targets) > 1 else draw(st.sampled_from([1, 2, 4]))
     den = max(den, len(targets))
@@ -187,19 +197,22 @@ def transition_lines(draw) -> str:
         if sum(parts) == den:
             parts[-1] += 1
     probs = draw(probability_texts(parts, den))
-    if kind == "bad_prob":
+    if kind in ("bad_prob", "dup_bad_prob"):
         probs[draw(st.integers(0, len(probs) - 1))] = draw(st.sampled_from(BAD_PROBABILITIES))
     sp = draw(SPACES)
-    body = ("," + sp).join(f"{prob} {target}" for prob, target in zip(probs, targets))
-    arrow = draw(st.sampled_from(["-{}->", " -{}-> ", " - {} -> "])).format(
-        draw(st.sampled_from(["a", "b", "tau"]))
-    )
+    body = ("," + sp).join(f"{prob}{draw(GAPS)}{target}" for prob, target in zip(probs, targets))
+    arrow = draw(st.sampled_from(
+        ["-{}->", " -{}-> ", " - {} -> ", " -{}->\t"]
+    )).format(draw(st.sampled_from(["a", "b", "tau"])))
     if kind == "no_arrow":
         arrow = draw(st.sampled_from([" {} ", " -{} ", " {}-> "])).format("a")
     line = NAMES[src] + arrow + sp + body
     if kind == "trailing":
         line += draw(st.sampled_from([" junk", " 1", ",", " -> p4", "  x y"]))
-    return line + draw(st.sampled_from(["", "  ", " # tail", "\r"]))
+    if kind == "odd_space":
+        cut = draw(st.integers(0, len(line)))
+        line = line[:cut] + draw(ODD_SPACES) + line[cut:]
+    return line + draw(ENDS)
 
 
 @st.composite
@@ -209,6 +222,11 @@ def system_texts(draw) -> str:
     for _ in range(draw(st.integers(0, 2))):
         if lines:
             lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    # An invalid line after a duplicate transition: the duplicate check
+    # runs only when no line has an issue, so the duplicate is not reported.
+    if lines and draw(st.integers(0, 3)) == 0:
+        lines.append(draw(st.sampled_from(lines)))
+        lines.append(draw(st.sampled_from(["oops", "p3 -a-> 1/0 p4", "p0 -a-> 1/2 p1", "p1 -b->"])))
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
@@ -236,9 +254,80 @@ def test_parse_pts_matches_reference(text):
     "p0 -a-> 1 p1\np0 -a-> 1 p1", "p0 -a-> 1/2 p1, 1/2 p2\np0 -a-> 1/2 p2, 1/2 p1",
     "bad\np0 -a-> 1/0 p1, 1/0 p2\np1 -b-> 1/2 p2\n", "",
     "p0 -a-> 3/2 p1\np1 -b-> 3/2 p2\np2 -c-> 0 p3, 1 p4\np3 -a-> 0 p4, 1 p4",
+    "p0\u2003-a-> 1 p1", "p0 -a-> 1\xa0p1", "p0 -a-> 1 p1\u2003", "p0 -a-> 1/2 p1, 1/2 p2\xa0# c",
+    "p0 -a-> 1 p1\x0bp1 -b-> 1 p2", "p0 -a->\x0c1 p1", "p0 -a-> 1/2p1, 0.5p2",
+    "p0 -a-> 1/2 p1, 1/2 p1, 1/0 p2", "p0 -a-> 1/2 p1, 1/2 p1, 3/2 p2",
+    "p0 -a-> 1 p1\np0 -a-> 1 p1\noops", "p0 -a-> 1 p1\np0 -a-> 1 p1\np1 -b-> 1/2 p2",
 ])
 def test_parse_pts_matches_reference_on_each_corruption(text):
     assert _outcome(tm.parse_pts, text) == _outcome(oracles.parse_pts, text)
+
+
+def _reference_rejected_lines(text: str) -> list[str]:
+    """The comment-stripped, right-stripped lines of ``text`` that the
+    reference scanner rejects, as ``parse_pts`` hands them to its scanner."""
+    rejected = []
+    for raw in text.splitlines():
+        cut = raw.find("#")
+        line = (raw if cut < 0 else raw[:cut]).rstrip()
+        if not line:
+            continue
+        try:
+            oracles._parse_transition_line(oracles._LineScanner(line, 1))
+        except tm.ParseError:
+            rejected.append(line)
+    return rejected
+
+
+def _scanner_calls(text: str) -> tuple[list[str], tuple]:
+    """The lines ``parse_pts`` reads with its scanner, and its outcome."""
+    calls: list[str] = []
+    original = parser._parse_transition_line
+
+    def recording(scanner, fractions):
+        calls.append(scanner.text)
+        return original(scanner, fractions)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parser, "_parse_transition_line", recording)
+        outcome = _outcome(tm.parse_pts, text)
+    return calls, outcome
+
+
+@settings(max_examples=300, deadline=None)
+@given(system_texts())
+def test_only_lines_the_reference_rejects_reach_the_scanner(text):
+    # The line regex accepts every line the reference scanner accepts, and
+    # the scanner explains every line it rejects.
+    calls, outcome = _scanner_calls(text)
+    assert calls == _reference_rejected_lines(text)
+    assert outcome == _outcome(oracles.parse_pts, text)
+
+
+def _workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("source", ["golden"] + [
+    f"{name}/{seed}" for name in ("ladder-hausdorff", "ladder-scan", "random-small") for seed in (1, 2, 3)
+])
+def test_parse_pts_matches_reference_on_committed_and_benchmark_systems(source):
+    # The committed golden systems, and the files each benchmark workload
+    # writes for seeds 1-3.
+    if source == "golden":
+        golden = Path(__file__).resolve().parent / "golden"
+        files = {path.name: path.read_text(encoding="utf-8") for path in sorted(golden.glob("*.pts"))}
+    else:
+        name, seed = source.split("/")
+        files = _workloads()[name](int(seed)).files
+    for file_name, text in files.items():
+        calls, outcome = _scanner_calls(text)
+        assert outcome == _outcome(oracles.parse_pts, text), file_name
+        assert calls == _reference_rejected_lines(text), file_name
 
 
 class TestParseFormula:
