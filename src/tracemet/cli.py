@@ -535,11 +535,16 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
+    # An exact input token or printed value may pass the interpreter's int/str
+    # digit limit (Python 3.10.7 and later; 0 is none): lifted for the call.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     # Parser warnings are printed after the output or the error line, on
     # every exit path; validate reports its own and leaves none here.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ParserWarning)
         try:
+            if limit:
+                sys.set_int_max_str_digits(0)
             args = _parser.parse_args(argv)
             code = args.func(args)
             sys.stdout.flush()  # a closed stdout fails here, not at exit
@@ -561,6 +566,9 @@ def main(argv=None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
             code = EXIT_INVALID
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     return code

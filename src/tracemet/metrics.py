@@ -6,10 +6,11 @@ tau-erased traces).  Lifting that distance over the full resolution sets
 with the Hausdorff max-min gives the metric over processes; its kernel is
 the corresponding trace equivalence.  Both read one ``traces.TraceLayer``
 per call, rooted at the two processes, so the trace ids of the two sides
-agree and their rows come over one denominator: the metric its distinct
-rows, the equivalence its full lists.  No trace or distribution object is
-built, and a witness resolution is built only for the pair or the
-resolution that is returned, off the layer's resolution-count table.
+agree and their distinct rows come over one denominator: the metric
+reads the rows ``distinct`` returns, the equivalence their keys.  No trace
+or distribution object is built, and a witness resolution is built only
+for the pair or the resolution that is returned, off the layer's
+resolution-count table.
 """
 from __future__ import annotations
 
@@ -52,7 +53,8 @@ def _trace_metric(
     max_resolutions: int,
 ) -> MetricResult:
     layer = TraceLayer(pts, s, t, max_resolutions=max_resolutions)
-    total, ((kept_s, rows_s), (kept_t, rows_t)) = layer.distinct(weak)
+    total, ((first_s, rows_s), (first_t, rows_t)) = layer.distinct(weak)
+    kept_s, kept_t = list(first_s.values()), list(first_t.values())
     # Neither list is empty (the halting resolution is always first), so
     # there is always a witness pair.
     d, i, j = hausdorff_rows(rows_s, rows_t, total)
@@ -124,14 +126,13 @@ def find_distinguishing_resolution(
     Two resolutions match when their (weak) trace distributions are equal:
     a resolution's run-probability profile is a prefix sum of its (weak)
     trace distribution, and the sum can be inverted.  The first unmatched
-    resolution of ``s`` comes first, then that of ``t``; only it is built.
+    resolution of ``s`` comes first, then that of ``t``: the first index of
+    the first distinct row the other side lacks.  Only it is built.
     """
     layer = TraceLayer(pts, s, t, max_resolutions=max_resolutions)
-    _, (rows_s, rows_t) = layer.lists(weak)
-    keys_s = [frozenset(row.items()) for row in rows_s]
-    keys_t = [frozenset(row.items()) for row in rows_t]
-    for p, keys, others in ((s, keys_s, set(keys_t)), (t, keys_t, set(keys_s))):
-        for index, key in enumerate(keys):
+    _, ((first_s, _), (first_t, _)) = layer.distinct(weak)
+    for p, first, others in ((s, first_s, first_t), (t, first_t, first_s)):
+        for key, index in first.items():
             if key not in others:
                 return p, layer.resolution(p, index)
     return None

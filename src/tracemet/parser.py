@@ -148,57 +148,49 @@ class _LineScanner:
         return False
 
 
-def _parse_probability(scanner: _LineScanner, known: dict[str, Fraction]) -> Fraction:
-    """The next probability; ``known`` maps the tokens already read in this
-    parse to their values, so each distinct token is converted once."""
-    token = scanner.take_regex(_PROB_RE, "a probability (1, 0.5 or p/q)")
-    value = known.get(token)
-    if value is None:
-        start = scanner.pos - len(token)
-        try:
-            value = Fraction(token)
-        except ZeroDivisionError:
-            raise scanner.fail("zero denominator", start, len(token)) from None
-        if not 0 < value <= 1:
-            raise scanner.fail(f"probability {token} outside (0, 1]", start, len(token))
-        known[token] = value
-    return value
-
-
-def _token_value(token: str) -> tuple[Fraction, int, int] | None:
+def _token_value(token: str) -> tuple[Fraction, int, int]:
     """The value of a token ``_PROB_RE`` matched, with its reduced numerator
-    and denominator, or None if it has a zero denominator or lies outside
-    (0, 1].  The digits are read as ``Fraction(token)`` reads them, without
-    its regex."""
+    and denominator.  The digits are read as ``Fraction(token)`` reads them,
+    without its regex.  Raises ValueError naming the issue if the token has
+    a zero denominator or lies outside (0, 1]."""
     num, slash, den = token.partition("/")
     if slash:
         n, d = int(num), int(den)
+        if d == 0:
+            raise ValueError("zero denominator")
     else:
         whole, _, digits = token.partition(".")
         d = 10 ** len(digits)
         n = int(whole) * d + int(digits) if digits else int(whole)
     if not 0 < n <= d:
-        return None
+        raise ValueError(f"probability {token} outside (0, 1]")
     value = Fraction(n, d)
     return value, value.numerator, value.denominator
 
 
-def _parse_transition_line(
-    scanner: _LineScanner, fractions: dict[str, Fraction]
-) -> tuple[str, str, list[tuple[Fraction, str]]]:
+def _parse_probability(scanner: _LineScanner) -> tuple[Fraction, int, int]:
+    """The next probability, as ``_token_value`` reads it."""
+    token = scanner.take_regex(_PROB_RE, "a probability (1, 0.5 or p/q)")
+    try:
+        return _token_value(token)
+    except ValueError as exc:
+        raise scanner.fail(str(exc), scanner.pos - len(token), len(token)) from None
+
+
+def _parse_transition_line(scanner: _LineScanner) -> tuple[str, str, list[tuple[tuple, str]]]:
     """Read one line with the scanner: source, action name and
-    ``(probability, target)`` pairs.  ``parse_pts`` calls it only for a
-    line its regex rejects or with a probability out of range, to raise
+    ``(probability entry, target)`` pairs.  ``parse_pts`` calls it only for
+    a line its regex rejects or with a probability out of range, to raise
     the issue that explains the line."""
     src = scanner.take_regex(IDENTIFIER_RE, "a process identifier")
     scanner.take_literal(_ARROW_OPEN)
     name = scanner.take_regex(IDENTIFIER_RE, "an action name")
     scanner.take_literal(_ARROW_CLOSE)
-    pairs: list[tuple[Fraction, str]] = []
+    pairs = []
     while True:
-        prob = _parse_probability(scanner, fractions)
+        entry = _parse_probability(scanner)
         target = scanner.take_regex(IDENTIFIER_RE, "a target process identifier")
-        pairs.append((prob, target))
+        pairs.append((entry, target))
         if not scanner.try_literal(","):
             break
     if not scanner.at_end():
@@ -234,11 +226,11 @@ def parse_pts(text: str) -> PTS:
             for token, target in _PAIR_RE.findall(body):
                 entry = entries.get(token)
                 if entry is None:
-                    entry = _token_value(token)
-                    if entry is None:
+                    try:
+                        entry = entries[token] = _token_value(token)
+                    except ValueError:
                         pairs = None
                         break
-                    entries[token] = entry
                 pairs.append((entry, target))
         if pairs is None:
             # The scanner explains the line: it raises the issue the line
@@ -246,11 +238,10 @@ def parse_pts(text: str) -> PTS:
             # would stand, so a line the regex wrongly rejected would cost
             # time, not change the result.
             try:
-                src, name, read = _parse_transition_line(_LineScanner(line, line_no), {})
+                src, name, pairs = _parse_transition_line(_LineScanner(line, line_no))
             except ParseError as exc:
                 issues.extend(exc.issues)
                 continue
-            pairs = [((v, v.numerator, v.denominator), target) for v, target in read]
         weights: dict[str, Fraction] = {}
         # The weights' sum as num/den in ints.  The tokens of a line mostly
         # share one denominator, so this is mostly int additions.
@@ -320,11 +311,10 @@ def parse_pts(text: str) -> PTS:
 def parse_formula(text: str) -> TraceDistFormula:
     """Parse a trace distribution formula; raises ParseError on any issue."""
     scanner = _LineScanner(text, 1)
-    fractions: dict[str, Fraction] = {}
     weights: dict[TraceFormula, Fraction] = {}
     merged_any = False
     while True:
-        prob = _parse_probability(scanner, fractions)
+        prob = _parse_probability(scanner)[0]
         diamonds: list[Action] = []
         while scanner.try_literal("<"):
             name = scanner.take_regex(IDENTIFIER_RE, "an action name")

@@ -16,11 +16,13 @@ built.  It is kept as integers.  Traces are interned in a trie, one per
 layer: id 0 is the empty trace and every other id stands for one (action,
 tail id) pair, keyed by the action's name.  A process's list holds one
 ``{trace id: weight}`` row per resolution, all over one denominator of
-that process; the layer's readers (``lists``, ``distinct``) hand the
-roots' rows over one common denominator (``on_common_denominator``),
-``distinct`` deduplicated with the index of the resolution that first
-shows each row.  Trace tuples and ``Dist`` objects are decoded only for
-output: ``decode`` spells each id of a list once, ``trace`` one id.
+that process.  ``entries`` hands one root's full list, for the readers of
+one process (``sat``, ``val``, ``trace_distributions``); ``distinct``
+hands every root's distinct rows over one common denominator
+(``on_common_denominator``), each keyed by its items with the index of
+the resolution that first shows it.  Trace tuples and ``Dist`` objects
+are decoded only for output: ``decode`` spells each id of a list once,
+``trace`` one id.
 ``trace_distribution`` reads one resolution, for the resolutions a command
 prints, in one pass over its preorder ``(parent, process, choice)`` nodes:
 a node's run probability and a halting node's trace come off its parents.
@@ -151,22 +153,20 @@ class TraceLayer:
             lists = self._lists[weak] = self._build_all(weak)
         return lists[root]
 
-    def lists(self, weak: bool = False) -> tuple[int, list[list[dict[int, int]]]]:
-        """Every root's full list, over the least common denominator of
-        the roots' lists, which is returned with them."""
-        return on_common_denominator(*(self.entries(root, weak) for root in self.roots))
-
-    def distinct(self, weak: bool = False) -> tuple[int, list[tuple[list[int], list[dict]]]]:
-        """Every root's distinct rows in order of first occurrence, each
-        with the index of the resolution that first shows it, over the
-        denominator of ``lists``."""
-        total, sides = self.lists(weak)
+    def distinct(self, weak: bool = False) -> tuple[int, list[tuple[dict, list[dict]]]]:
+        """Every root's distinct rows over the least common denominator of
+        the roots' lists, which is returned with them.  Per root, a dict
+        from each distinct row's key, ``frozenset(row.items())``, to the
+        index of the first resolution that shows it, and the rows, both in
+        order of first index.  A root already over that denominator hands
+        its rows as they are."""
+        total, sides = on_common_denominator(*(self.entries(root, weak) for root in self.roots))
         out = []
         for rows in sides:
             first: dict = {}
             for index, row in enumerate(rows):
                 first.setdefault(frozenset(row.items()), index)
-            out.append((list(first.values()), [rows[i] for i in first.values()]))
+            out.append((first, [rows[i] for i in first.values()]))
         return total, out
 
     def count(self, process: ProcessId) -> int:

@@ -382,6 +382,79 @@ class TestGuardsAndErrors:
         assert "crosscheck failed" in err and "MISMATCH" in out
 
 
+@contextlib.contextmanager
+def digit_limit(limit: int):
+    """The interpreter's int/str digit limit set to ``limit`` (0: none)."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+)
+class TestIntegersOfAnySize:
+    """Tokens and printed values past the interpreter's int/str digit limit
+    are read and printed exactly, and the limit is restored on return."""
+
+    LIMIT = 4321
+
+    def run_limited(self, capsys, *argv):
+        with digit_limit(self.LIMIT):
+            result = run(capsys, *argv)
+            assert sys.get_int_max_str_digits() == self.LIMIT
+        assert "Traceback" not in result[2]
+        return result
+
+    def test_long_input_token(self, capsys, tmp_path):
+        with digit_limit(0):
+            n = int("1" * 5000)
+            token, over = str(n), f"{n + 1}/{n}"
+        path = tmp_path / "long.pts"
+        path.write_text(f"s -a-> 1/{token} t, 1 u\n")
+        code, out, _ = self.run_limited(capsys, "validate", str(path))
+        assert (code, out) == (1, f"invalid\n  error: 1:1: weights sum to {over} != 1\n")
+        path.write_text(f"s -a-> 1/{token} t, {token[:-1]}0/{token} u\n")
+        code, out, _ = self.run_limited(capsys, "validate", str(path))
+        assert (code, out) == (0, "valid\n  processes: s, t, u\n")
+        code, out, _ = self.run_limited(
+            capsys, "fdist", "-f1", f"1/{token} <a>T (+) {token[:-1]}0/{token} T", "-f2", "1 T"
+        )
+        assert (code, out) == (0, f"1/{token} ({1 / n})\n")
+
+    def test_large_values_on_output(self, capsys, tmp_path):
+        # Every token has at most 3,001 digits; the distance 1 - 1/D^2 has
+        # 6,001 in its numerator and denominator.
+        d = 10**3000 + 7
+        with digit_limit(0):
+            text = (
+                f"s -a-> 1/{d} t, {d - 1}/{d} u\nt -b-> 1/{d} v, {d - 1}/{d} w\n"
+                "w -c-> 1 x\nv -d-> 1 y\nr -a-> 1 t2\nt2 -b-> 1 v\n"
+            )
+            num, den = str(d * d - 1), str(d * d)
+        path = tmp_path / "big.pts"
+        path.write_text(text)
+        code, out, _ = self.run_limited(capsys, "metric", str(path), "-p", "s", "-q", "r")
+        assert code == 0 and out.splitlines()[0] == f"{num}/{den} (1.0)"
+        code, out, _ = self.run_limited(capsys, "metric", str(path), "-p", "s", "-q", "r", "--json")
+        assert code == 0 and json.loads(out)["value"] == {"num": num, "den": den}
+        code, out, _ = self.run_limited(
+            capsys, "crosscheck", str(path), "-p", "s", "-q", "r", "--json"
+        )
+        report = json.loads(out)
+        assert code == 0 and report["all_equal"] is True
+        assert report["strong_metric"] == report["weak_sup_val_distance"] == {"num": num, "den": den}
+        code, out, _ = self.run_limited(capsys, "crosscheck", str(path), "-p", "s", "-q", "r")
+        assert code == 0 and out.splitlines()[0].split()[-2] == f"{num}/{den}"
+
+    def test_limit_restored_after_an_error(self, capsys):
+        code, _, _ = self.run_limited(capsys, "validate", "/nonexistent.pts")
+        assert code == 1
+
+
 class TestReusedParser:
     @pytest.fixture()
     def calls(self, half_file, tmp_path):

@@ -7,10 +7,10 @@ replaced) entry by entry and in order.  Sides of one comparison may sit
 on different denominators, so the readers (metric, equivalence, ``sat``,
 ``val``) are also held to the oracle routes on such sides, on formulae
 naming actions the system lacks, on weights the layer cannot carry, and
-on silent diamonds.  The layer's two readers, every root's full list and
-its distinct rows over the roots' common denominator, are held to the
-oracle for one to three roots, along with the size guard's order and the
-lists the layer drops.
+on silent diamonds.  The layer's reader of its roots, their distinct rows
+keyed by their items over the roots' common denominator with first
+indices, is held to the oracles for one to three roots, along with the
+size guard's order and the lists the layer drops.
 """
 import math
 import random
@@ -65,6 +65,13 @@ def deduplicated(dists: list) -> tuple[list, list]:
         first.setdefault(dist, index)
     kept = list(first.values())
     return kept, [dists[i] for i in kept]
+
+
+def first_indices(pts, process, weak: bool) -> list[int]:
+    """The index of the first resolution showing each distinct (weak) trace
+    distribution, over ``oracles.enumerate_resolutions``."""
+    spell = tm.weak_trace_distribution if weak else tm.trace_distribution
+    return deduplicated([spell(r) for r in oracles.enumerate_resolutions(pts, process)])[0]
 
 
 def oracle_metric(pts, s, t, weak: bool):
@@ -130,13 +137,18 @@ def test_readers_share_one_denominator_and_keep_the_roots(drawn, data):
     # drops every non-root list of that mode.
     for weak in (first, not first, first):
         expected = [oracles.trace_distributions(pts, root, weak) for root in roots]
-        total, full = layer.lists(weak)
+        total, sides = layer.distinct(weak)
         assert total == math.lcm(*(layer.entries(root, weak).den for root in roots))
-        assert [layer.decode(Entries(total, rows)) for rows in full] == expected
-        distinct_total, sides = layer.distinct(weak)
-        assert distinct_total == total
-        for (kept, rows), dists in zip(sides, expected):
-            assert (kept, layer.decode(Entries(total, rows))) == deduplicated(dists)
+        assert len(sides) == len(roots)
+        for root, (first, rows), dists in zip(roots, sides, expected):
+            entries = layer.entries(root, weak)
+            assert layer.decode(entries) == dists
+            assert list(first) == [frozenset(row.items()) for row in rows]
+            assert (list(first.values()), layer.decode(Entries(total, rows))) == deduplicated(dists)
+            assert list(first.values()) == first_indices(pts, root, weak)
+            if entries.den == total:
+                # A root already over the total hands its own rows.
+                assert all(row is entries.rows[i] for row, i in zip(rows, first.values()))
         for process in set(pts.processes) - set(roots):
             with pytest.raises(KeyError):
                 layer.entries(process, weak)

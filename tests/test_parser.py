@@ -284,9 +284,9 @@ def _scanner_calls(text: str) -> tuple[list[str], tuple]:
     calls: list[str] = []
     original = parser._parse_transition_line
 
-    def recording(scanner, fractions):
+    def recording(scanner):
         calls.append(scanner.text)
-        return original(scanner, fractions)
+        return original(scanner)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(parser, "_parse_transition_line", recording)
