@@ -333,20 +333,14 @@ def _cmd_mimic(args) -> int:
 
 
 def _metric_payload(result: MetricResult) -> dict:
-    payload = {
+    return {
         "value": _frac_json(result.value),
         "dedup": {
             "left": [result.dedup_stats.left_before, result.dedup_stats.left_after],
             "right": [result.dedup_stats.right_before, result.dedup_stats.right_after],
         },
-        "witness": None,
+        "witness": [_resolution_json(r) for r in result.witness],
     }
-    if result.witness is not None:
-        payload["witness"] = [
-            _resolution_json(result.witness[0]),
-            _resolution_json(result.witness[1]),
-        ]
-    return payload
 
 
 def _cmd_metric(args) -> int:
@@ -356,12 +350,11 @@ def _cmd_metric(args) -> int:
 
     def lines():
         yield _frac_text(result.value)
-        if result.witness is not None:
-            left, right = result.witness
-            yield f"witness resolution of {s}:"
-            yield from _resolution_lines(left)
-            yield f"witness resolution of {t}:"
-            yield from _resolution_lines(right)
+        left, right = result.witness
+        yield f"witness resolution of {s}:"
+        yield from _resolution_lines(left)
+        yield f"witness resolution of {t}:"
+        yield from _resolution_lines(right)
         stats = result.dedup_stats
         yield (
             f"resolutions: {s} {stats.left_before}->{stats.left_after} deduped, "
@@ -470,7 +463,9 @@ def _cmd_crosscheck(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument(
+    # The commands that name a process build a trace layer; only they take the cap.
+    capped = _Parser(add_help=False, parents=[common])
+    capped.add_argument(
         "--max-resolutions",
         type=int,
         metavar="N",
@@ -489,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text, *, file=True, process=False, other=False, formula=0, weak=False):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = sub.add_parser(name, parents=[capped if process else common], help=help_text)
         if file:
             p.add_argument("file", help="system description (.pts)")
         if process:

@@ -13,9 +13,10 @@ outcome.
 
 ``logical_distance``, ``sup_val_distance`` and ``crosscheck`` read the
 integer rows of a ``traces.TraceLayer`` rooted at the processes they
-compare: the distinct rows of both, over the layer's common denominator.
+compare: the distinct rows of both, over the layer's ``den``.
 ``real_value`` reads one process's full list and the formula as a row of
-the same layer, both from ``logic.formula_query``.  The
+the same layer, both from ``logic.formula_query``, and scales both to the
+least common multiple of ``layer.den`` and the formula's denominator.  The
 satisfied sets are numbered in a formula table of their own, filled
 through ``tracing_formula`` and ``erase_formula``, so the formula route of
 ``crosscheck`` shares no trace ids with its metric route.  Where the
@@ -36,6 +37,7 @@ mismatch in ``crosscheck`` instead of being repeated on every route.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -44,12 +46,7 @@ from .core import PTS, ProcessId, TraceDistFormula
 from .logic import TraceFormula, erase_formula, formula_query, tracing_formula
 from .resolutions import DEFAULT_MAX_RESOLUTIONS
 from .traces import TraceLayer
-from .transport import (
-    hausdorff_rows,
-    kantorovich_01,
-    nearest_distances,
-    on_common_denominator,
-)
+from .transport import hausdorff_rows, kantorovich_01, nearest_distances
 
 
 def dist_formula_distance(p: TraceDistFormula, q: TraceDistFormula, weak: bool = False) -> Fraction:
@@ -84,8 +81,13 @@ def real_value(
     """
     if not psi.is_probability:
         raise ValueError("total variation requires probability distributions")
-    _, side, psi_den, query = formula_query(pts, s, psi, weak, max_resolutions)
-    total, ([query], rows) = on_common_denominator((psi_den, [query]), side)
+    layer, rows, psi_den, query = formula_query(pts, s, psi, weak, max_resolutions)
+    # The formula row and the process's rows over one denominator.
+    total = math.lcm(layer.den, psi_den)
+    query = {k: w * (total // psi_den) for k, w in query.items()}
+    if total != layer.den:
+        factor = total // layer.den
+        rows = [{k: w * factor for k, w in row.items()} for row in rows]
     return 1 - Fraction(nearest_distances([query], rows, total)[0][0], total)
 
 
@@ -187,9 +189,9 @@ def _satisfied_sets(pts: PTS, s: ProcessId, t: ProcessId, weak: bool, max_resolu
     """The (weak) satisfied sets of the two processes, as rows over one
     formula table (``_formula_sets``), then the layer's denominator."""
     layer = TraceLayer(pts, s, t, max_resolutions=max_resolutions)
-    total, sides = layer.distinct(False)
-    (set_s, weak_set_s), (set_t, weak_set_t) = _formula_sets(layer, [rows for _, rows in sides])
-    return (weak_set_s, weak_set_t, total) if weak else (set_s, set_t, total)
+    sides = [rows for _, rows in layer.distinct(False)]
+    (set_s, weak_set_s), (set_t, weak_set_t) = _formula_sets(layer, sides)
+    return (weak_set_s, weak_set_t, layer.den) if weak else (set_s, set_t, layer.den)
 
 
 def crosscheck(
@@ -201,7 +203,8 @@ def crosscheck(
     # One layer serves every route: the metrics read its strong and weak
     # rows, the formula route its strong rows through a formula table.
     layer = TraceLayer(pts, s, t, max_resolutions=max_resolutions)
-    total, ((_, strong_s), (_, strong_t)) = layer.distinct(False)
+    total = layer.den
+    (_, strong_s), (_, strong_t) = layer.distinct(False)
     (set_s, weak_set_s), (set_t, weak_set_t) = _formula_sets(layer, [strong_s, strong_t])
     strong = _hausdorff_value(strong_s, strong_t, total)
     logical_strong = _hausdorff_value(set_s, set_t, total)
@@ -209,10 +212,9 @@ def crosscheck(
 
     # Where no silent step is reachable the weak rows and sets are the
     # strong ones, so the weak values are the strong passes' results.  Both
-    # modes' lists of a process share its denominator, so the two modes'
-    # rows come over the same total.
+    # modes' rows come over the layer's denominator.
     if layer.silent:
-        _, ((_, weak_s), (_, weak_t)) = layer.distinct(True)
+        (_, weak_s), (_, weak_t) = layer.distinct(True)
         weak = _hausdorff_value(weak_s, weak_t, total)
         logical_weak = _hausdorff_value(weak_set_s, weak_set_t, total)
         supval_weak = _sup_val_value(weak_set_s, weak_set_t, total)

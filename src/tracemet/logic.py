@@ -15,11 +15,13 @@ computable: ``satisfied_set`` sorts the distinct ones.
 
 ``satisfies`` and ``mimicking_formulas`` read the integer rows of a
 ``traces.TraceLayer`` rooted at the process, the full list and the
-distinct rows.  ``formula_query`` is the one reading of a formula against
-a process, shared by ``satisfies`` and ``formula_distance.real_value``: it
-builds the layer and the process's entries, then looks the formula's
-traces up in the layer's trie.  Only the returned formulae are decoded,
-by the layer's ``decode`` spelling each trace through ``tracing_formula``.
+distinct rows, over the layer's ``den``.  ``formula_query`` is the one
+reading of a formula against a process, shared by ``satisfies`` and
+``formula_distance.real_value``: it builds the layer and the process's
+rows, then looks the formula's traces up in the layer's trie, giving the
+formula as a row over its own denominator.  ``satisfies`` scales the
+formula to ``layer.den``.  Only the returned formulae are decoded, by the
+layer's ``decode`` spelling each trace through ``tracing_formula``.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 from .core import Action, PTS, ProcessId, TraceDistFormula
 from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution
-from .traces import Entries, Trace, TraceLayer, tau_erase
+from .traces import Trace, TraceLayer, tau_erase
 
 
 @dataclass(frozen=True, order=True)
@@ -77,8 +79,8 @@ def mimicking_formulas(
     layer decodes each trace id once, so all the formulae share one
     ``TraceFormula`` object per trace (``cli._formula_json`` relies on it)."""
     layer = TraceLayer(pts, process, max_resolutions=max_resolutions)
-    den, [(_, rows)] = layer.distinct(weak)
-    return layer.decode(Entries(den, rows), tracing_formula)
+    [(_, rows)] = layer.distinct(weak)
+    return layer.decode(rows, tracing_formula)
 
 
 def formula_query(
@@ -87,18 +89,18 @@ def formula_query(
     psi: TraceDistFormula,
     weak: bool,
     max_resolutions: int,
-) -> tuple[TraceLayer, Entries, int, dict]:
-    """``(layer, entries, den, row)``: the layer rooted at the process, the
-    process's (weak) entries, and ``psi`` read as a distribution over
-    (weakly: tau-erased) traces, as a row of that layer over ``den``, the
-    least common denominator of its weights.
+) -> tuple[TraceLayer, list[dict], int, dict]:
+    """``(layer, rows, psi_den, row)``: the layer rooted at the process,
+    the process's (weak) rows over ``layer.den``, and ``psi`` read as a
+    distribution over (weakly: tau-erased) traces, as a row of that layer
+    over ``psi_den``, the least common denominator of its weights.
 
-    The entries are built first, as their build fills the trie that
-    ``find`` reads.  A trace the process does not show gets a negative
-    key, so it is shared with no row."""
+    The rows are built first, as their build fills the trie that ``find``
+    reads.  A trace the process does not show gets a negative key, so it
+    is shared with no row."""
     layer = TraceLayer(pts, process, max_resolutions=max_resolutions)
-    entries = layer.entries(process, weak)
-    den = math.lcm(*(w.denominator for _, w in psi.items_sorted))
+    rows = layer.entries(process, weak)
+    psi_den = math.lcm(*(w.denominator for _, w in psi.items_sorted))
     absent: dict = {}
     row: dict = {}
     for phi, weight in psi.items_sorted:
@@ -106,8 +108,8 @@ def formula_query(
         key = layer.find(trace)
         if key is None:
             key = absent.setdefault(trace, -1 - len(absent))
-        row[key] = row.get(key, 0) + weight.numerator * (den // weight.denominator)
-    return layer, entries, den, row
+        row[key] = row.get(key, 0) + weight.numerator * (psi_den // weight.denominator)
+    return layer, rows, psi_den, row
 
 
 def satisfied_set(
@@ -139,13 +141,13 @@ def satisfies(
     """
     if not psi.is_probability:
         raise ValueError("formula weights must sum to 1")
-    layer, (den, rows), psi_den, psi_row = formula_query(pts, process, psi, weak, max_resolutions)
-    # psi is scaled to the rows' denominator, so no row is rescaled.  A
+    layer, rows, psi_den, psi_row = formula_query(pts, process, psi, weak, max_resolutions)
+    # psi is scaled to the layer's denominator, so no row is rescaled.  A
     # trace the process never shows, or a weight (weakly: after merging)
-    # that is not a multiple of 1/den, rules out every resolution.
+    # that is not a multiple of 1/layer.den, rules out every resolution.
     wanted = {}
     for key, w in psi_row.items():
-        scaled, rest = divmod(w * den, psi_den)
+        scaled, rest = divmod(w * layer.den, psi_den)
         if rest or key < 0:
             return False, None
         wanted[key] = scaled

@@ -6,7 +6,7 @@ tau-erased traces).  Lifting that distance over the full resolution sets
 with the Hausdorff max-min gives the metric over processes; its kernel is
 the corresponding trace equivalence.  Both read one ``traces.TraceLayer``
 per call, rooted at the two processes, so the trace ids of the two sides
-agree and their distinct rows come over one denominator: the metric
+agree and their distinct rows come over the layer's ``den``: the metric
 reads the rows ``distinct`` returns, the equivalence their keys.  No trace
 or distribution object is built, and a witness resolution is built only
 for the pair or the resolution that is returned, off the layer's
@@ -41,7 +41,7 @@ class MetricResult:
     """
 
     value: Fraction
-    witness: "tuple[Resolution, Resolution] | None"
+    witness: "tuple[Resolution, Resolution]"
     dedup_stats: DedupStats
 
 
@@ -53,14 +53,14 @@ def _trace_metric(
     max_resolutions: int,
 ) -> MetricResult:
     layer = TraceLayer(pts, s, t, max_resolutions=max_resolutions)
-    total, ((first_s, rows_s), (first_t, rows_t)) = layer.distinct(weak)
+    (first_s, rows_s), (first_t, rows_t) = layer.distinct(weak)
     kept_s, kept_t = list(first_s.values()), list(first_t.values())
     # Neither list is empty (the halting resolution is always first), so
     # there is always a witness pair.
-    d, i, j = hausdorff_rows(rows_s, rows_t, total)
+    d, i, j = hausdorff_rows(rows_s, rows_t, layer.den)
     witness = (layer.resolution(s, kept_s[i]), layer.resolution(t, kept_t[j]))
     stats = DedupStats(layer.count(s), len(kept_s), layer.count(t), len(kept_t))
-    return MetricResult(Fraction(d, total), witness, stats)
+    return MetricResult(Fraction(d, layer.den), witness, stats)
 
 
 def strong_trace_metric(
@@ -130,7 +130,7 @@ def find_distinguishing_resolution(
     the first distinct row the other side lacks.  Only it is built.
     """
     layer = TraceLayer(pts, s, t, max_resolutions=max_resolutions)
-    _, ((first_s, _), (first_t, _)) = layer.distinct(weak)
+    (first_s, _), (first_t, _) = layer.distinct(weak)
     for p, first, others in ((s, first_s, first_t), (t, first_t, first_s)):
         for key, index in first.items():
             if key not in others:

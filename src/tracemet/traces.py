@@ -15,13 +15,14 @@ bottom-up from those of the processes they reach, with no resolution
 built.  It is kept as integers.  Traces are interned in a trie, one per
 layer: id 0 is the empty trace and every other id stands for one (action,
 tail id) pair, keyed by the action's name.  A process's list holds one
-``{trace id: weight}`` row per resolution, all over one denominator of
-that process.  ``entries`` hands one root's full list, for the readers of
-one process (``sat``, ``val``, ``trace_distributions``); ``distinct``
-hands every root's distinct rows over one common denominator
-(``on_common_denominator``), each keyed by its items with the index of
-the resolution that first shows it.  Trace tuples and ``Dist`` objects
-are decoded only for output: ``decode`` spells each id of a list once,
+``{trace id: weight}`` row per resolution, all over the least denominator
+of that process, which the layer alone computes; every row it hands out
+is over ``TraceLayer.den``, the least common multiple of its roots'.
+``entries`` hands one root's full list, for the readers of one process
+(``sat``, ``val``, ``trace_distributions``); ``distinct`` hands every
+root's distinct rows, each keyed by its items with the index of the
+resolution that first shows it.  Trace tuples and ``Dist`` objects are
+decoded only for output: ``decode`` spells each id of a list once,
 ``trace`` one id.
 ``trace_distribution`` reads one resolution, for the resolutions a command
 prints, in one pass over its preorder ``(parent, process, choice)`` nodes:
@@ -35,15 +36,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Hashable, NamedTuple
+from typing import Callable, Hashable
 
 from .core import PTS, Action, Dist, ProcessId, TraceDistribution
 from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution, SizeGuardExceeded
 from .resolutions import _resolution_counts, _resolution_from
-from .transport import on_common_denominator
 
 Trace = tuple[Action, ...]
 EPSILON: Trace = ()
+Rows = list[dict[int, int]]  # {trace id: weight} rows over one denominator
 
 
 def trace_distribution(resolution: Resolution) -> TraceDistribution:
@@ -85,15 +86,6 @@ def weak_trace_distribution(resolution: Resolution) -> TraceDistribution:
     return trace_distribution(resolution).pushforward(tau_erase)
 
 
-class Entries(NamedTuple):
-    """One process's list in the layer: row ``{id: w}`` gives the trace with
-    that id probability ``w / den``.  Rows may be shared between lists and
-    are never modified."""
-
-    den: int
-    rows: list[dict[int, int]]
-
-
 class TraceLayer:
     """The integer trace-distribution layer of one call's roots.
 
@@ -101,16 +93,22 @@ class TraceLayer:
     one process it reads.  The resolution counts of every process they
     reach come from one walk, in post-order: the size guard (each root in
     the given order), the build and every witness (``resolution``) read
-    that table.  Per mode, strong or weak, every reachable list is built
-    once, in that order, so trace ids agree across everything the layer
-    returns, and a non-root list is dropped once the last process that
-    reads it has been built.  ``silent`` tells whether a silent transition
-    is reachable from the roots; where it is not, the weak lists are the
-    strong ones and are never built.  ``len(layer)`` is the number of
-    interned trace ids.
+    that table.  One pass over it, in the same order, gives every
+    reachable list's least denominator and tells whether a silent
+    transition is reachable (``silent``); where none is, the weak lists
+    are the strong ones and are never built.  ``den`` is the least common
+    multiple of the roots' denominators, and every row the layer hands out
+    is over it.  Per mode, strong or weak, every reachable list is built
+    once, in post-order, over its own denominator, so trace ids agree
+    across everything the layer returns; a non-root list is dropped once
+    the last process that reads it has been built, and a root's list is
+    scaled to ``den``, once, when the build hands it back.
     """
 
-    __slots__ = ("pts", "roots", "actions", "tails", "_children", "_lists", "_counts", "_silent")
+    __slots__ = (
+        "pts", "roots", "den", "actions", "tails", "_children", "_lists", "_counts", "_dens",
+        "_silent",
+    )
 
     def __init__(
         self, pts: PTS, *roots: ProcessId, max_resolutions: int = DEFAULT_MAX_RESOLUTIONS
@@ -121,24 +119,38 @@ class TraceLayer:
         self.actions: list[Action | None] = [None]
         self.tails: list[int] = [0]
         self._children: dict[str, dict[int, int]] = {}
-        self._lists: dict[bool, dict[ProcessId, Entries]] = {}
+        self._lists: dict[bool, dict[ProcessId, Rows]] = {}
         self._counts = _resolution_counts(pts, *roots)
         for root in roots:
             if self._counts[root] > max_resolutions:
                 raise SizeGuardExceeded(self._counts[root], max_resolutions, root)
-        self._silent = any(row.action.is_tau for p in self._counts for row in pts.transitions_of(p))
-
-    def __len__(self) -> int:
-        return len(self.tails)
+        dens: dict[ProcessId, int] = {}
+        silent = False
+        for p in self._counts:  # keyed in post-order
+            transitions = pts.transitions_of(p)
+            silent = silent or any(row.action.is_tau for row in transitions)
+            dens[p] = math.lcm(
+                1,
+                *(
+                    step.denominator * dens[q]
+                    for row in transitions
+                    for q, step in row.target.items_sorted
+                ),
+            )
+        self._dens = dens
+        self._silent = silent
+        self.den = math.lcm(*(dens[root] for root in roots))
 
     @property
     def silent(self) -> bool:
         """Whether a silent transition is reachable from the roots."""
         return self._silent
 
-    def entries(self, root: ProcessId, weak: bool = False) -> Entries:
+    def entries(self, root: ProcessId, weak: bool = False) -> Rows:
         """The (weak) trace distribution of every resolution of ``root``,
-        in the canonical order of ``resolution_at``.
+        in the canonical order of ``resolution_at``, as rows over ``den``:
+        row ``{id: w}`` gives the trace with that id probability
+        ``w / den``.  Rows may be shared and are never modified.
 
         A process's list is the halting scheduler's point mass on the empty
         trace, then, per transition, one row for every combination of one
@@ -153,21 +165,19 @@ class TraceLayer:
             lists = self._lists[weak] = self._build_all(weak)
         return lists[root]
 
-    def distinct(self, weak: bool = False) -> tuple[int, list[tuple[dict, list[dict]]]]:
-        """Every root's distinct rows over the least common denominator of
-        the roots' lists, which is returned with them.  Per root, a dict
-        from each distinct row's key, ``frozenset(row.items())``, to the
-        index of the first resolution that shows it, and the rows, both in
-        order of first index.  A root already over that denominator hands
-        its rows as they are."""
-        total, sides = on_common_denominator(*(self.entries(root, weak) for root in self.roots))
+    def distinct(self, weak: bool = False) -> list[tuple[dict, list[dict]]]:
+        """Every root's distinct rows, over ``den``: per root, a dict from
+        each distinct row's key, ``frozenset(row.items())``, to the index
+        of the first resolution that shows it, and the rows, both in order
+        of first index."""
         out = []
-        for rows in sides:
+        for root in self.roots:
+            rows = self.entries(root, weak)
             first: dict = {}
             for index, row in enumerate(rows):
                 first.setdefault(frozenset(row.items()), index)
             out.append((first, [rows[i] for i in first.values()]))
-        return total, out
+        return out
 
     def count(self, process: ProcessId) -> int:
         """The number of resolutions of ``process``, off the count table."""
@@ -177,9 +187,10 @@ class TraceLayer:
         """``resolution_at(pts, process, index)``, off the same table."""
         return _resolution_from(self.pts, process, index, self._counts)
 
-    def _build_all(self, weak: bool) -> dict[ProcessId, Entries]:
-        """The roots' (weak) lists, building every reachable list in
-        post-order and dropping each non-root one after its last reader."""
+    def _build_all(self, weak: bool) -> dict[ProcessId, Rows]:
+        """The roots' (weak) lists over ``den``, building every reachable
+        list in post-order and dropping each non-root one after its last
+        reader."""
         transitions_of = self.pts.transitions_of
         last_reader = {
             q: p for p in self._counts for row in transitions_of(p) for q in row.target.support
@@ -188,41 +199,40 @@ class TraceLayer:
         for q, p in last_reader.items():
             if q not in self.roots:
                 dying.setdefault(p, []).append(q)
-        lists: dict[ProcessId, Entries] = {}
+        lists: dict[ProcessId, Rows] = {}
         for p in self._counts:  # keyed in post-order
             lists[p] = self._build(p, weak, lists)
             for q in dying.get(p, ()):
                 del lists[q]
-        return {root: lists[root] for root in self.roots}
+        roots = {}
+        for root in self.roots:
+            rows, factor = lists[root], self.den // self._dens[root]
+            roots[root] = rows if factor == 1 else [
+                {k: w * factor for k, w in row.items()} for row in rows
+            ]
+        return roots
 
-    def _build(self, p: ProcessId, weak: bool, lists: dict[ProcessId, Entries]) -> Entries:
-        transitions = self.pts.transitions_of(p)
-        den = math.lcm(
-            1,
-            *(
-                step.denominator * lists[q].den
-                for row in transitions
-                for q, step in row.target.items_sorted
-            ),
-        )
+    def _build(self, p: ProcessId, weak: bool, lists: dict[ProcessId, Rows]) -> Rows:
+        dens = self._dens
+        den = dens[p]
         out = [{0: den}]
-        for row in transitions:
+        for row in self.pts.transitions_of(p):
             silent = weak and row.action.is_tau
             parts = []
             for q, step in row.target.items_sorted:
                 sub = lists[q]
-                factor = step.numerator * (den // (step.denominator * sub.den))
+                factor = step.numerator * (den // (step.denominator * dens[q]))
                 if silent:
-                    parts.append([{k: w * factor for k, w in r.items()} for r in sub.rows])
+                    parts.append([{k: w * factor for k, w in r.items()} for r in sub])
                 else:
-                    parts.append(self._prefixed(row.action, sub.rows, factor))
+                    parts.append(self._prefixed(row.action, sub, factor))
             for first, *rest in product(*parts):
                 acc = first.copy()
                 for part in rest:
                     for k, w in part.items():
                         acc[k] = acc[k] + w if k in acc else w
                 out.append(acc)
-        return Entries(den, out)
+        return out
 
     def _prefixed(self, action: Action, rows: list[dict], factor: int) -> list[dict]:
         """``rows`` with ``action`` prepended to every trace and every weight
@@ -263,19 +273,19 @@ class TraceLayer:
             tid = self.tails[tid]
         return tuple(out)
 
-    def decode(self, entries: Entries, spell: Callable[[Trace], Hashable] = tuple) -> list[Dist]:
-        """The rows as distributions over ``spell`` of their traces (by
-        default the trace tuples), each distinct id decoded and spelled
+    def decode(self, rows: Rows, spell: Callable[[Trace], Hashable] = tuple) -> list[Dist]:
+        """Rows over ``den`` as distributions over ``spell`` of their traces
+        (by default the trace tuples), each distinct id decoded and spelled
         once, so every row that shows a trace holds the same key object."""
         spelled: dict[int, Hashable] = {}
         out = []
-        for r in entries.rows:
+        for r in rows:
             pairs = {}
             for k, w in r.items():
                 key = spelled.get(k)
                 if key is None:
                     key = spelled[k] = spell(self.trace(k))
-                pairs[key] = Fraction(w, entries.den)
+                pairs[key] = Fraction(w, self.den)
             out.append(Dist(pairs))
         return out
 

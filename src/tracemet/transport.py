@@ -15,15 +15,16 @@ real-valued semantics.  A row is a dict from small-int keys to int
 weights, and a set of rows shares one denominator ``total``, so the inner
 loops run on Python ints and each result becomes one ``Fraction`` at the
 end.  ``hausdorff_rows`` is the max-min and ``nearest_distances`` the
-exact nearest-row distances of two sets in both directions.  The trace
-layer (``traces.TraceLayer``) hands its roots' rows to the kernel
-directly, over one common denominator; ``on_common_denominator`` is the
-one scaler of rows to one, for the layer's roots and for ``real_value``'s
-formula row and process list.
+exact nearest-row distances of two sets in both directions.  The kernel
+takes its callers' denominator as given: the trace layer
+(``traces.TraceLayer``) hands its roots' rows over ``TraceLayer.den``.
 
 The max-min indexes each side twice: by whole row, so a row that also
 occurs on the other side is at distance 0 without a scan, and by key, so
-rows with disjoint supports (distance 1) are never compared.  It stops
+rows with disjoint supports (distance 1) are never compared.  Both sides'
+indexes are built up front, and each row is hashed once, into the
+whole-row key that its own side's index keeps and the other side's looks
+up.  It stops
 scanning a row as soon as the row can no longer change the value or the
 witness, and before scanning it first tries the row at the same position
 on the other side, which on two processes of similar shape usually ends
@@ -44,7 +45,6 @@ computes optimal transport plans for any nonnegative ground cost.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable
 
@@ -102,22 +102,24 @@ def _shared(weights, other: dict) -> int:
 
 
 class _Index:
-    """One side of a max-min pass: its integer rows, the first index of
-    each distinct row, and for each key the indices of the rows that
-    carry it."""
+    """One side of a max-min pass: its integer rows, each row's whole-row
+    key, the first index of each distinct row, and for each key the
+    indices of the rows that carry it."""
 
-    __slots__ = ("rows", "first", "postings")
+    __slots__ = ("rows", "keys", "first", "postings")
 
     def __init__(self, rows: list[dict]):
         self.rows = rows
+        self.keys = [frozenset(row.items()) for row in rows]
         self.first: dict = {}
-        for j, row in enumerate(rows):
-            self.first.setdefault(frozenset(row.items()), j)
+        for j, key in enumerate(self.keys):
+            self.first.setdefault(key, j)
         self.postings = _postings(rows)
 
-    def nearest(self, row: dict, total: int, stop: int, hint: int) -> tuple[int, int]:
-        """TV distance from ``row`` to its nearest row here, in units of
-        ``1/total``, and the first index attaining it.
+    def nearest(self, row: dict, key, total: int, stop: int, hint: int) -> tuple[int, int]:
+        """TV distance from ``row``, whose whole-row key is ``key``, to its
+        nearest row here, in units of ``1/total``, and the first index
+        attaining it.
 
         When ``stop`` is nonnegative the row at ``hint`` is tried first, and
         returned if it is within ``stop``; otherwise the scan below runs
@@ -131,7 +133,7 @@ class _Index:
             d = total - _shared(weights, self.rows[hint])
             if d <= stop:
                 return d, hint
-        j = self.first.get(frozenset(weights))
+        j = self.first.get(key)
         if j is not None:
             return 0, j
         candidates: set = set()
@@ -153,8 +155,8 @@ class _Index:
         return best, at
 
 
-def _directed(rows: list[dict], index: _Index, total: int, floor: int) -> tuple[int, int, int]:
-    """Directed max-min from ``rows`` to ``index``: (distance, row, column),
+def _directed(side: _Index, index: _Index, total: int, floor: int) -> tuple[int, int, int]:
+    """Directed max-min from ``side``'s rows to ``index``: (distance, row, column),
     first row then first column attaining it.  Exact when the distance
     exceeds ``floor``; otherwise only known to be at most ``floor``.
 
@@ -166,8 +168,8 @@ def _directed(rows: list[dict], index: _Index, total: int, floor: int) -> tuple[
     """
     best, i_at, j_at = -1, 0, 0
     last = len(index.rows) - 1
-    for i, row in enumerate(rows):
-        d, j = index.nearest(row, total, max(best, floor), min(i, last))
+    for i, (row, key) in enumerate(zip(side.rows, side.keys)):
+        d, j = index.nearest(row, key, total, max(best, floor), min(i, last))
         if d > best:
             best, i_at, j_at = d, i, j
     return best, i_at, j_at
@@ -181,9 +183,10 @@ def hausdorff_rows(rows_a: list[dict], rows_b: list[dict], total: int) -> tuple[
     order realizing the value; the first set wins ties between the two
     directions.
     """
-    d_ab, i_ab, j_ab = _directed(rows_a, _Index(rows_b), total, -1)
+    index_a, index_b = _Index(rows_a), _Index(rows_b)
+    d_ab, i_ab, j_ab = _directed(index_a, index_b, total, -1)
     # The B->A direction only matters where it beats A->B outright.
-    d_ba, j_ba, i_ba = _directed(rows_b, _Index(rows_a), total, d_ab)
+    d_ba, j_ba, i_ba = _directed(index_b, index_a, total, d_ab)
     if d_ab >= d_ba:
         return d_ab, i_ab, j_ab
     return d_ba, i_ba, j_ba
@@ -227,16 +230,3 @@ def nearest_distances(
         to_b[i] = best
     return to_b, to_a
 
-
-def on_common_denominator(*sides: tuple[int, list[dict]]) -> tuple[int, list[list[dict]]]:
-    """Rows given as (denominator, rows) per side, such as the layer's
-    ``Entries``, scaled to the least common denominator, which is returned
-    with them.  A side already over it is returned as it is."""
-    total = math.lcm(*(den for den, _ in sides))
-    scaled = []
-    for den, rows in sides:
-        if den != total:
-            factor = total // den
-            rows = [{k: w * factor for k, w in row.items()} for row in rows]
-        scaled.append(rows)
-    return total, scaled

@@ -329,6 +329,18 @@ class TestGuardsAndErrors:
         assert (code, out) == (1, "")
         assert err == "--max-resolutions must not be negative, got -1\n"
 
+    @pytest.mark.parametrize("command", [
+        ["validate", "{file}"],
+        ["fdist", "-f1", "1 <a>T", "-f2", "1 T"],
+    ])
+    @pytest.mark.parametrize("cap", ["-1", "3"])
+    def test_commands_that_build_no_layer_take_no_cap(self, capsys, half_file, command, cap):
+        argv = [half_file if arg == "{file}" else arg for arg in command]
+        assert run(capsys, *argv)[0] == 0
+        code, out, err = run(capsys, *argv, "--max-resolutions", cap)
+        assert (code, out) == (1, "")
+        assert err == f"tracemet: unrecognized arguments: --max-resolutions {cap}\n"
+
     def test_zero_cap_flag_is_answered_by_the_guard(self, capsys, half_file):
         # A zero cap is valid: it admits no process, so the guard answers.
         code, out, err = run(capsys, "mimic", half_file, "-p", "s", "--max-resolutions", "0")

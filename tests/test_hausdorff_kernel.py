@@ -15,6 +15,8 @@ import oracles
 import tracemet as tm
 from conftest import dist
 from genpts import random_case, random_formula
+from test_trace_layer import ladder
+from tracemet.traces import TraceLayer
 
 FIRST_LETTER = lambda s: s[0]
 
@@ -116,6 +118,25 @@ class TestFormulaSets:
         with pytest.raises(ValueError):
             sup_val([{0: 1}], [], 1)
         assert sup_val([], [], 1) == 0
+
+
+def test_each_row_is_hashed_once_per_pass(monkeypatch):
+    # r0 is x0 with its two transitions swapped, so the same-position hint
+    # misses and rows reach the whole-row lookup, which reads the key the
+    # query row's own side built.
+    pts = tm.parse_pts(tm.print_pts(ladder(3)) + "\nr0 -b-> 1 x1\nr0 -a-> 1/2 x1, 1/2 y1\n")
+    layer = TraceLayer(pts, "x0", "r0")
+    (_, rows_a), (_, rows_b) = layer.distinct()
+    expected = tm.transport.hausdorff_rows(rows_a, rows_b, layer.den)
+    calls = []
+
+    def counting(items):
+        calls.append(None)
+        return frozenset(items)
+
+    monkeypatch.setattr(tm.transport, "frozenset", counting, raising=False)
+    assert tm.transport.hausdorff_rows(rows_a, rows_b, layer.den) == expected
+    assert len(calls) == len(rows_a) + len(rows_b) == 102
 
 
 class TestHandBuilt:

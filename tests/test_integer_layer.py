@@ -1,16 +1,17 @@
 """The integer trace-distribution layer against the tuple-based builder.
 
 ``tracemet.traces.TraceLayer`` keeps each process's list as integer rows
-over one denominator per process, with traces interned in a trie.  Its
-decoded lists must equal ``oracles.trace_distributions`` (the builder it
-replaced) entry by entry and in order.  Sides of one comparison may sit
-on different denominators, so the readers (metric, equivalence, ``sat``,
-``val``) are also held to the oracle routes on such sides, on formulae
-naming actions the system lacks, on weights the layer cannot carry, and
-on silent diamonds.  The layer's reader of its roots, their distinct rows
-keyed by their items over the roots' common denominator with first
-indices, is held to the oracles for one to three roots, along with the
-size guard's order and the lists the layer drops.
+over one denominator per process, with traces interned in a trie, and
+hands its roots' rows over ``layer.den``, the least common multiple of
+theirs.  Its decoded lists must equal ``oracles.trace_distributions`` (the
+builder it replaced) entry by entry and in order.  Roots of one layer may
+sit on different denominators, so the readers (metric, equivalence,
+``sat``, ``val``, ``crosscheck``) are also held to the oracle routes on
+such roots, on formulae naming actions the system lacks, on weights the
+layer cannot carry, and on silent diamonds.  The layer's reader of its
+roots, their distinct rows keyed by their items with first indices, is
+held to the oracles for one to three roots, along with the size guard's
+order and the lists the layer drops.
 """
 import math
 import random
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 import oracles
 import tracemet as tm
 from genpts import random_pts, with_tau_prefix
-from tracemet.traces import Entries, TraceLayer
+from tracemet.traces import TraceLayer
 
 DENOMINATORS = (3, 5, 61)
 
@@ -83,11 +84,15 @@ def oracle_metric(pts, s, t, weak: bool):
     return value, (tm.resolution_at(pts, s, kept_s[i]), tm.resolution_at(pts, t, kept_t[j]))
 
 
-def oracle_value(pts, process, psi, weak: bool) -> Fraction:
+def oracle_satisfied_set(pts, process) -> list:
     formulas = {oracles.TOP_DIST} | {
         d.pushforward(tm.tracing_formula) for d in oracles.trace_distributions(pts, process)
     }
-    return 1 - oracles.distance_to_set(psi, sorted(formulas, key=tm.logic.formula_sort_key), weak)
+    return sorted(formulas, key=tm.logic.formula_sort_key)
+
+
+def oracle_value(pts, process, psi, weak: bool) -> Fraction:
+    return 1 - oracles.distance_to_set(psi, oracle_satisfied_set(pts, process), weak)
 
 
 def oracle_sat(pts, process, psi, weak: bool):
@@ -117,6 +122,18 @@ def test_decoded_layer_equals_the_tuple_builder(drawn):
     check_readers(pts, processes[0], processes[1])
 
 
+class RecordingLayer(TraceLayer):
+    """A layer that keeps every list its build returns, by (process, mode)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.built: dict = {}
+
+    def _build(self, p, weak, lists):
+        rows = self.built[p, weak] = super()._build(p, weak, lists)
+        return rows
+
+
 @settings(max_examples=80, deadline=None)
 @given(mixed_denominator_systems(), st.data())
 def test_readers_share_one_denominator_and_keep_the_roots(drawn, data):
@@ -131,24 +148,27 @@ def test_readers_share_one_denominator_and_keep_the_roots(drawn, data):
             TraceLayer(pts, *roots, max_resolutions=cap)
         assert (raised.value.process, raised.value.count, raised.value.limit) == (*over[0], cap)
         return
-    layer = TraceLayer(pts, *roots, max_resolutions=cap)
+    layer = RecordingLayer(pts, *roots, max_resolutions=cap)
     first = data.draw(st.booleans())
     # The first mode is read again after the second mode's build, which
     # drops every non-root list of that mode.
     for weak in (first, not first, first):
         expected = [oracles.trace_distributions(pts, root, weak) for root in roots]
-        total, sides = layer.distinct(weak)
-        assert total == math.lcm(*(layer.entries(root, weak).den for root in roots))
+        sides = layer.distinct(weak)
+        assert layer.den == math.lcm(*(TraceLayer(pts, root).den for root in roots))
         assert len(sides) == len(roots)
         for root, (first, rows), dists in zip(roots, sides, expected):
             entries = layer.entries(root, weak)
+            assert all(sum(row.values()) == layer.den for row in entries)
             assert layer.decode(entries) == dists
             assert list(first) == [frozenset(row.items()) for row in rows]
-            assert (list(first.values()), layer.decode(Entries(total, rows))) == deduplicated(dists)
+            assert (list(first.values()), layer.decode(rows)) == deduplicated(dists)
             assert list(first.values()) == first_indices(pts, root, weak)
-            if entries.den == total:
-                # A root already over the total hands its own rows.
-                assert all(row is entries.rows[i] for row, i in zip(rows, first.values()))
+            assert all(row is entries[i] for row, i in zip(rows, first.values()))
+            # A root already over layer.den hands its own rows; any other
+            # is scaled once, when the build hands it back.
+            own = layer.built[root, weak and layer.silent]
+            assert (entries is own) == (TraceLayer(pts, root).den == layer.den)
         for process in set(pts.processes) - set(roots):
             with pytest.raises(KeyError):
                 layer.entries(process, weak)
@@ -181,11 +201,12 @@ def formula(text: str) -> tm.TraceDistFormula:
 
 class TestDifferentDenominators:
     def test_dens_differ_and_entries_are_shared(self):
+        assert (TraceLayer(EDGE, "s").den, TraceLayer(EDGE, "t").den) == (2, 6)
         layer = TraceLayer(EDGE, "s", "t")
+        assert layer.den == 6
         side_s, side_t = layer.entries("s"), layer.entries("t")
-        assert (side_s.den, side_t.den) == (2, 6)
-        scaled = [{k: w * 3 for k, w in row.items()} for row in side_s.rows]
-        assert scaled == side_t.rows[: len(scaled)]
+        # s's list is scaled from halves to sixths: the first rows of t's.
+        assert side_s == side_t[: len(side_s)]
 
     def test_metric_and_equivalence_against_oracles(self):
         for s, t in (("s", "t"), ("s", "v"), ("t", "v"), ("u", "t")):
@@ -194,13 +215,55 @@ class TestDifferentDenominators:
     def test_equal_sets_over_different_denominators(self):
         # f's b-step splits 1/3, 2/3 over two terminal states, so its list
         # is over sixths while e's is over halves; the sets are equal.
-        layer = TraceLayer(EDGE, "e", "f")
-        assert (layer.entries("e").den, layer.entries("f").den) == (2, 6)
+        assert (TraceLayer(EDGE, "e").den, TraceLayer(EDGE, "f").den) == (2, 6)
+        assert TraceLayer(EDGE, "e", "f").den == 6
         for weak in (False, True):
             assert tm.find_distinguishing_resolution(EDGE, "e", "f", weak) is None
             metric = tm.weak_trace_metric if weak else tm.strong_trace_metric
             assert metric(EDGE, "e", "f").value == 0
         check_readers(EDGE, "e", "f")
+
+
+# q's list is over halves and p reaches q through a 1/3 step, so p's list
+# is over sixths: q's rows are scaled when handed back, and p's build reads
+# them over halves.  The silent step gives the weak lists builds of their
+# own.
+THIRDS = tm.parse_pts(
+    """
+p -a-> 1/3 q, 2/3 y
+p -b-> 1/2 x, 1/2 y
+q -b-> 1/2 x, 1/2 y
+q -a-> 1 y
+x -c-> 1 nil
+y -d-> 1 nil
+y -tau-> 1 x
+"""
+)
+
+
+@pytest.mark.parametrize("s, t", [("p", "q"), ("q", "p")])
+def test_root_reached_by_the_other_through_a_third(s, t):
+    layer = TraceLayer(THIRDS, s, t)
+    assert (TraceLayer(THIRDS, "q").den, layer.den) == (2, 6)
+    for weak in (False, True):
+        for root in (s, t):
+            rows = layer.entries(root, weak)
+            assert all(sum(row.values()) == layer.den for row in rows)
+            assert layer.decode(rows) == oracles.trace_distributions(THIRDS, root, weak)
+    check_readers(THIRDS, s, t)
+    report = tm.crosscheck(THIRDS, s, t)
+    set_s, set_t = oracle_satisfied_set(THIRDS, s), oracle_satisfied_set(THIRDS, t)
+    for weak, metric, logical, sup_val in (
+        (False, report.strong_metric, report.logical_distance, report.sup_val_distance),
+        (True, report.weak_metric, report.weak_logical_distance, report.weak_sup_val_distance),
+    ):
+        tv = oracles.formula_metric(weak)
+        assert metric == oracle_metric(THIRDS, s, t, weak)[0]
+        assert logical == oracles.hausdorff(
+            set_s, set_t, lambda a, b: oracles.tv_distance(a, b, tv)
+        )
+        assert sup_val == oracles.sup_val_over(set_s, set_t, weak)
+    assert report.all_equal and 0 < report.strong_metric < 1
 
 
 SAT_CASES = [
@@ -269,13 +332,13 @@ def test_chain_interns_one_id_per_trace():
     assert tm.strong_trace_metric(pts, "c0", "c1").value == 1
     layer = TraceLayer(pts, "c0", "c1")
     side = layer.entries("c0")
-    assert len(layer) == 201
-    assert side.den == 1 and len(side.rows) == 201
-    assert [layer.trace(k) for row in side.rows for k in row] == [
+    assert len(layer.tails) == 201
+    assert layer.den == 1 and len(side) == 201
+    assert [layer.trace(k) for row in side for k in row] == [
         (tm.Action("a"),) * n for n in range(201)
     ]
-    assert len(layer.entries("c1").rows) == 200
-    assert len(layer) == 201
+    assert len(layer.entries("c1")) == 200
+    assert len(layer.tails) == 201
 
 
 @pytest.mark.parametrize("query, limit_mib", [
@@ -300,17 +363,17 @@ def test_chain_keeps_the_roots_lists_only(query, limit_mib):
 def test_silent_steps_keep_trace_ids():
     pts = tm.PTS.build({f"c{i}": [("tau", {f"c{i + 1}": 1})] for i in range(50)})
     layer = TraceLayer(pts, "c0")
-    assert layer.entries("c0", weak=True).rows == [{0: 1}] * 51
-    assert len(layer) == 1
+    assert layer.entries("c0", weak=True) == [{0: 1}] * 51
+    assert len(layer.tails) == 1
     layer.entries("c0")
-    assert len(layer) == 51
+    assert len(layer.tails) == 51
 
 
 def test_one_trie_serves_both_sides_and_modes():
     layer = TraceLayer(EDGE, "v", "t", "u")
     sides = [layer.entries(p, weak) for weak in (False, True) for p in ("v", "t", "u")]
     for side in sides:
-        for row in side.rows:
+        for row in side:
             for k in row:
                 assert layer.find(layer.trace(k)) == k
     assert layer.find((tm.Action("q"),)) is None
