@@ -13,7 +13,10 @@ outcome.
 
 ``logical_distance``, ``sup_val_distance`` and ``crosscheck`` read the
 integer rows of a ``traces.TraceLayer`` rooted at the processes they
-compare: the distinct rows of both, over the layer's ``den``.
+compare: the distinct rows of both, over the layer's ``den``.  Every
+max-min goes through ``_hausdorff_value``, on two sides as
+``transport.distinct_rows`` returns them: the layer's distinct sides as
+they are, or each satisfied set passed through ``distinct_rows``.
 ``real_value`` reads one process's full list and the formula as a row of
 the same layer, both from ``logic.formula_query``, and scales both to the
 least common multiple of ``layer.den`` and the formula's denominator.  The
@@ -46,7 +49,7 @@ from .core import PTS, ProcessId, TraceDistFormula
 from .logic import TraceFormula, erase_formula, formula_query, tracing_formula
 from .resolutions import DEFAULT_MAX_RESOLUTIONS
 from .traces import TraceLayer
-from .transport import hausdorff_rows, kantorovich_01, nearest_distances
+from .transport import Side, distinct_rows, hausdorff_rows, kantorovich_01, nearest_distances
 
 
 def dist_formula_distance(p: TraceDistFormula, q: TraceDistFormula, weak: bool = False) -> Fraction:
@@ -62,7 +65,8 @@ def logical_distance(
     max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
 ) -> Fraction:
     """Hausdorff distance between the satisfied-formula sets of two processes."""
-    return _hausdorff_value(*_satisfied_sets(pts, s, t, weak, max_resolutions))
+    set_s, set_t, total = _satisfied_sets(pts, s, t, weak, max_resolutions)
+    return _hausdorff_value(distinct_rows(set_s), distinct_rows(set_t), total)
 
 
 def real_value(
@@ -170,8 +174,8 @@ def _formula_sets(layer: TraceLayer, sides: list[list[dict]]) -> list[tuple[list
     return out
 
 
-def _hausdorff_value(rows_a: list[dict], rows_b: list[dict], total: int) -> Fraction:
-    return Fraction(hausdorff_rows(rows_a, rows_b, total)[0], total)
+def _hausdorff_value(side_a: Side, side_b: Side, total: int) -> Fraction:
+    return Fraction(hausdorff_rows(side_a, side_b, total)[0], total)
 
 
 def _sup_val_value(rows_a: list[dict], rows_b: list[dict], total: int) -> Fraction:
@@ -204,19 +208,19 @@ def crosscheck(
     # rows, the formula route its strong rows through a formula table.
     layer = TraceLayer(pts, s, t, max_resolutions=max_resolutions)
     total = layer.den
-    (_, strong_s), (_, strong_t) = layer.distinct(False)
-    (set_s, weak_set_s), (set_t, weak_set_t) = _formula_sets(layer, [strong_s, strong_t])
-    strong = _hausdorff_value(strong_s, strong_t, total)
-    logical_strong = _hausdorff_value(set_s, set_t, total)
+    sides = layer.distinct(False)
+    strong = _hausdorff_value(*sides, total)
+    sides = [rows for _, rows in sides]  # no row key lives across the formula table
+    (set_s, weak_set_s), (set_t, weak_set_t) = _formula_sets(layer, sides)
+    logical_strong = _hausdorff_value(distinct_rows(set_s), distinct_rows(set_t), total)
     supval_strong = _sup_val_value(set_s, set_t, total)
 
     # Where no silent step is reachable the weak rows and sets are the
     # strong ones, so the weak values are the strong passes' results.  Both
     # modes' rows come over the layer's denominator.
     if layer.silent:
-        (_, weak_s), (_, weak_t) = layer.distinct(True)
-        weak = _hausdorff_value(weak_s, weak_t, total)
-        logical_weak = _hausdorff_value(weak_set_s, weak_set_t, total)
+        weak = _hausdorff_value(*layer.distinct(True), total)
+        logical_weak = _hausdorff_value(distinct_rows(weak_set_s), distinct_rows(weak_set_t), total)
         supval_weak = _sup_val_value(weak_set_s, weak_set_t, total)
     else:
         weak, logical_weak, supval_weak = strong, logical_strong, supval_strong

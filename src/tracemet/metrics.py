@@ -7,7 +7,8 @@ with the Hausdorff max-min gives the metric over processes; its kernel is
 the corresponding trace equivalence.  Both read one ``traces.TraceLayer``
 per call, rooted at the two processes, so the trace ids of the two sides
 agree and their distinct rows come over the layer's ``den``: the metric
-reads the rows ``distinct`` returns, the equivalence their keys.  No trace
+hands the sides ``distinct`` returns to the max-min as they are, and reads
+its witness as first indices; the equivalence reads their keys.  No trace
 or distribution object is built, and a witness resolution is built only
 for the pair or the resolution that is returned, off the layer's
 resolution-count table.
@@ -53,13 +54,12 @@ def _trace_metric(
     max_resolutions: int,
 ) -> MetricResult:
     layer = TraceLayer(pts, s, t, max_resolutions=max_resolutions)
-    (first_s, rows_s), (first_t, rows_t) = layer.distinct(weak)
-    kept_s, kept_t = list(first_s.values()), list(first_t.values())
+    side_s, side_t = layer.distinct(weak)
     # Neither list is empty (the halting resolution is always first), so
-    # there is always a witness pair.
-    d, i, j = hausdorff_rows(rows_s, rows_t, layer.den)
-    witness = (layer.resolution(s, kept_s[i]), layer.resolution(t, kept_t[j]))
-    stats = DedupStats(layer.count(s), len(kept_s), layer.count(t), len(kept_t))
+    # there is always a witness pair, given as first indices.
+    d, i, j = hausdorff_rows(side_s, side_t, layer.den)
+    witness = (layer.resolution(s, i), layer.resolution(t, j))
+    stats = DedupStats(layer.count(s), len(side_s[1]), layer.count(t), len(side_t[1]))
     return MetricResult(Fraction(d, layer.den), witness, stats)
 
 

@@ -20,10 +20,9 @@ of that process, which the layer alone computes; every row it hands out
 is over ``TraceLayer.den``, the least common multiple of its roots'.
 ``entries`` hands one root's full list, for the readers of one process
 (``sat``, ``val``, ``trace_distributions``); ``distinct`` hands every
-root's distinct rows, each keyed by its items with the index of the
-resolution that first shows it.  Trace tuples and ``Dist`` objects are
-decoded only for output: ``decode`` spells each id of a list once,
-``trace`` one id.
+root's distinct rows through ``transport.distinct_rows``, in the form the
+max-min takes.  Trace tuples and ``Dist`` objects are decoded only for
+output: ``decode`` spells each id of a list once, ``trace`` one id.
 ``trace_distribution`` reads one resolution, for the resolutions a command
 prints, in one pass over its preorder ``(parent, process, choice)`` nodes:
 a node's run probability and a halting node's trace come off its parents.
@@ -41,6 +40,7 @@ from typing import Callable, Hashable
 from .core import PTS, Action, Dist, ProcessId, TraceDistribution
 from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution, SizeGuardExceeded
 from .resolutions import _resolution_counts, _resolution_from
+from .transport import Side, distinct_rows
 
 Trace = tuple[Action, ...]
 EPSILON: Trace = ()
@@ -94,20 +94,20 @@ class TraceLayer:
     reach come from one walk, in post-order: the size guard (each root in
     the given order), the build and every witness (``resolution``) read
     that table.  One pass over it, in the same order, gives every
-    reachable list's least denominator and tells whether a silent
-    transition is reachable (``silent``); where none is, the weak lists
-    are the strong ones and are never built.  ``den`` is the least common
-    multiple of the roots' denominators, and every row the layer hands out
-    is over it.  Per mode, strong or weak, every reachable list is built
-    once, in post-order, over its own denominator, so trace ids agree
-    across everything the layer returns; a non-root list is dropped once
-    the last process that reads it has been built, and a root's list is
-    scaled to ``den``, once, when the build hands it back.
+    reachable list's least denominator and last reader, and tells whether
+    a silent transition is reachable (``silent``); where none is, the weak
+    lists are the strong ones and are never built.  ``den`` is the least
+    common multiple of the roots' denominators, and every row the layer
+    hands out is over it.  Per mode, strong or weak, every reachable list
+    is built once, in post-order, over its own denominator, so trace ids
+    agree across everything the layer returns; a non-root list is dropped
+    once its last reader has been built, and a root's list is scaled to
+    ``den``, once, when the build hands it back.
     """
 
     __slots__ = (
-        "pts", "roots", "den", "actions", "tails", "_children", "_lists", "_counts", "_dens",
-        "_silent",
+        "pts", "roots", "den", "silent", "actions", "tails", "_children", "_lists", "_counts",
+        "_dens", "_dying",
     )
 
     def __init__(
@@ -126,25 +126,21 @@ class TraceLayer:
                 raise SizeGuardExceeded(self._counts[root], max_resolutions, root)
         dens: dict[ProcessId, int] = {}
         silent = False
+        last_reader: dict[ProcessId, ProcessId] = {}
         for p in self._counts:  # keyed in post-order
-            transitions = pts.transitions_of(p)
-            silent = silent or any(row.action.is_tau for row in transitions)
-            dens[p] = math.lcm(
-                1,
-                *(
-                    step.denominator * dens[q]
-                    for row in transitions
-                    for q, step in row.target.items_sorted
-                ),
-            )
-        self._dens = dens
-        self._silent = silent
+            den = 1
+            for row in pts.transitions_of(p):
+                silent = silent or row.action.is_tau
+                for q, step in row.target.items_sorted:
+                    den = math.lcm(den, step.denominator * dens[q])
+                    last_reader[q] = p
+            dens[p] = den
+        self._dens, self.silent = dens, silent
         self.den = math.lcm(*(dens[root] for root in roots))
-
-    @property
-    def silent(self) -> bool:
-        """Whether a silent transition is reachable from the roots."""
-        return self._silent
+        self._dying: dict[ProcessId, list[ProcessId]] = {}
+        for q, p in last_reader.items():
+            if q not in roots:
+                self._dying.setdefault(p, []).append(q)
 
     def entries(self, root: ProcessId, weak: bool = False) -> Rows:
         """The (weak) trace distribution of every resolution of ``root``,
@@ -159,25 +155,17 @@ class TraceLayer:
         prepended (weakly, unless it is silent, which keeps the ids).
         Where ``silent`` is False the weak list is the strong list itself.
         """
-        weak = weak and self._silent
+        weak = weak and self.silent
         lists = self._lists.get(weak)
         if lists is None:
             lists = self._lists[weak] = self._build_all(weak)
         return lists[root]
 
-    def distinct(self, weak: bool = False) -> list[tuple[dict, list[dict]]]:
-        """Every root's distinct rows, over ``den``: per root, a dict from
-        each distinct row's key, ``frozenset(row.items())``, to the index
-        of the first resolution that shows it, and the rows, both in order
-        of first index."""
-        out = []
-        for root in self.roots:
-            rows = self.entries(root, weak)
-            first: dict = {}
-            for index, row in enumerate(rows):
-                first.setdefault(frozenset(row.items()), index)
-            out.append((first, [rows[i] for i in first.values()]))
-        return out
+    def distinct(self, weak: bool = False) -> list[Side]:
+        """Every root's distinct rows over ``den`` as ``distinct_rows``
+        returns them: each distinct row's key with the index of the first
+        resolution that shows it, and the rows, in first-index order."""
+        return [distinct_rows(self.entries(root, weak)) for root in self.roots]
 
     def count(self, process: ProcessId) -> int:
         """The number of resolutions of ``process``, off the count table."""
@@ -191,18 +179,10 @@ class TraceLayer:
         """The roots' (weak) lists over ``den``, building every reachable
         list in post-order and dropping each non-root one after its last
         reader."""
-        transitions_of = self.pts.transitions_of
-        last_reader = {
-            q: p for p in self._counts for row in transitions_of(p) for q in row.target.support
-        }
-        dying: dict[ProcessId, list[ProcessId]] = {}
-        for q, p in last_reader.items():
-            if q not in self.roots:
-                dying.setdefault(p, []).append(q)
         lists: dict[ProcessId, Rows] = {}
         for p in self._counts:  # keyed in post-order
             lists[p] = self._build(p, weak, lists)
-            for q in dying.get(p, ()):
+            for q in self._dying.get(p, ()):
                 del lists[q]
         roots = {}
         for root in self.roots:

@@ -19,18 +19,20 @@ exact nearest-row distances of two sets in both directions.  The kernel
 takes its callers' denominator as given: the trace layer
 (``traces.TraceLayer``) hands its roots' rows over ``TraceLayer.den``.
 
-The max-min indexes each side twice: by whole row, so a row that also
-occurs on the other side is at distance 0 without a scan, and by key, so
-rows with disjoint supports (distance 1) are never compared.  Both sides'
-indexes are built up front, and each row is hashed once, into the
-whole-row key that its own side's index keeps and the other side's looks
-up.  It stops
-scanning a row as soon as the row can no longer change the value or the
-witness, and before scanning it first tries the row at the same position
-on the other side, which on two processes of similar shape usually ends
-the row at once (the early break with a good first candidate of Taha and
-Hanbury, "An efficient algorithm for calculating the exact Hausdorff
-distance", IEEE TPAMI 2015).
+``distinct_rows`` is the one place a row is keyed: it drops repeated rows,
+which leaves every max-min unchanged, and keeps each distinct row's key,
+``frozenset(row.items())``, with the index where it first occurs.  The
+max-min takes both sides in that form, so the trace layer's distinct sides
+(``TraceLayer.distinct``) reach it with no row hashed again, and it returns
+its witness as first indices.  It indexes each side twice: by whole row,
+through those keys, so a row that also occurs on the other side is at
+distance 0 without a scan, and by key, so rows with disjoint supports
+(distance 1) are never compared.  It stops scanning a row as soon as the
+row can no longer change the value or the witness, and before scanning it
+first tries the row at the same position on the other side, which on two
+processes of similar shape usually ends the row at once (the early break
+with a good first candidate of Taha and Hanbury, "An efficient algorithm
+for calculating the exact Hausdorff distance", IEEE TPAMI 2015).
 
 ``nearest_distances`` has no early exit and no hint: one sweep evaluates
 every pair of rows that share a key once and lowers both rows' minima with
@@ -49,6 +51,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .core import Dist
+
+Side = tuple[dict, list[dict]]  # a set of rows as ``distinct_rows`` returns it
 
 
 def kantorovich_01(p: Dist, q: Dist, canonical: Callable | None = None) -> Fraction:
@@ -101,24 +105,35 @@ def _shared(weights, other: dict) -> int:
     return shared
 
 
+def distinct_rows(rows: list[dict]) -> Side:
+    """The distinct rows of ``rows``: a dict from each distinct row's key,
+    ``frozenset(row.items())``, to the index of its first occurrence, and
+    those rows, both in order of first index.  The one place a row key is
+    made: every max-min caller hands ``hausdorff_rows`` two of these."""
+    first: dict = {}
+    for index, row in enumerate(rows):
+        first.setdefault(frozenset(row.items()), index)
+    return first, [rows[i] for i in first.values()]
+
+
 class _Index:
-    """One side of a max-min pass: its integer rows, each row's whole-row
-    key, the first index of each distinct row, and for each key the
-    indices of the rows that carry it."""
+    """One side of a max-min pass, as ``distinct_rows`` hands it: its
+    distinct rows and their keys, each key's position, each position's
+    index in the list before dedup, and for each trace key the positions of
+    the rows that carry it."""
 
-    __slots__ = ("rows", "keys", "first", "postings")
+    __slots__ = ("rows", "keys", "position", "first", "postings")
 
-    def __init__(self, rows: list[dict]):
-        self.rows = rows
-        self.keys = [frozenset(row.items()) for row in rows]
-        self.first: dict = {}
-        for j, key in enumerate(self.keys):
-            self.first.setdefault(key, j)
-        self.postings = _postings(rows)
+    def __init__(self, side: Side):
+        first, self.rows = side
+        self.keys = list(first)
+        self.first = list(first.values())
+        self.position = {key: j for j, key in enumerate(self.keys)}
+        self.postings = _postings(self.rows)
 
     def nearest(self, row: dict, key, total: int, stop: int, hint: int) -> tuple[int, int]:
         """TV distance from ``row``, whose whole-row key is ``key``, to its
-        nearest row here, in units of ``1/total``, and the first index
+        nearest row here, in units of ``1/total``, and the first position
         attaining it.
 
         When ``stop`` is nonnegative the row at ``hint`` is tried first, and
@@ -133,7 +148,7 @@ class _Index:
             d = total - _shared(weights, self.rows[hint])
             if d <= stop:
                 return d, hint
-        j = self.first.get(key)
+        j = self.position.get(key)
         if j is not None:
             return 0, j
         candidates: set = set()
@@ -175,21 +190,21 @@ def _directed(side: _Index, index: _Index, total: int, floor: int) -> tuple[int,
     return best, i_at, j_at
 
 
-def hausdorff_rows(rows_a: list[dict], rows_b: list[dict], total: int) -> tuple[int, int, int]:
+def hausdorff_rows(side_a: Side, side_b: Side, total: int) -> tuple[int, int, int]:
     """Hausdorff max-min of TV distances between two nonempty sets of rows
-    over ``total``: (distance in units of ``1/total``, i, j).
+    over ``total``, each side as ``distinct_rows`` returns it: (distance in
+    units of ``1/total``, i, j).
 
-    The witness (i, j) is the first (max-side, then min-side) pair in input
-    order realizing the value; the first set wins ties between the two
-    directions.
+    The witness (i, j) is the first (max-side, then min-side) pair realizing
+    the value, as indices into the lists before dedup; the first set wins
+    ties between the two directions.
     """
-    index_a, index_b = _Index(rows_a), _Index(rows_b)
+    index_a, index_b = _Index(side_a), _Index(side_b)
     d_ab, i_ab, j_ab = _directed(index_a, index_b, total, -1)
     # The B->A direction only matters where it beats A->B outright.
     d_ba, j_ba, i_ba = _directed(index_b, index_a, total, d_ab)
-    if d_ab >= d_ba:
-        return d_ab, i_ab, j_ab
-    return d_ba, i_ba, j_ba
+    d, i, j = (d_ab, i_ab, j_ab) if d_ab >= d_ba else (d_ba, i_ba, j_ba)
+    return d, index_a.first[i], index_b.first[j]
 
 
 def nearest_distances(

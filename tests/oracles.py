@@ -70,7 +70,7 @@ from tracemet.core import IDENTIFIER_RE, PTS, Action, ProcessId, Transition, pos
 from tracemet.parser import ParseError, ParseIssue, ParserWarning, SourceSpan
 from tracemet.resolutions import DEFAULT_MAX_RESOLUTIONS, Choice, Resolution
 from tracemet.traces import EPSILON, Trace
-from tracemet.transport import hausdorff_rows
+from tracemet.transport import distinct_rows, hausdorff_rows
 
 
 def tv_distance(p: tm.Dist, q: tm.Dist, canonical: Callable | None = None) -> Fraction:
@@ -162,10 +162,12 @@ def kernel_hausdorff(
     items_a: Sequence[tm.Dist], items_b: Sequence[tm.Dist], canonical: Callable | None = None
 ) -> tuple[Fraction, tuple[int, int]]:
     """The kernel's max-min (``transport.hausdorff_rows``) between two
-    nonempty lists of ``Dist``s, as (value, witness pair), for holding it
-    to ``hausdorff_witness`` on ``Dist`` inputs."""
+    nonempty lists of ``Dist``s, each side passed through
+    ``transport.distinct_rows``, as (value, witness pair), for holding it
+    to ``hausdorff_witness`` on ``Dist`` inputs.  The witness indexes the
+    lists as given, repeats included."""
     total, (rows_a, rows_b) = integer_rows(canonical, items_a, items_b)
-    d, i, j = hausdorff_rows(rows_a, rows_b, total)
+    d, i, j = hausdorff_rows(distinct_rows(rows_a), distinct_rows(rows_b), total)
     return Fraction(d, total), (i, j)
 
 

@@ -16,7 +16,7 @@ import tracemet as tm
 from conftest import dist
 from genpts import random_case, random_formula
 from test_trace_layer import ladder
-from tracemet.traces import TraceLayer
+from tracemet.transport import distinct_rows
 
 FIRST_LETTER = lambda s: s[0]
 
@@ -120,23 +120,32 @@ class TestFormulaSets:
         assert sup_val([], [], 1) == 0
 
 
-def test_each_row_is_hashed_once_per_pass(monkeypatch):
-    # r0 is x0 with its two transitions swapped, so the same-position hint
-    # misses and rows reach the whole-row lookup, which reads the key the
-    # query row's own side built.
+# r0 is x0 with its two transitions swapped, so the same-position hint
+# misses and rows reach the whole-row lookup.  Each side has 51 distinct
+# rows; the formula route of crosscheck keys its two satisfied sets once
+# more.
+@pytest.mark.parametrize(
+    "call, other, hashed",
+    [
+        (tm.strong_trace_metric, "r0", 102),
+        (tm.strong_trace_metric, "w0", 102),
+        (tm.crosscheck, "w0", 204),
+        (tm.find_distinguishing_resolution, "w0", 102),
+    ],
+)
+def test_each_row_is_hashed_once_per_call(monkeypatch, call, other, hashed):
     pts = tm.parse_pts(tm.print_pts(ladder(3)) + "\nr0 -b-> 1 x1\nr0 -a-> 1/2 x1, 1/2 y1\n")
-    layer = TraceLayer(pts, "x0", "r0")
-    (_, rows_a), (_, rows_b) = layer.distinct()
-    expected = tm.transport.hausdorff_rows(rows_a, rows_b, layer.den)
+    expected = call(pts, "x0", other)
     calls = []
 
     def counting(items):
         calls.append(None)
         return frozenset(items)
 
-    monkeypatch.setattr(tm.transport, "frozenset", counting, raising=False)
-    assert tm.transport.hausdorff_rows(rows_a, rows_b, layer.den) == expected
-    assert len(calls) == len(rows_a) + len(rows_b) == 102
+    for module in (tm.traces, tm.transport):
+        monkeypatch.setattr(module, "frozenset", counting, raising=False)
+    assert call(pts, "x0", other) == expected
+    assert len(calls) == hashed
 
 
 class TestHandBuilt:
@@ -270,7 +279,8 @@ def test_permuted_side_never_changes_value_or_witness(data, canonical):
     items_b = data.draw(st.permutations(items_a[:shared] + extra))
     for left, right in ((items_a, items_b), (items_b, items_a)):
         total, (rows_l, rows_r) = oracles.integer_rows(canonical, left, right)
-        d, i, j = tm.transport.hausdorff_rows(rows_l, rows_r, total)
+        d, i, j = tm.transport.hausdorff_rows(distinct_rows(rows_l), distinct_rows(rows_r), total)
+        # The witness indexes the lists before dedup, as the oracle's does.
         assert (Fraction(d, total), (i, j)) == oracle_witness(left, right, canonical)
 
 

@@ -1,4 +1,5 @@
-"""No package module imports a name it never uses.
+"""No package module, test module or golden generator imports a name it
+never uses.
 
 An import left behind by a refactor keeps a dead dependency between
 modules and hides that a route is gone.  The scan reads the source: a name
@@ -6,6 +7,8 @@ counts as used when it is read anywhere in the module, including inside an
 annotation written as a string (``witness: "tuple[Resolution, Resolution]"``).
 ``__init__.py`` is exempt, since its imports are the package's exports
 (``tests/test_api_surface.py`` holds those), and so is ``from __future__``.
+The tests are scanned too: a check migrated to a new call leaves its old
+imports behind in the test, where nothing else would notice them.
 """
 import ast
 from pathlib import Path
@@ -15,6 +18,8 @@ import tracemet
 SOURCES = sorted(
     path for path in Path(tracemet.__file__).parent.glob("*.py") if path.name != "__init__.py"
 )
+TESTS = Path(__file__).resolve().parent
+TEST_SOURCES = sorted(TESTS.glob("*.py")) + [TESTS / "golden" / "generate.py"]
 
 
 def imported(tree: ast.AST) -> dict[str, int]:
@@ -62,11 +67,15 @@ def unused_imports(source: str) -> list[str]:
 
 def test_sources_found():
     assert {"cli.py", "metrics.py", "traces.py", "transport.py"} <= {p.name for p in SOURCES}
+    names = {p.name for p in TEST_SOURCES}
+    assert {"conftest.py", "oracles.py", "test_hausdorff_kernel.py", "generate.py"} <= names
 
 
 def test_no_module_imports_a_name_it_never_uses():
     offenders = {
-        path.name: names for path in SOURCES if (names := unused_imports(path.read_text()))
+        f"{path.parent.name}/{path.name}": names
+        for path in SOURCES + TEST_SOURCES
+        if (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
 

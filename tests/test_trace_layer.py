@@ -162,8 +162,6 @@ class TestLayer:
             assert layer.silent is silent
             for root in roots:
                 assert (layer.entries(root, True) is layer.entries(root, False)) is not silent
-            with pytest.raises(AttributeError):
-                layer.silent = not silent
 
     @pytest.fixture()
     def builds(self, monkeypatch):
