@@ -24,7 +24,7 @@ from .formula_distance import (
     dist_formula_distance,
     real_value,
 )
-from .logic import mimicking_formulas, satisfies
+from .logic import mimicking_pairs, satisfies
 from .metrics import (
     MetricResult,
     find_distinguishing_resolution,
@@ -36,7 +36,6 @@ from .parser import (
     ParserWarning,
     parse_formula,
     parse_pts,
-    print_formula,
     print_trace_distribution,
 )
 from .resolutions import (
@@ -81,25 +80,6 @@ def _dist_json(td) -> list[dict]:
         {"trace": _trace_json(trace), "probability": _frac_json(weight)}
         for trace, weight in td.items_descending
     ]
-
-
-def _formula_json(psi, entries: dict) -> list[dict]:
-    # One entry dict per (formula, weight), shared by every formula that
-    # lists it, so _dumps encodes it once.  The key is the formula object's
-    # identity, valid while the formulae live: mimicking_formulas returns
-    # one object per trace, and hashing the dataclass would cost about what
-    # the sharing saves.
-    out = []
-    for phi, weight in psi.items_descending:
-        key = (id(phi), weight.numerator, weight.denominator)
-        entry = entries.get(key)
-        if entry is None:
-            entry = entries[key] = {
-                "diamonds": [a.name for a in phi.diamonds],
-                "weight": _frac_json(weight),
-            }
-        out.append(entry)
-    return out
 
 
 def _resolution_json(resolution: Resolution) -> dict:
@@ -321,14 +301,23 @@ def _cmd_resolutions(args) -> int:
 
 def _cmd_mimic(args) -> int:
     pts, process = _system(args, args.process)
-    formulas = mimicking_formulas(pts, process, args.weak, _max_resolutions(args))
-    entries: dict = {}
-    payload = {
-        "process": process,
-        "weak": args.weak,
-        "formulas": [_formula_json(psi, entries) for psi in formulas],
-    }
-    _emit(args, payload, lambda: map(print_formula, formulas))
+    layer = TraceLayer(pts, process, max_resolutions=_max_resolutions(args))
+    names, formulas = mimicking_pairs(layer, layer.distinct(args.weak)[0][1])
+    den = layer.den
+    del layer  # and its rows, before the document is written
+    if args.json:
+        def spell(k, w):
+            return {"diamonds": list(names[k]), "weight": _frac_json(Fraction(w, den))}
+    else:
+        def spell(k, w):
+            return f"{Fraction(w, den)} " + "".join(f"<{a}>" for a in names[k]) + "T"
+    # One entry (or text) per distinct (trace id, weight), shared by every
+    # formula that lists it, so _dumps encodes each entry once.
+    spelled = {pair: spell(*pair) for pair in set().union(*formulas)}
+    listed = [list(map(spelled.__getitem__, psi)) for psi in formulas]
+    del formulas
+    payload = {"process": process, "weak": args.weak, "formulas": listed}
+    _emit(args, payload, lambda: (" (+) ".join(psi) for psi in listed))
     return EXIT_OK
 
 

@@ -20,8 +20,13 @@ reading of a formula against a process, shared by ``satisfies`` and
 ``formula_distance.real_value``: it builds the layer and the process's
 rows, then looks the formula's traces up in the layer's trie, giving the
 formula as a row over its own denominator.  ``satisfies`` scales the
-formula to ``layer.den``.  Only the returned formulae are decoded, by the
-layer's ``decode`` spelling each trace through ``tracing_formula``.
+formula to ``layer.den``.  ``mimicking_formulas`` decodes the returned
+formulae, by the layer's ``decode`` spelling each trace through
+``tracing_formula``, for ``satisfied_set`` and library callers.
+``mimicking_pairs`` reads the same distinct rows without decoding them:
+each formula as ``(trace id, weight)`` pairs over ``layer.den`` in display
+order, each trace id spelled once as its action names and ranked once.
+``tracemet mimic`` writes both its text and its JSON from those pairs.
 """
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 from .core import Action, PTS, ProcessId, TraceDistFormula
 from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution
-from .traces import Trace, TraceLayer, tau_erase
+from .traces import Rows, Trace, TraceLayer, tau_erase
 
 
 @dataclass(frozen=True, order=True)
@@ -77,10 +82,28 @@ def mimicking_formulas(
     in order of first occurrence.  ``tracing_formula`` is injective, so they
     are the distinct trace distributions pushed forward through it.  The
     layer decodes each trace id once, so all the formulae share one
-    ``TraceFormula`` object per trace (``cli._formula_json`` relies on it)."""
+    ``TraceFormula`` object per trace."""
     layer = TraceLayer(pts, process, max_resolutions=max_resolutions)
     [(_, rows)] = layer.distinct(weak)
     return layer.decode(rows, tracing_formula)
+
+
+def mimicking_pairs(
+    layer: TraceLayer, rows: Rows
+) -> tuple[dict[int, tuple[str, ...]], list[list[tuple[int, int]]]]:
+    """``(names, formulas)``: the mimicking formulae of ``rows``, a root's
+    rows of ``layer`` such as ``layer.distinct(weak)`` hands them, each as
+    its ``(trace id, weight)`` pairs over ``layer.den`` in display order,
+    and the action names of every trace id they list.
+
+    The display order is ``items_descending`` of the formulae that
+    ``mimicking_formulas`` decodes: ``TraceFormula`` and ``Action`` compare
+    by names, so it is each trace's name tuple, descending.  Each trace id
+    is spelled and ranked once."""
+    names = {k: tuple(a.name for a in layer.trace(k)) for k in set().union(*rows)}
+    rank = {k: i for i, k in enumerate(sorted(names, key=names.__getitem__, reverse=True))}
+    by_rank = rank.__getitem__
+    return names, [[(k, row[k]) for k in sorted(row, key=by_rank)] for row in rows]
 
 
 def formula_query(

@@ -207,10 +207,11 @@ def parse_pts(text: str) -> PTS:
     result is raised as a parse error too.
     """
     issues: list[ParseIssue] = []
-    rows: list[tuple[str, Action, Dist, int]] = []
+    rows: list[tuple[str, Action, Dist, int, tuple]] = []
     # One entry per distinct probability token, one Action per name.
     entries: dict[str, tuple[Fraction, int, int]] = {}
     actions: dict[str, Action] = {}
+    processes: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         cut = raw.find("#")
         line = (raw if cut < 0 else raw[:cut]).rstrip()
@@ -243,6 +244,8 @@ def parse_pts(text: str) -> PTS:
                 issues.extend(exc.issues)
                 continue
         weights: dict[str, Fraction] = {}
+        # Each target's reduced weight as ints, for the row's duplicate key.
+        terms: dict[str, tuple[str, int, int]] = {}
         # The weights' sum as num/den in ints.  The tokens of a line mostly
         # share one denominator, so this is mostly int additions.
         num, den = 0, 1
@@ -256,12 +259,14 @@ def parse_pts(text: str) -> PTS:
             known = weights.get(target)
             if known is None:
                 weights[target] = prob
+                terms[target] = (target, n, d)
                 continue
             warnings.warn(
                 ParserWarning(f"line {line_no}: duplicate target {target!r} merged"),
                 stacklevel=2,
             )
-            weights[target] = known + prob
+            weights[target] = merged = known + prob
+            terms[target] = (target, merged.numerator, merged.denominator)
         if num != den:
             issues.append(
                 ParseIssue(
@@ -273,20 +278,20 @@ def parse_pts(text: str) -> PTS:
         action = actions.get(name)
         if action is None:
             action = actions[name] = Action(name)
-        rows.append((src, action, Dist(weights), line_no))
+        key = (name, tuple(sorted(terms.values())))
+        rows.append((src, action, Dist(weights), line_no, key))
+        processes.add(src)
+        processes.update(weights)
     if issues:
         raise ParseError(issues)
 
     # Each source's transitions in an insertion-ordered dict, so finding a
-    # duplicate costs one hash lookup, whatever the fan-out.  The key holds
-    # only strings and ints: hashing the Transition would hash its Action
-    # in Python and one Fraction per weight.
+    # duplicate costs one hash lookup, whatever the fan-out.  The key,
+    # ``(action name, ((target, numerator, denominator), ...))`` with the
+    # targets sorted, holds only strings and ints: hashing the Transition
+    # would hash its Action in Python and one Fraction per weight.
     transitions: dict[str, dict[tuple, Transition]] = {}
-    processes: set[str] = set()
-    for src, action, dist, line_no in rows:
-        processes.add(src)
-        processes.update(dist.support)
-        key = (action.name, tuple((t, w.numerator, w.denominator) for t, w in dist.items_sorted))
+    for src, action, dist, line_no, key in rows:
         bucket = transitions.setdefault(src, {})
         if key in bucket:
             warnings.warn(

@@ -15,14 +15,19 @@ bottom-up from those of the processes they reach, with no resolution
 built.  It is kept as integers.  Traces are interned in a trie, one per
 layer: id 0 is the empty trace and every other id stands for one (action,
 tail id) pair, keyed by the action's name.  A process's list holds one
-``{trace id: weight}`` row per resolution, all over the least denominator
-of that process, which the layer alone computes; every row it hands out
-is over ``TraceLayer.den``, the least common multiple of its roots'.
-``entries`` hands one root's full list, for the readers of one process
-(``sat``, ``val``, ``trace_distributions``); ``distinct`` hands every
-root's distinct rows through ``transport.distinct_rows``, in the form the
-max-min takes.  Trace tuples and ``Dist`` objects are decoded only for
-output: ``decode`` spells each id of a list once, ``trace`` one id.
+``{trace id: weight}`` row per resolution, all over one denominator,
+which the layer alone computes; every row it hands out is over
+``TraceLayer.den``, the least common multiple of its roots'.  A root that
+no other list reads is built over ``den`` at once; every other list is
+built over the least denominator of its process, so a root that another
+reads is scaled to ``den`` once.  ``entries`` hands one root's full list,
+for the readers of one process (``sat``, ``val``,
+``trace_distributions``); ``distinct`` hands every root's distinct rows
+through ``transport.distinct_rows``, in the form the max-min takes.  Trace
+tuples and ``Dist`` objects are decoded only for output: ``decode`` spells
+each id of a list once, ``trace`` one id.  ``mimic`` decodes neither: it
+writes its formulae off the distinct rows through
+``logic.mimicking_pairs``, which spells each id once as action names.
 ``trace_distribution`` reads one resolution, for the resolutions a command
 prints, in one pass over its preorder ``(parent, process, choice)`` nodes:
 a node's run probability and a halting node's trace come off its parents.
@@ -99,10 +104,13 @@ class TraceLayer:
     lists are the strong ones and are never built.  ``den`` is the least
     common multiple of the roots' denominators, and every row the layer
     hands out is over it.  Per mode, strong or weak, every reachable list
-    is built once, in post-order, over its own denominator, so trace ids
-    agree across everything the layer returns; a non-root list is dropped
-    once its last reader has been built, and a root's list is scaled to
-    ``den``, once, when the build hands it back.
+    is built once, in post-order, so trace ids agree across everything the
+    layer returns.  A root that no other reachable list reads is built over
+    ``den``; every other list over its process's least denominator, which
+    its readers' step factors are taken against.  A non-root list is
+    dropped once its last reader has been built, and a root that another
+    list reads is scaled to ``den``, once, when the build hands it back,
+    unless its denominator is ``den`` already.
     """
 
     __slots__ = (
@@ -135,8 +143,11 @@ class TraceLayer:
                     den = math.lcm(den, step.denominator * dens[q])
                     last_reader[q] = p
             dens[p] = den
-        self._dens, self.silent = dens, silent
         self.den = math.lcm(*(dens[root] for root in roots))
+        for root in roots:
+            if root not in last_reader:  # no list reads it: built over den
+                dens[root] = self.den
+        self._dens, self.silent = dens, silent
         self._dying: dict[ProcessId, list[ProcessId]] = {}
         for q, p in last_reader.items():
             if q not in roots:
@@ -178,7 +189,9 @@ class TraceLayer:
     def _build_all(self, weak: bool) -> dict[ProcessId, Rows]:
         """The roots' (weak) lists over ``den``, building every reachable
         list in post-order and dropping each non-root one after its last
-        reader."""
+        reader.  A root no list reads comes out of its build over ``den``
+        (``__init__`` gives it that denominator), so only a root that
+        another list reads, over its own denominator, is copied here."""
         lists: dict[ProcessId, Rows] = {}
         for p in self._counts:  # keyed in post-order
             lists[p] = self._build(p, weak, lists)

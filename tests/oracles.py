@@ -38,7 +38,9 @@ pass of ``post_order``) must agree with.  From
 ``traces``: the run lists ``Computation`` and ``max_computations``, which
 ``trace_distribution`` must sum to.  From ``transport``: the exact
 min-cost-flow solver ``kantorovich_oracle`` (with ``_FlowNetwork`` and its
-optimal plans, ``Matching``).  From ``logic``: run satisfaction
+optimal plans, ``Matching``).  From ``cli``: ``mimic_json``, the
+``mimic --json`` formulae spelled off the decoded formula objects, which
+the CLI's integer route must equal.  From ``logic``: run satisfaction
 (``satisfies_trace``, ``compatible_with_formula``), the per-resolution
 ``mimicking_formula``/``weak_mimicking_formula``, and the weak equivalence
 of formulae (``formulas_weak_equivalent``, ``dist_formulas_weak_equivalent``)
@@ -680,6 +682,30 @@ def weak_mimicking_formula(resolution: Resolution) -> tm.TraceDistFormula:
     """Mimicking formula over tau-erased representative traces, weights
     aggregated per class."""
     return tm.weak_trace_distribution(resolution).pushforward(tm.tracing_formula)
+
+
+def mimic_json(pts: PTS, process: ProcessId, weak: bool = False) -> list[list[dict]]:
+    """The ``formulas`` of ``tracemet mimic --json``, spelled off the decoded
+    ``mimicking_formulas`` as the CLI once did: one entry dict per (formula,
+    weight), shared by every formula that lists it.  The key is the formula
+    object's identity, valid while the formulae live, which rests on the
+    layer's ``decode`` handing one ``TraceFormula`` object per trace."""
+    formulas = tm.mimicking_formulas(pts, process, weak)
+    entries: dict = {}
+    out = []
+    for psi in formulas:
+        listed = []
+        for phi, weight in psi.items_descending:
+            key = (id(phi), weight.numerator, weight.denominator)
+            entry = entries.get(key)
+            if entry is None:
+                entry = entries[key] = {
+                    "diamonds": [a.name for a in phi.diamonds],
+                    "weight": {"num": str(weight.numerator), "den": str(weight.denominator)},
+                }
+            listed.append(entry)
+        out.append(listed)
+    return out
 
 WEAK_QUOTIENT = tm.tau_erase
 

@@ -5,13 +5,15 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import tracemet
 import tracemet.cli as cli
 from conftest import EQUIV_PAIR_TEXT, HALF_PAIR_TEXT
@@ -201,12 +203,12 @@ class TestOtherCommands:
 
 
 def test_json_builds_no_text_lines(capsys, half_file, monkeypatch):
-    # Under --json the text formatters are never called: a mimic query
-    # would otherwise format every formula only to discard it.
+    # Under --json the text formatters are never called: a witness's lines
+    # would otherwise be built only to be discarded.  mimic spells each
+    # formula entry for the one mode it prints, with no formatter to refuse.
     def refuse(*args, **kwargs):
         raise AssertionError("text line built under --json")
 
-    monkeypatch.setattr(cli, "print_formula", refuse)
     monkeypatch.setattr(cli, "print_trace_distribution", refuse)
     monkeypatch.setattr(cli, "_resolution_lines", refuse)
     for argv in (
@@ -555,24 +557,66 @@ def test_resolutions_of_a_deep_chain(capsys, tmp_path):
     ]
 
 
-def test_mimic_formulas_share_one_object_per_trace():
-    # cli._formula_json keys its entries by the formula object's identity,
-    # so mimicking_formulas must hand one TraceFormula object per trace:
-    # were each occurrence spelled anew, every entry would be its own dict
-    # and the writer would encode each, with the same bytes out.
+def test_mimic_formulas_share_one_object_per_trace(capsys, tmp_path, monkeypatch):
+    # mimic spells one entry per distinct (trace id, weight), and every
+    # formula that lists it holds that dict, so _dumps encodes it once.  The
+    # layer, with its rows and their keys, is gone before the document is
+    # written.
+    path = tmp_path / "ladder4.pts"
+    path.write_text(ladder_text(4))
+    layers = []
+
+    class Layer(cli.TraceLayer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            layers.append(weakref.ref(self))
+
+    payloads = []
+    dumps = cli._dumps
+
+    def writing(payload):
+        assert layers and all(ref() is None for ref in layers)
+        payloads.append(payload)
+        return dumps(payload)
+
+    monkeypatch.setattr(cli, "TraceLayer", Layer)
+    monkeypatch.setattr(cli, "_dumps", writing)
+    code, out, _ = run(capsys, "mimic", str(path), "-p", "x0", "--json")
+    assert code == 0
+    [payload] = payloads
+    formulas = payload["formulas"]
+    listed = [entry for psi in formulas for entry in psi]
+    assert (len(formulas), len(listed), len({id(entry) for entry in listed})) == (613, 2196, 57)
+    # The reference's identity keys rest on one TraceFormula object per trace.
+    pts = tracemet.parse_pts(ladder_text(4))
     rng = random.Random(91)
-    cases = [(tracemet.parse_pts(ladder_text(4)), "x0")]
-    cases += [random_case(rng, max_count=60, tau_bias=0.4)[:2] for _ in range(6)]
-    for pts, process in cases:
+    cases = [(pts, "x0")] + [random_case(rng, max_count=60, tau_bias=0.4)[:2] for _ in range(6)]
+    for system, process in cases:
         for weak in (False, True):
             seen: dict = {}
-            for psi in tracemet.mimicking_formulas(pts, process, weak):
+            for psi in tracemet.mimicking_formulas(system, process, weak):
                 for phi in psi:
                     assert seen.setdefault(phi, phi) is phi
-    formulas = tracemet.mimicking_formulas(cases[0][0], "x0")
-    entries: dict = {}
-    listed = [entry for psi in formulas for entry in cli._formula_json(psi, entries)]
-    assert (len(formulas), len(listed), len({id(entry) for entry in listed})) == (613, 2196, 57)
+    assert formulas == oracles.mimic_json(pts, "x0")
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_mimic_formulae_equal_the_decoded_reference(capsys, tmp_path, seed, weak):
+    # The CLI writes its formulae off the layer's integer rows; the
+    # reference decodes them to formula objects first.
+    pts, process, _ = random_case(random.Random(seed), max_count=80, tau_bias=0.4)
+    assume(pts.transitions_of(process))  # a system file names only sources and targets
+    path = tmp_path / "random.pts"
+    path.write_text(tracemet.print_pts(pts))
+    flags = ["--weak"] if weak else []
+    code, out, _ = run(capsys, "mimic", str(path), "-p", process, "--json", *flags)
+    assert code == 0
+    assert json.loads(out)["formulas"] == oracles.mimic_json(pts, process, weak)
+    code, out, _ = run(capsys, "mimic", str(path), "-p", process, *flags)
+    assert code == 0
+    formulas = tracemet.mimicking_formulas(pts, process, weak)
+    assert out.splitlines() == [tracemet.print_formula(psi) for psi in formulas]
 
 
 def test_each_path_pair_is_one_list_shared_by_the_descendants():

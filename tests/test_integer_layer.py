@@ -25,6 +25,8 @@ from hypothesis import strategies as st
 import oracles
 import tracemet as tm
 from genpts import random_pts, with_tau_prefix
+from golden.generate import ladder_text
+from tracemet.core import post_order
 from tracemet.traces import TraceLayer
 
 DENOMINATORS = (3, 5, 61)
@@ -149,6 +151,7 @@ def test_readers_share_one_denominator_and_keep_the_roots(drawn, data):
         assert (raised.value.process, raised.value.count, raised.value.limit) == (*over[0], cap)
         return
     layer = RecordingLayer(pts, *roots, max_resolutions=cap)
+    read = {q for p in post_order(pts, *roots) for row in pts.transitions_of(p) for q in row.target}
     first = data.draw(st.booleans())
     # The first mode is read again after the second mode's build, which
     # drops every non-root list of that mode.
@@ -165,10 +168,14 @@ def test_readers_share_one_denominator_and_keep_the_roots(drawn, data):
             assert (list(first.values()), layer.decode(rows)) == deduplicated(dists)
             assert list(first.values()) == first_indices(pts, root, weak)
             assert all(row is entries[i] for row, i in zip(rows, first.values()))
-            # A root already over layer.den hands its own rows; any other
-            # is scaled once, when the build hands it back.
+            # A root no list of the layer reads is built over layer.den and
+            # hands its own rows.  A root that another root reaches is built
+            # over its own denominator, for its readers, and is scaled once,
+            # when the build hands it back, unless that is layer.den.
             own = layer.built[root, weak and layer.silent]
-            assert (entries is own) == (TraceLayer(pts, root).den == layer.den)
+            den = layer.den if root not in read else TraceLayer(pts, root).den
+            assert all(sum(row.values()) == den for row in own)
+            assert (entries is own) == (den == layer.den)
         for process in set(pts.processes) - set(roots):
             with pytest.raises(KeyError):
                 layer.entries(process, weak)
@@ -241,6 +248,24 @@ y -tau-> 1 x
 )
 
 
+def check_crosscheck(pts, s, t) -> tm.CrossCheckReport:
+    """``tm.crosscheck`` on ``s``, ``t``, held to the oracle routes."""
+    report = tm.crosscheck(pts, s, t)
+    set_s, set_t = oracle_satisfied_set(pts, s), oracle_satisfied_set(pts, t)
+    for weak, metric, logical, sup_val in (
+        (False, report.strong_metric, report.logical_distance, report.sup_val_distance),
+        (True, report.weak_metric, report.weak_logical_distance, report.weak_sup_val_distance),
+    ):
+        tv = oracles.formula_metric(weak)
+        assert metric == oracle_metric(pts, s, t, weak)[0]
+        assert logical == oracles.hausdorff(
+            set_s, set_t, lambda a, b: oracles.tv_distance(a, b, tv)
+        )
+        assert sup_val == oracles.sup_val_over(set_s, set_t, weak)
+    assert report.all_equal
+    return report
+
+
 @pytest.mark.parametrize("s, t", [("p", "q"), ("q", "p")])
 def test_root_reached_by_the_other_through_a_third(s, t):
     layer = TraceLayer(THIRDS, s, t)
@@ -251,19 +276,41 @@ def test_root_reached_by_the_other_through_a_third(s, t):
             assert all(sum(row.values()) == layer.den for row in rows)
             assert layer.decode(rows) == oracles.trace_distributions(THIRDS, root, weak)
     check_readers(THIRDS, s, t)
-    report = tm.crosscheck(THIRDS, s, t)
-    set_s, set_t = oracle_satisfied_set(THIRDS, s), oracle_satisfied_set(THIRDS, t)
-    for weak, metric, logical, sup_val in (
-        (False, report.strong_metric, report.logical_distance, report.sup_val_distance),
-        (True, report.weak_metric, report.weak_logical_distance, report.weak_sup_val_distance),
-    ):
-        tv = oracles.formula_metric(weak)
-        assert metric == oracle_metric(THIRDS, s, t, weak)[0]
-        assert logical == oracles.hausdorff(
-            set_s, set_t, lambda a, b: oracles.tv_distance(a, b, tv)
-        )
-        assert sup_val == oracles.sup_val_over(set_s, set_t, weak)
-    assert report.all_equal and 0 < report.strong_metric < 1
+    report = check_crosscheck(THIRDS, s, t)
+    assert 0 < report.strong_metric < 1
+
+
+LADDER3 = tm.parse_pts(ladder_text(3))
+
+
+@pytest.mark.parametrize(
+    "pts, s, t, dens, scaled",
+    [
+        # x0 reads x1, so x1 is built over its quarters for x0 and scaled
+        # to eighths once; x0, which no list reads, is built over eighths.
+        (LADDER3, "x0", "x1", (8, 4, 8), {"x1"}),
+        (LADDER3, "x1", "x0", (4, 8, 8), {"x1"}),
+        (LADDER3, "x0", "x0", (8, 8, 8), set()),
+        (THIRDS, "p", "q", (6, 2, 6), {"q"}),
+        (THIRDS, "q", "q", (2, 2, 2), set()),
+        # Neither root reads the other: s is built over sixths at once.
+        (EDGE, "s", "t", (2, 6, 6), set()),
+    ],
+)
+def test_roots_that_reach_each_other_or_repeat(pts, s, t, dens, scaled):
+    layer = RecordingLayer(pts, s, t)
+    assert (TraceLayer(pts, s).den, TraceLayer(pts, t).den, layer.den) == dens
+    for weak in (False, True):
+        for root in (s, t):
+            rows = layer.entries(root, weak)
+            own = layer.built[root, weak and layer.silent]
+            # The halting row is the point mass over the build's denominator.
+            assert own[0] == {0: TraceLayer(pts, root).den if root in scaled else layer.den}
+            assert (rows is not own) == (root in scaled)
+            assert all(sum(row.values()) == layer.den for row in rows)
+            assert layer.decode(rows) == oracles.trace_distributions(pts, root, weak)
+    check_readers(pts, s, t)
+    check_crosscheck(pts, s, t)
 
 
 SAT_CASES = [

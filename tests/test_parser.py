@@ -132,6 +132,41 @@ class TestParsePts:
         assert len(pts.transitions_of("s")) == 50
         assert calls[0] == 0
 
+    def test_duplicate_key_reads_reduced_weights(self):
+        # The key takes each target's reduced ints from its token, so 0.5,
+        # 1/2 and 2/4 are one weight; a target merged from duplicates takes
+        # them from the summed weight.  Different weights do not collapse.
+        text = (
+            "s -a-> 0.5 t, 1/2 u\n"
+            "s -a-> 2/4 t, 0.50 u\n"
+            "s -a-> 1/4 t, 0.25 t, 2/4 u\n"
+            "s -a-> 1/4 u, 1/4 u, 1/2 t\n"
+            "s -a-> 1/3 t, 2/3 u\n"
+            "s -b-> 1/2 t, 1/2 u\n"
+        )
+
+        def parsed(parse):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", tm.ParserWarning)
+                pts = parse(text)
+            return pts, [str(w.message) for w in caught]
+
+        pts, messages = parsed(tm.parse_pts)
+        assert (pts, messages) == parsed(oracles.parse_pts)
+        assert messages == [
+            "line 3: duplicate target 't' merged",
+            "line 4: duplicate target 'u' merged",
+            "line 2: duplicate transition s -a-> collapsed",
+            "line 3: duplicate transition s -a-> collapsed",
+            "line 4: duplicate transition s -a-> collapsed",
+        ]
+        half = tm.Dist({"t": Fraction(1, 2), "u": Fraction(1, 2)})
+        assert [(row.action.name, row.target) for row in pts.transitions_of("s")] == [
+            ("a", half),
+            ("a", tm.Dist({"t": Fraction(1, 3), "u": Fraction(2, 3)})),
+            ("b", half),
+        ]
+
     def test_duplicate_target_in_line_merges_with_warning(self):
         with pytest.warns(tm.ParserWarning, match="duplicate target"):
             pts = tm.parse_pts("s -a-> 1/2 u, 1/2 u")
