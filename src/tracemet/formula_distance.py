@@ -20,12 +20,14 @@ they are, or each satisfied set passed through ``distinct_rows``.
 ``real_value`` reads one process's full list and the formula as a row of
 the same layer, both from ``logic.formula_query``, and scales both to the
 least common multiple of ``layer.den`` and the formula's denominator.  The
-satisfied sets are numbered in a formula table of their own, filled
-through ``tracing_formula`` and ``erase_formula``, so the formula route of
-``crosscheck`` shares no trace ids with its metric route.  Where the
-layer's ``silent`` is False the weak rows and satisfied sets are the
-strong ones, and ``crosscheck`` builds no weak list: its three weak values
-are its strong passes' results.
+satisfied sets are numbered in formula tables of their own
+(``_formula_sets``), so the formula route of ``crosscheck`` shares no
+trace ids with its metric route.  No formula object is built on that
+route: the mimicking formula of a row is the row with its trace ids
+renamed, and the erased formula ids come off the layer's trie, so the
+tables stay linear in depth.  Where the layer's ``silent`` is False the
+weak rows and satisfied sets are the strong ones, and ``crosscheck``
+builds no weak list: its three weak values are its strong passes' results.
 ``dist_formula_distance`` alone reads no layer: it is
 ``transport.kantorovich_01`` on two formulae given as ``Dist`` objects,
 and its weak form passes ``erase_formula`` as the canonicalizing function.
@@ -43,10 +45,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 
 from .core import PTS, ProcessId, TraceDistFormula
-from .logic import TraceFormula, erase_formula, formula_query, tracing_formula
+from .logic import erase_formula, formula_query
 from .resolutions import DEFAULT_MAX_RESOLUTIONS
 from .traces import TraceLayer
 from .transport import Side, distinct_rows, hausdorff_rows, kantorovich_01, nearest_distances
@@ -134,41 +136,38 @@ def _formula_sets(layer: TraceLayer, sides: list[list[dict]]) -> list[tuple[list
     """Each side's satisfied set as rows over formula ids, strong and weak,
     over the denominator of the side's rows.
 
-    The formulae are numbered in a table of their own, not by trace id:
-    each distinct trace id is decoded once and spelled through
-    ``tracing_formula``, and, where a silent step is reachable, each
-    distinct formula is erased once through ``erase_formula`` into a second
-    table.  A strong set is the side's distinct mimicking formulae, the
-    halting row's being the top formula; a weak set is the strong one with
-    every formula replaced by its erasure, and is the strong set itself
-    where no silent step is reachable.
+    The formulae are numbered in tables of their own, not by trace id.
+    ``tracing_formula`` is injective, so a strong set is the side's rows
+    with each trace id renumbered in order of first use, the empty trace's
+    standing for the top formula.  A weak set sums each row's weights per
+    erased formula id, and is the strong set itself where no silent step
+    is reachable.  The erased ids come from one pass over the layer's trie
+    in id order, where a tail precedes its extensions: a silent action
+    keeps its tail's erased id, any other action numbers the pair of its
+    name and its tail's erased id, and the top formula is 0.
     """
-    table: dict[TraceFormula, int] = {}
-    formula_of: dict[int, int] = {}
-    strong_sides = []
-    for rows in sides:
-        strong = []
-        for row in rows:
-            frow: dict = {}
-            for tid, w in row.items():
-                fid = formula_of.get(tid)
-                if fid is None:
-                    phi = tracing_formula(layer.trace(tid))
-                    fid = formula_of[tid] = table.setdefault(phi, len(table))
-                frow[fid] = frow.get(fid, 0) + w
-            strong.append(frow)
-        strong_sides.append(strong)
+    fid: dict[int, int] = {}
+    strong_sides = [
+        [{fid.setdefault(tid, len(fid)): w for tid, w in row.items()} for row in rows]
+        for rows in sides
+    ]
     if not layer.silent:
         return [(strong, strong) for strong in strong_sides]
-    erased_table: dict[TraceFormula, int] = {}
-    erased = [erased_table.setdefault(erase_formula(phi), len(erased_table)) for phi in table]
+    table: dict[tuple[str, int], int] = {}
+    erased = [0]
+    for action, tail in islice(zip(layer.actions, layer.tails), 1, None):
+        erased.append(
+            erased[tail] if action.is_tau
+            else table.setdefault((action.name, erased[tail]), len(table) + 1)
+        )
     out = []
-    for strong in strong_sides:
+    for rows, strong in zip(sides, strong_sides):
         weak = []
-        for frow in strong:
+        for row in rows:
             wrow: dict = {}
-            for fid, w in frow.items():
-                wrow[erased[fid]] = wrow.get(erased[fid], 0) + w
+            for tid, w in row.items():
+                e = erased[tid]
+                wrow[e] = wrow.get(e, 0) + w
             weak.append(wrow)
         out.append((strong, weak))
     return out
@@ -190,8 +189,8 @@ def _sup_val_value(rows_a: list[dict], rows_b: list[dict], total: int) -> Fracti
 
 
 def _satisfied_sets(pts: PTS, s: ProcessId, t: ProcessId, weak: bool, max_resolutions: int):
-    """The (weak) satisfied sets of the two processes, as rows over one
-    formula table (``_formula_sets``), then the layer's denominator."""
+    """The (weak) satisfied sets of the two processes, as rows over the
+    formula tables of ``_formula_sets``, then the layer's denominator."""
     layer = TraceLayer(pts, s, t, max_resolutions=max_resolutions)
     sides = [rows for _, rows in layer.distinct(False)]
     (set_s, weak_set_s), (set_t, weak_set_t) = _formula_sets(layer, sides)

@@ -119,18 +119,16 @@ def formula_query(
     over ``psi_den``, the least common denominator of its weights.
 
     The rows are built first, as their build fills the trie that ``find``
-    reads.  A trace the process does not show gets a negative key, so it
-    is shared with no row."""
+    reads.  Every trace the process does not show gets the one key -1,
+    which no row holds, so their weights are merged under it."""
     layer = TraceLayer(pts, process, max_resolutions=max_resolutions)
     rows = layer.entries(process, weak)
     psi_den = math.lcm(*(w.denominator for _, w in psi.items_sorted))
-    absent: dict = {}
     row: dict = {}
     for phi, weight in psi.items_sorted:
-        trace = tau_erase(phi.diamonds) if weak else phi.diamonds
-        key = layer.find(trace)
+        key = layer.find(tau_erase(phi.diamonds) if weak else phi.diamonds)
         if key is None:
-            key = absent.setdefault(trace, -1 - len(absent))
+            key = -1
         row[key] = row.get(key, 0) + weight.numerator * (psi_den // weight.denominator)
     return layer, rows, psi_den, row
 

@@ -65,22 +65,9 @@ def kantorovich_01(p: Dist, q: Dist, canonical: Callable | None = None) -> Fract
     """
     if not p.is_probability or not q.is_probability:
         raise ValueError("total variation requires probability distributions")
-    if canonical is None:
-        p_mass, q_mass = p.items_sorted, q
-    else:
-        p_mass, q_mass = _class_mass(p, canonical).items(), _class_mass(q, canonical)
-    return 1 - sum((min(w, q_mass[key]) for key, w in p_mass if key in q_mass), Fraction(0))
-
-
-def _class_mass(p: Dist, canonical: Callable) -> dict:
-    """The mass of ``p`` on each class of ``canonical``, in one dict pass:
-    the weights of ``p.pushforward(canonical)``, without building it."""
-    mass: dict = {}
-    for key, w in p.items_sorted:
-        cls = canonical(key)
-        known = mass.get(cls)
-        mass[cls] = w if known is None else known + w
-    return mass
+    if canonical is not None:
+        p, q = p.pushforward(canonical), q.pushforward(canonical)
+    return 1 - sum((min(w, q[key]) for key, w in p.items_sorted if key in q), Fraction(0))
 
 
 def _postings(rows: list[dict]) -> dict:

@@ -47,7 +47,10 @@ of formulae (``formulas_weak_equivalent``, ``dist_formulas_weak_equivalent``)
 with the top distribution formula ``TOP_DIST``, which ``weak_satisfies``
 and the acceptance tests read.  From ``formula_distance``: the 0/1
 distance on trace formulae, ``trace_formula_distance``, the ground cost
-the flow solver reads.  From ``metrics``: the per-resolution
+the flow solver reads, and ``formula_sets``, the satisfied sets spelled
+through ``TraceFormula`` objects, which the integer formula ids of
+``_formula_sets`` must equal (strongly) or relabel one to one (weakly).
+From ``metrics``: the per-resolution
 ``resolution_distance``/``weak_resolution_distance``.
 
 ``parse_pts`` is the system parser as it was before its success path was
@@ -71,7 +74,7 @@ import tracemet as tm
 from tracemet.core import IDENTIFIER_RE, PTS, Action, ProcessId, Transition, post_order, validate_pts
 from tracemet.parser import ParseError, ParseIssue, ParserWarning, SourceSpan
 from tracemet.resolutions import DEFAULT_MAX_RESOLUTIONS, Choice, Resolution
-from tracemet.traces import EPSILON, Trace
+from tracemet.traces import EPSILON, Trace, TraceLayer
 from tracemet.transport import distinct_rows, hausdorff_rows
 
 
@@ -214,6 +217,50 @@ def sup_val_over(set_s: list, set_t: list, weak: bool) -> Fraction:
         val_t = 1 - distance_to_set(psi, set_t, weak)
         best = max(best, abs(val_s - val_t))
     return best
+
+
+def formula_sets(layer: TraceLayer, sides: list[list[dict]]) -> list[tuple[list, list]]:
+    """Each side's satisfied set as rows over formula ids, strong and weak,
+    over the denominator of the side's rows.
+
+    The formulae are numbered in a table of their own, not by trace id:
+    each distinct trace id is decoded once and spelled through
+    ``tracing_formula``, and, where a silent step is reachable, each
+    distinct formula is erased once through ``erase_formula`` into a second
+    table.  A strong set is the side's distinct mimicking formulae, the
+    halting row's being the top formula; a weak set is the strong one with
+    every formula replaced by its erasure, and is the strong set itself
+    where no silent step is reachable.
+    """
+    table: dict[tm.TraceFormula, int] = {}
+    formula_of: dict[int, int] = {}
+    strong_sides = []
+    for rows in sides:
+        strong = []
+        for row in rows:
+            frow: dict = {}
+            for tid, w in row.items():
+                fid = formula_of.get(tid)
+                if fid is None:
+                    phi = tm.tracing_formula(layer.trace(tid))
+                    fid = formula_of[tid] = table.setdefault(phi, len(table))
+                frow[fid] = frow.get(fid, 0) + w
+            strong.append(frow)
+        strong_sides.append(strong)
+    if not layer.silent:
+        return [(strong, strong) for strong in strong_sides]
+    erased_table: dict[tm.TraceFormula, int] = {}
+    erased = [erased_table.setdefault(tm.erase_formula(phi), len(erased_table)) for phi in table]
+    out = []
+    for strong in strong_sides:
+        weak = []
+        for frow in strong:
+            wrow: dict = {}
+            for fid, w in frow.items():
+                wrow[erased[fid]] = wrow.get(erased[fid], 0) + w
+            weak.append(wrow)
+        out.append((strong, weak))
+    return out
 
 
 def _find_cycle(pts: PTS) -> list[ProcessId] | None:

@@ -7,6 +7,7 @@ import oracles
 import tracemet as tm
 from conftest import trace
 from genpts import random_case, random_formula, with_tau_prefix
+from tracemet.traces import TraceLayer
 
 
 def formula(text: str) -> tm.TraceFormula:
@@ -247,3 +248,47 @@ class TestCrossCheck:
         assert report.strong_metric == 1
         assert report.weak_metric == report.weak_logical_distance == Fraction(1, 2)
         assert report.all_equal
+
+
+class TestFormulaSets:
+    # The formula route numbers the layer's trace ids in tables of its own.
+    # ``oracles.formula_sets`` spells each trace id as a ``TraceFormula``
+    # and erases it; the integer route must give the same strong sets, id
+    # for id, and the same weak sets up to a one-to-one relabel.
+
+    def test_random_tau_systems_match_the_reference(self, monkeypatch):
+        import tracemet.formula_distance as fd
+
+        rng = random.Random(83)
+        merged = 0
+        for _ in range(40):
+            pts, s, t = random_case(rng, max_count=80, tau_bias=0.4)
+            layer = TraceLayer(pts, s, t)
+            sides = [rows for _, rows in layer.distinct(False)]
+            got = fd._formula_sets(layer, sides)
+            want = oracles.formula_sets(layer, sides)
+            relabel: dict = {}
+            for (strong, weak), (ref_strong, ref_weak) in zip(got, want):
+                assert strong == ref_strong
+                assert [list(row) for row in strong] == [list(row) for row in ref_strong]
+                assert len(weak) == len(ref_weak)
+                for row, ref in zip(weak, ref_weak):
+                    for key, ref_key in zip(row, ref):
+                        assert relabel.setdefault(key, ref_key) == ref_key
+                    assert {relabel[key]: w for key, w in row.items()} == ref
+                merged += len(set().union(*weak)) < len(set().union(*strong))
+            assert len(set(relabel.values())) == len(relabel)
+
+            def answers():
+                return [
+                    tm.crosscheck(pts, s, t),
+                    *(tm.logical_distance(pts, s, t, weak) for weak in (False, True)),
+                    *(tm.sup_val_distance(pts, s, t, weak) for weak in (False, True)),
+                ]
+
+            with monkeypatch.context() as patched:
+                patched.setattr(fd, "_formula_sets", oracles.formula_sets)
+                expected = answers()
+            assert answers() == expected
+        # Erasure merged formulae in some cases, so the relabel is not vacuous.
+        assert merged > 0

@@ -388,19 +388,29 @@ def test_chain_interns_one_id_per_trace():
     assert len(layer.tails) == 201
 
 
-@pytest.mark.parametrize("query, limit_mib", [
-    (tm.strong_trace_metric, 4),
-    (tm.crosscheck, 8),
+def tau_chain(n: int) -> tm.PTS:
+    """chain(n) with every odd step silent, as ``c``, beside chain(n) as ``d``."""
+    spec = {f"c{i}": [("tau" if i % 2 else "a", {f"c{i + 1}": 1})] for i in range(n)}
+    spec.update({f"d{i}": [("a", {f"d{i + 1}": 1})] for i in range(n)})
+    return tm.PTS.build(spec)
+
+
+@pytest.mark.parametrize("query, limit_mib, pts, s, t", [
+    pytest.param(tm.strong_trace_metric, 4, chain(400), "c0", "c1", id="strong_trace_metric-4"),
+    pytest.param(tm.crosscheck, 8, chain(400), "c0", "c1", id="crosscheck-8"),
+    pytest.param(tm.crosscheck, 2, tau_chain(400), "c0", "d0", id="crosscheck-tau-chain-2"),
 ])
-def test_chain_keeps_the_roots_lists_only(query, limit_mib):
+def test_chain_keeps_the_roots_lists_only(query, limit_mib, pts, s, t):
     # A level's list is dropped once the level above it is built, so the
     # peak is a few levels' rows, not the n²/2 of every list: chain(400)
     # peaked at 18.2 MiB (metric) and 37.8 MiB (crosscheck) when the
-    # layer kept them all.
-    pts = chain(400)
+    # layer kept them all.  The formula route numbers trace ids, weakly
+    # through (action, erased tail) pairs, so its tables stay linear in
+    # depth: spelling every trace id as a formula peaked at 2.9 MiB on the
+    # silent chain.
     tracemalloc.start()
     try:
-        query(pts, "c0", "c1")
+        query(pts, s, t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
