@@ -32,13 +32,18 @@ builds no weak list: its three weak values are its strong passes' results.
 ``transport.kantorovich_01`` on two formulae given as ``Dist`` objects,
 and its weak form passes ``erase_formula`` as the canonicalizing function.
 
-The sup-value route stays an independent check of the other two: where
-the metric and the logical distance share the kernel's max-min
-(``hausdorff_rows``, with its early breaks and same-position first
-candidate), the sup-value gap reads ``nearest_distances``, which computes
-every candidate formula's exact distance to both satisfied sets with no
-early exit.  A fault in the max-min's pruning therefore shows up as a
-mismatch in ``crosscheck`` instead of being repeated on every route.
+The sup-value route stays an independent check of the other two, which
+share the kernel's max-min (``transport.hausdorff_rows``, with its early
+breaks and same-position first candidate).  It takes the logical
+max-min's value D over the two satisfied sets only once
+``transport.certifies`` has proven it, with a pair distance of its own,
+from the certificate the max-min returns: every formula of either set
+within D of the other set, and one formula exactly D away.  Where the
+certificate fails, the gap comes from ``nearest_distances``, which
+computes every candidate formula's exact distance to both sets with no
+early exit, and ``crosscheck`` reports the failed certificate as a
+mismatch of its own.  A fault in the max-min's pruning therefore shows up
+as a mismatch instead of being repeated on every route.
 """
 from __future__ import annotations
 
@@ -51,7 +56,14 @@ from .core import PTS, ProcessId, TraceDistFormula
 from .logic import erase_formula, formula_query
 from .resolutions import DEFAULT_MAX_RESOLUTIONS
 from .traces import TraceLayer
-from .transport import Side, distinct_rows, hausdorff_rows, kantorovich_01, nearest_distances
+from .transport import (
+    Side,
+    certifies,
+    distinct_rows,
+    hausdorff_rows,
+    kantorovich_01,
+    nearest_distances,
+)
 
 
 def dist_formula_distance(p: TraceDistFormula, q: TraceDistFormula, weak: bool = False) -> Fraction:
@@ -109,7 +121,7 @@ def sup_val_distance(
     The strong form equals the strong trace metric.  The weak form is
     computed the same way but is reported as derived only.
     """
-    return _sup_val_value(*_satisfied_sets(pts, s, t, weak, max_resolutions))
+    return _sup_val_value(*_satisfied_sets(pts, s, t, weak, max_resolutions))[1]
 
 
 @dataclass(frozen=True)
@@ -177,15 +189,30 @@ def _hausdorff_value(side_a: Side, side_b: Side, total: int) -> Fraction:
     return Fraction(hausdorff_rows(side_a, side_b, total)[0], total)
 
 
-def _sup_val_value(rows_a: list[dict], rows_b: list[dict], total: int) -> Fraction:
-    # The sup over all formulae of the value gap is attained on the two
-    # satisfied sets themselves: for a member of one set the gap IS its
-    # distance to the other set, which produces both directed Hausdorff
-    # terms, and no formula can exceed them.  One sweep gives every
-    # candidate's exact distance to the other set, its distance to its own
-    # set being 0, so this route shares no max-min with the others.
-    to_b, to_a = nearest_distances(rows_a, rows_b, total)
-    return Fraction(max(chain(to_b, to_a), default=0), total)
+def _sup_val_value(
+    rows_a: list[dict], rows_b: list[dict], total: int
+) -> tuple[Fraction, Fraction, bool]:
+    """The logical distance between two satisfied sets, their sup-value
+    distance, and whether the max-min's certificate proved the two equal.
+
+    The sup over all formulae of the value gap is attained on the two
+    satisfied sets themselves: for a member of one set the gap IS its
+    distance to the other set, which produces both directed Hausdorff
+    terms, and no formula can exceed them.  So the gap is the max-min's
+    value once its certificate checks, and otherwise the largest of every
+    candidate's exact distance to the other set, from one sweep.
+    """
+    if bool(rows_a) != bool(rows_b):
+        raise ValueError("distance to an empty set is undefined")
+    if not rows_a:
+        return Fraction(0), Fraction(0), True
+    side_a, side_b = distinct_rows(rows_a), distinct_rows(rows_b)
+    d, _, _, certificate = hausdorff_rows(side_a, side_b, total)
+    logical = Fraction(d, total)
+    if certifies(side_a[1], side_b[1], total, d, certificate):
+        return logical, logical, True
+    to_b, to_a = nearest_distances(side_a[1], side_b[1], total)
+    return logical, Fraction(max(chain(to_b, to_a)), total), False
 
 
 def _satisfied_sets(pts: PTS, s: ProcessId, t: ProcessId, weak: bool, max_resolutions: int):
@@ -211,18 +238,16 @@ def crosscheck(
     strong = _hausdorff_value(*sides, total)
     sides = [rows for _, rows in sides]  # no row key lives across the formula table
     (set_s, weak_set_s), (set_t, weak_set_t) = _formula_sets(layer, sides)
-    logical_strong = _hausdorff_value(distinct_rows(set_s), distinct_rows(set_t), total)
-    supval_strong = _sup_val_value(set_s, set_t, total)
+    logical_strong, supval_strong, proven = _sup_val_value(set_s, set_t, total)
 
     # Where no silent step is reachable the weak rows and sets are the
     # strong ones, so the weak values are the strong passes' results.  Both
     # modes' rows come over the layer's denominator.
     if layer.silent:
         weak = _hausdorff_value(*layer.distinct(True), total)
-        logical_weak = _hausdorff_value(distinct_rows(weak_set_s), distinct_rows(weak_set_t), total)
-        supval_weak = _sup_val_value(weak_set_s, weak_set_t, total)
+        logical_weak, supval_weak, weak_proven = _sup_val_value(weak_set_s, weak_set_t, total)
     else:
-        weak, logical_weak, supval_weak = strong, logical_strong, supval_strong
+        weak, logical_weak, supval_weak, weak_proven = strong, logical_strong, supval_strong, proven
 
     mismatches: list[str] = []
     if logical_strong != strong:
@@ -233,6 +258,10 @@ def crosscheck(
         mismatches.append(
             f"sup-value distance {supval_strong} != strong metric {strong}"
         )
+    if not proven:
+        mismatches.append(
+            f"certificate of the strong logical distance {logical_strong} rejected"
+        )
     if logical_weak != weak:
         mismatches.append(
             f"weak logical distance {logical_weak} != weak metric {weak}"
@@ -241,6 +270,10 @@ def crosscheck(
     if supval_weak != weak:
         mismatches.append(
             f"(derived) weak sup-value distance {supval_weak} != weak metric {weak}"
+        )
+    if not weak_proven:
+        mismatches.append(
+            f"(derived) certificate of the weak logical distance {logical_weak} rejected"
         )
     return CrossCheckReport(
         strong_metric=strong,

@@ -57,7 +57,7 @@ def _trace_metric(
     side_s, side_t = layer.distinct(weak)
     # Neither list is empty (the halting resolution is always first), so
     # there is always a witness pair, given as first indices.
-    d, i, j = hausdorff_rows(side_s, side_t, layer.den)
+    d, i, j, _ = hausdorff_rows(side_s, side_t, layer.den)
     witness = (layer.resolution(s, i), layer.resolution(t, j))
     stats = DedupStats(layer.count(s), len(side_s[1]), layer.count(t), len(side_t[1]))
     return MetricResult(Fraction(d, layer.den), witness, stats)

@@ -34,11 +34,22 @@ processes of similar shape usually ends the row at once (the early break
 with a good first candidate of Taha and Hanbury, "An efficient algorithm
 for calculating the exact Hausdorff distance", IEEE TPAMI 2015).
 
+The max-min also returns a certificate of its value D: the column it
+paired each row with, always within D since every running bound is at most
+D, and the row whose nearest distance is exactly D.  ``certifies`` checks
+one with a pair distance of its own, the L1 distance (twice the TV
+distance): every row within D of its column proves that no row is farther
+than D from the other set, and one scan of the winning row over the whole
+other side proves that one row is exactly D away.  That is one pair per row
+plus one row, and it shares neither the postings nor the early breaks of
+the max-min (the certifying algorithms of McConnell, Mehlhorn, Näher and
+Schweitzer, Computer Science Review 5(2), 2011).  The sup-value route of
+``formula_distance`` reports D once the certificate checks.
+
 ``nearest_distances`` has no early exit and no hint: one sweep evaluates
 every pair of rows that share a key once and lowers both rows' minima with
-it.  The sup-value route of ``formula_distance`` reads it, so that route
-computes every candidate's exact distance to both sets and shares no
-max-min with the metric and the logical distance it is checked against.
+it.  It computes ``real_value``'s distance from a formula to a satisfied
+set, and is the sup-value route's fallback where a certificate fails.
 
 The references the tests compare the kernel against live in
 ``tests/oracles.py``: the per-pair Hausdorff lifting over an arbitrary
@@ -53,6 +64,9 @@ from typing import Callable
 from .core import Dist
 
 Side = tuple[dict, list[dict]]  # a set of rows as ``distinct_rows`` returns it
+# Each distinct row's column on the other side, for A then for B, then the
+# winning row: its side (0 for A, 1 for B) and position.
+Certificate = tuple[list[int], list[int], int, int]
 
 
 def kantorovich_01(p: Dist, q: Dist, canonical: Callable | None = None) -> Fraction:
@@ -157,10 +171,13 @@ class _Index:
         return best, at
 
 
-def _directed(side: _Index, index: _Index, total: int, floor: int) -> tuple[int, int, int]:
+def _directed(
+    side: _Index, index: _Index, total: int, floor: int
+) -> tuple[int, int, int, list[int]]:
     """Directed max-min from ``side``'s rows to ``index``: (distance, row, column),
-    first row then first column attaining it.  Exact when the distance
-    exceeds ``floor``; otherwise only known to be at most ``floor``.
+    first row then first column attaining it, then each row's column.  Exact
+    when the distance exceeds ``floor``; otherwise only known to be at most
+    ``floor``.  Each row's column is within ``max(distance, floor)`` of it.
 
     Row ``i`` is first compared with the row at the same position on the
     other side (the last one if that side is shorter): callers pass both
@@ -169,29 +186,73 @@ def _directed(side: _Index, index: _Index, total: int, floor: int) -> tuple[int,
     the pair is usually close enough to end the row at once.
     """
     best, i_at, j_at = -1, 0, 0
+    cols: list[int] = []
     last = len(index.rows) - 1
     for i, (row, key) in enumerate(zip(side.rows, side.keys)):
         d, j = index.nearest(row, key, total, max(best, floor), min(i, last))
+        cols.append(j)
         if d > best:
             best, i_at, j_at = d, i, j
-    return best, i_at, j_at
+    return best, i_at, j_at, cols
 
 
-def hausdorff_rows(side_a: Side, side_b: Side, total: int) -> tuple[int, int, int]:
+def hausdorff_rows(side_a: Side, side_b: Side, total: int) -> tuple[int, int, int, Certificate]:
     """Hausdorff max-min of TV distances between two nonempty sets of rows
     over ``total``, each side as ``distinct_rows`` returns it: (distance in
-    units of ``1/total``, i, j).
+    units of ``1/total``, i, j, certificate).
 
     The witness (i, j) is the first (max-side, then min-side) pair realizing
     the value, as indices into the lists before dedup; the first set wins
-    ties between the two directions.
+    ties between the two directions.  The certificate indexes the distinct
+    rows, for ``certifies``.
     """
     index_a, index_b = _Index(side_a), _Index(side_b)
-    d_ab, i_ab, j_ab = _directed(index_a, index_b, total, -1)
+    d_ab, i_ab, j_ab, cols_a = _directed(index_a, index_b, total, -1)
     # The B->A direction only matters where it beats A->B outright.
-    d_ba, j_ba, i_ba = _directed(index_b, index_a, total, d_ab)
-    d, i, j = (d_ab, i_ab, j_ab) if d_ab >= d_ba else (d_ba, i_ba, j_ba)
-    return d, index_a.first[i], index_b.first[j]
+    d_ba, j_ba, i_ba, cols_b = _directed(index_b, index_a, total, d_ab)
+    if d_ab >= d_ba:
+        return d_ab, index_a.first[i_ab], index_b.first[j_ab], (cols_a, cols_b, 0, i_ab)
+    return d_ba, index_a.first[i_ba], index_b.first[j_ba], (cols_a, cols_b, 1, j_ba)
+
+def certifies(
+    rows_a: list[dict], rows_b: list[dict], total: int, d: int, certificate: Certificate
+) -> bool:
+    """Whether ``certificate`` proves ``d``, in units of ``1/total``, to be
+    the Hausdorff max-min of two lists of distinct rows over ``total``.
+
+    Every row must be within ``d`` of its column, and the winning row's
+    nearest row on the other side exactly ``d`` away.  Distances are L1
+    distances, twice the TV distance, each over one row's keys: the other
+    row's mass ``total``, less what lies on those keys, plus ``|w - v|`` on
+    each.  A column or row out of range fails the check.
+    """
+    cols_a, cols_b, side, at = certificate
+    bound = 2 * d
+    try:
+        for rows, cols, others in ((rows_a, cols_a, rows_b), (rows_b, cols_b, rows_a)):
+            if len(cols) != len(rows):
+                return False
+            for row, j in zip(rows, cols):
+                other = others[j]
+                l1 = total
+                for key, w in row.items():
+                    v = other.get(key, 0)
+                    l1 += (w - v if w > v else v - w) - v
+                if l1 > bound:
+                    return False
+        weights = (rows_a, rows_b)[side][at].items()
+    except IndexError:
+        return False
+    # Every row is within d of its column, so the max-min is at most d, and
+    # exactly d iff no row of the other side is nearer than d to the winner.
+    for other in (rows_b, rows_a)[side]:
+        l1 = total
+        for key, w in weights:
+            v = other.get(key, 0)
+            l1 += (w - v if w > v else v - w) - v
+        if l1 < bound:
+            return False
+    return True
 
 
 def nearest_distances(

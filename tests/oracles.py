@@ -172,7 +172,7 @@ def kernel_hausdorff(
     to ``hausdorff_witness`` on ``Dist`` inputs.  The witness indexes the
     lists as given, repeats included."""
     total, (rows_a, rows_b) = integer_rows(canonical, items_a, items_b)
-    d, i, j = hausdorff_rows(distinct_rows(rows_a), distinct_rows(rows_b), total)
+    d, i, j, _ = hausdorff_rows(distinct_rows(rows_a), distinct_rows(rows_b), total)
     return Fraction(d, total), (i, j)
 
 

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
 import oracles
 import tracemet as tm
-from conftest import trace
+from conftest import HALF_PAIR_TEXT, trace
 from genpts import random_case, random_formula, with_tau_prefix
+from test_trace_layer import ladder
 from tracemet.traces import TraceLayer
 
 
@@ -217,9 +219,11 @@ class TestCrossCheck:
 
     @pytest.fixture()
     def passes(self, monkeypatch):
+        # Max-min passes (the metric's and the logical distance's), checks of
+        # the logical max-min's certificate, and exhaustive sup-value sweeps.
         import tracemet.formula_distance as fd
 
-        counted = {"max-min": 0, "sup-value": 0}
+        counted = {"max-min": 0, "check": 0, "sweep": 0}
 
         def counting(name, original):
             def wrapper(*args):
@@ -227,15 +231,19 @@ class TestCrossCheck:
                 return original(*args)
             return wrapper
 
-        monkeypatch.setattr(fd, "_hausdorff_value", counting("max-min", fd._hausdorff_value))
-        monkeypatch.setattr(fd, "_sup_val_value", counting("sup-value", fd._sup_val_value))
+        for name, attr in [
+            ("max-min", "hausdorff_rows"),
+            ("check", "certifies"),
+            ("sweep", "nearest_distances"),
+        ]:
+            monkeypatch.setattr(fd, attr, counting(name, getattr(fd, attr)))
         return counted
 
     def test_tau_free_weak_route_reuses_the_strong_passes(self, half_pair, passes):
         # No silent step: the weak rows and sets equal the strong ones, so
         # the three weak values are the strong passes' results.
         report = tm.crosscheck(half_pair, "s", "t")
-        assert passes == {"max-min": 2, "sup-value": 1}
+        assert passes == {"max-min": 2, "check": 1, "sweep": 0}
         assert report.weak_metric == tm.weak_trace_metric(half_pair, "s", "t").value
         assert report.weak_logical_distance == tm.logical_distance(half_pair, "s", "t", weak=True)
         assert report.weak_sup_val_distance == tm.sup_val_distance(half_pair, "s", "t", weak=True)
@@ -244,7 +252,7 @@ class TestCrossCheck:
     def test_silent_steps_run_every_weak_pass(self, half_pair, passes):
         pts = with_tau_prefix(half_pair, "s")
         report = tm.crosscheck(pts, "ptau", "t")
-        assert passes == {"max-min": 4, "sup-value": 2}
+        assert passes == {"max-min": 4, "check": 2, "sweep": 0}
         assert report.strong_metric == 1
         assert report.weak_metric == report.weak_logical_distance == Fraction(1, 2)
         assert report.all_equal
@@ -292,3 +300,124 @@ class TestFormulaSets:
             assert answers() == expected
         # Erasure merged formulae in some cases, so the relabel is not vacuous.
         assert merged > 0
+
+
+def tv(row: dict, other: dict, total: int) -> int:
+    return total - sum(min(w, other.get(key, 0)) for key, w in row.items())
+
+
+class TestCertificate:
+    # The sup-value route takes the logical max-min's value D once
+    # ``transport.certifies`` proves it from the max-min's certificate, and
+    # sweeps every key-sharing pair (``nearest_distances``) only where that
+    # check fails.
+
+    def test_random_tau_systems(self, monkeypatch):
+        import tracemet.formula_distance as fd
+        from tracemet.transport import certifies, distinct_rows, hausdorff_rows, nearest_distances
+
+        rng = random.Random(89)
+        checked = moved = 0
+        sweeps = []
+        for _ in range(60):
+            pts, s, t = random_case(rng, max_count=80, tau_bias=0.3)
+            for weak in (False, True):
+                set_s, set_t, total = fd._satisfied_sets(pts, s, t, weak, 10**6)
+                side_s, side_t = distinct_rows(set_s), distinct_rows(set_t)
+                rows_s, rows_t = side_s[1], side_t[1]
+                d, _, _, certificate = hausdorff_rows(side_s, side_t, total)
+                to_t, to_s = nearest_distances(rows_s, rows_t, total)
+                assert d == max(to_t + to_s)
+                assert certifies(rows_s, rows_t, total, d, certificate)
+                assert not certifies(rows_s, rows_t, total, d - 1, certificate)
+                assert not certifies(rows_s, rows_t, total, d + 1, certificate)
+                # A column short or out of range.
+                cols_s, cols_t, side, at = certificate
+                assert not certifies(rows_s, rows_t, total, d, (cols_s[:-1], cols_t, side, at))
+                out = [len(rows_t)] * len(rows_s)
+                assert not certifies(rows_s, rows_t, total, d, (out, cols_t, side, at))
+                checked += 1
+                # Each row's column moved, in turn, to the first row farther
+                # than D from it.
+                for rows, others, which in ((rows_s, rows_t, 0), (rows_t, rows_s, 1)):
+                    for i, row in enumerate(rows):
+                        far = [j for j, other in enumerate(others) if tv(row, other, total) > d]
+                        if not far:
+                            continue
+                        cols = [list(cols_s), list(cols_t)]
+                        cols[which][i] = far[0]
+                        assert not certifies(rows_s, rows_t, total, d, (*cols, side, at))
+                        moved += 1
+            with monkeypatch.context() as patched:
+                patched.setattr(fd, "nearest_distances", lambda *a: sweeps.append(a))
+                report = tm.crosscheck(pts, s, t)
+            assert report.all_equal and report.mismatches == ()
+            assert report.weak_sup_val_distance == report.weak_metric
+        assert sweeps == []
+        assert checked == 120 and moved > 100
+
+    SILENT_HALF_PAIR = HALF_PAIR_TEXT.replace("t2 -b-> 1 nil", "t2 -tau-> 1 t3\nt3 -b-> 1 nil")
+
+    @pytest.fixture(params=["too small", "too large", "wrong column"])
+    def mutant(self, request, monkeypatch):
+        """The max-min that crosscheck's metric and logical routes share,
+        mutated to return a value 1/total too small or too large, or A's
+        first row paired with a column farther than the value from it."""
+        import tracemet.formula_distance as fd
+
+        original = fd.hausdorff_rows
+        moved = []
+
+        def mutated(side_a, side_b, total):
+            d, i, j, (cols_a, cols_b, side, at) = original(side_a, side_b, total)
+            if request.param == "too small":
+                d -= 1
+            elif request.param == "too large":
+                d += 1
+            else:
+                row = side_a[1][0]
+                far = (j for j, other in enumerate(side_b[1]) if tv(row, other, total) > d)
+                cols_a[0] = next(far)
+                moved.append(cols_a[0])
+            return d, i, j, (cols_a, cols_b, side, at)
+
+        monkeypatch.setattr(fd, "hausdorff_rows", mutated)
+        yield request.param
+        assert moved or request.param != "wrong column"
+
+    @pytest.mark.parametrize(
+        "text, s, t, silent",
+        [(None, "x0", "w0", False), (SILENT_HALF_PAIR, "s", "t", True)],
+    )
+    def test_mutated_max_min_is_caught(self, mutant, text, s, t, silent, tmp_path, capsys):
+        import tracemet.cli as cli
+        import tracemet.formula_distance as fd
+
+        text = tm.print_pts(ladder(3)) if text is None else text
+        pts = tm.parse_pts(text)
+        assert TraceLayer(pts, s, t).silent == silent
+        # The sweep's values, which the fallback reports.
+        sweep, weak_sweep = (
+            Fraction(max(chain(*tm.transport.nearest_distances(set_s, set_t, total))), total)
+            for set_s, set_t, total in (
+                fd._satisfied_sets(pts, s, t, weak, 10**6) for weak in (False, True)
+            )
+        )
+
+        report = tm.crosscheck(pts, s, t)
+        assert not report.all_equal
+        assert report.sup_val_distance == sweep
+        assert report.weak_sup_val_distance == weak_sweep
+        assert any("certificate of the strong logical distance" in m for m in report.mismatches)
+        assert any(m.startswith("(derived) certificate of the weak") for m in report.mismatches)
+        if mutant != "wrong column":
+            assert report.strong_metric != sweep
+            assert f"sup-value distance {sweep} != strong metric" in "\n".join(report.mismatches)
+
+        path = tmp_path / "system.pts"
+        path.write_text(text)
+        code = cli.main(["crosscheck", str(path), "-p", s, "-q", t])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert "all equal: false" in out and "crosscheck failed: " in err
+        assert "Traceback" not in out + err

@@ -114,7 +114,9 @@ class TestFormulaSets:
                 )
 
     def test_sup_val_rejects_one_empty_set(self):
-        sup_val = tm.formula_distance._sup_val_value
+        def sup_val(rows_a, rows_b, total):
+            return tm.formula_distance._sup_val_value(rows_a, rows_b, total)[1]
+
         with pytest.raises(ValueError):
             sup_val([{0: 1}], [], 1)
         assert sup_val([], [], 1) == 0
@@ -279,9 +281,12 @@ def test_permuted_side_never_changes_value_or_witness(data, canonical):
     items_b = data.draw(st.permutations(items_a[:shared] + extra))
     for left, right in ((items_a, items_b), (items_b, items_a)):
         total, (rows_l, rows_r) = oracles.integer_rows(canonical, left, right)
-        d, i, j = tm.transport.hausdorff_rows(distinct_rows(rows_l), distinct_rows(rows_r), total)
+        side_l, side_r = distinct_rows(rows_l), distinct_rows(rows_r)
+        d, i, j, certificate = tm.transport.hausdorff_rows(side_l, side_r, total)
         # The witness indexes the lists before dedup, as the oracle's does.
         assert (Fraction(d, total), (i, j)) == oracle_witness(left, right, canonical)
+        # Every hint, whole-row match and scan leaves a column the check accepts.
+        assert tm.transport.certifies(side_l[1], side_r[1], total, d, certificate)
 
 
 @settings(max_examples=200, deadline=None)
