@@ -101,10 +101,6 @@ class Dist(Mapping):
             acc[key] = weight if known is None else known + weight
         return cls(acc)
 
-    @classmethod
-    def dirac(cls, key) -> "Dist":
-        return cls({key: Fraction(1)})
-
     def pushforward(self, fn: Callable) -> "Dist":
         """Image distribution under ``fn``, merging collided keys."""
         return Dist.merged((fn(key), weight) for key, weight in self._items)
@@ -206,9 +202,6 @@ class PTS:
         if process not in self.processes:
             raise ValueError(f"unknown process {process!r}")
         return self.transitions.get(process, ())
-
-    def is_terminal(self, process: ProcessId) -> bool:
-        return not self.transitions_of(process)
 
 
 @dataclass(frozen=True)

@@ -13,21 +13,22 @@ outcome.
 
 ``logical_distance``, ``sup_val_distance`` and ``crosscheck`` read the
 integer rows of a ``traces.TraceLayer`` rooted at the processes they
-compare: the distinct rows of both, over the layer's ``den``.  Every
-max-min goes through ``_hausdorff_value``, on two sides as
-``transport.distinct_rows`` returns them: the layer's distinct sides as
-they are, or each satisfied set passed through ``distinct_rows``.
-``real_value`` reads one process's full list and the formula as a row of
-the same layer, both from ``logic.formula_query``, and scales both to the
-least common multiple of ``layer.den`` and the formula's denominator.  The
-satisfied sets are numbered in formula tables of their own
-(``_formula_sets``), so the formula route of ``crosscheck`` shares no
-trace ids with its metric route.  No formula object is built on that
-route: the mimicking formula of a row is the row with its trace ids
-renamed, and the erased formula ids come off the layer's trie, so the
-tables stay linear in depth.  Where the layer's ``silent`` is False the
-weak rows and satisfied sets are the strong ones, and ``crosscheck``
-builds no weak list: its three weak values are its strong passes' results.
+compare: the distinct strong rows of both, over the layer's ``den``.
+``_formula_sets`` turns them into one mode's satisfied sets, numbered in
+formula tables of their own, so the formula route of ``crosscheck`` shares
+no trace ids with its metric route.  ``_sup_val_value`` passes each set
+through ``transport.distinct_rows`` and takes their logical and sup-value
+distances; ``crosscheck``'s metrics read the layer's distinct sides as
+they are.  The two library functions read one mode, ``crosscheck`` both.
+Where the layer's ``silent`` is False the weak rows and sets are the
+strong ones, so it builds no weak list and its three weak values are its
+strong passes' results.  No formula object is built on that route: the
+mimicking formula of a row is the row with its trace ids renamed, and the
+erased formula ids come off the layer's trie, so the tables stay linear in
+depth.  ``real_value`` reads one process's full list and the formula as a
+row of the same layer, both from ``logic.formula_query``, and scales both
+to the least common multiple of ``layer.den`` and the formula's
+denominator.
 ``dist_formula_distance`` alone reads no layer: it is
 ``transport.kantorovich_01`` on two formulae given as ``Dist`` objects,
 and its weak form passes ``erase_formula`` as the canonicalizing function.
@@ -57,7 +58,6 @@ from .logic import erase_formula, formula_query
 from .resolutions import DEFAULT_MAX_RESOLUTIONS
 from .traces import TraceLayer
 from .transport import (
-    Side,
     certifies,
     distinct_rows,
     hausdorff_rows,
@@ -79,8 +79,7 @@ def logical_distance(
     max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
 ) -> Fraction:
     """Hausdorff distance between the satisfied-formula sets of two processes."""
-    set_s, set_t, total = _satisfied_sets(pts, s, t, weak, max_resolutions)
-    return _hausdorff_value(distinct_rows(set_s), distinct_rows(set_t), total)
+    return _set_values(pts, s, t, weak, max_resolutions)[0]
 
 
 def real_value(
@@ -121,7 +120,7 @@ def sup_val_distance(
     The strong form equals the strong trace metric.  The weak form is
     computed the same way but is reported as derived only.
     """
-    return _sup_val_value(*_satisfied_sets(pts, s, t, weak, max_resolutions))[1]
+    return _set_values(pts, s, t, weak, max_resolutions)[1]
 
 
 @dataclass(frozen=True)
@@ -144,27 +143,27 @@ class CrossCheckReport:
     mismatches: tuple[str, ...]
 
 
-def _formula_sets(layer: TraceLayer, sides: list[list[dict]]) -> list[tuple[list, list]]:
-    """Each side's satisfied set as rows over formula ids, strong and weak,
-    over the denominator of the side's rows.
+def _formula_sets(layer: TraceLayer, sides: list[list[dict]], weak: bool) -> list[list[dict]]:
+    """Each side's (weak) satisfied set as rows over formula ids, over the
+    denominator of the side's rows.
 
     The formulae are numbered in tables of their own, not by trace id.
     ``tracing_formula`` is injective, so a strong set is the side's rows
     with each trace id renumbered in order of first use, the empty trace's
-    standing for the top formula.  A weak set sums each row's weights per
-    erased formula id, and is the strong set itself where no silent step
-    is reachable.  The erased ids come from one pass over the layer's trie
-    in id order, where a tail precedes its extensions: a silent action
-    keeps its tail's erased id, any other action numbers the pair of its
-    name and its tail's erased id, and the top formula is 0.
+    standing for the top formula.  Where no silent step is reachable the
+    weak sets are the strong ones.  Otherwise a weak set sums each row's
+    weights per erased formula id, and the erased ids come from one pass
+    over the layer's trie in id order, where a tail precedes its
+    extensions: a silent action keeps its tail's erased id, any other
+    action numbers the pair of its name and its tail's erased id, and the
+    top formula is 0.
     """
-    fid: dict[int, int] = {}
-    strong_sides = [
-        [{fid.setdefault(tid, len(fid)): w for tid, w in row.items()} for row in rows]
-        for rows in sides
-    ]
-    if not layer.silent:
-        return [(strong, strong) for strong in strong_sides]
+    if not (weak and layer.silent):
+        fid: dict[int, int] = {}
+        return [
+            [{fid.setdefault(tid, len(fid)): w for tid, w in row.items()} for row in rows]
+            for rows in sides
+        ]
     table: dict[tuple[str, int], int] = {}
     erased = [0]
     for action, tail in islice(zip(layer.actions, layer.tails), 1, None):
@@ -173,20 +172,16 @@ def _formula_sets(layer: TraceLayer, sides: list[list[dict]]) -> list[tuple[list
             else table.setdefault((action.name, erased[tail]), len(table) + 1)
         )
     out = []
-    for rows, strong in zip(sides, strong_sides):
-        weak = []
+    for rows in sides:
+        weak_rows = []
         for row in rows:
             wrow: dict = {}
             for tid, w in row.items():
                 e = erased[tid]
                 wrow[e] = wrow.get(e, 0) + w
-            weak.append(wrow)
-        out.append((strong, weak))
+            weak_rows.append(wrow)
+        out.append(weak_rows)
     return out
-
-
-def _hausdorff_value(side_a: Side, side_b: Side, total: int) -> Fraction:
-    return Fraction(hausdorff_rows(side_a, side_b, total)[0], total)
 
 
 def _sup_val_value(
@@ -215,13 +210,11 @@ def _sup_val_value(
     return logical, Fraction(max(chain(to_b, to_a)), total), False
 
 
-def _satisfied_sets(pts: PTS, s: ProcessId, t: ProcessId, weak: bool, max_resolutions: int):
-    """The (weak) satisfied sets of the two processes, as rows over the
-    formula tables of ``_formula_sets``, then the layer's denominator."""
+def _set_values(pts: PTS, s: ProcessId, t: ProcessId, weak: bool, max_resolutions: int):
+    """``_sup_val_value`` of the two processes' (weak) satisfied sets."""
     layer = TraceLayer(pts, s, t, max_resolutions=max_resolutions)
     sides = [rows for _, rows in layer.distinct(False)]
-    (set_s, weak_set_s), (set_t, weak_set_t) = _formula_sets(layer, sides)
-    return (weak_set_s, weak_set_t, layer.den) if weak else (set_s, set_t, layer.den)
+    return _sup_val_value(*_formula_sets(layer, sides, weak), layer.den)
 
 
 def crosscheck(
@@ -235,17 +228,20 @@ def crosscheck(
     layer = TraceLayer(pts, s, t, max_resolutions=max_resolutions)
     total = layer.den
     sides = layer.distinct(False)
-    strong = _hausdorff_value(*sides, total)
+    strong = Fraction(hausdorff_rows(*sides, total)[0], total)
     sides = [rows for _, rows in sides]  # no row key lives across the formula table
-    (set_s, weak_set_s), (set_t, weak_set_t) = _formula_sets(layer, sides)
-    logical_strong, supval_strong, proven = _sup_val_value(set_s, set_t, total)
+    logical_strong, supval_strong, proven = _sup_val_value(
+        *_formula_sets(layer, sides, False), total
+    )
 
     # Where no silent step is reachable the weak rows and sets are the
     # strong ones, so the weak values are the strong passes' results.  Both
     # modes' rows come over the layer's denominator.
     if layer.silent:
-        weak = _hausdorff_value(*layer.distinct(True), total)
-        logical_weak, supval_weak, weak_proven = _sup_val_value(weak_set_s, weak_set_t, total)
+        weak = Fraction(hausdorff_rows(*layer.distinct(True), total)[0], total)
+        logical_weak, supval_weak, weak_proven = _sup_val_value(
+            *_formula_sets(layer, sides, True), total
+        )
     else:
         weak, logical_weak, supval_weak, weak_proven = strong, logical_strong, supval_strong, proven
 

@@ -44,10 +44,6 @@ class TraceFormula:
 
     diamonds: tuple[Action, ...] = ()
 
-    @property
-    def depth(self) -> int:
-        return len(self.diamonds)
-
     def __str__(self) -> str:
         return "".join(f"<{a.name}>" for a in self.diamonds) + "T"
 

@@ -75,7 +75,7 @@ def with_tau_prefix(pts: tm.PTS, process: str, name: str = "ptau") -> tm.PTS:
     """The same system plus one process doing a single silent step into
     ``process``."""
     transitions = dict(pts.transitions)
-    transitions[name] = (tm.Transition(tm.TAU, tm.Dist.dirac(process)),)
+    transitions[name] = (tm.Transition(tm.TAU, tm.Dist({process: 1})),)
     return tm.PTS(pts.processes | {name}, transitions)
 
 

@@ -180,7 +180,7 @@ def formula_metric(weak: bool):
     return tm.erase_formula if weak else None
 
 
-TOP_DIST = tm.Dist.dirac(tm.TOP)
+TOP_DIST = tm.Dist({tm.TOP: 1})
 
 
 def trace_formula_distance(x: tm.TraceFormula, y: tm.TraceFormula, weak: bool = False) -> Fraction:
@@ -525,7 +525,7 @@ def max_computations(resolution: Resolution) -> list[Computation]:
     return out
 
 
-HALTED = tm.Dist.dirac(EPSILON)
+HALTED = tm.Dist({EPSILON: 1})
 
 
 def trace_distributions(
@@ -717,7 +717,7 @@ def satisfies_trace(computation: Computation, phi: tm.TraceFormula) -> bool:
 
 def compatible_with_formula(computation: Computation, phi: tm.TraceFormula) -> bool:
     """Satisfaction plus exact length: the run spells the formula and stops."""
-    return len(computation) == phi.depth and satisfies_trace(computation, phi)
+    return len(computation) == len(phi.diamonds) and satisfies_trace(computation, phi)
 
 
 def mimicking_formula(resolution: Resolution) -> tm.TraceDistFormula:

@@ -37,7 +37,7 @@ class TestDist:
         d = tm.Dist.merged([("x", Fraction(1, 3)), ("x", Fraction(1, 3)), ("y", Fraction(1, 3))])
         assert d["x"] == Fraction(2, 3)
         collapsed = d.pushforward(lambda _: "z")
-        assert collapsed == tm.Dist.dirac("z")
+        assert collapsed == tm.Dist({"z": 1})
 
     def test_equality_and_hash_are_structural(self):
         a = tm.Dist({"x": Fraction(1, 2), "y": Fraction(1, 2)})
@@ -86,7 +86,7 @@ class TestValidate:
     def test_dangling_reference_is_reported(self):
         pts = tm.PTS(
             frozenset({"s"}),
-            {"s": (tm.Transition(tm.Action("a"), tm.Dist.dirac("ghost")),)},
+            {"s": (tm.Transition(tm.Action("a"), tm.Dist({"ghost": 1})),)},
         )
         report = tm.validate_pts(pts)
         assert any("undeclared process 'ghost'" in msg for _, msg in report.errors)
@@ -113,7 +113,7 @@ class TestValidate:
     def test_undeclared_source_is_reported(self):
         pts = tm.PTS(
             frozenset({"u"}),
-            {"ghost": (tm.Transition(tm.Action("a"), tm.Dist.dirac("u")),)},
+            {"ghost": (tm.Transition(tm.Action("a"), tm.Dist({"u": 1})),)},
         )
         report = tm.validate_pts(pts)
         assert any("not a declared process" in msg for _, msg in report.errors)
@@ -158,7 +158,7 @@ class TestQueries:
         for _ in range(30):
             pts = random_pts(rng)
             for p in sorted(pts.processes):
-                assert (_depth(pts, p) == 0) == pts.is_terminal(p)
+                assert (_depth(pts, p) == 0) == (not pts.transitions_of(p))
                 assert _depth(pts, p) == _depth_by_path_enumeration(pts, p)
 
     def test_reachability_is_closed_under_supports(self):

@@ -130,7 +130,7 @@ class TestDistanceToSet:
         assert all(tm.real_value(half_pair, "s", psi) == 1 for psi in formulas)
 
     def test_disjoint_singletons(self):
-        assert tm.dist_formula_distance(oracles.TOP_DIST, tm.Dist.dirac(formula("a"))) == 1
+        assert tm.dist_formula_distance(oracles.TOP_DIST, tm.Dist({formula("a"): 1})) == 1
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -156,7 +156,7 @@ class TestRealValue:
 
     def test_terminal_process(self):
         pts = tm.parse_pts("s -a-> 1 u")
-        assert tm.real_value(pts, "u", tm.Dist.dirac(formula("a"))) == 0
+        assert tm.real_value(pts, "u", tm.Dist({formula("a"): 1})) == 0
 
 
 class TestSupValDistance:
@@ -273,7 +273,7 @@ class TestFormulaSets:
             pts, s, t = random_case(rng, max_count=80, tau_bias=0.4)
             layer = TraceLayer(pts, s, t)
             sides = [rows for _, rows in layer.distinct(False)]
-            got = fd._formula_sets(layer, sides)
+            got = zip(fd._formula_sets(layer, sides, False), fd._formula_sets(layer, sides, True))
             want = oracles.formula_sets(layer, sides)
             relabel: dict = {}
             for (strong, weak), (ref_strong, ref_weak) in zip(got, want):
@@ -295,11 +295,86 @@ class TestFormulaSets:
                 ]
 
             with monkeypatch.context() as patched:
-                patched.setattr(fd, "_formula_sets", oracles.formula_sets)
+                patched.setattr(
+                    fd,
+                    "_formula_sets",
+                    lambda layer, sides, weak: [
+                        sets[weak] for sets in oracles.formula_sets(layer, sides)
+                    ],
+                )
                 expected = answers()
             assert answers() == expected
         # Erasure merged formulae in some cases, so the relabel is not vacuous.
         assert merged > 0
+
+
+class TestOneRoutePerMode:
+    # ``logical_distance`` and ``sup_val_distance`` build the asked mode's
+    # satisfied sets only, through the ``_formula_sets`` route that
+    # ``crosscheck`` runs once per mode.
+
+    def test_library_values_are_crosscheck_fields(self):
+        rng = random.Random(97)
+        for _ in range(40):
+            pts, s, t = random_case(rng, max_count=80, tau_bias=0.3)
+            report = tm.crosscheck(pts, s, t)
+            for weak, logical, supval in (
+                (False, report.logical_distance, report.sup_val_distance),
+                (True, report.weak_logical_distance, report.weak_sup_val_distance),
+            ):
+                assert tm.logical_distance(pts, s, t, weak) == logical
+                assert tm.sup_val_distance(pts, s, t, weak) == supval
+
+    @pytest.fixture()
+    def set_passes(self, monkeypatch):
+        """Each ``_formula_sets`` call's mode, and whether it made an
+        erasure pass, seen as silent-action tests."""
+        import tracemet.formula_distance as fd
+
+        tests = [0]
+        is_tau = tm.Action.is_tau.fget
+
+        def counting_is_tau(action):
+            tests[0] += 1
+            return is_tau(action)
+
+        original = fd._formula_sets
+        calls = []
+
+        def counting(layer, sides, weak):
+            before = tests[0]
+            sets = original(layer, sides, weak)
+            calls.append((weak, tests[0] > before))
+            return sets
+
+        monkeypatch.setattr(tm.Action, "is_tau", property(counting_is_tau))
+        monkeypatch.setattr(fd, "_formula_sets", counting)
+        return calls
+
+    def test_each_call_builds_one_mode(self, half_pair, set_passes):
+        pts = with_tau_prefix(half_pair, "s")
+        assert TraceLayer(pts, "ptau", "t").silent
+        for call, calls in [
+            (lambda: tm.logical_distance(pts, "ptau", "t"), [(False, False)]),
+            (lambda: tm.sup_val_distance(pts, "ptau", "t"), [(False, False)]),
+            (lambda: tm.logical_distance(pts, "ptau", "t", weak=True), [(True, True)]),
+            (lambda: tm.sup_val_distance(pts, "ptau", "t", weak=True), [(True, True)]),
+            (lambda: tm.crosscheck(pts, "ptau", "t"), [(False, False), (True, True)]),
+            # No silent step: one strong pass serves both modes.
+            (lambda: tm.logical_distance(half_pair, "s", "t", weak=True), [(True, False)]),
+            (lambda: tm.crosscheck(half_pair, "s", "t"), [(False, False)]),
+        ]:
+            set_passes.clear()
+            call()
+            assert set_passes == calls
+
+
+def satisfied_sets(pts: tm.PTS, s: str, t: str, weak: bool) -> tuple[list, list, int]:
+    """The (weak) satisfied sets of two processes as the formula route
+    builds them, then their denominator."""
+    layer = TraceLayer(pts, s, t)
+    sides = [rows for _, rows in layer.distinct(False)]
+    return (*tm.formula_distance._formula_sets(layer, sides, weak), layer.den)
 
 
 def tv(row: dict, other: dict, total: int) -> int:
@@ -322,7 +397,7 @@ class TestCertificate:
         for _ in range(60):
             pts, s, t = random_case(rng, max_count=80, tau_bias=0.3)
             for weak in (False, True):
-                set_s, set_t, total = fd._satisfied_sets(pts, s, t, weak, 10**6)
+                set_s, set_t, total = satisfied_sets(pts, s, t, weak)
                 side_s, side_t = distinct_rows(set_s), distinct_rows(set_t)
                 rows_s, rows_t = side_s[1], side_t[1]
                 d, _, _, certificate = hausdorff_rows(side_s, side_t, total)
@@ -391,7 +466,6 @@ class TestCertificate:
     )
     def test_mutated_max_min_is_caught(self, mutant, text, s, t, silent, tmp_path, capsys):
         import tracemet.cli as cli
-        import tracemet.formula_distance as fd
 
         text = tm.print_pts(ladder(3)) if text is None else text
         pts = tm.parse_pts(text)
@@ -399,9 +473,7 @@ class TestCertificate:
         # The sweep's values, which the fallback reports.
         sweep, weak_sweep = (
             Fraction(max(chain(*tm.transport.nearest_distances(set_s, set_t, total))), total)
-            for set_s, set_t, total in (
-                fd._satisfied_sets(pts, s, t, weak, 10**6) for weak in (False, True)
-            )
+            for set_s, set_t, total in (satisfied_sets(pts, s, t, weak) for weak in (False, True))
         )
 
         report = tm.crosscheck(pts, s, t)

@@ -40,7 +40,7 @@ def test_deep_chain_resolution_is_linear_in_its_depth():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-    assert td == tm.Dist.dirac((tm.Action("a"),) * 3000)
+    assert td == tm.Dist({(tm.Action("a"),) * 3000: 1})
     assert len(resolution.nodes) == 3001
 
 

@@ -51,7 +51,7 @@ class TestMaxComputations:
         resolution = tm.resolution_at(pts, "c0", 3000)
         (run,) = oracles.max_computations(resolution)
         assert len(run) == 3000 and run.probability == 1
-        assert tm.trace_distribution(resolution) == tm.Dist.dirac(trace("a") * 3000)
+        assert tm.trace_distribution(resolution) == tm.Dist({trace("a") * 3000: 1})
 
     def test_deferred_halting_scheduler(self, equiv_pair):
         z = late_halting_resolution(equiv_pair)
@@ -132,7 +132,7 @@ class TestTraceDistribution:
 
     def test_trivial(self, half_pair):
         (trivial, *_) = oracles.enumerate_resolutions(half_pair, "s")
-        assert tm.trace_distribution(trivial) == tm.Dist.dirac(())
+        assert tm.trace_distribution(trivial) == tm.Dist({(): 1})
 
     def test_sums_to_one(self):
         rng = random.Random(34)
