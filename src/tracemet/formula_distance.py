@@ -26,12 +26,12 @@ strong passes' results.  No formula object is built on that route: the
 mimicking formula of a row is the row with its trace ids renamed, and the
 erased formula ids come off the layer's trie, so the tables stay linear in
 depth.  ``real_value`` reads one process's full list and the formula as a
-row of the same layer, both from ``logic.formula_query``, and scales both
-to the least common multiple of ``layer.den`` and the formula's
-denominator.
-``dist_formula_distance`` alone reads no layer: it is
-``transport.kantorovich_01`` on two formulae given as ``Dist`` objects,
-and its weak form passes ``erase_formula`` as the canonicalizing function.
+row of the same layer, both from ``logic.formula_query``, and takes the
+most mass the formula shares with one row, reading the rows in place over
+``layer.den`` times the formula's denominator.  ``dist_formula_distance``
+alone reads no layer: it is ``transport.kantorovich_01`` on two formulae
+given as ``Dist`` objects, and its weak form passes ``erase_formula`` as
+the canonicalizing function.
 
 The sup-value route stays an independent check of the other two, which
 share the kernel's max-min (``transport.hausdorff_rows``, with its early
@@ -40,15 +40,14 @@ max-min's value D over the two satisfied sets only once
 ``transport.certifies`` has proven it, with a pair distance of its own,
 from the certificate the max-min returns: every formula of either set
 within D of the other set, and one formula exactly D away.  Where the
-certificate fails, the gap comes from ``nearest_distances``, which
-computes every candidate formula's exact distance to both sets with no
-early exit, and ``crosscheck`` reports the failed certificate as a
-mismatch of its own.  A fault in the max-min's pruning therefore shows up
+certificate fails, the gap comes from ``nearest_distances``, called once
+each way, which computes every formula's exact distance to the other set
+over every pair with no early exit, and ``crosscheck`` reports the failed
+certificate as a mismatch of its own.  A fault in the max-min's pruning therefore shows up
 as a mismatch instead of being repeated on every route.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
@@ -93,19 +92,28 @@ def real_value(
     distance from the formula to the process's satisfied set.
 
     The satisfied set is the set of (weak) layer rows, the halting row
-    standing for the top formula, so the distance is read off the rows with
-    ``psi`` as a row of the same layer.
+    standing for the top formula, so the value is the most mass ``psi``,
+    read as a row of the same layer, shares with one row.  Over
+    ``den * psi_den`` a row's weight ``v`` is ``v * psi_den`` and the
+    formula's ``w`` is ``w * den``, so no row is rescaled.  The loop
+    inlines ``min``, as ``transport._Index.nearest`` does.
     """
     if not psi.is_probability:
         raise ValueError("total variation requires probability distributions")
     layer, rows, psi_den, query = formula_query(pts, s, psi, weak, max_resolutions)
-    # The formula row and the process's rows over one denominator.
-    total = math.lcm(layer.den, psi_den)
-    query = {k: w * (total // psi_den) for k, w in query.items()}
-    if total != layer.den:
-        factor = total // layer.den
-        rows = [{k: w * factor for k, w in row.items()} for row in rows]
-    return 1 - Fraction(nearest_distances([query], rows, total)[0][0], total)
+    den = layer.den
+    weights = [(k, w * den) for k, w in query.items()]
+    best = 0
+    for row in rows:
+        shared = 0
+        for key, w in weights:
+            v = row.get(key)
+            if v is not None:
+                v *= psi_den
+                shared += w if w < v else v
+        if shared > best:
+            best = shared
+    return Fraction(best, den * psi_den)
 
 
 def sup_val_distance(
@@ -195,7 +203,7 @@ def _sup_val_value(
     distance to the other set, which produces both directed Hausdorff
     terms, and no formula can exceed them.  So the gap is the max-min's
     value once its certificate checks, and otherwise the largest of every
-    candidate's exact distance to the other set, from one sweep.
+    member's exact distance to the other set.
     """
     if bool(rows_a) != bool(rows_b):
         raise ValueError("distance to an empty set is undefined")
@@ -204,10 +212,11 @@ def _sup_val_value(
     side_a, side_b = distinct_rows(rows_a), distinct_rows(rows_b)
     d, _, _, certificate = hausdorff_rows(side_a, side_b, total)
     logical = Fraction(d, total)
-    if certifies(side_a[1], side_b[1], total, d, certificate):
+    a, b = side_a[1], side_b[1]
+    if certifies(a, b, total, d, certificate):
         return logical, logical, True
-    to_b, to_a = nearest_distances(side_a[1], side_b[1], total)
-    return logical, Fraction(max(chain(to_b, to_a)), total), False
+    gaps = chain(nearest_distances(a, b, total), nearest_distances(b, a, total))
+    return logical, Fraction(max(gaps), total), False
 
 
 def _set_values(pts: PTS, s: ProcessId, t: ProcessId, weak: bool, max_resolutions: int):

@@ -11,12 +11,12 @@ two ``Dist``s: one minus the mass they share once both are pushed through
 
 The kernel below computes the same distance on integer rows, for every
 set-level caller: the trace metrics, the logical distance and the
-real-valued semantics.  A row is a dict from small-int keys to int
-weights, and a set of rows shares one denominator ``total``, so the inner
-loops run on Python ints and each result becomes one ``Fraction`` at the
-end.  ``hausdorff_rows`` is the max-min and ``nearest_distances`` the
-exact nearest-row distances of two sets in both directions.  The kernel
-takes its callers' denominator as given: the trace layer
+sup-value distance.  A row is a dict from small-int keys to int weights,
+and a set of rows shares one denominator ``total``, so the inner loops run
+on Python ints and each result becomes one ``Fraction`` at the end.
+``hausdorff_rows`` is the max-min and ``nearest_distances`` the exact
+distance from each row of one set to its nearest row of another.  The
+kernel takes its callers' denominator as given: the trace layer
 (``traces.TraceLayer``) hands its roots' rows over ``TraceLayer.den``.
 
 ``distinct_rows`` is the one place a row is keyed: it drops repeated rows,
@@ -46,10 +46,9 @@ the max-min (the certifying algorithms of McConnell, Mehlhorn, Näher and
 Schweitzer, Computer Science Review 5(2), 2011).  The sup-value route of
 ``formula_distance`` reports D once the certificate checks.
 
-``nearest_distances`` has no early exit and no hint: one sweep evaluates
-every pair of rows that share a key once and lowers both rows' minima with
-it.  It computes ``real_value``'s distance from a formula to a satisfied
-set, and is the sup-value route's fallback where a certificate fails.
+``nearest_distances`` has no index, no early exit and no hint: it
+evaluates every pair, one direction per call.  It is the sup-value route's
+fallback where a certificate fails, called once each way.
 
 The references the tests compare the kernel against live in
 ``tests/oracles.py``: the per-pair Hausdorff lifting over an arbitrary
@@ -84,20 +83,10 @@ def kantorovich_01(p: Dist, q: Dist, canonical: Callable | None = None) -> Fract
     return 1 - sum((min(w, q[key]) for key, w in p.items_sorted if key in q), Fraction(0))
 
 
-def _postings(rows: list[dict]) -> dict:
-    """For each key, the indices of the rows that carry it."""
-    postings: dict = {}
-    for j, row in enumerate(rows):
-        for key in row:
-            postings.setdefault(key, []).append(j)
-    return postings
-
-
 def _shared(weights, other: dict) -> int:
-    """Mass two rows share: total minus their TV distance.  The per-pair
-    loops of ``_Index.nearest`` and ``nearest_distances`` inline it, which
-    saves a call per pair: about 15% of the sup-value sweep of a ladder(4)
-    ``crosscheck``."""
+    """Mass two rows share: total minus their TV distance.  The scan of
+    ``_Index.nearest`` inlines it, which saves a call per pair on the
+    max-min's hot loop."""
     shared = 0
     for key, w in weights:
         v = other.get(key)
@@ -130,7 +119,11 @@ class _Index:
         self.keys = list(first)
         self.first = list(first.values())
         self.position = {key: j for j, key in enumerate(self.keys)}
-        self.postings = _postings(self.rows)
+        postings: dict = {}
+        for j, row in enumerate(self.rows):
+            for key in row:
+                postings.setdefault(key, []).append(j)
+        self.postings = postings
 
     def nearest(self, row: dict, key, total: int, stop: int, hint: int) -> tuple[int, int]:
         """TV distance from ``row``, whose whole-row key is ``key``, to its
@@ -255,41 +248,9 @@ def certifies(
     return True
 
 
-def nearest_distances(
-    rows_a: list[dict], rows_b: list[dict], total: int
-) -> tuple[list[int], list[int]]:
-    """Exact TV distance from every row of A to its nearest row of B, and
-    from every row of B to its nearest row of A, in units of ``1/total``.
-
-    One sweep evaluates each pair of rows sharing a key once, and the
-    pair's distance lowers both the A row's and the B row's minimum.  A row
-    sharing no key with the other side is at distance ``total``.  No row is
-    cut short, not even one with an exact match, since its pairs still
-    lower the other side's minima.
-    """
-    if bool(rows_a) != bool(rows_b):
+def nearest_distances(rows: list[dict], others: list[dict], total: int) -> list[int]:
+    """Exact TV distance from every row of ``rows`` to its nearest row of
+    ``others``, in units of ``1/total``, over every pair."""
+    if rows and not others:
         raise ValueError("distance to an empty set is undefined")
-    postings = _postings(rows_b)
-    to_b = [total] * len(rows_a)
-    to_a = [total] * len(rows_b)
-    for i, row in enumerate(rows_a):
-        candidates: set = set()
-        for key in row:
-            candidates.update(postings.get(key, ()))
-        weights = row.items()
-        best = total
-        for j in candidates:
-            other = rows_b[j]
-            shared = 0
-            for key, w in weights:
-                v = other.get(key)
-                if v is not None:
-                    shared += w if w < v else v
-            d = total - shared
-            if d < best:
-                best = d
-            if d < to_a[j]:
-                to_a[j] = d
-        to_b[i] = best
-    return to_b, to_a
-
+    return [total - max(_shared(row.items(), other) for other in others) for row in rows]

@@ -220,7 +220,8 @@ class TestCrossCheck:
     @pytest.fixture()
     def passes(self, monkeypatch):
         # Max-min passes (the metric's and the logical distance's), checks of
-        # the logical max-min's certificate, and exhaustive sup-value sweeps.
+        # the logical max-min's certificate, and exhaustive sup-value
+        # fallbacks, one per mode whose certificate failed.
         import tracemet.formula_distance as fd
 
         counted = {"max-min": 0, "check": 0, "sweep": 0}
@@ -231,12 +232,9 @@ class TestCrossCheck:
                 return original(*args)
             return wrapper
 
-        for name, attr in [
-            ("max-min", "hausdorff_rows"),
-            ("check", "certifies"),
-            ("sweep", "nearest_distances"),
-        ]:
+        for name, attr in [("max-min", "hausdorff_rows"), ("check", "certifies")]:
             monkeypatch.setattr(fd, attr, counting(name, getattr(fd, attr)))
+        monkeypatch.setattr(fd, "_sup_val_value", counting_fallbacks(counted))
         return counted
 
     def test_tau_free_weak_route_reuses_the_strong_passes(self, half_pair, passes):
@@ -377,6 +375,19 @@ def satisfied_sets(pts: tm.PTS, s: str, t: str, weak: bool) -> tuple[list, list,
     return (*tm.formula_distance._formula_sets(layer, sides, weak), layer.den)
 
 
+def counting_fallbacks(counted: dict):
+    """``_sup_val_value``, counting under "sweep" each call whose
+    certificate failed: that mode's one exhaustive fallback."""
+    original = tm.formula_distance._sup_val_value
+
+    def wrapper(*args):
+        result = original(*args)
+        counted["sweep"] += not result[2]
+        return result
+
+    return wrapper
+
+
 def tv(row: dict, other: dict, total: int) -> int:
     return total - sum(min(w, other.get(key, 0)) for key, w in row.items())
 
@@ -384,8 +395,8 @@ def tv(row: dict, other: dict, total: int) -> int:
 class TestCertificate:
     # The sup-value route takes the logical max-min's value D once
     # ``transport.certifies`` proves it from the max-min's certificate, and
-    # sweeps every key-sharing pair (``nearest_distances``) only where that
-    # check fails.
+    # sweeps every pair (``nearest_distances``, once each way) only where
+    # that check fails.
 
     def test_random_tau_systems(self, monkeypatch):
         import tracemet.formula_distance as fd
@@ -393,7 +404,7 @@ class TestCertificate:
 
         rng = random.Random(89)
         checked = moved = 0
-        sweeps = []
+        fallbacks = {"sweep": 0}
         for _ in range(60):
             pts, s, t = random_case(rng, max_count=80, tau_bias=0.3)
             for weak in (False, True):
@@ -401,7 +412,8 @@ class TestCertificate:
                 side_s, side_t = distinct_rows(set_s), distinct_rows(set_t)
                 rows_s, rows_t = side_s[1], side_t[1]
                 d, _, _, certificate = hausdorff_rows(side_s, side_t, total)
-                to_t, to_s = nearest_distances(rows_s, rows_t, total)
+                to_t = nearest_distances(rows_s, rows_t, total)
+                to_s = nearest_distances(rows_t, rows_s, total)
                 assert d == max(to_t + to_s)
                 assert certifies(rows_s, rows_t, total, d, certificate)
                 assert not certifies(rows_s, rows_t, total, d - 1, certificate)
@@ -424,11 +436,11 @@ class TestCertificate:
                         assert not certifies(rows_s, rows_t, total, d, (*cols, side, at))
                         moved += 1
             with monkeypatch.context() as patched:
-                patched.setattr(fd, "nearest_distances", lambda *a: sweeps.append(a))
+                patched.setattr(fd, "_sup_val_value", counting_fallbacks(fallbacks))
                 report = tm.crosscheck(pts, s, t)
             assert report.all_equal and report.mismatches == ()
             assert report.weak_sup_val_distance == report.weak_metric
-        assert sweeps == []
+        assert fallbacks == {"sweep": 0}
         assert checked == 120 and moved > 100
 
     SILENT_HALF_PAIR = HALF_PAIR_TEXT.replace("t2 -b-> 1 nil", "t2 -tau-> 1 t3\nt3 -b-> 1 nil")
@@ -464,19 +476,30 @@ class TestCertificate:
         "text, s, t, silent",
         [(None, "x0", "w0", False), (SILENT_HALF_PAIR, "s", "t", True)],
     )
-    def test_mutated_max_min_is_caught(self, mutant, text, s, t, silent, tmp_path, capsys):
+    def test_mutated_max_min_is_caught(
+        self, mutant, text, s, t, silent, tmp_path, capsys, monkeypatch
+    ):
         import tracemet.cli as cli
+        import tracemet.formula_distance as fd
 
         text = tm.print_pts(ladder(3)) if text is None else text
         pts = tm.parse_pts(text)
         assert TraceLayer(pts, s, t).silent == silent
         # The sweep's values, which the fallback reports.
         sweep, weak_sweep = (
-            Fraction(max(chain(*tm.transport.nearest_distances(set_s, set_t, total))), total)
+            Fraction(max(chain(
+                tm.transport.nearest_distances(set_s, set_t, total),
+                tm.transport.nearest_distances(set_t, set_s, total),
+            )), total)
             for set_s, set_t, total in (satisfied_sets(pts, s, t, weak) for weak in (False, True))
         )
 
-        report = tm.crosscheck(pts, s, t)
+        fallbacks = {"sweep": 0}
+        with monkeypatch.context() as patched:
+            patched.setattr(fd, "_sup_val_value", counting_fallbacks(fallbacks))
+            report = tm.crosscheck(pts, s, t)
+        # One fallback per mode: a tau-free weak route reuses the strong one.
+        assert fallbacks == {"sweep": 2 if silent else 1}
         assert not report.all_equal
         assert report.sup_val_distance == sweep
         assert report.weak_sup_val_distance == weak_sweep

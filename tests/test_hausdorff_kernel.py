@@ -100,8 +100,8 @@ class TestFormulaSets:
                 for weak in (False, True):
                     canonical = oracles.formula_metric(weak)
                     total, ([query], rows) = oracles.integer_rows(canonical, [psi], formulas)
-                    to_set = tm.transport.nearest_distances([query], rows, total)[0]
-                    assert Fraction(to_set[0], total) == oracles.distance_to_set(
+                    [to_set] = tm.transport.nearest_distances([query], rows, total)
+                    assert Fraction(to_set, total) == oracles.distance_to_set(
                         psi, formulas, weak
                     )
 
@@ -117,8 +117,9 @@ class TestFormulaSets:
         def sup_val(rows_a, rows_b, total):
             return tm.formula_distance._sup_val_value(rows_a, rows_b, total)[1]
 
-        with pytest.raises(ValueError):
-            sup_val([{0: 1}], [], 1)
+        for rows_a, rows_b in (([{0: 1}], []), ([], [{0: 1}])):
+            with pytest.raises(ValueError):
+                sup_val(rows_a, rows_b, 1)
         assert sup_val([], [], 1) == 0
 
 
@@ -152,14 +153,14 @@ def test_each_row_is_hashed_once_per_call(monkeypatch, call, other, hashed):
 
 class TestHandBuilt:
     def test_empty_sides(self):
-        # The kernel takes no convention for an empty side: two empty sets
-        # have no rows to compare, and one empty side is rejected.
+        # An empty ``rows`` has no distances to report, and a row has none
+        # to an empty set.  The sup-value route rejects one empty set on either
+        # side (``test_sup_val_rejects_one_empty_set``).
         total, (one,) = oracles.integer_rows(None, [dist({"x": 1})])
-        assert tm.transport.nearest_distances([], [], total) == ([], [])
+        assert tm.transport.nearest_distances([], [], total) == []
+        assert tm.transport.nearest_distances([], one, total) == []
         with pytest.raises(ValueError, match="empty"):
             tm.transport.nearest_distances(one, [], total)
-        with pytest.raises(ValueError, match="empty"):
-            tm.transport.nearest_distances([], one, total)
 
     def test_identical_sets(self):
         items = [dist({"x": "1/3", "y": "2/3"}), dist({"x": 1}), dist({"x": "1/3", "y": "2/3"})]
@@ -241,7 +242,7 @@ def test_property_matches_oracle(items_a, items_b, canonical):
     assert_matches_oracle(items_a, items_b, canonical)
     queries = items_a + items_b
     total, (query_rows, rows_b) = oracles.integer_rows(canonical, queries, items_b)
-    to_b, _ = tm.transport.nearest_distances(query_rows, rows_b, total)
+    to_b = tm.transport.nearest_distances(query_rows, rows_b, total)
     assert [Fraction(d, total) for d in to_b] == [
         min(oracles.tv_distance(q, y, canonical) for y in items_b) for q in queries
     ]
@@ -297,12 +298,12 @@ def test_nearest_distances_both_directions(data, disjoint, canonical):
     alphabet = ("c0", "c1", "d0", "d1") if disjoint else ("a0", "a1", "c0", "c1")
     items_b = data.draw(st.lists(distributions(alphabet), min_size=1, max_size=6))
     if not disjoint:
-        # A row on both sides is at distance 0, but its other pairs still
-        # lower the minima of the rows it is compared with.
+        # A row on both sides is at distance 0 in both directions.
         repeated = data.draw(st.lists(st.sampled_from(items_a), max_size=3))
         items_b = data.draw(st.permutations(items_b + repeated))
     total, (rows_a, rows_b) = oracles.integer_rows(canonical, items_a, items_b)
-    to_b, to_a = tm.transport.nearest_distances(rows_a, rows_b, total)
+    to_b = tm.transport.nearest_distances(rows_a, rows_b, total)
+    to_a = tm.transport.nearest_distances(rows_b, rows_a, total)
     assert [Fraction(d, total) for d in to_b] == [
         min(oracles.tv_distance(x, y, canonical) for y in items_b) for x in items_a
     ]

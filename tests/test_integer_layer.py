@@ -399,6 +399,10 @@ def tau_chain(n: int) -> tm.PTS:
     pytest.param(tm.strong_trace_metric, 4, chain(400), "c0", "c1", id="strong_trace_metric-4"),
     pytest.param(tm.crosscheck, 8, chain(400), "c0", "c1", id="crosscheck-8"),
     pytest.param(tm.crosscheck, 2, tau_chain(400), "c0", "d0", id="crosscheck-tau-chain-2"),
+    pytest.param(
+        tm.real_value, 16, tm.parse_pts(ladder_text(5)), "x0",
+        tm.parse_formula("17/61 <a>T (+) 44/61 <b>T"), id="real_value-ladder5-16",
+    ),
 ])
 def test_chain_keeps_the_roots_lists_only(query, limit_mib, pts, s, t):
     # A level's list is dropped once the level above it is built, so the
@@ -407,7 +411,9 @@ def test_chain_keeps_the_roots_lists_only(query, limit_mib, pts, s, t):
     # layer kept them all.  The formula route numbers trace ids, weakly
     # through (action, erased tail) pairs, so its tables stay linear in
     # depth: spelling every trace id as a formula peaked at 2.9 MiB on the
-    # silent chain.
+    # silent chain.  ``real_value`` reads x0's 32,490 ladder(5) rows in
+    # place: indexing and rescaling them for a one-row query peaked at
+    # 24.1 MiB.
     tracemalloc.start()
     try:
         query(pts, s, t)
