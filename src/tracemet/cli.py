@@ -11,6 +11,7 @@ document in which every rational appears as ``{"num": "...", "den": "..."}``.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import warnings
@@ -522,11 +523,18 @@ def main(argv=None) -> int:
     # An exact input token or printed value may pass the interpreter's int/str
     # digit limit (Python 3.10.7 and later; 0 is none): lifted for the call.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # The cyclic collector is paused for the command and put back as the
+    # caller had it.  A command's rows and keys hold no reference cycles and
+    # all die by refcount before it returns, yet each one counts towards
+    # the collector's thresholds, so its passes would scan live rows and
+    # free nothing.
+    collecting = gc.isenabled()
     # Parser warnings are printed after the output or the error line, on
     # every exit path; validate reports its own and leaves none here.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ParserWarning)
         try:
+            gc.disable()
             if limit:
                 sys.set_int_max_str_digits(0)
             args = _parser.parse_args(argv)
@@ -539,7 +547,9 @@ def main(argv=None) -> int:
             print(f"size guard: {exc}", file=sys.stderr)
             code = EXIT_SIZE_GUARD
         except MemoryError:
-            print("out of memory", file=sys.stderr)
+            # Reported below, once the traceback has released the failed
+            # command's frames and every row they hold: printing here can
+            # itself run out of memory.
             code = EXIT_MEMORY
         except BrokenPipeError:
             # The reader closed standard output (``tracemet ... | head``): an
@@ -553,6 +563,10 @@ def main(argv=None) -> int:
         finally:
             if limit:
                 sys.set_int_max_str_digits(limit)
+            if collecting:
+                gc.enable()
+    if code == EXIT_MEMORY:
+        print("out of memory", file=sys.stderr)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     return code

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -349,12 +350,38 @@ class TestGuardsAndErrors:
         assert (code, out) == (2, "") and "size guard" in err
 
     def test_out_of_memory_exits_4_without_a_traceback(self, capsys, half_file, monkeypatch):
-        def exhausted(*args):
-            raise MemoryError
-
-        monkeypatch.setattr(cli, "strong_trace_metric", exhausted)
+        monkeypatch.setattr(cli, "strong_trace_metric", out_of_memory)
         code, out, err = run(capsys, "metric", half_file, "-p", "s", "-q", "t")
         assert (code, out, err) == (4, "", "out of memory\n")
+
+    def test_out_of_memory_is_reported_after_the_command_is_released(
+        self, capsys, half_file, monkeypatch
+    ):
+        # Writing the line may itself need memory, so it waits until the
+        # traceback no longer pins the failed command's frames and rows.
+        class Rows(dict):
+            pass
+
+        held = []
+
+        def exhausted(*args):
+            rows = Rows()
+            held.append(weakref.ref(rows))
+            raise MemoryError
+
+        class Stderr(io.StringIO):
+            alive_at_report = None
+
+            def write(self, text):
+                if "out of memory" in text:
+                    Stderr.alive_at_report = held[0]() is not None
+                return super().write(text)
+
+        monkeypatch.setattr(cli, "strong_trace_metric", exhausted)
+        monkeypatch.setattr(sys, "stderr", Stderr())
+        code = cli.main(["metric", half_file, "-p", "s", "-q", "t"])
+        assert (code, sys.stderr.getvalue()) == (4, "out of memory\n")
+        assert Stderr.alive_at_report is False
 
     def test_parser_warnings_reach_stderr(self, capsys, tmp_path):
         path = tmp_path / "dup.pts"
@@ -376,24 +403,80 @@ class TestGuardsAndErrors:
         assert warning.startswith("warning: ") and "duplicate transition" in warning
 
     def test_crosscheck_disagreement_exits_3(self, capsys, half_file, monkeypatch):
-        # The real routes always agree; fake a disagreement to pin the exit code.
-        import tracemet.formula_distance as fd
-        from fractions import Fraction
-
-        broken = fd.CrossCheckReport(
-            strong_metric=Fraction(1, 2),
-            logical_distance=Fraction(1, 3),
-            sup_val_distance=Fraction(1, 2),
-            weak_metric=Fraction(1, 2),
-            weak_logical_distance=Fraction(1, 2),
-            weak_sup_val_distance=Fraction(1, 2),
-            all_equal=False,
-            mismatches=("strong logical distance 1/3 != strong metric 1/2",),
-        )
-        monkeypatch.setattr(cli, "crosscheck", lambda *a, **k: broken)
+        monkeypatch.setattr(cli, "crosscheck", disagreeing_crosscheck)
         code, out, err = run(capsys, "crosscheck", half_file, "-p", "s", "-q", "t")
         assert code == 3
         assert "crosscheck failed" in err and "MISMATCH" in out
+
+
+def disagreeing_crosscheck(*args, **kwargs):
+    """A report whose routes disagree: the real routes always agree, so this
+    fakes one to pin exit code 3."""
+    import tracemet.formula_distance as fd
+
+    return fd.CrossCheckReport(
+        strong_metric=Fraction(1, 2),
+        logical_distance=Fraction(1, 3),
+        sup_val_distance=Fraction(1, 2),
+        weak_metric=Fraction(1, 2),
+        weak_logical_distance=Fraction(1, 2),
+        weak_sup_val_distance=Fraction(1, 2),
+        all_equal=False,
+        mismatches=("strong logical distance 1/3 != strong metric 1/2",),
+    )
+
+
+@contextlib.contextmanager
+def collector(enabled: bool):
+    """The cyclic collector switched on or off, and put back afterwards."""
+    previous = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if previous else gc.disable)()
+
+
+def out_of_memory(*args):
+    raise MemoryError
+
+
+class TestCollectorPause:
+    """The CLI pauses the cyclic collector for a command and leaves it as the
+    caller had it on every exit path."""
+
+    def test_collector_is_off_inside_a_command(self, capsys, half_file, monkeypatch):
+        seen = []
+        real = cli.strong_trace_metric
+
+        def watched(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "strong_trace_metric", watched)
+        with collector(True):
+            code, _, err = run(capsys, "metric", half_file, "-p", "s", "-q", "t")
+            assert gc.isenabled()
+        assert (code, err, seen) == (0, "", [False])
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("expected, argv, patch", [
+        (0, ["metric", "-q", "t"], None),
+        (1, ["metric", "-q", "ghost"], None),
+        (2, ["metric", "-q", "t", "--max-resolutions", "1"], None),
+        (3, ["crosscheck", "-q", "t"], ("crosscheck", disagreeing_crosscheck)),
+        (4, ["metric", "-q", "t"], ("strong_trace_metric", out_of_memory)),
+    ])
+    def test_collector_is_put_back_on_every_exit_path(
+        self, capsys, half_file, monkeypatch, enabled, expected, argv, patch
+    ):
+        if patch:
+            monkeypatch.setattr(cli, *patch)
+        command, *rest = argv
+        with collector(enabled):
+            code = run(capsys, command, half_file, "-p", "s", *rest)[0]
+            assert gc.isenabled() is enabled
+        assert code == expected
 
 
 @contextlib.contextmanager
