@@ -29,12 +29,12 @@ from .resolutions import (
     DEFAULT_MAX_RESOLUTIONS,
     Resolution,
     SizeGuardExceeded,
-    count_resolutions,
-    resolution_at,
 )
 from .traces import (
     EPSILON,
     Trace,
+    count_resolutions,
+    resolution_at,
     tau_erase,
     trace_distribution,
     trace_distributions,

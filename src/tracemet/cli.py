@@ -233,45 +233,38 @@ def _max_resolutions(args) -> int:
 
 def _cmd_validate(args) -> int:
     text = _read_text(args.file)
-    collected: list[str] = []
+    errors: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ParserWarning)
         try:
-            pts = parse_pts(text)
+            processes = sorted(parse_pts(text).processes)
         except ParseError as exc:
-            payload = {
-                "valid": False,
-                "errors": [str(issue) for issue in exc.issues],
-                "warnings": [str(w.message) for w in caught],
-            }
-            _emit(args, payload, lambda: ["invalid"] + [f"  error: {i}" for i in exc.issues])
-            for w in caught:
-                print(f"warning: {w.message}", file=sys.stderr)
-            return EXIT_INVALID
-        collected = [str(w.message) for w in caught]
+            processes, errors = None, [str(issue) for issue in exc.issues]
     # parse_pts has validated the system, and the duplicate transitions
     # validate_pts would warn about are already collapsed with a warning.
-    payload = {
-        "valid": True,
-        "processes": sorted(pts.processes),
-        "errors": [],
-        "warnings": collected,
-    }
+    # Each warning is reported once, in the output, valid system or not.
+    valid = processes is not None
+    payload = {"valid": valid, "errors": errors, "warnings": [str(w.message) for w in caught]}
+    if valid:
+        payload["processes"] = processes
 
     def lines():
-        yield "valid"
-        yield f"  processes: {', '.join(sorted(pts.processes))}"
+        yield "valid" if valid else "invalid"
+        if valid:
+            yield f"  processes: {', '.join(processes)}"
+        for error in errors:
+            yield f"  error: {error}"
         for w in payload["warnings"]:
             yield f"  warning: {w}"
 
     _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK if valid else EXIT_INVALID
 
 
 def _cmd_resolutions(args) -> int:
+    pts, process = _system(args, args.process)
     if args.limit is not None and args.limit < 0:
         raise _CliError(f"--limit must not be negative, got {args.limit}")
-    pts, process = _system(args, args.process)
     layer = TraceLayer(pts, process, max_resolutions=_max_resolutions(args))
     count = layer.count(process)
     shown = [layer.resolution(process, k) for k in range(count)[: args.limit]]

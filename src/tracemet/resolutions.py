@@ -15,19 +15,21 @@ pair (parent's choice, process), and children follow their transition's
 support order, so the list is in the lexicographic order of the paths.
 Readers make one pass over it, reading each node's data off its parent's.
 
-No command lists resolutions: ``count_resolutions`` counts them, and
-``resolution_at`` builds the one with a given index in the canonical order
-off the counts of the processes the root reaches (``traces.TraceLayer``
-keeps one such table for all the roots of a call).  The recursive enumerator, the
-structural validator and the hand-built-resolution helper that the tests
-compare against live in ``tests/oracles.py``.
+Nothing here walks the system, and no command lists resolutions:
+``traces.TraceLayer`` counts the resolutions of every process its roots
+reach in its one post-order walk, and ``_resolution_from`` decodes the
+resolution with a given index in the canonical order off that count table
+(``traces.count_resolutions`` and ``traces.resolution_at`` read an
+uncapped layer).  The recursive enumerator, the structural validator and
+the hand-built-resolution helper that the tests compare against live in
+``tests/oracles.py``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .core import PTS, ProcessId, post_order
+from .core import PTS, ProcessId
 
 DEFAULT_MAX_RESOLUTIONS = 10**6
 
@@ -69,41 +71,10 @@ class Resolution:
         return self.nodes[0][1]
 
 
-def _resolution_counts(pts: PTS, *roots: ProcessId) -> dict[ProcessId, int]:
-    """Resolution count of every process reachable from ``roots``, keyed
-    in post-order.
-
-    Recurrence: a process offers the halting scheduler plus, per transition,
-    one scheduler for every combination of sub-schedulers of the targets.
-    """
-    counts: dict[ProcessId, int] = {}
-    for p in post_order(pts, *roots):
-        counts[p] = 1 + sum(
-            math.prod(counts[q] for q in row.target.support) for row in pts.transitions_of(p)
-        )
-    return counts
-
-
-def count_resolutions(pts: PTS, process: ProcessId) -> int:
-    """Number of resolutions of ``process`` without materializing them."""
-    return _resolution_counts(pts, process)[process]
-
-
-def resolution_at(pts: PTS, process: ProcessId, index: int) -> Resolution:
-    """The resolution of ``process`` with the given index in the canonical
-    order, built alone.
-
-    The canonical order is lexicographic in the decisions: index 0 halts;
-    past it, each transition in list order owns a block of indices, one per
-    combination of sub-schedulers, read as a mixed-radix number whose digits
-    are the targets' indices, the last target's digit varying fastest.
-    """
-    return _resolution_from(pts, process, index, _resolution_counts(pts, process))
-
-
 def _resolution_from(pts: PTS, process: ProcessId, index: int, counts: dict) -> Resolution:
-    """``resolution_at`` off ``counts``, the resolution counts of every
-    process that ``process`` reaches."""
+    """The resolution of ``process`` with the given index in the canonical
+    order (``traces.resolution_at``), off ``counts``, the resolution counts
+    of every process that ``process`` reaches."""
     if not 0 <= index < counts[process]:
         raise IndexError(f"resolution index {index} out of range for {process!r}")
     nodes: list[Node] = []

@@ -12,11 +12,14 @@ tau-decorated spelling would overshoot 1.
 ``TraceLayer`` is the layer every command reads: the trace distributions
 of all resolutions of the processes a call names as its roots, composed
 bottom-up from those of the processes they reach, with no resolution
-built.  It is kept as integers.  Traces are interned in a trie, one per
-layer: id 0 is the empty trace and every other id stands for one (action,
-tail id) pair, keyed by the action's name.  A process's list holds one
-``{trace id: weight}`` row per resolution, all over one denominator,
-which the layer alone computes; every row it hands out is over
+built.  One post-order walk over those processes gives each one's
+resolution count, least denominator and last reader, and
+``count_resolutions`` and ``resolution_at`` read the count table of an
+uncapped layer.  The layer is kept as integers.  Traces are interned in
+a trie, one per layer: id 0 is the empty trace and every other id stands
+for one (action, tail id) pair, keyed by the action's name.  A process's
+list holds one ``{trace id: weight}`` row per resolution, all over one
+denominator, which the layer alone computes; every row it hands out is over
 ``TraceLayer.den``, the least common multiple of its roots'.  A root that
 no other list reads is built over ``den`` at once; every other list is
 built over the least denominator of its process, so a root that another
@@ -42,9 +45,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Hashable
 
-from .core import PTS, Action, Dist, ProcessId, TraceDistribution
-from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution, SizeGuardExceeded
-from .resolutions import _resolution_counts, _resolution_from
+from .core import PTS, Action, Dist, ProcessId, TraceDistribution, post_order
+from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution, SizeGuardExceeded, _resolution_from
 from .transport import Side, distinct_rows
 
 Trace = tuple[Action, ...]
@@ -91,19 +93,36 @@ def weak_trace_distribution(resolution: Resolution) -> TraceDistribution:
     return trace_distribution(resolution).pushforward(tau_erase)
 
 
+def count_resolutions(pts: PTS, process: ProcessId) -> int:
+    """Number of resolutions of ``process`` without materializing them,
+    off an uncapped layer's count table."""
+    return TraceLayer(pts, process, max_resolutions=math.inf).count(process)
+
+
+def resolution_at(pts: PTS, process: ProcessId, index: int) -> Resolution:
+    """The resolution of ``process`` with the given index in the canonical
+    order, built alone off an uncapped layer's count table.
+
+    The canonical order is lexicographic in the decisions: index 0 halts;
+    past it, each transition in list order owns a block of indices, one per
+    combination of sub-schedulers, read as a mixed-radix number whose digits
+    are the targets' indices, the last target's digit varying fastest.
+    """
+    return TraceLayer(pts, process, max_resolutions=math.inf).resolution(process, index)
+
+
 class TraceLayer:
     """The integer trace-distribution layer of one call's roots.
 
     A call names its roots up front: both sides of a comparison, or the
-    one process it reads.  The resolution counts of every process they
-    reach come from one walk, in post-order: the size guard (each root in
-    the given order), the build and every witness (``resolution``) read
-    that table.  One pass over it, in the same order, gives every
-    reachable list's least denominator and last reader, and tells whether
-    a silent transition is reachable (``silent``); where none is, the weak
-    lists are the strong ones and are never built.  ``den`` is the least
-    common multiple of the roots' denominators, and every row the layer
-    hands out is over it.  Per mode, strong or weak, every reachable list
+    one process it reads.  One walk over the processes they reach, in
+    post-order, gives each one's resolution count, its list's least
+    denominator and the last list that reads it, and tells whether a
+    silent transition is reachable (``silent``); where none is, the weak
+    lists are the strong ones and are never built.  The size guard (each
+    root in the given order), the build and every witness (``resolution``)
+    read that count table.  ``den`` is the least common multiple of the
+    roots' denominators, and every row the layer hands out is over it.  Per mode, strong or weak, every reachable list
     is built once, in post-order, so trace ids agree across everything the
     layer returns.  A root that no other reachable list reads is built over
     ``den``; every other list over its process's least denominator, which
@@ -128,21 +147,28 @@ class TraceLayer:
         self.tails: list[int] = [0]
         self._children: dict[str, dict[int, int]] = {}
         self._lists: dict[bool, dict[ProcessId, Rows]] = {}
-        self._counts = _resolution_counts(pts, *roots)
-        for root in roots:
-            if self._counts[root] > max_resolutions:
-                raise SizeGuardExceeded(self._counts[root], max_resolutions, root)
+        counts: dict[ProcessId, int] = {}
         dens: dict[ProcessId, int] = {}
-        silent = False
         last_reader: dict[ProcessId, ProcessId] = {}
-        for p in self._counts:  # keyed in post-order
-            den = 1
+        silent = False
+        for p in post_order(pts, *roots):
+            # The halting scheduler, plus one per transition and combination
+            # of the targets' schedulers.
+            count = den = 1
             for row in pts.transitions_of(p):
                 silent = silent or row.action.is_tau
+                block = 1
                 for q, step in row.target.items_sorted:
+                    block *= counts[q]
                     den = math.lcm(den, step.denominator * dens[q])
                     last_reader[q] = p
+                count += block
+            counts[p] = count
             dens[p] = den
+        for root in roots:
+            if counts[root] > max_resolutions:
+                raise SizeGuardExceeded(counts[root], max_resolutions, root)
+        self._counts = counts
         self.den = math.lcm(*(dens[root] for root in roots))
         for root in roots:
             if root not in last_reader:  # no list reads it: built over den

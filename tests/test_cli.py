@@ -70,6 +70,21 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "/nonexistent.pts")
         assert code == 1 and "cannot read" in err
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_invalid_file_reports_its_warnings_once_in_the_output(self, capsys, tmp_path, flags):
+        bad = tmp_path / "bad.pts"
+        bad.write_text("s -a-> 1/2 t, 1/2 t\nu -b-> 2 t\n")
+        code, out, err = run(capsys, "validate", str(bad), *flags)
+        assert (code, err) == (1, "")
+        warning = "line 1: duplicate target 't' merged"
+        if flags:
+            payload = json.loads(out)
+            assert payload["valid"] is False and payload["warnings"] == [warning]
+        else:
+            lines = out.splitlines()
+            assert lines[0] == "invalid" and lines[1].startswith("  error: ")
+            assert lines[2:] == [f"  warning: {warning}"]
+
 
 class TestMetric:
     def test_text_output(self, capsys, half_file):
@@ -189,6 +204,12 @@ class TestOtherCommands:
             assert err.strip() == f"--limit must not be negative, got {limit}"
         code, out, _ = run(capsys, "resolutions", half_file, "-p", "t", "--limit", "0", "--json")
         assert code == 0 and (json.loads(out)["count"], json.loads(out)["shown"]) == (10, 0)
+
+    def test_resolutions_reads_the_file_and_process_before_the_limit(self, capsys, half_file):
+        code, out, err = run(capsys, "resolutions", "/nonexistent.pts", "-p", "s", "--limit", "-1")
+        assert (code, out) == (1, "") and err.startswith("cannot read /nonexistent.pts")
+        code, out, err = run(capsys, "resolutions", half_file, "-p", "ghost", "--limit", "-1")
+        assert (code, out, err) == (1, "", "unknown process 'ghost'\n")
 
     def test_crosscheck_ok(self, capsys, half_file):
         code, out, _ = run(capsys, "crosscheck", half_file, "-p", "s", "-q", "t")
@@ -861,23 +882,22 @@ def test_deep_and_wide_systems_answer_or_hit_the_guard(tmp_path, text, cap):
 
 
 class TestCountWalks:
-    """Each command counts resolutions in one walk that names all its
-    roots in order: the size guard, the build and every witness read that
-    one table."""
+    """Each command walks the processes its roots reach once, naming all
+    its roots in order: the size guard, the build and every witness read
+    the count table of that one walk."""
 
     FORMULA = "1/2 <a><c>T (+) 1/2 <a><b>T"
 
     @pytest.fixture()
     def counted(self, monkeypatch):
-        original = tracemet.resolutions._resolution_counts
+        original = tracemet.traces.post_order
         calls = []
 
         def counting(pts, *roots):
             calls.append(roots)
             return original(pts, *roots)
 
-        for module in (tracemet.resolutions, tracemet.traces):
-            monkeypatch.setattr(module, "_resolution_counts", counting)
+        monkeypatch.setattr(tracemet.traces, "post_order", counting)
         return calls
 
     @pytest.mark.parametrize("argv, walks", [

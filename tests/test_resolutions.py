@@ -6,6 +6,7 @@ import pytest
 import oracles
 import tracemet as tm
 from genpts import random_case
+from golden.generate import ladder_text
 from tracemet.core import post_order
 
 
@@ -42,6 +43,20 @@ def test_deep_chain_resolution_is_linear_in_its_depth():
     assert peak < 8 * 2**20
     assert td == tm.Dist({(tm.Action("a"),) * 3000: 1})
     assert len(resolution.nodes) == 3001
+
+
+def test_public_count_and_decode_take_no_size_guard():
+    # ladder(6) x0 has far more resolutions than the layer's default cap;
+    # the public functions count and decode past it.
+    pts = tm.parse_pts(ladder_text(6))
+    count = tm.count_resolutions(pts, "x0")
+    assert count == 19_981_351 > tm.DEFAULT_MAX_RESOLUTIONS
+    last = tm.resolution_at(pts, "x0", count - 1)  # b at every level
+    assert last.nodes == tuple(
+        (None if i == 0 else i - 1, f"x{i}", None if i == 6 else 1) for i in range(7)
+    )
+    with pytest.raises(IndexError):
+        tm.resolution_at(pts, "x0", count)
 
 
 class TestEnumeration:
