@@ -111,6 +111,18 @@ def _resolution_lines(resolution: Resolution) -> list[str]:
     return lines
 
 
+def _with_td(args, resolution: Resolution) -> tuple[dict, Iterable[str]]:
+    """``resolution`` with its (weak) trace distribution: its JSON entry,
+    and its text lines, which are built only when they are read."""
+    td = (weak_trace_distribution if args.weak else trace_distribution)(resolution)
+
+    def lines():
+        yield from _resolution_lines(resolution)
+        yield f"  TD: {print_trace_distribution(td)}"
+
+    return {**_resolution_json(resolution), "trace_distribution": _dist_json(td)}, lines()
+
+
 def _dumps(payload) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, for
     payloads of dicts with ``str`` keys, lists, ``str``, ``int``, ``bool``
@@ -195,7 +207,8 @@ def _emit(args, payload: dict, text_lines: Callable[[], Iterable[str]]) -> None:
 
 def _read_text(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # A leading byte-order mark is dropped, as editors on some systems write one.
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
@@ -267,25 +280,19 @@ def _cmd_resolutions(args) -> int:
         raise _CliError(f"--limit must not be negative, got {args.limit}")
     layer = TraceLayer(pts, process, max_resolutions=_max_resolutions(args))
     count = layer.count(process)
-    shown = [layer.resolution(process, k) for k in range(count)[: args.limit]]
-    td_of = weak_trace_distribution if args.weak else trace_distribution
-    dists = [td_of(r) for r in shown]
+    shown = [_with_td(args, layer.resolution(process, k)) for k in range(count)[: args.limit]]
     payload = {
         "process": process,
         "count": count,
         "shown": len(shown),
-        "resolutions": [
-            {**_resolution_json(r), "trace_distribution": _dist_json(td)}
-            for r, td in zip(shown, dists)
-        ],
+        "resolutions": [entry for entry, _ in shown],
     }
 
     def lines():
         yield f"{count} resolutions of {process}"
-        for number, (r, td) in enumerate(zip(shown, dists), start=1):
+        for number, (_, text) in enumerate(shown, start=1):
             yield f"#{number}"
-            yield from _resolution_lines(r)
-            yield f"  TD: {print_trace_distribution(td)}"
+            yield from text
         if len(shown) < count:
             yield f"... {count - len(shown)} more (raise --limit)"
 
@@ -356,20 +363,14 @@ def _cmd_equiv(args) -> int:
     payload = {"equivalent": found is None, "distinguishing": None}
     if found is not None:
         side, resolution = found
-        td_of = weak_trace_distribution if args.weak else trace_distribution
-        td = td_of(resolution)
-        payload["distinguishing"] = {
-            "process": side,
-            **_resolution_json(resolution),
-            "trace_distribution": _dist_json(td),
-        }
+        entry, text = _with_td(args, resolution)
+        payload["distinguishing"] = {"process": side, **entry}
 
     def lines():
         yield "true" if found is None else "false"
         if found is not None:
             yield f"distinguishing resolution of {side} (unmatched by the other side):"
-            yield from _resolution_lines(resolution)
-            yield f"  TD: {print_trace_distribution(td)}"
+            yield from text
 
     _emit(args, payload, lines)
     return EXIT_OK

@@ -15,18 +15,13 @@ pair (parent's choice, process), and children follow their transition's
 support order, so the list is in the lexicographic order of the paths.
 Readers make one pass over it, reading each node's data off its parent's.
 
-Nothing here walks the system, and no command lists resolutions:
-``traces.TraceLayer`` counts the resolutions of every process its roots
-reach in its one post-order walk, and ``_resolution_from`` decodes the
-resolution with a given index in the canonical order off that count table
-(``traces.count_resolutions`` and ``traces.resolution_at`` read an
-uncapped layer).  The recursive enumerator, the structural validator and
-the hand-built-resolution helper that the tests compare against live in
-``tests/oracles.py``.
+The canonical order of a process's resolutions, their count and the
+decoder that builds one by its index all live in ``traces.TraceLayer``;
+this module holds the data type, its aliases, the size guard and its
+default cap.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import PTS, ProcessId
@@ -70,31 +65,3 @@ class Resolution:
     def root(self) -> ProcessId:
         return self.nodes[0][1]
 
-
-def _resolution_from(pts: PTS, process: ProcessId, index: int, counts: dict) -> Resolution:
-    """The resolution of ``process`` with the given index in the canonical
-    order (``traces.resolution_at``), off ``counts``, the resolution counts
-    of every process that ``process`` reaches."""
-    if not 0 <= index < counts[process]:
-        raise IndexError(f"resolution index {index} out of range for {process!r}")
-    nodes: list[Node] = []
-    todo = [(None, process, index)]
-    while todo:
-        parent, p, k = todo.pop()
-        if k == 0:
-            nodes.append((parent, p, None))
-            continue
-        k -= 1
-        for choice, row in enumerate(pts.transitions_of(p)):
-            targets = row.target.support
-            block = math.prod(counts[q] for q in targets)
-            if k < block:
-                break
-            k -= block
-        here = len(nodes)
-        nodes.append((parent, p, choice))
-        # Pushed last target first, so nodes are filled in preorder.
-        for q in reversed(targets):
-            k, digit = divmod(k, counts[q])
-            todo.append((here, q, digit))
-    return Resolution(pts, tuple(nodes))

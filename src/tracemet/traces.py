@@ -13,9 +13,13 @@ tau-decorated spelling would overshoot 1.
 of all resolutions of the processes a call names as its roots, composed
 bottom-up from those of the processes they reach, with no resolution
 built.  One post-order walk over those processes gives each one's
-resolution count, least denominator and last reader, and
-``count_resolutions`` and ``resolution_at`` read the count table of an
-uncapped layer.  The layer is kept as integers.  Traces are interned in
+resolution count, least denominator and last reader.  The layer alone
+knows the canonical order of a process's resolutions: it builds its lists
+in that order (the halting scheduler first, then the transitions in list
+order, later targets varying fastest), and ``TraceLayer.resolution``
+decodes a witness's index back into its ``Resolution`` off the count
+table; ``count_resolutions`` and ``resolution_at`` read an uncapped
+layer.  The layer is kept as integers.  Traces are interned in
 a trie, one per layer: id 0 is the empty trace and every other id stands
 for one (action, tail id) pair, keyed by the action's name.  A process's
 list holds one ``{trace id: weight}`` row per resolution, all over one
@@ -34,9 +38,6 @@ writes its formulae off the distinct rows through
 ``trace_distribution`` reads one resolution, for the resolutions a command
 prints, in one pass over its preorder ``(parent, process, choice)`` nodes:
 a node's run probability and a halting node's trace come off its parents.
-The tuple-based builder the layer replaced and the run lists
-(``Computation``, ``max_computations``) that the tests compare against
-live in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from itertools import product
 from typing import Callable, Hashable
 
 from .core import PTS, Action, Dist, ProcessId, TraceDistribution, post_order
-from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution, SizeGuardExceeded, _resolution_from
+from .resolutions import DEFAULT_MAX_RESOLUTIONS, Node, Resolution, SizeGuardExceeded
 from .transport import Side, distinct_rows
 
 Trace = tuple[Action, ...]
@@ -101,13 +102,7 @@ def count_resolutions(pts: PTS, process: ProcessId) -> int:
 
 def resolution_at(pts: PTS, process: ProcessId, index: int) -> Resolution:
     """The resolution of ``process`` with the given index in the canonical
-    order, built alone off an uncapped layer's count table.
-
-    The canonical order is lexicographic in the decisions: index 0 halts;
-    past it, each transition in list order owns a block of indices, one per
-    combination of sub-schedulers, read as a mixed-radix number whose digits
-    are the targets' indices, the last target's digit varying fastest.
-    """
+    order (``TraceLayer.resolution``), off an uncapped layer."""
     return TraceLayer(pts, process, max_resolutions=math.inf).resolution(process, index)
 
 
@@ -181,7 +176,7 @@ class TraceLayer:
 
     def entries(self, root: ProcessId, weak: bool = False) -> Rows:
         """The (weak) trace distribution of every resolution of ``root``,
-        in the canonical order of ``resolution_at``, as rows over ``den``:
+        in the canonical order of ``resolution``, as rows over ``den``:
         row ``{id: w}`` gives the trace with that id probability
         ``w / den``.  Rows may be shared and are never modified.
 
@@ -209,8 +204,40 @@ class TraceLayer:
         return self._counts[process]
 
     def resolution(self, process: ProcessId, index: int) -> Resolution:
-        """``resolution_at(pts, process, index)``, off the same table."""
-        return _resolution_from(self.pts, process, index, self._counts)
+        """The resolution of ``process`` with the given index in the
+        canonical order, decoded off the count table; the layer's lists
+        are built in the same order.
+
+        The canonical order is lexicographic in the decisions: index 0
+        halts; past it, each transition in list order owns a block of
+        indices, one per combination of sub-schedulers, read as a
+        mixed-radix number whose digits are the targets' indices, the last
+        target's digit varying fastest.
+        """
+        counts = self._counts
+        if not 0 <= index < counts[process]:
+            raise IndexError(f"resolution index {index} out of range for {process!r}")
+        nodes: list[Node] = []
+        todo = [(None, process, index)]
+        while todo:
+            parent, p, k = todo.pop()
+            if k == 0:
+                nodes.append((parent, p, None))
+                continue
+            k -= 1
+            for choice, row in enumerate(self.pts.transitions_of(p)):
+                targets = row.target.support
+                block = math.prod(counts[q] for q in targets)
+                if k < block:
+                    break
+                k -= block
+            here = len(nodes)
+            nodes.append((parent, p, choice))
+            # Pushed last target first, so nodes are filled in preorder.
+            for q in reversed(targets):
+                k, digit = divmod(k, counts[q])
+                todo.append((here, q, digit))
+        return Resolution(self.pts, tuple(nodes))
 
     def _build_all(self, weak: bool) -> dict[ProcessId, Rows]:
         """The roots' (weak) lists over ``den``, building every reachable

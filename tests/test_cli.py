@@ -799,6 +799,26 @@ class TestUnreadableInput:
         assert err.startswith(f"cannot read {psi}: ")
 
 
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark reads as the same
+    file without it."""
+
+    def test_system_file(self, capsys, tmp_path):
+        plain, marked = tmp_path / "plain.pts", tmp_path / "marked.pts"
+        plain.write_bytes(HALF_PAIR_TEXT.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + HALF_PAIR_TEXT.encode("utf-8"))
+        for argv in (("validate",), ("metric", "-p", "s", "-q", "t", "--json")):
+            code, out, err = run(capsys, argv[0], str(marked), *argv[1:])
+            assert (code, err) == (0, "")
+            assert (code, out, err) == run(capsys, argv[0], str(plain), *argv[1:])
+
+    def test_formula_file(self, capsys, half_file, tmp_path):
+        psi = tmp_path / "query.psi"
+        psi.write_bytes(b"\xef\xbb\xbf0.5 <a><c>T (+) 0.5 <a><b>T\n")
+        code, out, err = run(capsys, "sat", half_file, "-p", "t", "-f", str(psi))
+        assert (code, err) == (0, "") and out.splitlines()[0] == "true"
+
+
 @st.composite
 def corrupted_files(draw) -> bytes:
     text = draw(system_texts()).encode("utf-8")

@@ -11,6 +11,7 @@ and the weak satisfaction loop (``tests/oracles.py``).
 """
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -189,14 +190,18 @@ class TestLayer:
     def test_resolution_at_is_the_enumerated_resolution(self):
         cases = tau_cases(403, 15, max_count=150) + [(ladder(3), "x0", "w0")]
         for pts, s, t in cases:
+            # Each index decoded alone and through one capped two-root layer.
+            layer = TraceLayer(pts, s, t)
             for process in (s, t):
                 listed = oracles.enumerate_resolutions(pts, process)
-                for index, resolution in enumerate(listed):
-                    built = tm.resolution_at(pts, process, index)
-                    assert built.nodes == resolution.nodes  # preorder
-                    assert built == resolution
-                with pytest.raises(IndexError):
-                    tm.resolution_at(pts, process, len(listed))
+                for decode in (partial(tm.resolution_at, pts), layer.resolution):
+                    for index, resolution in enumerate(listed):
+                        built = decode(process, index)
+                        assert built.nodes == resolution.nodes  # preorder
+                        assert built == resolution
+                    for index in (-1, len(listed)):
+                        with pytest.raises(IndexError):
+                            decode(process, index)
 
     def test_size_guard_names_the_same_process(self, half_pair):
         # s has 9 resolutions and t has 10; the old routes listed s first.
