@@ -46,6 +46,7 @@ from .logic import (
     TraceFormula,
     erase_formula,
     mimicking_formulas,
+    real_value,
     satisfied_set,
     satisfies,
     tracing_formula,
@@ -64,7 +65,6 @@ from .formula_distance import (
     crosscheck,
     dist_formula_distance,
     logical_distance,
-    real_value,
     sup_val_distance,
 )
 from .parser import (

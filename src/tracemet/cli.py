@@ -20,12 +20,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable
 
 from . import __version__
-from .formula_distance import (
-    crosscheck,
-    dist_formula_distance,
-    real_value,
-)
-from .logic import mimicking_pairs, satisfies
+from .formula_distance import crosscheck, dist_formula_distance
+from .logic import mimicking_pairs, real_value, satisfies
 from .metrics import (
     MetricResult,
     find_distinguishing_resolution,
@@ -111,16 +107,13 @@ def _resolution_lines(resolution: Resolution) -> list[str]:
     return lines
 
 
-def _with_td(args, resolution: Resolution) -> tuple[dict, Iterable[str]]:
-    """``resolution`` with its (weak) trace distribution: its JSON entry,
-    and its text lines, which are built only when they are read."""
+def _with_td(args, resolution: Resolution) -> dict | list[str]:
+    """``resolution`` with its (weak) trace distribution: its JSON entry
+    under ``--json``, its text lines otherwise."""
     td = (weak_trace_distribution if args.weak else trace_distribution)(resolution)
-
-    def lines():
-        yield from _resolution_lines(resolution)
-        yield f"  TD: {print_trace_distribution(td)}"
-
-    return {**_resolution_json(resolution), "trace_distribution": _dist_json(td)}, lines()
+    if args.json:
+        return {**_resolution_json(resolution), "trace_distribution": _dist_json(td)}
+    return [*_resolution_lines(resolution), f"  TD: {print_trace_distribution(td)}"]
 
 
 def _dumps(payload) -> str:
@@ -195,11 +188,11 @@ def _dumps(payload) -> str:
     return top[0]
 
 
-def _emit(args, payload: dict, text_lines: Callable[[], Iterable[str]]) -> None:
-    # The text lines are built only when they are printed: under --json a
-    # mimic query would otherwise format every formula for nothing.
+def _emit(args, payload: Callable[[], dict], text_lines: Callable[[], Iterable[str]]) -> None:
+    # The document and the text lines are each built only when printed: a
+    # witness's entry or a mimic query's formulae would be built for nothing.
     if args.json:
-        print(_dumps(payload))
+        print(_dumps(payload()))
     else:
         for line in text_lines():
             print(line)
@@ -270,7 +263,7 @@ def _cmd_validate(args) -> int:
         for w in payload["warnings"]:
             yield f"  warning: {w}"
 
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload, lines)
     return EXIT_OK if valid else EXIT_INVALID
 
 
@@ -281,16 +274,13 @@ def _cmd_resolutions(args) -> int:
     layer = TraceLayer(pts, process, max_resolutions=_max_resolutions(args))
     count = layer.count(process)
     shown = [_with_td(args, layer.resolution(process, k)) for k in range(count)[: args.limit]]
-    payload = {
-        "process": process,
-        "count": count,
-        "shown": len(shown),
-        "resolutions": [entry for entry, _ in shown],
-    }
+
+    def payload():
+        return {"process": process, "count": count, "shown": len(shown), "resolutions": shown}
 
     def lines():
         yield f"{count} resolutions of {process}"
-        for number, (_, text) in enumerate(shown, start=1):
+        for number, text in enumerate(shown, start=1):
             yield f"#{number}"
             yield from text
         if len(shown) < count:
@@ -318,7 +308,7 @@ def _cmd_mimic(args) -> int:
     listed = [list(map(spelled.__getitem__, psi)) for psi in formulas]
     del formulas
     payload = {"process": process, "weak": args.weak, "formulas": listed}
-    _emit(args, payload, lambda: (" (+) ".join(psi) for psi in listed))
+    _emit(args, lambda: payload, lambda: (" (+) ".join(psi) for psi in listed))
     return EXIT_OK
 
 
@@ -351,7 +341,7 @@ def _cmd_metric(args) -> int:
             f"{t} {stats.right_before}->{stats.right_after} deduped"
         )
 
-    _emit(args, _metric_payload(result), lines)
+    _emit(args, lambda: _metric_payload(result), lines)
     return EXIT_OK
 
 
@@ -360,17 +350,19 @@ def _cmd_equiv(args) -> int:
     found = find_distinguishing_resolution(
         pts, s, t, weak=args.weak, max_resolutions=_max_resolutions(args)
     )
-    payload = {"equivalent": found is None, "distinguishing": None}
     if found is not None:
         side, resolution = found
-        entry, text = _with_td(args, resolution)
-        payload["distinguishing"] = {"process": side, **entry}
+        shown = _with_td(args, resolution)
+
+    def payload():
+        entry = None if found is None else {"process": side, **shown}
+        return {"equivalent": found is None, "distinguishing": entry}
 
     def lines():
         yield "true" if found is None else "false"
         if found is not None:
             yield f"distinguishing resolution of {side} (unmatched by the other side):"
-            yield from text
+            yield from shown
 
     _emit(args, payload, lines)
     return EXIT_OK
@@ -380,10 +372,12 @@ def _cmd_sat(args) -> int:
     pts, process = _system(args, args.process)
     psi = _parse_formula_arg(args.formula)
     holds, witness = satisfies(pts, process, psi, _max_resolutions(args), weak=args.weak)
-    payload = {
-        "satisfied": holds,
-        "witness": _resolution_json(witness) if witness is not None else None,
-    }
+
+    def payload():
+        return {
+            "satisfied": holds,
+            "witness": _resolution_json(witness) if witness is not None else None,
+        }
 
     def lines():
         yield "true" if holds else "false"
@@ -399,7 +393,7 @@ def _cmd_fdist(args) -> int:
     psi1 = _parse_formula_arg(args.formula1)
     psi2 = _parse_formula_arg(args.formula2)
     value = dist_formula_distance(psi1, psi2, weak=args.weak)
-    _emit(args, {"value": _frac_json(value)}, lambda: [_frac_text(value)])
+    _emit(args, lambda: {"value": _frac_json(value)}, lambda: [_frac_text(value)])
     return EXIT_OK
 
 
@@ -407,7 +401,7 @@ def _cmd_val(args) -> int:
     pts, process = _system(args, args.process)
     psi = _parse_formula_arg(args.formula)
     value = real_value(pts, process, psi, weak=args.weak, max_resolutions=_max_resolutions(args))
-    _emit(args, {"value": _frac_json(value)}, lambda: [_frac_text(value)])
+    _emit(args, lambda: {"value": _frac_json(value)}, lambda: [_frac_text(value)])
     return EXIT_OK
 
 
@@ -436,7 +430,7 @@ def _cmd_crosscheck(args) -> int:
             f"all equal: {'true' if report.all_equal else 'false'}",
         ] + [f"MISMATCH: {m}" for m in report.mismatches]
 
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload, lines)
     if not report.all_equal:
         for mismatch in report.mismatches:
             print(f"crosscheck failed: {mismatch}", file=sys.stderr)

@@ -1,13 +1,13 @@
-"""Distances on formulae, logical distances over processes, the real-valued
-semantics, and the cross-check tying them all together.
+"""Distances on formulae, logical distances over processes, and the
+cross-check tying them to the trace metric.
 
 The distance between two distribution formulae is the optimal transport
 cost between them under the 0/1 cost on trace formulae (weakly: up to
 erasure of silent diamonds).  Lifting it with the Hausdorff max-min over
 the satisfied-formula sets of two processes yields a logical distance that
 coincides exactly with the trace metric computed from resolutions; the
-real-valued semantics restates the same quantity as the largest possible
-verification gap over all formulae.  ``crosscheck`` computes every route
+real-valued semantics (``logic.real_value``) restates the same quantity as
+the largest possible verification gap over all formulae.  ``crosscheck`` computes every route
 and any disagreement indicates an implementation bug, never an expected
 outcome.
 
@@ -25,10 +25,7 @@ strong ones, so it builds no weak list and its three weak values are its
 strong passes' results.  No formula object is built on that route: the
 mimicking formula of a row is the row with its trace ids renamed, and the
 erased formula ids come off the layer's trie, so the tables stay linear in
-depth.  ``real_value`` reads one process's full list and the formula as a
-row of the same layer, both from ``logic.formula_query``, and takes the
-most mass the formula shares with one row, reading the rows in place over
-``layer.den`` times the formula's denominator.  ``dist_formula_distance``
+depth.  ``dist_formula_distance``
 alone reads no layer: it is ``transport.kantorovich_01`` on two formulae
 given as ``Dist`` objects, and its weak form passes ``erase_formula`` as
 the canonicalizing function.
@@ -43,8 +40,8 @@ within D of the other set, and one formula exactly D away.  Where the
 certificate fails, the gap comes from ``nearest_distances``, called once
 each way, which computes every formula's exact distance to the other set
 over every pair with no early exit, and ``crosscheck`` reports the failed
-certificate as a mismatch of its own.  A fault in the max-min's pruning therefore shows up
-as a mismatch instead of being repeated on every route.
+certificate as a mismatch of its own.  A fault in the max-min's pruning
+therefore shows up as a mismatch instead of being repeated on every route.
 """
 from __future__ import annotations
 
@@ -53,7 +50,7 @@ from fractions import Fraction
 from itertools import chain, islice
 
 from .core import PTS, ProcessId, TraceDistFormula
-from .logic import erase_formula, formula_query
+from .logic import erase_formula
 from .resolutions import DEFAULT_MAX_RESOLUTIONS
 from .traces import TraceLayer
 from .transport import (
@@ -79,41 +76,6 @@ def logical_distance(
 ) -> Fraction:
     """Hausdorff distance between the satisfied-formula sets of two processes."""
     return _set_values(pts, s, t, weak, max_resolutions)[0]
-
-
-def real_value(
-    pts: PTS,
-    s: ProcessId,
-    psi: TraceDistFormula,
-    weak: bool = False,
-    max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
-) -> Fraction:
-    """How close the process comes to satisfying the formula: one minus the
-    distance from the formula to the process's satisfied set.
-
-    The satisfied set is the set of (weak) layer rows, the halting row
-    standing for the top formula, so the value is the most mass ``psi``,
-    read as a row of the same layer, shares with one row.  Over
-    ``den * psi_den`` a row's weight ``v`` is ``v * psi_den`` and the
-    formula's ``w`` is ``w * den``, so no row is rescaled.  The loop
-    inlines ``min``, as ``transport._Index.nearest`` does.
-    """
-    if not psi.is_probability:
-        raise ValueError("total variation requires probability distributions")
-    layer, rows, psi_den, query = formula_query(pts, s, psi, weak, max_resolutions)
-    den = layer.den
-    weights = [(k, w * den) for k, w in query.items()]
-    best = 0
-    for row in rows:
-        shared = 0
-        for key, w in weights:
-            v = row.get(key)
-            if v is not None:
-                v *= psi_den
-                shared += w if w < v else v
-        if shared > best:
-            best = shared
-    return Fraction(best, den * psi_den)
 
 
 def sup_val_distance(

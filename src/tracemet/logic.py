@@ -1,4 +1,5 @@
-"""A minimal two-sorted logic over traces and its satisfaction relations.
+"""A minimal two-sorted logic over traces, its satisfaction relations and
+its real-valued semantics.
 
 A *trace formula* is a finite sequence of diamond modalities ending in top;
 it denotes a trace shape and is satisfied by a run whose first steps carry
@@ -13,16 +14,17 @@ set of mimicking formulae of its resolutions, the halting resolution's
 being the top formula, which is what makes the satisfied set finitely
 computable: ``satisfied_set`` sorts the distinct ones.
 
-``satisfies`` and ``mimicking_formulas`` read the integer rows of a
-``traces.TraceLayer`` rooted at the process, the full list and the
-distinct rows, over the layer's ``den``.  ``formula_query`` is the one
-reading of a formula against a process, shared by ``satisfies`` and
-``formula_distance.real_value``: it builds the layer and the process's
-rows, then looks the formula's traces up in the layer's trie, giving the
-formula as a row over its own denominator.  ``satisfies`` scales the
-formula to ``layer.den``.  ``mimicking_formulas`` decodes the returned
-formulae, by the layer's ``decode`` spelling each trace through
-``tracing_formula``, for ``satisfied_set`` and library callers.
+The real value of a formula at a process is the most mass the formula
+shares with one resolution's trace distribution, and the process
+satisfies the formula exactly when that value is 1.  ``_nearest_row`` is
+the one reading of a formula against a process: it builds a
+``traces.TraceLayer`` rooted at the process and the process's (weak) rows
+over the layer's ``den``, and scans them for the first row sharing the
+most mass with the formula.  ``real_value`` is that mass; ``satisfies``
+holds when it is all of it, with that row's resolution as the witness.
+``mimicking_formulas`` decodes the layer's distinct rows into formulae,
+its ``decode`` spelling each trace through ``tracing_formula``, for
+``satisfied_set`` and library callers.
 ``mimicking_pairs`` reads the same distinct rows without decoding them:
 each formula as ``(trace id, weight)`` pairs over ``layer.den`` in display
 order, each trace id spelled once as its action names and ranked once.
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import Action, PTS, ProcessId, TraceDistFormula
 from .resolutions import DEFAULT_MAX_RESOLUTIONS, Resolution
@@ -102,33 +105,6 @@ def mimicking_pairs(
     return names, [[(k, row[k]) for k in sorted(row, key=by_rank)] for row in rows]
 
 
-def formula_query(
-    pts: PTS,
-    process: ProcessId,
-    psi: TraceDistFormula,
-    weak: bool,
-    max_resolutions: int,
-) -> tuple[TraceLayer, list[dict], int, dict]:
-    """``(layer, rows, psi_den, row)``: the layer rooted at the process,
-    the process's (weak) rows over ``layer.den``, and ``psi`` read as a
-    distribution over (weakly: tau-erased) traces, as a row of that layer
-    over ``psi_den``, the least common denominator of its weights.
-
-    The rows are built first, as their build fills the trie that ``find``
-    reads.  Every trace the process does not show gets the one key -1,
-    which no row holds, so their weights are merged under it."""
-    layer = TraceLayer(pts, process, max_resolutions=max_resolutions)
-    rows = layer.entries(process, weak)
-    psi_den = math.lcm(*(w.denominator for _, w in psi.items_sorted))
-    row: dict = {}
-    for phi, weight in psi.items_sorted:
-        key = layer.find(tau_erase(phi.diamonds) if weak else phi.diamonds)
-        if key is None:
-            key = -1
-        row[key] = row.get(key, 0) + weight.numerator * (psi_den // weight.denominator)
-    return layer, rows, psi_den, row
-
-
 def satisfied_set(
     pts: PTS,
     process: ProcessId,
@@ -155,20 +131,76 @@ def satisfies(
     is ``psi`` read as a distribution over traces.  Weakly, both sides are
     compared up to erasure of silent steps: the resolution's mimicking
     formula is equivalent to ``psi`` up to erasure of silent diamonds.
+    Both sum to 1, so that resolution's row shares all its mass with ``psi``.
     """
     if not psi.is_probability:
         raise ValueError("formula weights must sum to 1")
-    layer, rows, psi_den, psi_row = formula_query(pts, process, psi, weak, max_resolutions)
-    # psi is scaled to the layer's denominator, so no row is rescaled.  A
-    # trace the process never shows, or a weight (weakly: after merging)
-    # that is not a multiple of 1/layer.den, rules out every resolution.
-    wanted = {}
-    for key, w in psi_row.items():
-        scaled, rest = divmod(w * layer.den, psi_den)
-        if rest or key < 0:
-            return False, None
-        wanted[key] = scaled
-    for index, row in enumerate(rows):
-        if row == wanted:
-            return True, layer.resolution(process, index)
+    layer, index, shared, full = _nearest_row(pts, process, psi, weak, max_resolutions)
+    if shared == full:
+        return True, layer.resolution(process, index)
     return False, None
+
+
+def real_value(
+    pts: PTS,
+    s: ProcessId,
+    psi: TraceDistFormula,
+    weak: bool = False,
+    max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
+) -> Fraction:
+    """How close the process comes to satisfying the formula: one minus the
+    distance from the formula to the process's satisfied set.
+
+    The satisfied set is the set of (weak) layer rows, the halting row
+    standing for the top formula, so the value is the most mass ``psi``
+    shares with one row.
+    """
+    if not psi.is_probability:
+        raise ValueError("total variation requires probability distributions")
+    _, _, shared, full = _nearest_row(pts, s, psi, weak, max_resolutions)
+    return Fraction(shared, full)
+
+
+def _nearest_row(
+    pts: PTS,
+    process: ProcessId,
+    psi: TraceDistFormula,
+    weak: bool,
+    max_resolutions: int,
+) -> tuple[TraceLayer, int, int, int]:
+    """``(layer, index, shared, full)``: the layer rooted at the process,
+    the index of its first (weak) row sharing the most mass with ``psi``,
+    and that mass over ``full``, ``layer.den`` times the least common
+    denominator of the formula's weights.
+
+    ``psi`` is read as a distribution over (weakly: tau-erased) traces.
+    Over ``full`` a row's weight ``v`` is ``v * psi_den`` and the formula's
+    are whole, so no row is rescaled or copied.  The rows are built first,
+    as their build fills the trie that ``find`` reads; a trace the process
+    never shows shares nothing and is dropped.  The loop inlines ``min``,
+    as ``transport._Index.nearest`` does, and stops at the first row that
+    shares all of ``full``.
+    """
+    layer = TraceLayer(pts, process, max_resolutions=max_resolutions)
+    rows = layer.entries(process, weak)
+    psi_den = math.lcm(*(w.denominator for _, w in psi.items_sorted))
+    full = layer.den * psi_den
+    merged: dict[int, int] = {}
+    for phi, weight in psi.items_sorted:
+        key = layer.find(tau_erase(phi.diamonds) if weak else phi.diamonds)
+        if key is not None:
+            merged[key] = merged.get(key, 0) + weight.numerator * (full // weight.denominator)
+    weights = list(merged.items())
+    best = index = 0
+    for i, row in enumerate(rows):
+        shared = 0
+        for key, w in weights:
+            v = row.get(key)
+            if v is not None:
+                v *= psi_den
+                shared += w if w < v else v
+        if shared > best:
+            best, index = shared, i
+            if shared == full:
+                break
+    return layer, index, best, full

@@ -245,6 +245,25 @@ def test_json_builds_no_text_lines(capsys, half_file, monkeypatch):
         json.loads(out)
 
 
+def test_text_builds_no_json_entries(capsys, half_file, monkeypatch):
+    # In text mode the JSON formatters are never called: a witness's entry
+    # would otherwise be built only to be discarded.
+    def refuse(*args, **kwargs):
+        raise AssertionError("JSON entry built in text mode")
+
+    monkeypatch.setattr(cli, "_resolution_json", refuse)
+    monkeypatch.setattr(cli, "_dist_json", refuse)
+    for first, argv in (
+        ("1/2 (0.5)", ("metric", half_file, "-p", "s", "-q", "t")),
+        ("false", ("equiv", half_file, "-p", "s", "-q", "t")),
+        ("true", ("sat", half_file, "-p", "s", "-f", "1 <a><b>T")),
+        ("10 resolutions of t", ("resolutions", half_file, "-p", "t", "--limit", "2")),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[0] == first
+
+
 def reference_dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 

@@ -403,6 +403,10 @@ def tau_chain(n: int) -> tm.PTS:
         tm.real_value, 16, tm.parse_pts(ladder_text(5)), "x0",
         tm.parse_formula("17/61 <a>T (+) 44/61 <b>T"), id="real_value-ladder5-16",
     ),
+    pytest.param(
+        tm.satisfies, 16, tm.parse_pts(ladder_text(5)), "x0",
+        tm.parse_formula("1 <b><b><b><b><b>T"), id="satisfies-ladder5-16",
+    ),
 ])
 def test_chain_keeps_the_roots_lists_only(query, limit_mib, pts, s, t):
     # A level's list is dropped once the level above it is built, so the
@@ -411,9 +415,9 @@ def test_chain_keeps_the_roots_lists_only(query, limit_mib, pts, s, t):
     # layer kept them all.  The formula route numbers trace ids, weakly
     # through (action, erased tail) pairs, so its tables stay linear in
     # depth: spelling every trace id as a formula peaked at 2.9 MiB on the
-    # silent chain.  ``real_value`` reads x0's 32,490 ladder(5) rows in
-    # place: indexing and rescaling them for a one-row query peaked at
-    # 24.1 MiB.
+    # silent chain.  ``real_value`` and ``satisfies`` read x0's 32,490
+    # ladder(5) rows in place: indexing and rescaling them for a one-row
+    # query peaked at 24.1 MiB.  The all-b formula matches only the last row.
     tracemalloc.start()
     try:
         query(pts, s, t)
