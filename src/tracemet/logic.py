@@ -16,12 +16,12 @@ computable: ``satisfied_set`` sorts the distinct ones.
 
 The real value of a formula at a process is the most mass the formula
 shares with one resolution's trace distribution, and the process
-satisfies the formula exactly when that value is 1.  ``_nearest_row`` is
-the one reading of a formula against a process: it builds a
-``traces.TraceLayer`` rooted at the process and the process's (weak) rows
-over the layer's ``den``, and scans them for the first row sharing the
-most mass with the formula.  ``real_value`` is that mass; ``satisfies``
-holds when it is all of it, with that row's resolution as the witness.
+satisfies the formula exactly when that value is 1.  Both read the
+formula against a ``traces.TraceLayer`` rooted at the process through
+``TraceLayer.nearest``, a pruned descent over the process's resolutions
+that builds none of their rows: ``real_value`` is the most mass a
+resolution shares with the formula, and ``satisfies`` asks only for one
+sharing all of it, the first in the canonical order being the witness.
 ``mimicking_formulas`` decodes the layer's distinct rows into formulae,
 its ``decode`` spelling each trace through ``tracing_formula``, for
 ``satisfied_set`` and library callers.
@@ -32,7 +32,6 @@ order, each trace id spelled once as its action names and ranked once.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -131,14 +130,15 @@ def satisfies(
     is ``psi`` read as a distribution over traces.  Weakly, both sides are
     compared up to erasure of silent steps: the resolution's mimicking
     formula is equivalent to ``psi`` up to erasure of silent diamonds.
-    Both sum to 1, so that resolution's row shares all its mass with ``psi``.
+    Both sum to 1, so that resolution shares all its mass with ``psi``.
     """
     if not psi.is_probability:
         raise ValueError("formula weights must sum to 1")
-    layer, index, shared, full = _nearest_row(pts, process, psi, weak, max_resolutions)
-    if shared == full:
-        return True, layer.resolution(process, index)
-    return False, None
+    layer = TraceLayer(pts, process, max_resolutions=max_resolutions)
+    found = layer.nearest(process, _traces(psi), weak, exact=True)
+    if found is None:
+        return False, None
+    return True, layer.resolution(process, found[0])
 
 
 def real_value(
@@ -151,56 +151,17 @@ def real_value(
     """How close the process comes to satisfying the formula: one minus the
     distance from the formula to the process's satisfied set.
 
-    The satisfied set is the set of (weak) layer rows, the halting row
-    standing for the top formula, so the value is the most mass ``psi``
-    shares with one row.
+    The satisfied set is the set of the resolutions' (weak) mimicking
+    formulae, the halting resolution's standing for the top formula, so the
+    value is the most mass ``psi`` shares with one resolution's (weak)
+    trace distribution.
     """
     if not psi.is_probability:
         raise ValueError("total variation requires probability distributions")
-    _, _, shared, full = _nearest_row(pts, s, psi, weak, max_resolutions)
-    return Fraction(shared, full)
+    layer = TraceLayer(pts, s, max_resolutions=max_resolutions)
+    return layer.nearest(s, _traces(psi), weak)[1]
 
 
-def _nearest_row(
-    pts: PTS,
-    process: ProcessId,
-    psi: TraceDistFormula,
-    weak: bool,
-    max_resolutions: int,
-) -> tuple[TraceLayer, int, int, int]:
-    """``(layer, index, shared, full)``: the layer rooted at the process,
-    the index of its first (weak) row sharing the most mass with ``psi``,
-    and that mass over ``full``, ``layer.den`` times the least common
-    denominator of the formula's weights.
-
-    ``psi`` is read as a distribution over (weakly: tau-erased) traces.
-    Over ``full`` a row's weight ``v`` is ``v * psi_den`` and the formula's
-    are whole, so no row is rescaled or copied.  The rows are built first,
-    as their build fills the trie that ``find`` reads; a trace the process
-    never shows shares nothing and is dropped.  The loop inlines ``min``,
-    as ``transport._Index.nearest`` does, and stops at the first row that
-    shares all of ``full``.
-    """
-    layer = TraceLayer(pts, process, max_resolutions=max_resolutions)
-    rows = layer.entries(process, weak)
-    psi_den = math.lcm(*(w.denominator for _, w in psi.items_sorted))
-    full = layer.den * psi_den
-    merged: dict[int, int] = {}
-    for phi, weight in psi.items_sorted:
-        key = layer.find(tau_erase(phi.diamonds) if weak else phi.diamonds)
-        if key is not None:
-            merged[key] = merged.get(key, 0) + weight.numerator * (full // weight.denominator)
-    weights = list(merged.items())
-    best = index = 0
-    for i, row in enumerate(rows):
-        shared = 0
-        for key, w in weights:
-            v = row.get(key)
-            if v is not None:
-                v *= psi_den
-                shared += w if w < v else v
-        if shared > best:
-            best, index = shared, i
-            if shared == full:
-                break
-    return layer, index, best, full
+def _traces(psi: TraceDistFormula) -> list[tuple[Trace, Fraction]]:
+    """``psi`` as a distribution over the traces its formulae spell."""
+    return [(phi.diamonds, weight) for phi, weight in psi.items_sorted]

@@ -16,10 +16,12 @@ built.  One post-order walk over those processes gives each one's
 resolution count, least denominator and last reader.  The layer alone
 knows the canonical order of a process's resolutions: it builds its lists
 in that order (the halting scheduler first, then the transitions in list
-order, later targets varying fastest), and ``TraceLayer.resolution``
-decodes a witness's index back into its ``Resolution`` off the count
-table; ``count_resolutions`` and ``resolution_at`` read an uncapped
-layer.  The layer is kept as integers.  Traces are interned in
+order, later targets varying fastest), and one table per process off the
+count table (``_places``: each transition's block of indices and its
+targets' mixed-radix places) serves ``TraceLayer.resolution``, which
+decodes a witness's index back into its ``Resolution``, and
+``TraceLayer.nearest``; ``count_resolutions`` and ``resolution_at`` read
+an uncapped layer.  The layer is kept as integers.  Traces are interned in
 a trie, one per layer: id 0 is the empty trace and every other id stands
 for one (action, tail id) pair, keyed by the action's name.  A process's
 list holds one ``{trace id: weight}`` row per resolution, all over one
@@ -28,9 +30,13 @@ denominator, which the layer alone computes; every row it hands out is over
 no other list reads is built over ``den`` at once; every other list is
 built over the least denominator of its process, so a root that another
 reads is scaled to ``den`` once.  ``entries`` hands one root's full list,
-for the readers of one process (``sat``, ``val``,
-``trace_distributions``); ``distinct`` hands every root's distinct rows
-through ``transport.distinct_rows``, in the form the max-min takes.  Trace
+for ``trace_distributions`` and ``distinct``, which hands every root's
+distinct rows through ``transport.distinct_rows``, in the form the max-min
+takes.  ``nearest``, the one reading of a formula against a process
+(``sat`` and ``val``), builds no list: it descends over the process's
+resolutions in the canonical order, charging each halting node's mass
+against the formula's residual weights in a trie of its own, and prunes
+every branch that cannot beat the best resolution found.  Trace
 tuples and ``Dist`` objects are decoded only for output: ``decode`` spells
 each id of a list once, ``trace`` one id.  ``mimic`` decodes neither: it
 writes its formulae off the distinct rows through
@@ -44,9 +50,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Iterable
 
-from .core import PTS, Action, Dist, ProcessId, TraceDistribution, post_order
+from .core import PTS, Action, Dist, ProcessId, TraceDistribution, Transition, post_order
 from .resolutions import DEFAULT_MAX_RESOLUTIONS, Node, Resolution, SizeGuardExceeded
 from .transport import Side, distinct_rows
 
@@ -115,8 +121,9 @@ class TraceLayer:
     denominator and the last list that reads it, and tells whether a
     silent transition is reachable (``silent``); where none is, the weak
     lists are the strong ones and are never built.  The size guard (each
-    root in the given order), the build and every witness (``resolution``)
-    read that count table.  ``den`` is the least common multiple of the
+    root in the given order), the build, every witness (``resolution``)
+    and the search for a formula's nearest resolution (``nearest``) read
+    that count table.  ``den`` is the least common multiple of the
     roots' denominators, and every row the layer hands out is over it.  Per mode, strong or weak, every reachable list
     is built once, in post-order, so trace ids agree across everything the
     layer returns.  A root that no other reachable list reads is built over
@@ -129,7 +136,7 @@ class TraceLayer:
 
     __slots__ = (
         "pts", "roots", "den", "silent", "actions", "tails", "_children", "_lists", "_counts",
-        "_dens", "_dying",
+        "_dens", "_dying", "_place_table",
     )
 
     def __init__(
@@ -142,6 +149,7 @@ class TraceLayer:
         self.tails: list[int] = [0]
         self._children: dict[str, dict[int, int]] = {}
         self._lists: dict[bool, dict[ProcessId, Rows]] = {}
+        self._place_table: dict[ProcessId, list] = {}
         counts: dict[ProcessId, int] = {}
         dens: dict[ProcessId, int] = {}
         last_reader: dict[ProcessId, ProcessId] = {}
@@ -205,17 +213,9 @@ class TraceLayer:
 
     def resolution(self, process: ProcessId, index: int) -> Resolution:
         """The resolution of ``process`` with the given index in the
-        canonical order, decoded off the count table; the layer's lists
-        are built in the same order.
-
-        The canonical order is lexicographic in the decisions: index 0
-        halts; past it, each transition in list order owns a block of
-        indices, one per combination of sub-schedulers, read as a
-        mixed-radix number whose digits are the targets' indices, the last
-        target's digit varying fastest.
-        """
-        counts = self._counts
-        if not 0 <= index < counts[process]:
+        canonical order, decoded off the count table (``_places``); the
+        layer's lists are built in the same order."""
+        if not 0 <= index < self._counts[process]:
             raise IndexError(f"resolution index {index} out of range for {process!r}")
         nodes: list[Node] = []
         todo = [(None, process, index)]
@@ -224,20 +224,159 @@ class TraceLayer:
             if k == 0:
                 nodes.append((parent, p, None))
                 continue
-            k -= 1
-            for choice, row in enumerate(self.pts.transitions_of(p)):
-                targets = row.target.support
-                block = math.prod(counts[q] for q in targets)
-                if k < block:
+            for choice, (_, offset, block, targets) in enumerate(self._places(p)):
+                if k < offset + block:
                     break
-                k -= block
+            k -= offset
             here = len(nodes)
             nodes.append((parent, p, choice))
+            digits = []
+            for q, _, place in targets:
+                digit, k = divmod(k, place)
+                digits.append((here, q, digit))
             # Pushed last target first, so nodes are filled in preorder.
-            for q in reversed(targets):
-                k, digit = divmod(k, counts[q])
-                todo.append((here, q, digit))
+            todo.extend(reversed(digits))
         return Resolution(self.pts, tuple(nodes))
+
+    def _places(self, p: ProcessId) -> list[tuple[Transition, int, int, list]]:
+        """The index arithmetic of ``p``'s resolutions, per transition in
+        list order: ``(transition, offset, block, targets)``, where the
+        transition's resolutions are the ``block`` indices from ``offset``
+        on and ``targets`` lists ``(target, step, place)`` in support order.
+
+        The canonical order is lexicographic in the decisions: index 0
+        halts; past it, each transition in list order owns a block of
+        indices, one per combination of sub-schedulers, read as a
+        mixed-radix number whose digits are the targets' indices, the last
+        target's digit varying fastest: a target's place is the product of
+        the later targets' resolution counts.
+        """
+        places = self._place_table.get(p)
+        if places is None:
+            counts = self._counts
+            places, offset = [], 1
+            for row in self.pts.transitions_of(p):
+                targets, block = [], 1
+                for q, step in reversed(row.target.items_sorted):
+                    targets.append((q, step, block))
+                    block *= counts[q]
+                places.append((row, offset, block, targets[::-1]))
+                offset += block
+            self._place_table[p] = places
+        return places
+
+    def nearest(
+        self,
+        process: ProcessId,
+        budget: Iterable[tuple[Trace, Fraction]],
+        weak: bool = False,
+        exact: bool = False,
+    ) -> tuple[int, Fraction] | None:
+        """``(index, shared)``: the first resolution of ``process`` in the
+        canonical order whose (weak) trace distribution shares the most
+        mass with ``budget``, a probability distribution over traces given
+        as pairs (weakly, read up to erasure of silent steps), and that
+        mass.  With ``exact``, only a resolution sharing all of it counts,
+        and None says there is none.  No row is built.
+
+        A descent over the decisions of a resolution in preorder: a node
+        halts (the first choice) or takes a transition in list order, whose
+        targets are decided in turn, so resolutions are met in index order.
+        The budget is a prefix trie of its traces with the residual weight
+        of each and the residual mass below each node.  A node carries its
+        run's mass and the trie node its trace has reached so far; a
+        halting node charges ``min(mass, residual)`` to its trace, which
+        sums to the mass shared, as min(x + y, b) = min(x, b) +
+        min(y, (b - x)+).  A branch stops once what it has charged plus,
+        for each node still to decide, the smaller of its mass and the
+        residual below its trie node cannot beat the best found, or (with
+        ``exact``) lose no mass.  A node whose trace has left the trie, or
+        has no residual below it, can charge nothing whatever it does, so
+        it halts, the first choice.  Weights are integers over ``full``,
+        ``den`` times the budget's least denominator, where every run's
+        mass is whole.  An explicit stack, with a trail of charges undone
+        on backtracking.
+        """
+        budget = list(budget)
+        full = self.den * math.lcm(*(w.denominator for _, w in budget))
+        kids: list[dict[str, int]] = [{}]
+        resid, up = [0], [-1]  # per trie node: weight of its trace, parent
+        for trace, w in budget:
+            node = 0
+            for action in trace:
+                if weak and action.is_tau:
+                    continue
+                child = kids[node].get(action.name)
+                if child is None:
+                    child = kids[node][action.name] = len(kids)
+                    kids.append({})
+                    resid.append(0)
+                    up.append(node)
+                node = child
+            resid[node] += w.numerator * (full // w.denominator)
+        below = resid[:]
+        for node in range(len(kids) - 1, 0, -1):  # a child's id is above its parent's
+            below[up[node]] += below[node]
+
+        best = full - 1 if exact else -1
+        found = None
+        trail: list[tuple[int, int]] = []  # (trie node, mass charged)
+        # A node to decide is (process, mass, trie node, place of its index
+        # digit in the root's index); the nodes still to decide after it
+        # are a linked list of (node, rest) pairs.  Each entry of ``todo``
+        # takes one choice at a node: (node, rest, charged, index, trail
+        # length, choice).
+        todo = [((process, full, 0, 1), None, 0, 0, 0, 0)]
+        while todo:
+            task, rest, acc, index, mark, choice = todo.pop()
+            while len(trail) > mark:
+                node, x = trail.pop()
+                resid[node] += x
+                while node >= 0:
+                    below[node] += x
+                    node = up[node]
+            p, mass, node, place = task
+            places = self._places(p)
+            if choice < len(places):
+                todo.append((task, rest, acc, index, mark, choice + 1))
+            if choice == 0:
+                x = resid[node]
+                if x > mass:
+                    x = mass
+                if x:
+                    trail.append((node, x))
+                    resid[node] -= x
+                    acc += x
+                    while node >= 0:
+                        below[node] -= x
+                        node = up[node]
+            else:
+                row, offset, _, targets = places[choice - 1]
+                index += place * offset
+                action = row.action
+                child = node if weak and action.is_tau else kids[node].get(action.name)
+                if child is not None and below[child]:
+                    for q, step, digit_place in reversed(targets):
+                        share = mass * step.numerator // step.denominator
+                        rest = ((q, share, child, place * digit_place), rest)
+            bound, later = acc, rest
+            while later is not None:
+                (_, share, node, _), later = later
+                room = below[node]
+                bound += share if share < room else room
+            if bound <= best:
+                continue
+            while rest is not None and not below[rest[0][2]]:
+                rest = rest[1]
+            if rest is None:
+                best, found = acc, index
+                if best == full:
+                    break
+                continue
+            todo.append((rest[0], rest[1], acc, index, len(trail), 0))
+        if found is None:
+            return None
+        return found, Fraction(best, full)
 
     def _build_all(self, weak: bool) -> dict[ProcessId, Rows]:
         """The roots' (weak) lists over ``den``, building every reachable
@@ -297,19 +436,6 @@ class TraceLayer:
                 new[child] = w * factor
             out.append(new)
         return out
-
-    def find(self, trace: Trace) -> int | None:
-        """The id of ``trace``, or None when no list of this layer has
-        shown it."""
-        tid = 0
-        for action in reversed(trace):
-            children = self._children.get(action.name)
-            if children is None:
-                return None
-            tid = children.get(tid)
-            if tid is None:
-                return None
-        return tid
 
     def trace(self, tid: int) -> Trace:
         """The trace with id ``tid``."""

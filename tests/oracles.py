@@ -16,6 +16,9 @@ The per-resolution routes that ``tracemet.traces.trace_distributions``
 replaced live here too: the run-probability profiles (``pr_compatible``,
 ``pr_weak_compatible`` and their tabulations), the run-scanning
 ``satisfies`` and the weak satisfaction loop over mimicking formulae.
+``nearest_row`` is the scan of a process's layer rows for the first one
+sharing the most mass with a formula, which ``TraceLayer.nearest``'s
+descent must agree with, index and mass.
 ``trace_distributions`` is the layer as it was built before it became
 integers: a ``Dist`` of trace tuples per resolution, composed bottom-up
 with the same recurrence, which the package's integer layer
@@ -879,6 +882,43 @@ def weak_satisfies(pts: tm.PTS, process: str, psi: tm.Dist):
         if dist_formulas_weak_equivalent(mimicking_formula(resolution), psi):
             return True, resolution
     return False, None
+
+
+def nearest_row(
+    pts: tm.PTS,
+    process: str,
+    psi: tm.Dist,
+    weak: bool = False,
+    max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
+) -> tuple[int, Fraction]:
+    """``(index, shared)``: the first of the process's (weak) layer rows
+    sharing the most mass with ``psi``, and that mass; the scan that
+    ``TraceLayer.nearest`` replaced.
+
+    ``psi`` is read over ``full``, ``layer.den`` times the least common
+    denominator of its weights, so a row's weight ``v`` is ``v * psi_den``.
+    A trace the process never shows has no id in the layer's trie, shares
+    nothing and is dropped.  The scan stops at the first row sharing all
+    of ``full``.
+    """
+    layer = TraceLayer(pts, process, max_resolutions=max_resolutions)
+    rows = layer.entries(process, weak)
+    ids = {layer.trace(k): k for row in rows for k in row}
+    psi_den = math.lcm(*(w.denominator for _, w in psi.items_sorted))
+    full = layer.den * psi_den
+    merged: dict[int, int] = {}
+    for phi, weight in psi.items_sorted:
+        key = ids.get(tm.tau_erase(phi.diamonds) if weak else phi.diamonds)
+        if key is not None:
+            merged[key] = merged.get(key, 0) + weight.numerator * (full // weight.denominator)
+    best = index = 0
+    for i, row in enumerate(rows):
+        shared = sum(min(w, row.get(key, 0) * psi_den) for key, w in merged.items())
+        if shared > best:
+            best, index = shared, i
+            if shared == full:
+                break
+    return index, Fraction(best, full)
 
 
 def distinguishing_resolution(pts: tm.PTS, s: str, t: str, weak: bool = False):

@@ -17,6 +17,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -364,6 +365,67 @@ def test_edge_cases_reach_both_answers():
     assert tm.real_value(EDGE, "s", formula("1/3 <a>T (+) 2/3 T")) == Fraction(2, 3)
 
 
+def formula_of(*dists: tm.Dist) -> tm.TraceDistFormula:
+    """The even mixture of trace distributions, as a formula."""
+    pairs = [(trace, w / len(dists)) for d in dists for trace, w in d.items_sorted]
+    return tm.Dist.merged(pairs).pushforward(tm.tracing_formula)
+
+
+def with_silent_steps(d: tm.Dist) -> tm.Dist:
+    """Every trace of ``d`` with a silent step after its first action."""
+    return tm.Dist.merged((trace[:1] + (tm.TAU,) + trace[1:], w) for trace, w in d.items_sorted)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_descent_finds_the_scans_first_nearest_row(seed):
+    # ``TraceLayer.nearest`` descends over resolutions without building a
+    # row; the scan over the layer's rows (``oracles.nearest_row``) must
+    # name the same first row sharing the most mass, strongly and weakly,
+    # for a resolution's own distribution, half-half mixtures of two, a
+    # mixture with a trace the process never shows, and (strongly) silent
+    # diamonds the rows may or may not carry.
+    rng = random.Random(seed)
+    pts = random_pts(rng, max_states=8, max_layers=4, max_support=3, tau_bias=0.3)
+    assume(tm.count_resolutions(pts, "p0") <= 2000)
+    unseen = tm.Dist({(tm.Action("q"),): 1})
+    layer = TraceLayer(pts, "p0")
+    for weak in (False, True):
+        rows = layer.decode(layer.entries("p0", weak))
+        a, b = rng.choice(rows), rng.choice(rows)
+        psis = [formula_of(a), formula_of(a, b), formula_of(a, unseen)]
+        if not weak:
+            psis.append(formula_of(with_silent_steps(a)))
+            psis.append(formula_of(with_silent_steps(a), b))
+        for psi in psis:
+            index, value = oracles.nearest_row(pts, "p0", psi, weak)
+            traces = [(phi.diamonds, w) for phi, w in psi.items_sorted]
+            assert layer.nearest("p0", traces, weak) == (index, value)
+            assert tm.real_value(pts, "p0", psi, weak) == value
+            witness = tm.resolution_at(pts, "p0", index) if value == 1 else None
+            assert tm.satisfies(pts, "p0", psi, weak=weak) == (value == 1, witness)
+            exact = layer.nearest("p0", traces, weak, exact=True)
+            assert exact == ((index, value) if value == 1 else None)
+
+
+def test_deep_chain_answers_without_recursion():
+    # The descent keeps its own stack: 3,000 nested decisions, strongly on
+    # chain(3000) and weakly on its copy with every odd step silent, where
+    # halting at c2999 is the first resolution to show a^1500.  The source
+    # scan in test_no_recursion only sees a function calling itself
+    # directly, not a cycle through two.
+    a = tm.Action("a")
+    for pts, weak, length, first in (
+        (chain(3000), False, 3000, 3000),
+        (tau_chain(3000), True, 1500, 2999),
+    ):
+        for extra, index in ((0, first), (-1, first - 2 if weak else first - 1), (1, None)):
+            psi = tm.Dist({tm.TraceFormula((a,) * (length + extra)): 1})
+            witness = None if index is None else tm.resolution_at(pts, "c0", index)
+            assert tm.satisfies(pts, "c0", psi, weak=weak) == (index is not None, witness)
+            assert tm.real_value(pts, "c0", psi, weak) == (0 if index is None else 1)
+
+
 # ---------------------------------------------------------------------------
 # Structure of the layer.
 
@@ -400,12 +462,20 @@ def tau_chain(n: int) -> tm.PTS:
     pytest.param(tm.crosscheck, 8, chain(400), "c0", "c1", id="crosscheck-8"),
     pytest.param(tm.crosscheck, 2, tau_chain(400), "c0", "d0", id="crosscheck-tau-chain-2"),
     pytest.param(
-        tm.real_value, 16, tm.parse_pts(ladder_text(5)), "x0",
-        tm.parse_formula("17/61 <a>T (+) 44/61 <b>T"), id="real_value-ladder5-16",
+        tm.real_value, 1, tm.parse_pts(ladder_text(5)), "x0",
+        tm.parse_formula("17/61 <a>T (+) 44/61 <b>T"), id="real_value-ladder5-1",
     ),
     pytest.param(
-        tm.satisfies, 16, tm.parse_pts(ladder_text(5)), "x0",
-        tm.parse_formula("1 <b><b><b><b><b>T"), id="satisfies-ladder5-16",
+        tm.satisfies, 1, tm.parse_pts(ladder_text(5)), "x0",
+        tm.parse_formula("1 <b><b><b><b><b>T"), id="satisfies-ladder5-1",
+    ),
+    pytest.param(
+        partial(tm.real_value, max_resolutions=10**8), 1, tm.parse_pts(ladder_text(6)), "x0",
+        tm.parse_formula("17/61 <a>T (+) 44/61 <b>T"), id="real_value-ladder6-1",
+    ),
+    pytest.param(
+        partial(tm.satisfies, max_resolutions=10**8), 1, tm.parse_pts(ladder_text(6)), "x0",
+        tm.parse_formula("1 <b><b><b><b><b><b>T"), id="satisfies-ladder6-1",
     ),
 ])
 def test_chain_keeps_the_roots_lists_only(query, limit_mib, pts, s, t):
@@ -415,9 +485,12 @@ def test_chain_keeps_the_roots_lists_only(query, limit_mib, pts, s, t):
     # layer kept them all.  The formula route numbers trace ids, weakly
     # through (action, erased tail) pairs, so its tables stay linear in
     # depth: spelling every trace id as a formula peaked at 2.9 MiB on the
-    # silent chain.  ``real_value`` and ``satisfies`` read x0's 32,490
-    # ladder(5) rows in place: indexing and rescaling them for a one-row
-    # query peaked at 24.1 MiB.  The all-b formula matches only the last row.
+    # silent chain.  ``real_value`` and ``satisfies`` build no row: the
+    # descent holds the formula's trie and one resolution's decisions, on
+    # ladder(5) as on ladder(6), whose 19,981,351 resolutions no list of
+    # rows holds.  Scanning ladder(5)'s 32,490 rows peaked at 9.9 MiB, and
+    # indexing and rescaling them at 24.1 MiB.  The all-b formula is
+    # satisfied only by the last resolution.
     tracemalloc.start()
     try:
         query(pts, s, t)
@@ -437,11 +510,10 @@ def test_silent_steps_keep_trace_ids():
 
 
 def test_one_trie_serves_both_sides_and_modes():
+    # Every id the three roots' lists show, strongly and weakly, is an id of
+    # the one trie, and no two ids spell the same trace.
     layer = TraceLayer(EDGE, "v", "t", "u")
     sides = [layer.entries(p, weak) for weak in (False, True) for p in ("v", "t", "u")]
-    for side in sides:
-        for row in side:
-            for k in row:
-                assert layer.find(layer.trace(k)) == k
-    assert layer.find((tm.Action("q"),)) is None
-    assert layer.find(()) == 0
+    spelled = [layer.trace(k) for k in range(len(layer.tails))]
+    assert len(set(spelled)) == len(spelled) and spelled[0] == ()
+    assert {k for side in sides for row in side for k in row} <= set(range(len(spelled)))
