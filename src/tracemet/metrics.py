@@ -8,10 +8,12 @@ the corresponding trace equivalence.  Both read one ``traces.TraceLayer``
 per call, rooted at the two processes, so the trace ids of the two sides
 agree and their distinct rows come over the layer's ``den``: the metric
 hands the sides ``distinct`` returns to the max-min as they are, and reads
-its witness as first indices; the equivalence reads their keys.  No trace
-or distribution object is built, and a witness resolution is built only
-for the pair or the resolution that is returned, off the layer's
-resolution-count table.
+its witness as first indices.  The equivalence reads the keys alone
+(``distinct_keys``): exact ints, equal exactly when their rows are,
+composed from their parts' keys, so no row of a root that no other list
+reads is merged.  No trace or distribution object is built, and a witness
+resolution is built only for the pair or the resolution that is returned,
+off the layer's resolution-count table.
 """
 from __future__ import annotations
 
@@ -127,10 +129,10 @@ def find_distinguishing_resolution(
     a resolution's run-probability profile is a prefix sum of its (weak)
     trace distribution, and the sum can be inverted.  The first unmatched
     resolution of ``s`` comes first, then that of ``t``: the first index of
-    the first distinct row the other side lacks.  Only it is built.
+    the first distinct row key the other side lacks.  Only it is built.
     """
     layer = TraceLayer(pts, s, t, max_resolutions=max_resolutions)
-    (first_s, _), (first_t, _) = layer.distinct(weak)
+    first_s, first_t = layer.distinct_keys(weak)
     for p, first, others in ((s, first_s, first_t), (t, first_t, first_s)):
         for key, index in first.items():
             if key not in others:

@@ -30,13 +30,18 @@ denominator, which the layer alone computes; every row it hands out is over
 no other list reads is built over ``den`` at once; every other list is
 built over the least denominator of its process, so a root that another
 reads is scaled to ``den`` once.  ``entries`` hands one root's full list,
-for ``trace_distributions`` and ``distinct``, which hands every root's
-distinct rows through ``transport.distinct_rows``, in the form the max-min
-takes.  ``nearest``, the one reading of a formula against a process
-(``sat`` and ``val``), builds no list: it descends over the process's
-resolutions in the canonical order, charging each halting node's mass
-against the formula's residual weights in a trie of its own, and prunes
-every branch that cannot beat the best resolution found.  Trace
+for ``trace_distributions``.  ``distinct`` hands every root's distinct rows
+in the form the max-min takes (``transport.Side``), each keyed by one exact
+int: its weight on each trace is one digit in base ``2**b``, ``b`` being
+``den.bit_length()``, so no digit carries, equal keys mean equal rows, and
+the key of a sum of rows is the sum of their keys.  A transition's rows are
+keyed by adding their parts' keys, with no row's items hashed.
+``distinct_keys`` hands the keys alone, for ``equiv``, and merges no row of
+a root that no other list reads.  ``nearest``, the one reading of a formula
+against a process (``sat`` and ``val``), builds no list: it descends over
+the process's resolutions in the canonical order, charging each halting
+node's mass against the formula's residual weights in a trie of its own,
+and prunes every branch that cannot beat the best resolution found.  Trace
 tuples and ``Dist`` objects are decoded only for output: ``decode`` spells
 each id of a list once, ``trace`` one id.  ``mimic`` decodes neither: it
 writes its formulae off the distinct rows through
@@ -54,11 +59,13 @@ from typing import Callable, Hashable, Iterable
 
 from .core import PTS, Action, Dist, ProcessId, TraceDistribution, Transition, post_order
 from .resolutions import DEFAULT_MAX_RESOLUTIONS, Node, Resolution, SizeGuardExceeded
-from .transport import Side, distinct_rows
+from .transport import Side
 
 Trace = tuple[Action, ...]
 EPSILON: Trace = ()
 Rows = list[dict[int, int]]  # {trace id: weight} rows over one denominator
+Keys = dict[int, int]  # each distinct row's key to its first index
+RootLists = dict[ProcessId, tuple[Keys, Rows | None]]  # no list if read by keys alone
 
 
 def trace_distribution(resolution: Resolution) -> TraceDistribution:
@@ -124,19 +131,24 @@ class TraceLayer:
     root in the given order), the build, every witness (``resolution``)
     and the search for a formula's nearest resolution (``nearest``) read
     that count table.  ``den`` is the least common multiple of the
-    roots' denominators, and every row the layer hands out is over it.  Per mode, strong or weak, every reachable list
-    is built once, in post-order, so trace ids agree across everything the
-    layer returns.  A root that no other reachable list reads is built over
-    ``den``; every other list over its process's least denominator, which
-    its readers' step factors are taken against.  A non-root list is
-    dropped once its last reader has been built, and a root that another
-    list reads is scaled to ``den``, once, when the build hands it back,
+    roots' denominators, and every row the layer hands out is over it.  Per
+    mode, strong or weak, every reachable list is built once, in
+    post-order (once more if full lists are asked for after
+    ``distinct_keys``), so trace ids, and the digits keys give them, agree
+    across everything the layer returns.  A root that no other reachable
+    list reads is built over ``den``, and is keyed from its parts as it is
+    built, or, for ``distinct_keys`` alone, keyed with no row merged.
+    Every other list is built over its process's least denominator, which
+    its readers' step factors are taken against.  A non-root list is dropped
+    once its last reader has been built.  A root that another list reads
+    is keyed per row when the build hands it back, and its keys, and for
+    ``entries`` and ``distinct`` its rows, are scaled to ``den`` once,
     unless its denominator is ``den`` already.
     """
 
     __slots__ = (
         "pts", "roots", "den", "silent", "actions", "tails", "_children", "_lists", "_counts",
-        "_dens", "_dying", "_place_table",
+        "_dens", "_dying", "_place_table", "_bits", "_shifts", "_lone",
     )
 
     def __init__(
@@ -148,7 +160,8 @@ class TraceLayer:
         self.actions: list[Action | None] = [None]
         self.tails: list[int] = [0]
         self._children: dict[str, dict[int, int]] = {}
-        self._lists: dict[bool, dict[ProcessId, Rows]] = {}
+        # Per (mode, whether rows were merged): each root's keys and list.
+        self._lists: dict[tuple[bool, bool], RootLists] = {}
         self._place_table: dict[ProcessId, list] = {}
         counts: dict[ProcessId, int] = {}
         dens: dict[ProcessId, int] = {}
@@ -173,9 +186,11 @@ class TraceLayer:
                 raise SizeGuardExceeded(counts[root], max_resolutions, root)
         self._counts = counts
         self.den = math.lcm(*(dens[root] for root in roots))
-        for root in roots:
-            if root not in last_reader:  # no list reads it: built over den
-                dens[root] = self.den
+        self._bits = self.den.bit_length()
+        self._shifts: dict[bool, dict[int, int]] = {False: {0: 0}, True: {0: 0}}
+        self._lone = {root for root in roots if root not in last_reader}
+        for root in self._lone:  # no list reads it: built over den
+            dens[root] = self.den
         self._dens, self.silent = dens, silent
         self._dying: dict[ProcessId, list[ProcessId]] = {}
         for q, p in last_reader.items():
@@ -195,17 +210,40 @@ class TraceLayer:
         prepended (weakly, unless it is silent, which keeps the ids).
         Where ``silent`` is False the weak list is the strong list itself.
         """
-        weak = weak and self.silent
-        lists = self._lists.get(weak)
-        if lists is None:
-            lists = self._lists[weak] = self._build_all(weak)
-        return lists[root]
+        return self._roots(weak, True)[root][1]
 
     def distinct(self, weak: bool = False) -> list[Side]:
-        """Every root's distinct rows over ``den`` as ``distinct_rows``
-        returns them: each distinct row's key with the index of the first
-        resolution that shows it, and the rows, in first-index order."""
-        return [distinct_rows(self.entries(root, weak)) for root in self.roots]
+        """Every root's distinct rows over ``den`` in the form the max-min
+        takes (``transport.Side``): a dict from each distinct row's key to
+        the index of the first resolution that shows it, and the rows, both
+        in first-index order.  Keys are those of ``distinct_keys``."""
+        roots = self._roots(weak, True)
+        sides = []
+        for root in self.roots:
+            first, rows = roots[root]
+            sides.append((first, [rows[i] for i in first.values()]))
+        return sides
+
+    def distinct_keys(self, weak: bool = False) -> list[Keys]:
+        """Every root's distinct row keys, each with the index of the first
+        resolution that shows it, in first-index order: ``distinct``'s
+        dicts, with no row merged for a root that no other list reads.
+
+        A key is one int: the weight ``w`` of the trace numbered ``i`` in
+        this mode's digit table (``_key_combos``) is its ``i``-th digit in
+        base ``2**b``, ``b`` being ``den.bit_length()``.  A row over ``den``
+        puts at most ``den < 2**b`` on each trace, so no digit carries into
+        the next: two rows have the same key exactly when they are equal,
+        and the key of a sum of rows is the sum of their keys.  So the key
+        of a transition's row is the sum of its parts' keys, each part
+        packed once per row of its target's list, and no row is merged to
+        key it.  A key holds at most ``(highest digit + 1) * b`` bits;
+        digits are numbered densely per mode, the empty trace first, then
+        as keying first meets their traces, so only traces of the roots'
+        rows take one.
+        """
+        roots = self._roots(weak, False)
+        return [roots[root][0] for root in self.roots]
 
     def count(self, process: ProcessId) -> int:
         """The number of resolutions of ``process``, off the count table."""
@@ -378,29 +416,74 @@ class TraceLayer:
             return None
         return found, Fraction(best, full)
 
-    def _build_all(self, weak: bool) -> dict[ProcessId, Rows]:
-        """The roots' (weak) lists over ``den``, building every reachable
-        list in post-order and dropping each non-root one after its last
-        reader.  A root no list reads comes out of its build over ``den``
-        (``__init__`` gives it that denominator), so only a root that
-        another list reads, over its own denominator, is copied here."""
-        lists: dict[ProcessId, Rows] = {}
-        for p in self._counts:  # keyed in post-order
-            lists[p] = self._build(p, weak, lists)
-            for q in self._dying.get(p, ()):
-                del lists[q]
-        roots = {}
-        for root in self.roots:
-            rows, factor = lists[root], self.den // self._dens[root]
-            roots[root] = rows if factor == 1 else [
-                {k: w * factor for k, w in row.items()} for row in rows
-            ]
+    def _roots(self, weak: bool, merge: bool) -> RootLists:
+        """Each root's keys and, with ``merge`` (or where a merged build is
+        at hand already), its full list, built once per mode."""
+        weak = weak and self.silent
+        roots = self._lists.get((weak, True)) or self._lists.get((weak, merge))
+        if roots is None:
+            roots = self._lists[weak, merge] = self._build_all(weak, merge)
         return roots
 
-    def _build(self, p: ProcessId, weak: bool, lists: dict[ProcessId, Rows]) -> Rows:
+    def _build_all(self, weak: bool, merge: bool) -> RootLists:
+        """The roots' (weak) keys, and with ``merge`` their lists over
+        ``den``, building every reachable list in post-order and dropping
+        each non-root one after its last reader.
+
+        A root no list reads comes out of its build over ``den``
+        (``__init__`` gives it that denominator), keyed from its parts as it
+        is built; without ``merge``, none of its rows is merged.  A root
+        that another list reads is built as its readers need it, over its
+        own denominator, and keyed per row: scaling a row by ``den``'s
+        factor scales its key alike, as no digit carries.  Only with
+        ``merge`` is it copied to ``den``."""
+        lists: dict[ProcessId, Rows] = {}
+        roots: RootLists = {}
+        for p in self._counts:  # keyed in post-order
+            if p in self._lone:
+                first: Keys = {}
+                rows = self._build(p, weak, lists, first, merge)
+                roots[p] = (first, rows if merge else None)
+            else:
+                lists[p] = self._build(p, weak, lists)
+            for q in self._dying.get(p, ()):
+                del lists[q]
+        for root in self.roots:
+            if root in roots:
+                continue
+            rows, factor = lists[root], self.den // self._dens[root]
+            first = {}
+            self._key_combos([rows], weak, first, 0)
+            if factor != 1:
+                first = {key * factor: index for key, index in first.items()}
+                if merge:
+                    rows = [{k: w * factor for k, w in row.items()} for row in rows]
+            roots[root] = (first, rows if merge else None)
+        return roots
+
+    def _build(
+        self,
+        p: ProcessId,
+        weak: bool,
+        lists: dict[ProcessId, Rows],
+        first: Keys | None = None,
+        merge: bool = True,
+    ) -> Rows:
+        """``p``'s list over its denominator, off its targets' ``lists``:
+        per transition in list order, its targets' rows weighted by their
+        steps, with the action prepended unless it is silent under
+        ``weak``, are its parts, one per target in support order, and every
+        combination of one row per part is merged into one row.  With
+        ``first``, each distinct row's key also goes into it with its first
+        index, composed from the parts' keys (``_key_combos``); without
+        ``merge``, no row is merged and the list holds the halting row
+        alone."""
         dens = self._dens
         den = dens[p]
         out = [{0: den}]
+        if first is not None:
+            first[den] = 0  # the empty trace is digit 0
+        index = 1
         for row in self.pts.transitions_of(p):
             silent = weak and row.action.is_tau
             parts = []
@@ -411,13 +494,46 @@ class TraceLayer:
                     parts.append([{k: w * factor for k, w in r.items()} for r in sub])
                 else:
                     parts.append(self._prefixed(row.action, sub, factor))
-            for first, *rest in product(*parts):
-                acc = first.copy()
+            if first is not None:
+                index = self._key_combos(parts, weak, first, index)
+            if not merge:
+                continue
+            if len(parts) == 1:  # each row is used once: no copy needed
+                out.extend(parts[0])
+                continue
+            for head, *rest in product(*parts):
+                acc = head.copy()
                 for part in rest:
                     for k, w in part.items():
                         acc[k] = acc[k] + w if k in acc else w
                 out.append(acc)
         return out
+
+    def _key_combos(self, parts: list[Rows], weak: bool, first: Keys, index: int) -> int:
+        """Key every combination of one row per part, in ``product``
+        order, as the sum of the parts' keys; enter each new key in
+        ``first`` with its index, counting from ``index``, and return the
+        index after the last.  A row's key (``distinct_keys``) adds ``w <<
+        shift`` for weight ``w`` on the trace with id ``k``, where ``shift``
+        is ``b`` times the digit ``k`` takes in the mode's table, numbered
+        on first sight."""
+        shifts, bits = self._shifts[weak], self._bits
+        packed = []
+        for part in parts:
+            keys = []
+            for r in part:
+                key = 0
+                for k, w in r.items():
+                    shift = shifts.get(k)
+                    if shift is None:
+                        shift = shifts[k] = bits * len(shifts)
+                    key += w << shift
+                keys.append(key)
+            packed.append(keys)
+        for key in packed[0] if len(packed) == 1 else map(sum, product(*packed)):
+            first.setdefault(key, index)
+            index += 1
+        return index
 
     def _prefixed(self, action: Action, rows: list[dict], factor: int) -> list[dict]:
         """``rows`` with ``action`` prepended to every trace and every weight

@@ -19,20 +19,24 @@ distance from each row of one set to its nearest row of another.  The
 kernel takes its callers' denominator as given: the trace layer
 (``traces.TraceLayer``) hands its roots' rows over ``TraceLayer.den``.
 
-``distinct_rows`` is the one place a row is keyed: it drops repeated rows,
-which leaves every max-min unchanged, and keeps each distinct row's key,
-``frozenset(row.items())``, with the index where it first occurs.  The
-max-min takes both sides in that form, so the trace layer's distinct sides
-(``TraceLayer.distinct``) reach it with no row hashed again, and it returns
-its witness as first indices.  It indexes each side twice: by whole row,
-through those keys, so a row that also occurs on the other side is at
-distance 0 without a scan, and by key, so rows with disjoint supports
-(distance 1) are never compared.  It stops scanning a row as soon as the
-row can no longer change the value or the witness, and before scanning it
-first tries the row at the same position on the other side, which on two
-processes of similar shape usually ends the row at once (the early break
-with a good first candidate of Taha and Hanbury, "An efficient algorithm
-for calculating the exact Hausdorff distance", IEEE TPAMI 2015).
+The max-min takes each side as a ``Side``: a dict from each distinct
+row's key to the index where the row first occurs, and those rows, both in
+that order.  Dropping repeated rows leaves every max-min unchanged, and the
+max-min returns its witness as first indices.  The keys of two sides are of
+one kind, and two keys are equal exactly when their rows are.  The trace
+layer keys the rows it builds itself (``TraceLayer.distinct``): each key is
+an exact int composed from its parts' keys, so its sides reach the max-min
+with no row's items hashed.  ``distinct_rows`` keys any other rows, the
+formula route's satisfied sets, by ``frozenset(row.items())``.  The max-min
+indexes each side twice: by whole row, through those keys, so a row that
+also occurs on the other side is at distance 0 without a scan, and by
+trace key, so rows with disjoint supports (distance 1) are never
+compared.  It stops scanning a row as soon as the row can no longer change
+the value or the witness, and before scanning it first tries the row at
+the same position on the other side, which on two processes of similar
+shape usually ends the row at once (the early break with a good first
+candidate of Taha and Hanbury, "An efficient algorithm for calculating the
+exact Hausdorff distance", IEEE TPAMI 2015).
 
 The max-min also returns a certificate of its value D: the column it
 paired each row with, always within D since every running bound is at most
@@ -62,7 +66,7 @@ from typing import Callable
 
 from .core import Dist
 
-Side = tuple[dict, list[dict]]  # a set of rows as ``distinct_rows`` returns it
+Side = tuple[dict, list[dict]]  # distinct rows: {row key: first index}, the rows
 # Each distinct row's column on the other side, for A then for B, then the
 # winning row: its side (0 for A, 1 for B) and position.
 Certificate = tuple[list[int], list[int], int, int]
@@ -96,10 +100,10 @@ def _shared(weights, other: dict) -> int:
 
 
 def distinct_rows(rows: list[dict]) -> Side:
-    """The distinct rows of ``rows``: a dict from each distinct row's key,
-    ``frozenset(row.items())``, to the index of its first occurrence, and
-    those rows, both in order of first index.  The one place a row key is
-    made: every max-min caller hands ``hausdorff_rows`` two of these."""
+    """The distinct rows of ``rows`` as a ``Side``: a dict from each
+    distinct row's key, ``frozenset(row.items())``, to the index of its
+    first occurrence, and those rows, both in order of first index.  For
+    rows no trace layer builds; the layer keys its own (``Side``)."""
     first: dict = {}
     for index, row in enumerate(rows):
         first.setdefault(frozenset(row.items()), index)
@@ -107,7 +111,7 @@ def distinct_rows(rows: list[dict]) -> Side:
 
 
 class _Index:
-    """One side of a max-min pass, as ``distinct_rows`` hands it: its
+    """One side of a max-min pass, given as a ``Side``: its
     distinct rows and their keys, each key's position, each position's
     index in the list before dedup, and for each trace key the positions of
     the rows that carry it."""
@@ -191,7 +195,7 @@ def _directed(
 
 def hausdorff_rows(side_a: Side, side_b: Side, total: int) -> tuple[int, int, int, Certificate]:
     """Hausdorff max-min of TV distances between two nonempty sets of rows
-    over ``total``, each side as ``distinct_rows`` returns it: (distance in
+    over ``total``, each side a ``Side`` (both keyed alike): (distance in
     units of ``1/total``, i, j, certificate).
 
     The witness (i, j) is the first (max-side, then min-side) pair realizing
@@ -206,6 +210,7 @@ def hausdorff_rows(side_a: Side, side_b: Side, total: int) -> tuple[int, int, in
     if d_ab >= d_ba:
         return d_ab, index_a.first[i_ab], index_b.first[j_ab], (cols_a, cols_b, 0, i_ab)
     return d_ba, index_a.first[i_ba], index_b.first[j_ba], (cols_a, cols_b, 1, j_ba)
+
 
 def certifies(
     rows_a: list[dict], rows_b: list[dict], total: int, d: int, certificate: Certificate

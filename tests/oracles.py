@@ -10,7 +10,8 @@ give the same values and the same witness pairs.  The package hands its
 kernel only the trace layer's integer rows; ``integer_rows`` maps lists of
 ``Dist``s to such rows, and ``kernel_hausdorff`` reads the kernel's max-min
 through it, so the tests can hold the kernel to these routes on any
-distributions.
+distributions.  ``items_keyed`` keys rows by ``frozenset(row.items())``,
+the form the layer's exact int keys must split rows as.
 
 The per-resolution routes that ``tracemet.traces.trace_distributions``
 replaced live here too: the run-probability profiles (``pr_compatible``,
@@ -177,6 +178,16 @@ def kernel_hausdorff(
     total, (rows_a, rows_b) = integer_rows(canonical, items_a, items_b)
     d, i, j, _ = hausdorff_rows(distinct_rows(rows_a), distinct_rows(rows_b), total)
     return Fraction(d, total), (i, j)
+
+
+def items_keyed(rows: Sequence[dict]) -> dict:
+    """Each distinct row of ``rows``, keyed by ``frozenset(row.items())``,
+    to the index where it first occurs, in first-index order: the keys the
+    layer's int keys (``TraceLayer.distinct_keys``) must split rows as."""
+    first: dict = {}
+    for index, row in enumerate(rows):
+        first.setdefault(frozenset(row.items()), index)
+    return first
 
 
 def formula_metric(weak: bool):

@@ -124,16 +124,17 @@ class TestFormulaSets:
 
 
 # r0 is x0 with its two transitions swapped, so the same-position hint
-# misses and rows reach the whole-row lookup.  Each side has 51 distinct
-# rows; the formula route of crosscheck keys its two satisfied sets once
-# more.
+# misses and rows reach the whole-row lookup.  The layer keys its rows as
+# ints, composed from their parts, and hashes none through frozenset; only
+# crosscheck's formula route keys its two satisfied sets, of 51 formulae
+# each, through ``distinct_rows``.
 @pytest.mark.parametrize(
     "call, other, hashed",
     [
-        (tm.strong_trace_metric, "r0", 102),
-        (tm.strong_trace_metric, "w0", 102),
-        (tm.crosscheck, "w0", 204),
-        (tm.find_distinguishing_resolution, "w0", 102),
+        (tm.strong_trace_metric, "r0", 0),
+        (tm.strong_trace_metric, "w0", 0),
+        (tm.crosscheck, "w0", 102),
+        (tm.find_distinguishing_resolution, "w0", 0),
     ],
 )
 def test_each_row_is_hashed_once_per_call(monkeypatch, call, other, hashed):

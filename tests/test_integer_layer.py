@@ -132,9 +132,22 @@ class RecordingLayer(TraceLayer):
         super().__init__(*args, **kwargs)
         self.built: dict = {}
 
-    def _build(self, p, weak, lists):
-        rows = self.built[p, weak] = super()._build(p, weak, lists)
+    def _build(self, p, weak, lists, first=None, merge=True):
+        rows = super()._build(p, weak, lists, first, merge)
+        if merge:  # a keys-only build merges no row
+            self.built[p, weak] = rows
         return rows
+
+
+def digits(key: int, den: int) -> list[int]:
+    """The nonzero digits of a row key in base ``2**den.bit_length()``,
+    sorted: the row's weights over ``den``."""
+    bits = den.bit_length()
+    out = []
+    while key:
+        out.append(key & ((1 << bits) - 1))
+        key >>= bits
+    return sorted(filter(None, out))
 
 
 @settings(max_examples=80, deadline=None)
@@ -165,7 +178,10 @@ def test_readers_share_one_denominator_and_keep_the_roots(drawn, data):
             entries = layer.entries(root, weak)
             assert all(sum(row.values()) == layer.den for row in entries)
             assert layer.decode(entries) == dists
-            assert list(first) == [frozenset(row.items()) for row in rows]
+            assert [digits(key, layer.den) for key in first] == [
+                sorted(row.values()) for row in rows
+            ]
+            assert list(first.values()) == list(oracles.items_keyed(entries).values())
             assert (list(first.values()), layer.decode(rows)) == deduplicated(dists)
             assert list(first.values()) == first_indices(pts, root, weak)
             assert all(row is entries[i] for row, i in zip(rows, first.values()))
@@ -180,6 +196,75 @@ def test_readers_share_one_denominator_and_keep_the_roots(drawn, data):
         for process in set(pts.processes) - set(roots):
             with pytest.raises(KeyError):
                 layer.entries(process, weak)
+
+
+@st.composite
+def keyed_roots(draw):
+    """A seeded ``genpts`` system and one to three of its processes as
+    roots: drawn freely, a process with one of its targets (a root that
+    another root reads), or a repeated root."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pts = random_pts(rng, max_states=6, max_layers=3, max_support=3, tau_bias=0.3)
+    processes = sorted(post_order(pts, "p0"))
+    assume(all(tm.count_resolutions(pts, p) <= 300 for p in processes))
+    roots = draw(st.lists(st.sampled_from(processes), min_size=1, max_size=3))
+    shape = draw(st.sampled_from(("drawn", "reads", "repeats")))
+    readers = [p for p in processes if pts.transitions_of(p)]
+    if shape == "reads" and readers:
+        reader = draw(st.sampled_from(readers))
+        row = draw(st.sampled_from(pts.transitions_of(reader)))
+        read = draw(st.sampled_from(sorted(row.target)))
+        roots = draw(st.permutations([reader, read])) + roots[:1]
+    elif shape == "repeats":
+        roots = [roots[0], *roots[:2]]
+    return pts, roots
+
+
+@settings(max_examples=120, deadline=None)
+@given(keyed_roots(), st.booleans())
+def test_int_keys_split_rows_as_their_items_do(drawn, weak):
+    # The keys-only read (no root row merged where no list reads the
+    # root) and the merged read must both split each root's rows exactly
+    # as frozenset(row.items()) does, with the same first indices, and an
+    # int key must stand for one row across all roots, as equiv compares
+    # the two sides' keys.
+    pts, roots = drawn
+    layer = TraceLayer(pts, *roots)
+    keys = layer.distinct_keys(weak)
+    merged = [first for first, _ in TraceLayer(pts, *roots).distinct(weak)]
+    assert keys == layer.distinct_keys(weak)
+    pairs = set()
+    for root, first, again in zip(roots, keys, merged):
+        entries = layer.entries(root, weak)
+        oracle = oracles.items_keyed(entries)
+        assert list(first.values()) == list(oracle.values())
+        assert first == again and list(first) == list(again)
+        assert [digits(key, layer.den) for key in first] == [
+            sorted(entries[i].values()) for i in first.values()
+        ]
+        pairs.update(zip(first, oracle))
+    assert len({key for key, _ in pairs}) == len({items for _, items in pairs}) == len(pairs)
+
+
+@pytest.mark.parametrize(
+    "s, t, merged",
+    [
+        ("x0", "w0", set()),
+        # x0 reads x1, so x1's list is built for it and keyed per row.
+        ("x0", "x1", {"x1"}),
+        ("x1", "x0", {"x1"}),
+        ("x0", "x0", set()),
+    ],
+)
+def test_keys_only_read_merges_no_root_row(s, t, merged):
+    # A root that no list reads is keyed by its parts' keys alone: its list
+    # is never built.  A root that another reads is built as it is read.
+    for weak in (False, True):
+        layer = RecordingLayer(LADDER3, s, t)
+        keys = layer.distinct_keys(weak)
+        assert {s, t} & {p for p, _ in layer.built} == merged
+        assert keys == [first for first, _ in layer.distinct(weak)]
+        assert {s, t} <= {p for p, _ in layer.built}
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +542,11 @@ def tau_chain(n: int) -> tm.PTS:
     return tm.PTS.build(spec)
 
 
+# ladder(5) with r0, x0 with its two transitions swapped: the same rows in
+# another order.
+LADDER5 = tm.parse_pts(ladder_text(5) + "r0 -b-> 1 x1\nr0 -a-> 1/2 x1, 1/2 y1\n")
+
+
 @pytest.mark.parametrize("query, limit_mib, pts, s, t", [
     pytest.param(tm.strong_trace_metric, 4, chain(400), "c0", "c1", id="strong_trace_metric-4"),
     pytest.param(tm.crosscheck, 8, chain(400), "c0", "c1", id="crosscheck-8"),
@@ -468,6 +558,14 @@ def tau_chain(n: int) -> tm.PTS:
     pytest.param(
         tm.satisfies, 1, tm.parse_pts(ladder_text(5)), "x0",
         tm.parse_formula("1 <b><b><b><b><b>T"), id="satisfies-ladder5-1",
+    ),
+    pytest.param(
+        tm.find_distinguishing_resolution, 24, LADDER5, "x0", "w0",
+        id="find_distinguishing_resolution-ladder5-w0-24",
+    ),
+    pytest.param(
+        tm.find_distinguishing_resolution, 24, LADDER5, "x0", "r0",
+        id="find_distinguishing_resolution-ladder5-r0-24",
     ),
     pytest.param(
         partial(tm.real_value, max_resolutions=10**8), 1, tm.parse_pts(ladder_text(6)), "x0",
@@ -490,7 +588,10 @@ def test_chain_keeps_the_roots_lists_only(query, limit_mib, pts, s, t):
     # ladder(5) as on ladder(6), whose 19,981,351 resolutions no list of
     # rows holds.  Scanning ladder(5)'s 32,490 rows peaked at 9.9 MiB, and
     # indexing and rescaling them at 24.1 MiB.  The all-b formula is
-    # satisfied only by the last resolution.
+    # satisfied only by the last resolution.  ``find_distinguishing_resolution``
+    # reads int row keys alone, each the sum of its parts' keys, so neither
+    # root of ladder(5) has a row merged: 9.6 to 12.2 MiB, where merging
+    # every row and keying it by frozenset(row.items()) peaked at 84.6 MiB.
     tracemalloc.start()
     try:
         query(pts, s, t)

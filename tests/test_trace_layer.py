@@ -169,9 +169,9 @@ class TestLayer:
         built = []
         original = TraceLayer._build
 
-        def counting(self, p, weak, lists):
+        def counting(self, p, weak, *args):
             built.append((p, weak))
-            return original(self, p, weak, lists)
+            return original(self, p, weak, *args)
 
         monkeypatch.setattr(TraceLayer, "_build", counting)
         return built
