@@ -295,7 +295,7 @@ def _cmd_mimic(args) -> int:
     layer = TraceLayer(pts, process, max_resolutions=_max_resolutions(args))
     names, formulas = mimicking_pairs(layer, layer.distinct(args.weak)[0][1])
     den = layer.den
-    del layer  # and its rows, before the document is written
+    del layer  # and its trie, before the document is written: it holds no rows
     if args.json:
         def spell(k, w):
             return {"diamonds": list(names[k]), "weight": _frac_json(Fraction(w, den))}

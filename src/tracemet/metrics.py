@@ -5,15 +5,16 @@ their trace distributions under the 0/1 cost on traces (weakly: on
 tau-erased traces).  Lifting that distance over the full resolution sets
 with the Hausdorff max-min gives the metric over processes; its kernel is
 the corresponding trace equivalence.  Both read one ``traces.TraceLayer``
-per call, rooted at the two processes, so the trace ids of the two sides
-agree and their distinct rows come over the layer's ``den``: the metric
-hands the sides ``distinct`` returns to the max-min as they are, and reads
-its witness as first indices.  The equivalence reads the keys alone
-(``distinct_keys``): exact ints, equal exactly when their rows are,
-composed from their parts' keys, so no row of a root that no other list
-reads is merged.  No trace or distribution object is built, and a witness
-resolution is built only for the pair or the resolution that is returned,
-off the layer's resolution-count table.
+per call, rooted at the two processes, in one build, of which the layer
+keeps only its trie and tables.  The trace ids of the two sides agree and
+their distinct rows come over the layer's ``den``: the metric hands the
+sides ``distinct`` returns to the max-min as they are, and reads its
+witness as first indices.  The equivalence reads the keys alone
+(``distinct_keys``): exact ints, equal exactly when their rows are, each
+root's composed from its parts' keys as it is built, so no row of a root
+that no other list reads is merged.  No trace or distribution object is
+built, and a witness resolution is built only for the pair or the
+resolution that is returned, off the layer's resolution-count table.
 """
 from __future__ import annotations
 

@@ -26,10 +26,11 @@ a trie, one per layer: id 0 is the empty trace and every other id stands
 for one (action, tail id) pair, keyed by the action's name.  A process's
 list holds one ``{trace id: weight}`` row per resolution, all over one
 denominator, which the layer alone computes; every row it hands out is over
-``TraceLayer.den``, the least common multiple of its roots'.  A root that
-no other list reads is built over ``den`` at once; every other list is
-built over the least denominator of its process, so a root that another
-reads is scaled to ``den`` once.  ``entries`` hands one root's full list,
+``TraceLayer.den``, the least common multiple of its roots'.  Each read
+builds the lists it needs anew and keeps none of them.  A root that no
+other list reads is built over ``den`` at once; every other list is built
+over the least denominator of its process, so a root that another reads
+is scaled to ``den`` once.  ``entries`` hands one root's full list,
 for ``trace_distributions``.  ``distinct`` hands every root's distinct rows
 in the form the max-min takes (``transport.Side``), each keyed by one exact
 int: its weight on each trace is one digit in base ``2**b``, ``b`` being
@@ -65,7 +66,6 @@ Trace = tuple[Action, ...]
 EPSILON: Trace = ()
 Rows = list[dict[int, int]]  # {trace id: weight} rows over one denominator
 Keys = dict[int, int]  # each distinct row's key to its first index
-RootLists = dict[ProcessId, tuple[Keys, Rows | None]]  # no list if read by keys alone
 
 
 def trace_distribution(resolution: Resolution) -> TraceDistribution:
@@ -131,23 +131,24 @@ class TraceLayer:
     root in the given order), the build, every witness (``resolution``)
     and the search for a formula's nearest resolution (``nearest``) read
     that count table.  ``den`` is the least common multiple of the
-    roots' denominators, and every row the layer hands out is over it.  Per
-    mode, strong or weak, every reachable list is built once, in
-    post-order (once more if full lists are asked for after
-    ``distinct_keys``), so trace ids, and the digits keys give them, agree
-    across everything the layer returns.  A root that no other reachable
-    list reads is built over ``den``, and is keyed from its parts as it is
-    built, or, for ``distinct_keys`` alone, keyed with no row merged.
+    roots' denominators, and every row the layer hands out is over it.
+    Each read (``entries``, ``distinct``, ``distinct_keys``) builds every
+    reachable list of its mode once, in post-order, and keeps none of them:
+    between reads the layer holds only its trie, its digit tables
+    (``_shifts``) and its count, denominator and place tables, and those
+    keep trace ids, and the digits keys give them, the same across
+    everything the layer returns.  Every root is keyed from its parts as it
+    is built.  A root that no other reachable list reads is built over
+    ``den``, or, for ``distinct_keys`` alone, keyed with no row merged.
     Every other list is built over its process's least denominator, which
     its readers' step factors are taken against.  A non-root list is dropped
     once its last reader has been built.  A root that another list reads
-    is keyed per row when the build hands it back, and its keys, and for
-    ``entries`` and ``distinct`` its rows, are scaled to ``den`` once,
-    unless its denominator is ``den`` already.
+    has its keys, and for ``entries`` and ``distinct`` its rows, scaled to
+    ``den`` once, unless its denominator is ``den`` already.
     """
 
     __slots__ = (
-        "pts", "roots", "den", "silent", "actions", "tails", "_children", "_lists", "_counts",
+        "pts", "roots", "den", "silent", "actions", "tails", "_children", "_counts",
         "_dens", "_dying", "_place_table", "_bits", "_shifts", "_lone",
     )
 
@@ -160,8 +161,6 @@ class TraceLayer:
         self.actions: list[Action | None] = [None]
         self.tails: list[int] = [0]
         self._children: dict[str, dict[int, int]] = {}
-        # Per (mode, whether rows were merged): each root's keys and list.
-        self._lists: dict[tuple[bool, bool], RootLists] = {}
         self._place_table: dict[ProcessId, list] = {}
         counts: dict[ProcessId, int] = {}
         dens: dict[ProcessId, int] = {}
@@ -208,7 +207,7 @@ class TraceLayer:
         row per target (later targets varying fastest): the targets' rows
         weighted by the step probabilities and summed, with the action
         prepended (weakly, unless it is silent, which keeps the ids).
-        Where ``silent`` is False the weak list is the strong list itself.
+        Where ``silent`` is False a weak read builds the strong list.
         """
         return self._roots(weak, True)[root][1]
 
@@ -416,49 +415,34 @@ class TraceLayer:
             return None
         return found, Fraction(best, full)
 
-    def _roots(self, weak: bool, merge: bool) -> RootLists:
-        """Each root's keys and, with ``merge`` (or where a merged build is
-        at hand already), its full list, built once per mode."""
+    def _roots(self, weak: bool, merge: bool) -> dict[ProcessId, tuple[Keys, Rows | None]]:
+        """Each root's keys and, with ``merge``, its list over ``den``, off
+        one build of every reachable (weak) list in post-order, each
+        non-root list dropped after its last reader.  Every root is keyed
+        from its parts as it is built; a root that another list reads is
+        built over its own denominator, for its readers, and its keys (and
+        with ``merge`` its rows) are scaled to ``den`` once, as no digit
+        carries."""
         weak = weak and self.silent
-        roots = self._lists.get((weak, True)) or self._lists.get((weak, merge))
-        if roots is None:
-            roots = self._lists[weak, merge] = self._build_all(weak, merge)
-        return roots
-
-    def _build_all(self, weak: bool, merge: bool) -> RootLists:
-        """The roots' (weak) keys, and with ``merge`` their lists over
-        ``den``, building every reachable list in post-order and dropping
-        each non-root one after its last reader.
-
-        A root no list reads comes out of its build over ``den``
-        (``__init__`` gives it that denominator), keyed from its parts as it
-        is built; without ``merge``, none of its rows is merged.  A root
-        that another list reads is built as its readers need it, over its
-        own denominator, and keyed per row: scaling a row by ``den``'s
-        factor scales its key alike, as no digit carries.  Only with
-        ``merge`` is it copied to ``den``."""
         lists: dict[ProcessId, Rows] = {}
-        roots: RootLists = {}
+        roots: dict[ProcessId, tuple[Keys, Rows | None]] = {}
         for p in self._counts:  # keyed in post-order
-            if p in self._lone:
-                first: Keys = {}
-                rows = self._build(p, weak, lists, first, merge)
-                roots[p] = (first, rows if merge else None)
-            else:
+            if p not in self.roots:
                 lists[p] = self._build(p, weak, lists)
+            else:
+                first: Keys = {}
+                read = p not in self._lone
+                rows = self._build(p, weak, lists, first, merge or read)
+                if read:
+                    lists[p] = rows
+                factor = self.den // self._dens[p]
+                if factor != 1:
+                    first = {key * factor: index for key, index in first.items()}
+                    if merge:
+                        rows = [{k: w * factor for k, w in row.items()} for row in rows]
+                roots[p] = (first, rows if merge else None)
             for q in self._dying.get(p, ()):
                 del lists[q]
-        for root in self.roots:
-            if root in roots:
-                continue
-            rows, factor = lists[root], self.den // self._dens[root]
-            first = {}
-            self._key_combos([rows], weak, first, 0)
-            if factor != 1:
-                first = {key * factor: index for key, index in first.items()}
-                if merge:
-                    rows = [{k: w * factor for k, w in row.items()} for row in rows]
-            roots[root] = (first, rows if merge else None)
         return roots
 
     def _build(

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -114,6 +114,21 @@ def tv(weak: bool):
     return lambda p, q: oracles.tv_distance(p, q, metric)
 
 
+@pytest.fixture()
+def builds(monkeypatch):
+    """Every ``(process, mode)`` that ``TraceLayer._build`` is called with,
+    in call order; a test clears it between the reads it counts."""
+    built = []
+    original = TraceLayer._build
+
+    def counting(self, p, weak, *args):
+        built.append((p, weak))
+        return original(self, p, weak, *args)
+
+    monkeypatch.setattr(TraceLayer, "_build", counting)
+    return built
+
+
 # ---------------------------------------------------------------------------
 # The layer's lists.
 
@@ -148,7 +163,7 @@ class TestLayer:
                         pts, process, weak
                     )
 
-    def test_weak_lists_are_the_strong_lists_exactly_without_silent_steps(self, half_pair):
+    def test_weak_lists_are_the_strong_lists_exactly_without_silent_steps(self, half_pair, builds):
         cases = [
             (ladder(3), ("x0", "w0"), False),
             (half_pair, ("s", "t"), False),
@@ -161,20 +176,15 @@ class TestLayer:
         for pts, roots, silent in cases:
             layer = TraceLayer(pts, *roots)
             assert layer.silent is silent
+            reached = set(post_order(pts, *roots))
             for root in roots:
-                assert (layer.entries(root, True) is layer.entries(root, False)) is not silent
-
-    @pytest.fixture()
-    def builds(self, monkeypatch):
-        built = []
-        original = TraceLayer._build
-
-        def counting(self, p, weak, *args):
-            built.append((p, weak))
-            return original(self, p, weak, *args)
-
-        monkeypatch.setattr(TraceLayer, "_build", counting)
-        return built
+                # A weak read builds every reached list once, in the weak
+                # mode only where a silent step is reachable.
+                builds.clear()
+                weak = layer.entries(root, True)
+                assert sorted(builds) == sorted((p, silent) for p in reached)
+                if not silent:
+                    assert weak == layer.entries(root, False)
 
     def test_tau_free_crosscheck_builds_each_list_once(self, half_pair, builds):
         tm.crosscheck(half_pair, "s", "t")
@@ -367,12 +377,16 @@ def test_layer_and_commands_match_old_routes_property(drawn):
         assert tm.satisfies(pts, s, psi, weak=True) == oracles.weak_satisfies(pts, s, psi)
 
 
-@settings(max_examples=100, deadline=None)
+# ``builds`` is cleared before each read it counts, so one list serves
+# every example.
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(
     st.sampled_from([("a", "b"), ("a", "b", "tau")]).flatmap(systems),
     st.data(),
 )
-def test_silent_and_crosscheck_property(drawn, data):
+def test_silent_and_crosscheck_property(builds, drawn, data):
     # Systems with and without silent steps, each rooted at one to three
     # processes: the layer is silent exactly when a silent transition is
     # reachable from a root, and only then builds weak lists of its own.
@@ -383,8 +397,12 @@ def test_silent_and_crosscheck_property(drawn, data):
     reached = set(post_order(pts, *roots))
     assert layer.silent == any(row.action.is_tau for p in reached for row in pts.transitions_of(p))
     for root in roots:
-        assert (layer.entries(root, True) is layer.entries(root, False)) == (not layer.silent)
-        assert layer.decode(layer.entries(root, True)) == per_resolution(pts, root, True)
+        builds.clear()
+        weak = layer.entries(root, True)
+        assert sorted(builds) == sorted((p, layer.silent) for p in reached)
+        if not layer.silent:
+            assert weak == layer.entries(root, False)
+        assert layer.decode(weak) == per_resolution(pts, root, True)
     s, t = roots[0], roots[-1]
     report = tm.crosscheck(pts, s, t)
     set_s, set_t = old_satisfied_set(pts, s), old_satisfied_set(pts, t)
