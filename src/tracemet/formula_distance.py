@@ -14,21 +14,25 @@ outcome.
 ``logical_distance``, ``sup_val_distance`` and ``crosscheck`` read the
 integer rows of a ``traces.TraceLayer`` rooted at the processes they
 compare: the distinct strong rows of both, over the layer's ``den``.
-``_formula_sets`` turns them into one mode's satisfied sets, numbered in
-formula tables of their own, so the formula route of ``crosscheck`` shares
-no trace ids with its metric route.  ``_sup_val_value`` passes each set
-through ``transport.distinct_rows`` and takes their logical and sup-value
-distances; ``crosscheck``'s metrics read the layer's distinct sides as
-they are.  The two library functions read one mode, ``crosscheck`` both.
-Where the layer's ``silent`` is False the weak rows and sets are the
-strong ones, so it builds no weak list and its three weak values are its
-strong passes' results.  No formula object is built on that route: the
-mimicking formula of a row is the row with its trace ids renamed, and the
-erased formula ids come off the layer's trie, so the tables stay linear in
-depth.  ``dist_formula_distance``
-alone reads no layer: it is ``transport.kantorovich_01`` on two formulae
-given as ``Dist`` objects, and its weak form passes ``erase_formula`` as
-the canonicalizing function.
+``_formula_sets`` turns them into one mode's satisfied sets.
+``tracing_formula`` is injective, so the strong sets are those rows
+themselves, each trace id standing for its trace's formula; a one-to-one
+renaming of the ids would commute with every step below and could catch
+no fault.  What sets the formula route of ``crosscheck`` apart from its
+metric route are its own row keys, its erasure and its certificate:
+``_sup_val_value`` keys each set by its rows' items
+(``transport.distinct_rows``), not by the layer's int keys, and takes
+their logical and sup-value distances; ``crosscheck``'s metrics read the
+layer's distinct sides as they are.  The two library functions read one
+mode, ``crosscheck`` both.  Where the layer's ``silent`` is False the weak
+rows and sets are the strong ones, so it builds no weak list and its three
+weak values are its strong passes' results.  No formula object is built on
+that route: the mimicking formula of a row is the row, and the erased
+formula ids come off the layer's trie in a table of their own, so the
+table stays linear in depth.  ``dist_formula_distance`` alone reads no
+layer: it is ``transport.kantorovich_01`` on two formulae given as
+``Dist`` objects, and its weak form passes ``erase_formula`` as the
+canonicalizing function.
 
 The sup-value route stays an independent check of the other two, which
 share the kernel's max-min (``transport.hausdorff_rows``, with its early
@@ -117,10 +121,9 @@ def _formula_sets(layer: TraceLayer, sides: list[list[dict]], weak: bool) -> lis
     """Each side's (weak) satisfied set as rows over formula ids, over the
     denominator of the side's rows.
 
-    The formulae are numbered in tables of their own, not by trace id.
-    ``tracing_formula`` is injective, so a strong set is the side's rows
-    with each trace id renumbered in order of first use, the empty trace's
-    standing for the top formula.  Where no silent step is reachable the
+    ``tracing_formula`` is injective, so the strong sets are ``sides``
+    itself, each trace id standing for its trace's formula, the empty
+    trace's for the top formula.  Where no silent step is reachable the
     weak sets are the strong ones.  Otherwise a weak set sums each row's
     weights per erased formula id, and the erased ids come from one pass
     over the layer's trie in id order, where a tail precedes its
@@ -129,11 +132,7 @@ def _formula_sets(layer: TraceLayer, sides: list[list[dict]], weak: bool) -> lis
     top formula is 0.
     """
     if not (weak and layer.silent):
-        fid: dict[int, int] = {}
-        return [
-            [{fid.setdefault(tid, len(fid)): w for tid, w in row.items()} for row in rows]
-            for rows in sides
-        ]
+        return sides
     table: dict[tuple[str, int], int] = {}
     erased = [0]
     for action, tail in islice(zip(layer.actions, layer.tails), 1, None):
@@ -195,12 +194,13 @@ def crosscheck(
     max_resolutions: int = DEFAULT_MAX_RESOLUTIONS,
 ) -> CrossCheckReport:
     # One layer serves every route: the metrics read its strong and weak
-    # rows, the formula route its strong rows through a formula table.
+    # rows under its int keys, the formula route its strong rows as they
+    # are, keyed by their items.
     layer = TraceLayer(pts, s, t, max_resolutions=max_resolutions)
     total = layer.den
     sides = layer.distinct(False)
     strong = Fraction(hausdorff_rows(*sides, total)[0], total)
-    sides = [rows for _, rows in sides]  # no row key lives across the formula table
+    sides = [rows for _, rows in sides]  # no int key lives across the formula route
     logical_strong, supval_strong, proven = _sup_val_value(
         *_formula_sets(layer, sides, False), total
     )

@@ -9,30 +9,31 @@ distributions live on tau-free representative traces, which keeps them
 honest probability distributions; summing instead over every equivalent
 tau-decorated spelling would overshoot 1.
 
-``TraceLayer`` is the layer every command reads: the trace distributions
-of all resolutions of the processes a call names as its roots, composed
-bottom-up from those of the processes they reach, with no resolution
-built.  One post-order walk over those processes gives each one's
-resolution count, least denominator and last reader.  The layer alone
-knows the canonical order of a process's resolutions: it builds its lists
-in that order (the halting scheduler first, then the transitions in list
-order, later targets varying fastest), and one table per process off the
-count table (``_places``: each transition's block of indices and its
-targets' mixed-radix places) serves ``TraceLayer.resolution``, which
+``TraceLayer`` is the layer every command reads: the trace distributions of
+all resolutions of the processes a call names as its roots, composed
+bottom-up from those of the processes they reach, with no resolution built.
+One post-order walk over those processes is the layer's only reading of the
+system: it gives each one's resolution count, least denominator and last
+reader, and fills the place table (``_places``: each transition's block of
+indices and its targets' mixed-radix places), which every later read takes
+the transitions from.  The layer alone knows the canonical order of a
+process's resolutions: it builds its lists in that order (the halting
+scheduler first, then the transitions in list order, later targets varying
+fastest), and the place table serves ``TraceLayer.resolution``, which
 decodes a witness's index back into its ``Resolution``, and
-``TraceLayer.nearest``; ``count_resolutions`` and ``resolution_at`` read
-an uncapped layer.  The layer is kept as integers.  Traces are interned in
-a trie, one per layer: id 0 is the empty trace and every other id stands
-for one (action, tail id) pair, keyed by the action's name.  A process's
-list holds one ``{trace id: weight}`` row per resolution, all over one
+``TraceLayer.nearest``; ``count_resolutions`` and ``resolution_at`` read an
+uncapped layer.  The layer is kept as integers.  Traces are interned in a
+trie, one per layer: id 0 is the empty trace and every other id stands for
+one (action, tail id) pair, keyed by the action's name.  A process's list
+holds one ``{trace id: weight}`` row per resolution, all over one
 denominator, which the layer alone computes; every row it hands out is over
 ``TraceLayer.den``, the least common multiple of its roots'.  Each read
 builds the lists it needs anew and keeps none of them.  A root that no
 other list reads is built over ``den`` at once; every other list is built
-over the least denominator of its process, so a root that another reads
-is scaled to ``den`` once.  ``entries`` hands one root's full list,
-for ``trace_distributions``.  ``distinct`` hands every root's distinct rows
-in the form the max-min takes (``transport.Side``), each keyed by one exact
+over the least denominator of its process, so a root that another reads is
+scaled to ``den`` once.  ``entries`` hands one root's full list, for
+``trace_distributions``.  ``distinct`` hands every root's distinct rows in
+the form the max-min takes (``transport.Side``), each keyed by one exact
 int: its weight on each trace is one digit in base ``2**b``, ``b`` being
 ``den.bit_length()``, so no digit carries, equal keys mean equal rows, and
 the key of a sum of rows is the sum of their keys.  A transition's rows are
@@ -58,7 +59,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Hashable, Iterable
 
-from .core import PTS, Action, Dist, ProcessId, TraceDistribution, Transition, post_order
+from .core import PTS, Action, Dist, ProcessId, TraceDistribution, post_order
 from .resolutions import DEFAULT_MAX_RESOLUTIONS, Node, Resolution, SizeGuardExceeded
 from .transport import Side
 
@@ -127,11 +128,22 @@ class TraceLayer:
     post-order, gives each one's resolution count, its list's least
     denominator and the last list that reads it, and tells whether a
     silent transition is reachable (``silent``); where none is, the weak
-    lists are the strong ones and are never built.  The size guard (each
-    root in the given order), the build, every witness (``resolution``)
-    and the search for a formula's nearest resolution (``nearest``) read
-    that count table.  ``den`` is the least common multiple of the
-    roots' denominators, and every row the layer hands out is over it.
+    lists are the strong ones and are never built.  The same walk fills
+    the place table (``_places``), per process and per transition in list
+    order: ``(transition, offset, block, targets)``, where the
+    transition's resolutions are the ``block`` indices from ``offset`` on
+    and ``targets`` lists ``(target, step, place)`` in support order.  The
+    canonical order is lexicographic in the decisions: index 0 halts; past
+    it, each transition in list order owns a block of indices, one per
+    combination of sub-schedulers, read as a mixed-radix number whose
+    digits are the targets' indices, the last target's digit varying
+    fastest, so a target's place is the product of the later targets'
+    resolution counts.  The walk is the layer's one reading of the
+    system: the size guard (each root in the given order) reads its count
+    table, and the build, every witness (``resolution``) and the search
+    for a formula's nearest resolution (``nearest``) its place table.
+    ``den`` is the least common multiple of the roots' denominators, and
+    every row the layer hands out is over it.
     Each read (``entries``, ``distinct``, ``distinct_keys``) builds every
     reachable list of its mode once, in post-order, and keeps none of them:
     between reads the layer holds only its trie, its digit tables
@@ -149,7 +161,7 @@ class TraceLayer:
 
     __slots__ = (
         "pts", "roots", "den", "silent", "actions", "tails", "_children", "_counts",
-        "_dens", "_dying", "_place_table", "_bits", "_shifts", "_lone",
+        "_dens", "_dying", "_places", "_bits", "_shifts", "_lone",
     )
 
     def __init__(
@@ -161,22 +173,27 @@ class TraceLayer:
         self.actions: list[Action | None] = [None]
         self.tails: list[int] = [0]
         self._children: dict[str, dict[int, int]] = {}
-        self._place_table: dict[ProcessId, list] = {}
+        self._places: dict[ProcessId, list] = {}
         counts: dict[ProcessId, int] = {}
         dens: dict[ProcessId, int] = {}
         last_reader: dict[ProcessId, ProcessId] = {}
         silent = False
         for p in post_order(pts, *roots):
             # The halting scheduler, plus one per transition and combination
-            # of the targets' schedulers.
+            # of the targets' schedulers: a transition's block of indices
+            # starts at the count so far, and a target's place is the
+            # product of the later targets' counts.
+            places = self._places[p] = []
             count = den = 1
             for row in pts.transitions_of(p):
                 silent = silent or row.action.is_tau
-                block = 1
-                for q, step in row.target.items_sorted:
+                targets, block = [], 1
+                for q, step in reversed(row.target.items_sorted):
+                    targets.append((q, step, block))
                     block *= counts[q]
                     den = math.lcm(den, step.denominator * dens[q])
                     last_reader[q] = p
+                places.append((row, count, block, targets[::-1]))
                 count += block
             counts[p] = count
             dens[p] = den
@@ -250,8 +267,8 @@ class TraceLayer:
 
     def resolution(self, process: ProcessId, index: int) -> Resolution:
         """The resolution of ``process`` with the given index in the
-        canonical order, decoded off the count table (``_places``); the
-        layer's lists are built in the same order."""
+        canonical order, decoded off the place table; the layer's lists
+        are built in the same order."""
         if not 0 <= index < self._counts[process]:
             raise IndexError(f"resolution index {index} out of range for {process!r}")
         nodes: list[Node] = []
@@ -261,7 +278,7 @@ class TraceLayer:
             if k == 0:
                 nodes.append((parent, p, None))
                 continue
-            for choice, (_, offset, block, targets) in enumerate(self._places(p)):
+            for choice, (_, offset, block, targets) in enumerate(self._places[p]):
                 if k < offset + block:
                     break
             k -= offset
@@ -274,33 +291,6 @@ class TraceLayer:
             # Pushed last target first, so nodes are filled in preorder.
             todo.extend(reversed(digits))
         return Resolution(self.pts, tuple(nodes))
-
-    def _places(self, p: ProcessId) -> list[tuple[Transition, int, int, list]]:
-        """The index arithmetic of ``p``'s resolutions, per transition in
-        list order: ``(transition, offset, block, targets)``, where the
-        transition's resolutions are the ``block`` indices from ``offset``
-        on and ``targets`` lists ``(target, step, place)`` in support order.
-
-        The canonical order is lexicographic in the decisions: index 0
-        halts; past it, each transition in list order owns a block of
-        indices, one per combination of sub-schedulers, read as a
-        mixed-radix number whose digits are the targets' indices, the last
-        target's digit varying fastest: a target's place is the product of
-        the later targets' resolution counts.
-        """
-        places = self._place_table.get(p)
-        if places is None:
-            counts = self._counts
-            places, offset = [], 1
-            for row in self.pts.transitions_of(p):
-                targets, block = [], 1
-                for q, step in reversed(row.target.items_sorted):
-                    targets.append((q, step, block))
-                    block *= counts[q]
-                places.append((row, offset, block, targets[::-1]))
-                offset += block
-            self._place_table[p] = places
-        return places
 
     def nearest(
         self,
@@ -373,7 +363,7 @@ class TraceLayer:
                     below[node] += x
                     node = up[node]
             p, mass, node, place = task
-            places = self._places(p)
+            places = self._places[p]
             if choice < len(places):
                 todo.append((task, rest, acc, index, mark, choice + 1))
             if choice == 0:
@@ -468,10 +458,10 @@ class TraceLayer:
         if first is not None:
             first[den] = 0  # the empty trace is digit 0
         index = 1
-        for row in self.pts.transitions_of(p):
+        for row, _, _, targets in self._places[p]:
             silent = weak and row.action.is_tau
             parts = []
-            for q, step in row.target.items_sorted:
+            for q, step, _ in targets:
                 sub = lists[q]
                 factor = step.numerator * (den // (step.denominator * dens[q]))
                 if silent:

@@ -19,24 +19,26 @@ distance from each row of one set to its nearest row of another.  The
 kernel takes its callers' denominator as given: the trace layer
 (``traces.TraceLayer``) hands its roots' rows over ``TraceLayer.den``.
 
-The max-min takes each side as a ``Side``: a dict from each distinct
-row's key to the index where the row first occurs, and those rows, both in
-that order.  Dropping repeated rows leaves every max-min unchanged, and the
-max-min returns its witness as first indices.  The keys of two sides are of
-one kind, and two keys are equal exactly when their rows are.  The trace
-layer keys the rows it builds itself (``TraceLayer.distinct``): each key is
-an exact int composed from its parts' keys, so its sides reach the max-min
-with no row's items hashed.  ``distinct_rows`` keys any other rows, the
-formula route's satisfied sets, by ``frozenset(row.items())``.  The max-min
-indexes each side twice: by whole row, through those keys, so a row that
-also occurs on the other side is at distance 0 without a scan, and by
-trace key, so rows with disjoint supports (distance 1) are never
-compared.  It stops scanning a row as soon as the row can no longer change
-the value or the witness, and before scanning it first tries the row at
-the same position on the other side, which on two processes of similar
-shape usually ends the row at once (the early break with a good first
-candidate of Taha and Hanbury, "An efficient algorithm for calculating the
-exact Hausdorff distance", IEEE TPAMI 2015).
+The max-min takes each side as a ``Side``: a dict from each distinct row's
+key to the index where the row first occurs, and those rows, both in that
+order.  Dropping repeated rows leaves every max-min unchanged, and the
+max-min returns its witness as first indices.  The keys of two sides are
+of one kind, and two keys are equal exactly when their rows are.  The
+trace layer keys the rows it builds itself (``TraceLayer.distinct``): each
+key is an exact int composed from its parts' keys, so its sides reach the
+max-min with no row's items hashed.  ``distinct_rows`` keys the formula
+route's satisfied sets by ``frozenset(row.items())``: its strong sets are
+the layer's rows themselves, so the key is what keeps that route's dedup
+and whole-row index apart from the metric's.  The max-min indexes each
+side twice: by whole row, through those keys, so a row that also occurs on
+the other side is at distance 0 without a scan, and by trace key, so rows
+with disjoint supports (distance 1) are never compared.  It stops scanning
+a row as soon as the row can no longer change the value or the witness,
+and before scanning it first tries the row at the same position on the
+other side, which on two processes of similar shape usually ends the row
+at once (the early break with a good first candidate of Taha and Hanbury,
+"An efficient algorithm for calculating the exact Hausdorff distance",
+IEEE TPAMI 2015).
 
 The max-min also returns a certificate of its value D: the column it
 paired each row with, always within D since every running bound is at most
@@ -102,8 +104,9 @@ def _shared(weights, other: dict) -> int:
 def distinct_rows(rows: list[dict]) -> Side:
     """The distinct rows of ``rows`` as a ``Side``: a dict from each
     distinct row's key, ``frozenset(row.items())``, to the index of its
-    first occurrence, and those rows, both in order of first index.  For
-    rows no trace layer builds; the layer keys its own (``Side``)."""
+    first occurrence, and those rows, both in order of first index.  The
+    formula route keys its satisfied sets here, by their items, apart from
+    the int keys the trace layer gives the same rows (``TraceLayer.distinct``)."""
     first: dict = {}
     for index, row in enumerate(rows):
         first.setdefault(frozenset(row.items()), index)

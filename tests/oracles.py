@@ -53,8 +53,8 @@ and the acceptance tests read.  From ``formula_distance``: the 0/1
 distance on trace formulae, ``trace_formula_distance``, the ground cost
 the flow solver reads, and ``formula_sets``, the satisfied sets spelled
 through ``TraceFormula`` objects, which the integer formula ids of
-``_formula_sets`` must equal (strongly) or relabel one to one (weakly).
-From ``metrics``: the per-resolution
+``_formula_sets`` (strongly the layer's trace ids) must relabel one to
+one, in each mode.  From ``metrics``: the per-resolution
 ``resolution_distance``/``weak_resolution_distance``.
 
 ``parse_pts`` is the system parser as it was before its success path was
@@ -237,14 +237,15 @@ def formula_sets(layer: TraceLayer, sides: list[list[dict]]) -> list[tuple[list,
     """Each side's satisfied set as rows over formula ids, strong and weak,
     over the denominator of the side's rows.
 
-    The formulae are numbered in a table of their own, not by trace id:
-    each distinct trace id is decoded once and spelled through
-    ``tracing_formula``, and, where a silent step is reachable, each
-    distinct formula is erased once through ``erase_formula`` into a second
-    table.  A strong set is the side's distinct mimicking formulae, the
-    halting row's being the top formula; a weak set is the strong one with
-    every formula replaced by its erasure, and is the strong set itself
-    where no silent step is reachable.
+    The formulae are numbered in a table of their own, not by trace id,
+    so the package's sets, which are the layer's rows themselves strongly,
+    match these only up to a one-to-one relabel: each distinct trace id is
+    decoded once and spelled through ``tracing_formula``, and, where a
+    silent step is reachable, each distinct formula is erased once through
+    ``erase_formula`` into a second table.  A strong set is the side's
+    distinct mimicking formulae, the halting row's being the top formula; a
+    weak set is the strong one with every formula replaced by its erasure,
+    and is the strong set itself where no silent step is reachable.
     """
     table: dict[tm.TraceFormula, int] = {}
     formula_of: dict[int, int] = {}

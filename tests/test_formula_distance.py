@@ -257,10 +257,12 @@ class TestCrossCheck:
 
 
 class TestFormulaSets:
-    # The formula route numbers the layer's trace ids in tables of its own.
+    # ``tracing_formula`` is injective, so the strong satisfied sets are the
+    # layer's rows themselves, each trace id standing for its formula.
     # ``oracles.formula_sets`` spells each trace id as a ``TraceFormula``
-    # and erases it; the integer route must give the same strong sets, id
-    # for id, and the same weak sets up to a one-to-one relabel.
+    # and erases it, numbering both in tables of its own; the integer route
+    # must give the same strong and weak sets, each up to a one-to-one
+    # relabel that keeps every row's key order.
 
     def test_random_tau_systems_match_the_reference(self, monkeypatch):
         import tracemet.formula_distance as fd
@@ -271,19 +273,23 @@ class TestFormulaSets:
             pts, s, t = random_case(rng, max_count=80, tau_bias=0.4)
             layer = TraceLayer(pts, s, t)
             sides = [rows for _, rows in layer.distinct(False)]
-            got = zip(fd._formula_sets(layer, sides, False), fd._formula_sets(layer, sides, True))
+            assert fd._formula_sets(layer, sides, False) is sides
+            got = zip(sides, fd._formula_sets(layer, sides, True))
             want = oracles.formula_sets(layer, sides)
-            relabel: dict = {}
+            relabels: dict[bool, dict] = {False: {}, True: {}}
             for (strong, weak), (ref_strong, ref_weak) in zip(got, want):
-                assert strong == ref_strong
-                assert [list(row) for row in strong] == [list(row) for row in ref_strong]
-                assert len(weak) == len(ref_weak)
-                for row, ref in zip(weak, ref_weak):
-                    for key, ref_key in zip(row, ref):
-                        assert relabel.setdefault(key, ref_key) == ref_key
-                    assert {relabel[key]: w for key, w in row.items()} == ref
+                for rows, refs, relabel in (
+                    (strong, ref_strong, relabels[False]),
+                    (weak, ref_weak, relabels[True]),
+                ):
+                    assert len(rows) == len(refs)
+                    for row, ref in zip(rows, refs):
+                        for key, ref_key in zip(row, ref):
+                            assert relabel.setdefault(key, ref_key) == ref_key
+                        assert {relabel[key]: w for key, w in row.items()} == ref
                 merged += len(set().union(*weak)) < len(set().union(*strong))
-            assert len(set(relabel.values())) == len(relabel)
+            for relabel in relabels.values():
+                assert len(set(relabel.values())) == len(relabel)
 
             def answers():
                 return [

@@ -213,6 +213,39 @@ class TestLayer:
                         with pytest.raises(IndexError):
                             decode(process, index)
 
+    def test_reads_take_no_transition_from_the_system(self, half_pair, monkeypatch):
+        # The constructor's walk is the layer's one reading of the system:
+        # every read after it takes the transitions from the place table.
+        read = []
+        transitions_of = tm.PTS.transitions_of
+
+        def spying(pts, process):
+            read.append(process)
+            return transitions_of(pts, process)
+
+        monkeypatch.setattr(tm.PTS, "transitions_of", spying)
+        cases = [
+            (ladder(3), ("x0", "w0")),
+            (with_tau_prefix(half_pair, "s"), ("ptau", "t")),
+            (ladder(3), ("x0", "x1")),  # x0 reads x1
+        ]
+        for pts, roots in cases:
+            layer = TraceLayer(pts, *roots)
+            assert read
+            read.clear()
+            for weak in (False, True):
+                layer.distinct(weak)
+                layer.distinct_keys(weak)
+                for root in roots:
+                    rows = layer.entries(root, weak)
+                    for budget in layer.decode([rows[0], rows[-1]]):
+                        layer.nearest(root, budget.items_sorted, weak)
+                        layer.nearest(root, budget.items_sorted, weak, exact=True)
+            for root in roots:
+                for index in range(layer.count(root)):
+                    layer.resolution(root, index)
+            assert read == []
+
     def test_size_guard_names_the_same_process(self, half_pair):
         # s has 9 resolutions and t has 10; the old routes listed s first.
         calls = [
