@@ -11,8 +11,8 @@ their distinct rows come over the layer's ``den``: the metric hands the
 sides ``distinct`` returns to the max-min as they are, and reads its
 witness as first indices.  The equivalence reads the keys alone
 (``distinct_keys``): exact ints, equal exactly when their rows are, each
-root's composed from its parts' keys as it is built, so no row of a root
-that no other list reads is merged.  No trace or distribution object is
+root's composed from its parts' keys as it is built, so no root row is
+merged.  No trace or distribution object is
 built, and a witness resolution is built only for the pair or the
 resolution that is returned, off the layer's resolution-count table.
 """

@@ -28,26 +28,26 @@ one (action, tail id) pair, keyed by the action's name.  A process's list
 holds one ``{trace id: weight}`` row per resolution, all over one
 denominator, which the layer alone computes; every row it hands out is over
 ``TraceLayer.den``, the least common multiple of its roots'.  Each read
-builds the lists it needs anew and keeps none of them.  A root that no
-other list reads is built over ``den`` at once; every other list is built
-over the least denominator of its process, so a root that another reads is
-scaled to ``den`` once.  ``entries`` hands one root's full list, for
+builds the lists it needs anew and keeps none of them.  Every root is built
+over ``den`` and keyed from its parts; every list that another reads, a
+root's too, is built over the least denominator of its process, and nothing
+is rescaled.  ``entries`` hands one root's full list, for
 ``trace_distributions``.  ``distinct`` hands every root's distinct rows in
 the form the max-min takes (``transport.Side``), each keyed by one exact
 int: its weight on each trace is one digit in base ``2**b``, ``b`` being
 ``den.bit_length()``, so no digit carries, equal keys mean equal rows, and
 the key of a sum of rows is the sum of their keys.  A transition's rows are
 keyed by adding their parts' keys, with no row's items hashed.
-``distinct_keys`` hands the keys alone, for ``equiv``, and merges no row of
-a root that no other list reads.  ``nearest``, the one reading of a formula
-against a process (``sat`` and ``val``), builds no list: it descends over
-the process's resolutions in the canonical order, charging each halting
-node's mass against the formula's residual weights in a trie of its own,
-and prunes every branch that cannot beat the best resolution found.  Trace
-tuples and ``Dist`` objects are decoded only for output: ``decode`` spells
-each id of a list once, ``trace`` one id.  ``mimic`` decodes neither: it
-writes its formulae off the distinct rows through
-``logic.mimicking_pairs``, which spells each id once as action names.
+``distinct_keys`` hands the keys alone, for ``equiv``, and merges no root
+row.  ``nearest``, the one reading of a formula against a process (``sat``
+and ``val``), builds no list: it descends over the process's resolutions in
+the canonical order, charging each halting node's mass against the
+formula's residual weights in a trie of its own, and prunes every branch
+that cannot beat the best resolution found.  Trace tuples and ``Dist``
+objects are decoded only for output: ``decode`` spells each id of a list
+once, ``trace`` one id.  ``mimic`` decodes neither: it writes its formulae
+off the distinct rows through ``logic.mimicking_pairs``, which spells each
+id once as action names.
 ``trace_distribution`` reads one resolution, for the resolutions a command
 prints, in one pass over its preorder ``(parent, process, choice)`` nodes:
 a node's run probability and a halting node's trace come off its parents.
@@ -149,19 +149,19 @@ class TraceLayer:
     between reads the layer holds only its trie, its digit tables
     (``_shifts``) and its count, denominator and place tables, and those
     keep trace ids, and the digits keys give them, the same across
-    everything the layer returns.  Every root is keyed from its parts as it
-    is built.  A root that no other reachable list reads is built over
-    ``den``, or, for ``distinct_keys`` alone, keyed with no row merged.
-    Every other list is built over its process's least denominator, which
-    its readers' step factors are taken against.  A non-root list is dropped
-    once its last reader has been built.  A root that another list reads
-    has its keys, and for ``entries`` and ``distinct`` its rows, scaled to
-    ``den`` once, unless its denominator is ``den`` already.
+    everything the layer returns.  A build follows one of two rules.  Every
+    root is built over ``den`` and keyed from its parts as it is built, its
+    rows merged for ``entries`` and ``distinct`` and not for
+    ``distinct_keys``.  Every process that some reachable list reads, a
+    root too, is built over its own least denominator, which its readers'
+    step factors are taken against, and dropped once its last reader has
+    been built.  So a root that another list reads is built twice, once by
+    each rule, and no key or row is rescaled.
     """
 
     __slots__ = (
         "pts", "roots", "den", "silent", "actions", "tails", "_children", "_counts",
-        "_dens", "_dying", "_places", "_bits", "_shifts", "_lone",
+        "_dens", "_read", "_dying", "_places", "_bits", "_shifts",
     )
 
     def __init__(
@@ -204,14 +204,11 @@ class TraceLayer:
         self.den = math.lcm(*(dens[root] for root in roots))
         self._bits = self.den.bit_length()
         self._shifts: dict[bool, dict[int, int]] = {False: {0: 0}, True: {0: 0}}
-        self._lone = {root for root in roots if root not in last_reader}
-        for root in self._lone:  # no list reads it: built over den
-            dens[root] = self.den
         self._dens, self.silent = dens, silent
+        self._read = last_reader.keys()
         self._dying: dict[ProcessId, list[ProcessId]] = {}
         for q, p in last_reader.items():
-            if q not in roots:
-                self._dying.setdefault(p, []).append(q)
+            self._dying.setdefault(p, []).append(q)
 
     def entries(self, root: ProcessId, weak: bool = False) -> Rows:
         """The (weak) trace distribution of every resolution of ``root``,
@@ -243,7 +240,7 @@ class TraceLayer:
     def distinct_keys(self, weak: bool = False) -> list[Keys]:
         """Every root's distinct row keys, each with the index of the first
         resolution that shows it, in first-index order: ``distinct``'s
-        dicts, with no row merged for a root that no other list reads.
+        dicts, with no root row merged.
 
         A key is one int: the weight ``w`` of the trace numbered ``i`` in
         this mode's digit table (``_key_combos``) is its ``i``-th digit in
@@ -407,30 +404,21 @@ class TraceLayer:
 
     def _roots(self, weak: bool, merge: bool) -> dict[ProcessId, tuple[Keys, Rows | None]]:
         """Each root's keys and, with ``merge``, its list over ``den``, off
-        one build of every reachable (weak) list in post-order, each
-        non-root list dropped after its last reader.  Every root is keyed
-        from its parts as it is built; a root that another list reads is
-        built over its own denominator, for its readers, and its keys (and
-        with ``merge`` its rows) are scaled to ``den`` once, as no digit
-        carries."""
+        one pass over the reachable processes in post-order, in the (weak)
+        mode.  A root is built over ``den`` and keyed from its parts as it
+        is built.  A process that some list reads, a root too, is built
+        again over its own denominator for its readers, and dropped after
+        its last reader."""
         weak = weak and self.silent
         lists: dict[ProcessId, Rows] = {}
         roots: dict[ProcessId, tuple[Keys, Rows | None]] = {}
-        for p in self._counts:  # keyed in post-order
-            if p not in self.roots:
-                lists[p] = self._build(p, weak, lists)
-            else:
+        for p in self._counts:  # in post-order
+            if p in self.roots:
                 first: Keys = {}
-                read = p not in self._lone
-                rows = self._build(p, weak, lists, first, merge or read)
-                if read:
-                    lists[p] = rows
-                factor = self.den // self._dens[p]
-                if factor != 1:
-                    first = {key * factor: index for key, index in first.items()}
-                    if merge:
-                        rows = [{k: w * factor for k, w in row.items()} for row in rows]
+                rows = self._build(p, weak, lists, first, merge)
                 roots[p] = (first, rows if merge else None)
+            if p in self._read:  # some list reads p
+                lists[p] = self._build(p, weak, lists)
             for q in self._dying.get(p, ()):
                 del lists[q]
         return roots
@@ -443,17 +431,18 @@ class TraceLayer:
         first: Keys | None = None,
         merge: bool = True,
     ) -> Rows:
-        """``p``'s list over its denominator, off its targets' ``lists``:
-        per transition in list order, its targets' rows weighted by their
-        steps, with the action prepended unless it is silent under
-        ``weak``, are its parts, one per target in support order, and every
-        combination of one row per part is merged into one row.  With
-        ``first``, each distinct row's key also goes into it with its first
-        index, composed from the parts' keys (``_key_combos``); without
-        ``merge``, no row is merged and the list holds the halting row
-        alone."""
+        """``p``'s list, off its targets' ``lists``: per transition in list
+        order, its targets' rows weighted by their steps, with the action
+        prepended unless it is silent under ``weak``, are its parts, one per
+        target in support order, and every combination of one row per part
+        is merged into one row.  With ``first``, a root's build: the list is
+        over ``den``, and each distinct row's key also goes into ``first``
+        with its first index, composed from the parts' keys
+        (``_key_combos``); without ``merge``, no row is merged and the list
+        holds the halting row alone.  Without ``first``, the list is over
+        ``p``'s own least denominator, for its readers."""
         dens = self._dens
-        den = dens[p]
+        den = dens[p] if first is None else self.den
         out = [{0: den}]
         if first is not None:
             first[den] = 0  # the empty trace is digit 0

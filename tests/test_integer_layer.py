@@ -126,16 +126,18 @@ def test_decoded_layer_equals_the_tuple_builder(drawn):
 
 
 class RecordingLayer(TraceLayer):
-    """A layer that keeps every list its build returns, by (process, mode)."""
+    """A layer that keeps the last list each build returned, by (process,
+    mode): a root's keyed builds in ``keyed``, the plain builds for readers
+    in ``built``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self.keyed: dict = {}
         self.built: dict = {}
 
     def _build(self, p, weak, lists, first=None, merge=True):
         rows = super()._build(p, weak, lists, first, merge)
-        if merge:  # a keys-only build merges no row
-            self.built[p, weak] = rows
+        (self.built if first is None else self.keyed)[p, weak] = rows
         return rows
 
 
@@ -172,7 +174,8 @@ def test_readers_share_one_denominator_and_keep_the_roots(drawn, data):
     for weak in (first, not first, first):
         expected = [oracles.trace_distributions(pts, root, weak) for root in roots]
         sides = layer.distinct(weak)
-        built = dict(layer.built)  # the lists distinct's own build returned
+        # The lists distinct's own build returned.
+        keyed, built = dict(layer.keyed), dict(layer.built)
         assert layer.den == math.lcm(*(TraceLayer(pts, root).den for root in roots))
         assert len(sides) == len(roots)
         for root, (first, rows), dists in zip(roots, sides, expected):
@@ -186,16 +189,20 @@ def test_readers_share_one_denominator_and_keep_the_roots(drawn, data):
             assert (list(first.values()), layer.decode(rows)) == deduplicated(dists)
             assert list(first.values()) == first_indices(pts, root, weak)
             assert all(row == entries[i] for row, i in zip(rows, first.values()))
-            # A root no list of the layer reads is built over layer.den and
-            # hands its own rows.  A root that another root reaches is built
-            # over its own denominator, for its readers, and is scaled once,
-            # when the build hands it back, unless that is layer.den.
+            # Every root's keyed build is over layer.den, and distinct and
+            # entries hand its own rows.  A root that a reached list reads
+            # has a plain build too, over its own denominator, for its
+            # readers; no other root has one.
             mode = weak and layer.silent
-            own = built[root, mode]
-            den = layer.den if root not in read else TraceLayer(pts, root).den
-            assert all(sum(row.values()) == den for row in own)
-            assert all(row is own[i] for row, i in zip(rows, first.values())) == (den == layer.den)
-            assert (entries is layer.built[root, mode]) == (den == layer.den)
+            own = keyed[root, mode]
+            assert own[0] == {0: layer.den}
+            assert all(sum(row.values()) == layer.den for row in own)
+            assert all(row is own[i] for row, i in zip(rows, first.values()))
+            assert entries is layer.keyed[root, mode]
+            assert ((root, mode) in built) == (root in read)
+            if root in read:
+                den = TraceLayer(pts, root).den
+                assert all(sum(row.values()) == den for row in built[root, mode])
         for process in set(pts.processes) - set(roots):
             with pytest.raises(KeyError):
                 layer.entries(process, weak)
@@ -226,11 +233,10 @@ def keyed_roots(draw):
 @settings(max_examples=120, deadline=None)
 @given(keyed_roots(), st.booleans())
 def test_int_keys_split_rows_as_their_items_do(drawn, weak):
-    # The keys-only read (no root row merged where no list reads the
-    # root) and the merged read must both split each root's rows exactly
-    # as frozenset(row.items()) does, with the same first indices, and an
-    # int key must stand for one row across all roots, as equiv compares
-    # the two sides' keys.
+    # The keys-only read (no root row merged) and the merged read must both
+    # split each root's rows exactly as frozenset(row.items()) does, with
+    # the same first indices, and an int key must stand for one row across
+    # all roots, as equiv compares the two sides' keys.
     pts, roots = drawn
     layer = TraceLayer(pts, *roots)
     keys = layer.distinct_keys(weak)
@@ -247,27 +253,6 @@ def test_int_keys_split_rows_as_their_items_do(drawn, weak):
         ]
         pairs.update(zip(first, oracle))
     assert len({key for key, _ in pairs}) == len({items for _, items in pairs}) == len(pairs)
-
-
-@pytest.mark.parametrize(
-    "s, t, merged",
-    [
-        ("x0", "w0", set()),
-        # x0 reads x1, so x1's list is merged for it, and keyed from its parts.
-        ("x0", "x1", {"x1"}),
-        ("x1", "x0", {"x1"}),
-        ("x0", "x0", set()),
-    ],
-)
-def test_keys_only_read_merges_no_root_row(s, t, merged):
-    # A root that no list reads is keyed by its parts' keys alone: its list
-    # is never built.  A root that another reads is built as it is read.
-    for weak in (False, True):
-        layer = RecordingLayer(LADDER3, s, t)
-        keys = layer.distinct_keys(weak)
-        assert {s, t} & {p for p, _ in layer.built} == merged
-        assert keys == [first for first, _ in layer.distinct(weak)]
-        assert {s, t} <= {p for p, _ in layer.built}
 
 
 READS = ("distinct", "distinct_keys", "entries")
@@ -351,7 +336,7 @@ class TestDifferentDenominators:
         layer = TraceLayer(EDGE, "s", "t")
         assert layer.den == 6
         side_s, side_t = layer.entries("s"), layer.entries("t")
-        # s's list is scaled from halves to sixths: the first rows of t's.
+        # s's list is built over sixths, as a root: the first rows of t's.
         assert side_s == side_t[: len(side_s)]
 
     def test_metric_and_equivalence_against_oracles(self):
@@ -371,9 +356,8 @@ class TestDifferentDenominators:
 
 
 # q's list is over halves and p reaches q through a 1/3 step, so p's list
-# is over sixths: q's rows are scaled when handed back, and p's build reads
-# them over halves.  The silent step gives the weak lists builds of their
-# own.
+# is over sixths: q is built twice, over sixths as a root and over halves
+# for p's build.  The silent step gives the weak lists builds of their own.
 THIRDS = tm.parse_pts(
     """
 p -a-> 1/3 q, 2/3 y
@@ -423,33 +407,73 @@ LADDER3 = tm.parse_pts(ladder_text(3))
 
 
 @pytest.mark.parametrize(
-    "pts, s, t, dens, scaled",
+    "pts, s, t, dens, read",
     [
-        # x0 reads x1, so x1 is built over its quarters for x0 and scaled
-        # to eighths once; x0, which no list reads, is built over eighths.
+        # x0 reads x1, so x1 is built twice: over eighths as a root, and
+        # over its quarters for x0; x0, which no list reads, is built over
+        # eighths alone.
         (LADDER3, "x0", "x1", (8, 4, 8), {"x1"}),
         (LADDER3, "x1", "x0", (4, 8, 8), {"x1"}),
         (LADDER3, "x0", "x0", (8, 8, 8), set()),
         (THIRDS, "p", "q", (6, 2, 6), {"q"}),
         (THIRDS, "q", "q", (2, 2, 2), set()),
-        # Neither root reads the other: s is built over sixths at once.
+        # Neither root reads the other: s is built over sixths alone.
         (EDGE, "s", "t", (2, 6, 6), set()),
     ],
 )
-def test_roots_that_reach_each_other_or_repeat(pts, s, t, dens, scaled):
+def test_roots_that_reach_each_other_or_repeat(pts, s, t, dens, read):
     layer = RecordingLayer(pts, s, t)
     assert (TraceLayer(pts, s).den, TraceLayer(pts, t).den, layer.den) == dens
     for weak in (False, True):
         for root in (s, t):
             rows = layer.entries(root, weak)
-            own = layer.built[root, weak and layer.silent]
-            # The halting row is the point mass over the build's denominator.
-            assert own[0] == {0: TraceLayer(pts, root).den if root in scaled else layer.den}
-            assert (rows is not own) == (root in scaled)
+            mode = weak and layer.silent
+            # entries hands the root's keyed build, whose halting row is
+            # the point mass over layer.den.  A root that the other reads
+            # has a plain build as well, over its own denominator.
+            assert rows is layer.keyed[root, mode]
+            assert rows[0] == {0: layer.den}
+            assert ((root, mode) in layer.built) == (root in read)
+            if root in read:
+                assert layer.built[root, mode][0] == {0: TraceLayer(pts, root).den}
             assert all(sum(row.values()) == layer.den for row in rows)
             assert layer.decode(rows) == oracles.trace_distributions(pts, root, weak)
     check_readers(pts, s, t)
     check_crosscheck(pts, s, t)
+
+
+@pytest.mark.parametrize(
+    "pts, s, t, read",
+    [
+        (LADDER3, "x0", "w0", set()),
+        # x0 reads x1, so x1 has a plain build too, merged for x0.
+        (LADDER3, "x0", "x1", {"x1"}),
+        (LADDER3, "x1", "x0", {"x1"}),
+        (LADDER3, "x0", "x0", set()),
+        # p reads q through a 1/3 step, and u reads s through a silent one.
+        (THIRDS, "p", "q", {"q"}),
+        (EDGE, "u", "s", {"s"}),
+    ],
+)
+def test_keys_only_read_merges_no_root_row(pts, s, t, read):
+    # Every root is keyed by its parts' keys alone: its keyed build merges
+    # no row and holds the halting row alone.  A root that another list
+    # reads has a plain build as well, merged over its own denominator.
+    for weak in (False, True):
+        layer = RecordingLayer(pts, s, t)
+        keys = layer.distinct_keys(weak)
+        mode = weak and layer.silent
+        for root in (s, t):
+            assert layer.keyed[root, mode] == [{0: layer.den}]
+        assert {s, t} & {p for p, _ in layer.built} == read
+        for root in read:
+            own = layer.built[root, mode]
+            assert own[0] == {0: TraceLayer(pts, root).den}
+            assert len(own) == layer.count(root)
+        assert keys == [first for first, _ in layer.distinct(weak)]
+        assert [len(layer.keyed[root, mode]) for root in (s, t)] == [
+            layer.count(root) for root in (s, t)
+        ]
 
 
 SAT_CASES = [

@@ -423,16 +423,21 @@ def test_silent_and_crosscheck_property(builds, drawn, data):
     # Systems with and without silent steps, each rooted at one to three
     # processes: the layer is silent exactly when a silent transition is
     # reachable from a root, and only then builds weak lists of its own.
+    # A read builds every reached process once, and a root that a reached
+    # list reads once more: over den as a root, over its own denominator
+    # for its readers.
     pts, _ = drawn
     processes = st.sampled_from(sorted(pts.processes))
     roots = data.draw(st.lists(processes, min_size=1, max_size=3, unique=True))
     layer = TraceLayer(pts, *roots)
     reached = set(post_order(pts, *roots))
     assert layer.silent == any(row.action.is_tau for p in reached for row in pts.transitions_of(p))
+    read = {q for p in reached for row in pts.transitions_of(p) for q in row.target}
+    twice = [p for p in roots if p in read]
     for root in roots:
         builds.clear()
         weak = layer.entries(root, True)
-        assert sorted(builds) == sorted((p, layer.silent) for p in reached)
+        assert sorted(builds) == sorted((p, layer.silent) for p in [*reached, *twice])
         if not layer.silent:
             assert weak == layer.entries(root, False)
         assert layer.decode(weak) == per_resolution(pts, root, True)
